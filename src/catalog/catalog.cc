@@ -1,8 +1,12 @@
 #include "catalog/catalog.h"
 
+#include <functional>
+
 #include "common/strings.h"
 #include "common/task_pool.h"
 #include "exec/evaluator.h"
+#include "exec/pipeline.h"
+#include "plan/rewrites.h"
 
 namespace hana::catalog {
 
@@ -33,6 +37,56 @@ size_t TableEntry::LiveRows(const extended::IqEngine* iq) const {
     }
   }
   return 0;
+}
+
+namespace {
+
+/// Bounds [lower, upper) covered by partition `index` of a hybrid table
+/// (null = unbounded), assuming ascending declared bounds.
+void PartitionBounds(const TableEntry& entry, size_t index, Value* lower,
+                     Value* upper) {
+  *lower = Value::Null();
+  *upper = Value::Null();
+  if (entry.partitions[index].def.is_others) {
+    // Covers everything at or above the highest declared bound.
+    for (const auto& p : entry.partitions) {
+      if (!p.def.is_others) *lower = p.def.upper_bound;
+    }
+    return;
+  }
+  *upper = entry.partitions[index].def.upper_bound;  // Exclusive.
+  for (size_t i = 0; i < index; ++i) {
+    if (!entry.partitions[i].def.is_others) {
+      *lower = entry.partitions[i].def.upper_bound;
+    }
+  }
+}
+
+}  // namespace
+
+bool TableEntry::PartitionExcluded(
+    size_t index, const std::vector<plan::ScanRange>& ranges) const {
+  if (kind != TableKind::kHybrid || partition_column < 0 ||
+      aging_column >= 0 || index >= partitions.size() ||
+      partitions[index].hot != nullptr) {
+    return false;
+  }
+  Value lower, upper;
+  PartitionBounds(*this, index, &lower, &upper);
+  for (const plan::ScanRange& range : ranges) {
+    if (range.column != static_cast<size_t>(partition_column)) continue;
+    // The partition covers [lower, upper); the predicate wants
+    // [range.lower, range.upper] (inclusive, null = unbounded).
+    if (!range.upper.is_null() && !lower.is_null() &&
+        range.upper.Compare(lower) < 0) {
+      return true;
+    }
+    if (!range.lower.is_null() && !upper.is_null() &&
+        range.lower.Compare(upper) >= 0) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::string Catalog::ColdTableName(const TableEntry& entry,
@@ -338,63 +392,142 @@ Status Catalog::InsertNamed(const std::string& name,
   return Insert(name, full);
 }
 
+namespace {
+
+/// Where one DML statement's target rows are, collected before any row
+/// changes.
+struct DmlTargets {
+  struct Hot {
+    storage::ColumnTable* table;
+    std::vector<size_t> rows;
+  };
+  struct Cold {
+    extended::ExtendedTable* table;
+    std::vector<extended::ExtendedTable::RowRef> rows;
+  };
+  std::vector<Hot> hot;
+  std::vector<Cold> cold;
+};
+
+/// Finds the rows of a column, extended or hybrid table that
+/// `predicate` (every row when null) selects, skipping the partitions
+/// PartitionExcluded rules out. Hot rows come from one latest-view
+/// snapshot scan, chunk by chunk through exec::SelectRows; cold rows
+/// from zone-map-pruned row groups. `on_hot_match` (when set) runs on
+/// every hot hit in row order. The first predicate or `on_hot_match`
+/// error in row order is returned.
+Result<DmlTargets> CollectTargets(
+    const TableEntry& entry, extended::IqEngine* iq,
+    const plan::BoundExpr* predicate,
+    const std::function<Status(const storage::Chunk&, size_t)>&
+        on_hot_match) {
+  auto select = [&](const storage::Chunk& chunk,
+                    std::vector<uint8_t>* mask) -> Status {
+    if (predicate == nullptr) {
+      mask->assign(chunk.num_rows(), 1);
+      return Status::OK();
+    }
+    return exec::SelectRows(*predicate, chunk, mask);
+  };
+  const std::vector<plan::ScanRange> ranges =
+      predicate != nullptr ? plan::ExtractRanges(*predicate)
+                           : std::vector<plan::ScanRange>{};
+  DmlTargets targets;
+  auto add_hot = [&](storage::ColumnTable* table) -> Status {
+    DmlTargets::Hot hot{table, {}};
+    Status status;
+    std::vector<uint8_t> mask;
+    table->OpenLatestSnapshot()->ScanWithRowIds(
+        storage::kDefaultChunkRows,
+        [&](const storage::Chunk& chunk, const std::vector<size_t>& row_ids) {
+          // On a predicate error the mask holds the rows before the
+          // failing one; an on_hot_match error among them comes first.
+          Status selected = select(chunk, &mask);
+          for (size_t r = 0; r < mask.size() && status.ok(); ++r) {
+            if (mask[r] == 0) continue;
+            hot.rows.push_back(row_ids[r]);
+            if (on_hot_match) status = on_hot_match(chunk, r);
+          }
+          if (status.ok()) status = std::move(selected);
+          return status.ok();
+        });
+    HANA_RETURN_IF_ERROR(status);
+    targets.hot.push_back(std::move(hot));
+    return Status::OK();
+  };
+  auto add_cold = [&](const std::string& name) -> Status {
+    HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * table,
+                          iq->store()->GetTable(name));
+    HANA_ASSIGN_OR_RETURN(
+        std::vector<extended::ExtendedTable::RowRef> rows,
+        table->MatchRows(extended::ToColumnRanges(ranges), select));
+    targets.cold.push_back(DmlTargets::Cold{table, std::move(rows)});
+    return Status::OK();
+  };
+  switch (entry.kind) {
+    case TableKind::kColumn:
+      HANA_RETURN_IF_ERROR(add_hot(entry.column_table.get()));
+      break;
+    case TableKind::kExtended:
+      HANA_RETURN_IF_ERROR(add_cold(entry.extended_table));
+      break;
+    case TableKind::kHybrid:
+      for (size_t i = 0; i < entry.partitions.size(); ++i) {
+        if (entry.PartitionExcluded(i, ranges)) continue;
+        const Partition& p = entry.partitions[i];
+        HANA_RETURN_IF_ERROR(p.hot != nullptr ? add_hot(p.hot.get())
+                                              : add_cold(p.cold_table));
+      }
+      break;
+    case TableKind::kRow:
+      return Status::Internal("row tables take the row-at-a-time DML path");
+  }
+  return targets;
+}
+
+/// Row tables store boxed rows, so their DML stays row-at-a-time:
+/// indexes of the live rows `predicate` (every row when null) selects,
+/// with `on_match` (when set) run on each in row order.
+Result<std::vector<size_t>> MatchRowTable(
+    const storage::RowTable& table, const plan::BoundExpr* predicate,
+    const std::function<Status(const std::vector<Value>&)>& on_match) {
+  std::vector<size_t> hits;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (table.IsDeleted(r)) continue;
+    const std::vector<Value>& row = table.GetRow(r);
+    if (predicate != nullptr) {
+      HANA_ASSIGN_OR_RETURN(Value keep, exec::EvalExprRow(*predicate, row));
+      if (keep.is_null() || !exec::IsTruthy(keep)) continue;
+    }
+    hits.push_back(r);
+    if (on_match) HANA_RETURN_IF_ERROR(on_match(row));
+  }
+  return hits;
+}
+
+}  // namespace
+
 Result<size_t> Catalog::DeleteWhere(const std::string& name,
                                     const plan::BoundExpr& predicate) {
   HANA_ASSIGN_OR_RETURN(TableEntry * entry, GetTable(name));
-  size_t deleted = 0;
-  auto matches = [&](const std::vector<Value>& row) {
-    Result<Value> v = exec::EvalExprRow(predicate, row);
-    return v.ok() && !v->is_null() && exec::IsTruthy(*v);
-  };
-  switch (entry->kind) {
-    case TableKind::kColumn: {
-      storage::ColumnTable* table = entry->column_table.get();
-      for (size_t r = 0; r < table->num_rows(); ++r) {
-        if (!table->IsVisibleLatest(r)) continue;
-        if (matches(table->GetRow(r))) {
-          HANA_RETURN_IF_ERROR(table->DeleteRow(r));
-          ++deleted;
-        }
-      }
-      return deleted;
-    }
-    case TableKind::kRow: {
-      storage::RowTable* table = entry->row_table.get();
-      for (size_t r = 0; r < table->num_rows(); ++r) {
-        if (table->IsDeleted(r)) continue;
-        if (matches(table->GetRow(r))) {
-          HANA_RETURN_IF_ERROR(table->DeleteRow(r));
-          ++deleted;
-        }
-      }
-      return deleted;
-    }
-    case TableKind::kExtended: {
-      HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * table,
-                            iq_->store()->GetTable(entry->extended_table));
-      return table->DeleteWhere(matches);
-    }
-    case TableKind::kHybrid: {
-      for (Partition& p : entry->partitions) {
-        if (p.hot != nullptr) {
-          for (size_t r = 0; r < p.hot->num_rows(); ++r) {
-            if (!p.hot->IsVisibleLatest(r)) continue;
-            if (matches(p.hot->GetRow(r))) {
-              HANA_RETURN_IF_ERROR(p.hot->DeleteRow(r));
-              ++deleted;
-            }
-          }
-        } else {
-          HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * cold,
-                                iq_->store()->GetTable(p.cold_table));
-          HANA_ASSIGN_OR_RETURN(size_t n, cold->DeleteWhere(matches));
-          deleted += n;
-        }
-      }
-      return deleted;
-    }
+  if (entry->kind == TableKind::kRow) {
+    HANA_ASSIGN_OR_RETURN(
+        std::vector<size_t> hits,
+        MatchRowTable(*entry->row_table, &predicate, nullptr));
+    for (size_t r : hits) HANA_RETURN_IF_ERROR(entry->row_table->DeleteRow(r));
+    return hits.size();
   }
-  return Status::Internal("unknown table kind");
+  HANA_ASSIGN_OR_RETURN(DmlTargets targets,
+                        CollectTargets(*entry, iq_, &predicate, nullptr));
+  size_t deleted = 0;
+  for (const DmlTargets::Hot& hot : targets.hot) {
+    for (size_t r : hot.rows) HANA_RETURN_IF_ERROR(hot.table->DeleteRow(r));
+    deleted += hot.rows.size();
+  }
+  for (const DmlTargets::Cold& cold : targets.cold) {
+    deleted += cold.table->DeleteRows(cold.rows);
+  }
+  return deleted;
 }
 
 Result<size_t> Catalog::UpdateWhere(
@@ -406,74 +539,43 @@ Result<size_t> Catalog::UpdateWhere(
     return Status::Unimplemented(
         "UPDATE supports in-memory tables; use delete+insert for extended");
   }
-  size_t updated = 0;
-  auto update_row = [&](const std::vector<Value>& row,
-                        std::vector<Value>* out) -> Result<bool> {
-    if (predicate != nullptr) {
-      HANA_ASSIGN_OR_RETURN(Value keep, exec::EvalExprRow(*predicate, row));
-      if (keep.is_null() || !exec::IsTruthy(keep)) return false;
-    }
-    *out = row;
+  // New images of every target, built before the first row changes.
+  std::vector<std::vector<Value>> images;
+  auto add_image = [&](const std::vector<Value>& row) -> Status {
+    std::vector<Value> image = row;
     for (const auto& [col, expr] : assignments) {
-      HANA_ASSIGN_OR_RETURN(Value v, exec::EvalExprRow(*expr, row));
-      (*out)[col] = std::move(v);
+      HANA_ASSIGN_OR_RETURN(image[col], exec::EvalExprRow(*expr, row));
     }
-    return true;
-  };
-  auto update_column_table =
-      [&](storage::ColumnTable* table) -> Status {
-    size_t original_rows = table->num_rows();
-    for (size_t r = 0; r < original_rows; ++r) {
-      if (!table->IsVisibleLatest(r)) continue;
-      std::vector<Value> out;
-      HANA_ASSIGN_OR_RETURN(bool hit, update_row(table->GetRow(r), &out));
-      if (hit) {
-        HANA_RETURN_IF_ERROR(table->UpdateRow(r, out));
-        ++updated;
-      }
-    }
+    images.push_back(std::move(image));
     return Status::OK();
   };
-  if (entry->kind == TableKind::kColumn) {
-    HANA_RETURN_IF_ERROR(update_column_table(entry->column_table.get()));
-  } else if (entry->kind == TableKind::kHybrid) {
-    // Cold data is read-mostly by design: reject before touching any hot
-    // partition so the statement stays all-or-nothing.
-    for (Partition& p : entry->partitions) {
-      if (p.hot != nullptr) continue;
-      HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * cold,
-                            iq_->store()->GetTable(p.cold_table));
-      bool any_cold_match = false;
-      HANA_RETURN_IF_ERROR(cold->Scan(
-          {}, storage::kDefaultChunkRows,
-          [&](const storage::Chunk& chunk) {
-            for (size_t r = 0; r < chunk.num_rows(); ++r) {
-              std::vector<Value> out;
-              Result<bool> hit = update_row(chunk.Row(r), &out);
-              if (hit.ok() && *hit) any_cold_match = true;
-            }
-            return !any_cold_match;
-          }));
-      if (any_cold_match) {
-        return Status::Unimplemented(
-            "UPDATE of rows in cold partitions is not supported");
-      }
-    }
-    for (Partition& p : entry->partitions) {
-      if (p.hot != nullptr) {
-        HANA_RETURN_IF_ERROR(update_column_table(p.hot.get()));
-      }
-    }
-  } else {
+  if (entry->kind == TableKind::kRow) {
     storage::RowTable* table = entry->row_table.get();
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      if (table->IsDeleted(r)) continue;
-      std::vector<Value> out;
-      HANA_ASSIGN_OR_RETURN(bool hit, update_row(table->GetRow(r), &out));
-      if (hit) {
-        HANA_RETURN_IF_ERROR(table->UpdateRow(r, std::move(out)));
-        ++updated;
-      }
+    HANA_ASSIGN_OR_RETURN(std::vector<size_t> hits,
+                          MatchRowTable(*table, predicate, add_image));
+    for (size_t i = 0; i < hits.size(); ++i) {
+      HANA_RETURN_IF_ERROR(table->UpdateRow(hits[i], std::move(images[i])));
+    }
+    return hits.size();
+  }
+  HANA_ASSIGN_OR_RETURN(
+      DmlTargets targets,
+      CollectTargets(*entry, iq_, predicate,
+                     [&](const storage::Chunk& chunk, size_t r) {
+                       return add_image(chunk.Row(r));
+                     }));
+  // Cold data is read-mostly by design: a statement that selects a cold
+  // row fails before any hot row changes.
+  for (const DmlTargets::Cold& cold : targets.cold) {
+    if (!cold.rows.empty()) {
+      return Status::Unimplemented(
+          "UPDATE of rows in cold partitions is not supported");
+    }
+  }
+  size_t updated = 0;
+  for (const DmlTargets::Hot& hot : targets.hot) {
+    for (size_t r : hot.rows) {
+      HANA_RETURN_IF_ERROR(hot.table->UpdateRow(r, images[updated++]));
     }
   }
   return updated;

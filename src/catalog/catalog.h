@@ -46,6 +46,18 @@ class TableEntry {
 
   /// Live rows across all storage locations.
   size_t LiveRows(const extended::IqEngine* iq) const;
+
+  /// The partition-pruning rule, shared by the optimizer's union plan
+  /// and catalog DML: true when hybrid partition `index` can hold no
+  /// row satisfying `ranges` (plan::ExtractRanges of a predicate bound
+  /// against this table's schema). Only partitions whose contents are
+  /// bound to their declared range qualify: cold partitions of tables
+  /// without an aging column. A hot partition keeps an UPDATEd row
+  /// whose key left its range until RunAging moves it, and flag-based
+  /// aging parks rows in the first cold partition whatever their key,
+  /// so neither is ever skipped.
+  bool PartitionExcluded(size_t index,
+                         const std::vector<plan::ScanRange>& ranges) const;
 };
 
 /// Registered SDA remote source (CREATE REMOTE SOURCE ...).
@@ -115,11 +127,20 @@ class Catalog : public plan::BinderCatalog {
                      const std::vector<std::vector<Value>>& rows);
 
   /// Deletes rows matching a predicate bound against the table schema.
+  /// Column and hybrid tables find their targets the way SELECT does:
+  /// partitions PartitionExcluded skips are not visited, hot rows come
+  /// from one latest-view snapshot scan through the exec::SelectRows
+  /// mask kernel, cold rows from zone-map-pruned row groups. The
+  /// predicate is evaluated over every candidate before any row is
+  /// deleted, so an evaluation error (the first in row order) leaves
+  /// the table unchanged.
   [[nodiscard]] Result<size_t> DeleteWhere(const std::string& name,
                              const plan::BoundExpr& predicate);
 
   /// Updates rows matching `predicate`: assignment exprs are bound
-  /// against the table schema. Returns rows updated.
+  /// against the table schema. Returns rows updated. Finds targets like
+  /// DeleteWhere and evaluates every assignment of every target before
+  /// the first row changes; rows of cold partitions cannot be updated.
   [[nodiscard]] Result<size_t> UpdateWhere(
       const std::string& name, const plan::BoundExpr* predicate,
       const std::vector<std::pair<size_t, const plan::BoundExpr*>>&

@@ -119,9 +119,11 @@ bool CmpScalar(CmpOp op, int64_t a, int64_t b) {
 
 }  // namespace
 
-Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in) {
-  Chunk out = Chunk::Empty(in.schema);
+Status SelectRows(const BoundExpr& predicate, const Chunk& in,
+                  std::vector<uint8_t>* mask, bool* conjunction_kernel) {
   const size_t n = in.num_rows();
+  mask->resize(n);
+  if (conjunction_kernel != nullptr) *conjunction_kernel = false;
   // Two-term conjunction fast path: `a CMP k AND b CMP m` over int64
   // columns runs as two dispatched kernel passes sharing one selection
   // mask. NULL semantics match the scalar Kleene AND exactly: a row is
@@ -139,17 +141,14 @@ Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in) {
       const storage::ColumnVector& c2 = *in.columns[f2.column];
       if (c1.type() == DataType::kInt64 && c2.type() == DataType::kInt64 &&
           c1.size() == n && c2.size() == n) {
-        std::vector<uint8_t> mask1(n), mask2(n);
+        std::vector<uint8_t> mask2(n);
         Kernels().cmp_i64(f1.op, c1.ints_data(), c1.nulls_data(), n, f1.rhs,
-                          mask1.data());
+                          mask->data());
         Kernels().cmp_i64(f2.op, c2.ints_data(), c2.nulls_data(), n, f2.rhs,
                           mask2.data());
-        for (size_t r = 0; r < n; ++r) {
-          if ((mask1[r] & mask2[r]) != 0) out.AppendRowFrom(in, r);
-        }
-        GlobalAggExecStats().conjunction_kernel_chunks.fetch_add(
-            1, std::memory_order_relaxed);
-        return out;
+        for (size_t r = 0; r < n; ++r) (*mask)[r] &= mask2[r];
+        if (conjunction_kernel != nullptr) *conjunction_kernel = true;
+        return Status::OK();
       }
     }
   }
@@ -159,32 +158,45 @@ Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in) {
     if (col.type() == DataType::kInt64 && col.size() == n && n > 0) {
       if (col.run_indexed()) {
         // Run-at-a-time: the RLE decoder registered runs of equal
-        // values, so evaluate the predicate once per run and copy the
-        // accepted rows. Runs hold non-null values only, matching the
-        // NULL-drops-row semantics of the scalar path.
+        // values, so evaluate the predicate once per run. Runs hold
+        // non-null values only, matching the NULL-drops-row semantics
+        // of the scalar path.
         for (const storage::ColumnVector::ValueRun& run : col.runs()) {
-          if (!CmpScalar(f.op, col.GetInt(run.begin), f.rhs)) continue;
-          for (size_t r = run.begin; r < run.end; ++r) {
-            out.AppendRowFrom(in, r);
-          }
+          const uint8_t keep = CmpScalar(f.op, col.GetInt(run.begin), f.rhs);
+          std::fill(mask->begin() + static_cast<ptrdiff_t>(run.begin),
+                    mask->begin() + static_cast<ptrdiff_t>(run.end), keep);
         }
-        return out;
+        return Status::OK();
       }
-      // Vectorized: one dispatched compare over the column produces a
-      // selection mask (null rows compare to 0, i.e. dropped).
-      std::vector<uint8_t> mask(n);
+      // Vectorized: one dispatched compare over the column produces the
+      // mask (null rows compare to 0, i.e. dropped).
       Kernels().cmp_i64(f.op, col.ints_data(), col.nulls_data(), n, f.rhs,
-                        mask.data());
-      for (size_t r = 0; r < n; ++r) {
-        if (mask[r] != 0) out.AppendRowFrom(in, r);
-      }
-      return out;
+                        mask->data());
+      return Status::OK();
     }
   }
   for (size_t r = 0; r < n; ++r) {
-    HANA_ASSIGN_OR_RETURN(Value keep, EvalExpr(predicate, in, r));
-    if (keep.is_null() || !IsTruthy(keep)) continue;
-    out.AppendRowFrom(in, r);
+    Result<Value> keep = EvalExpr(predicate, in, r);
+    if (!keep.ok()) {
+      mask->resize(r);
+      return keep.status();
+    }
+    (*mask)[r] = !keep->is_null() && IsTruthy(*keep);
+  }
+  return Status::OK();
+}
+
+Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in) {
+  std::vector<uint8_t> mask;
+  bool conjunction_kernel = false;
+  HANA_RETURN_IF_ERROR(SelectRows(predicate, in, &mask, &conjunction_kernel));
+  if (conjunction_kernel) {
+    GlobalAggExecStats().conjunction_kernel_chunks.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  Chunk out = Chunk::Empty(in.schema);
+  for (size_t r = 0; r < mask.size(); ++r) {
+    if (mask[r] != 0) out.AppendRowFrom(in, r);
   }
   return out;
 }

@@ -31,6 +31,19 @@ inline size_t HashKey(const std::vector<Value>& key) {
   return h;
 }
 
+/// Selection-mask kernel: sets `(*mask)[r]` to 1 where `predicate` is
+/// TRUE on row r of `in` and to 0 where it is FALSE or NULL. Int64
+/// `column CMP literal` terms and two-term conjunctions of them run as
+/// dispatched `cmp_i64` passes (run-at-a-time on RLE-indexed vectors);
+/// anything else goes through the scalar evaluator. On error, `mask`
+/// holds the verdicts of the rows before the failing one. Sets
+/// `*conjunction_kernel` (when given) to whether the two-term
+/// conjunction kernel ran. Shared by FilterChunk and catalog DML.
+[[nodiscard]] Status SelectRows(const plan::BoundExpr& predicate,
+                                const storage::Chunk& in,
+                                std::vector<uint8_t>* mask,
+                                bool* conjunction_kernel = nullptr);
+
 /// Chunk-at-a-time filter: keeps rows whose predicate is TRUE.
 [[nodiscard]] Result<storage::Chunk> FilterChunk(const plan::BoundExpr& predicate,
                                                  const storage::Chunk& in);

@@ -256,29 +256,57 @@ Status ExtendedTable::Scan(
   return Status::OK();
 }
 
-Result<size_t> ExtendedTable::DeleteWhere(
-    const std::function<bool(const std::vector<Value>&)>& predicate) {
-  size_t deleted = 0;
+Result<std::vector<ExtendedTable::RowRef>> ExtendedTable::MatchRows(
+    const std::vector<ColumnRange>& ranges, const ChunkMatch& match) {
+  std::vector<RowRef> rows;
+  storage::Chunk blocks;
+  blocks.schema = schema_;
+  std::vector<uint8_t> mask;
+  std::vector<size_t> live_rows;
   for (size_t g = 0; g < groups_.size(); ++g) {
-    RowGroup& group = groups_[g];
-    std::vector<storage::ColumnVectorPtr> cols;
+    const RowGroup& group = groups_[g];
+    if (group.deleted == group.rows) continue;
+    if (!GroupMatches(group, ranges)) continue;
+    blocks.columns.clear();
     for (size_t c = 0; c < schema_->num_columns(); ++c) {
       HANA_ASSIGN_OR_RETURN(storage::ColumnVectorPtr column,
                             ReadColumn(g, c));
-      cols.push_back(std::move(column));
+      blocks.columns.push_back(std::move(column));
     }
-    for (size_t r = 0; r < group.rows; ++r) {
-      if (!group.tombstones.empty() && group.tombstones[r]) continue;
-      std::vector<Value> row;
-      row.reserve(cols.size());
-      for (const auto& col : cols) row.push_back(col->GetValue(r));
-      if (predicate(row)) {
-        if (group.tombstones.empty()) group.tombstones.assign(group.rows, 0);
-        group.tombstones[r] = 1;
-        ++group.deleted;
-        ++deleted;
+    if (group.deleted == 0) {
+      HANA_RETURN_IF_ERROR(match(blocks, &mask));
+      for (size_t r = 0; r < group.rows; ++r) {
+        if (mask[r] != 0) rows.push_back(RowRef{g, r});
       }
+      continue;
     }
+    // Deleted rows must not reach the predicate — an evaluation error on
+    // one would fail the statement — so a group with tombstones is
+    // matched over a column-wise copy of its live rows.
+    storage::Chunk live = storage::Chunk::Empty(schema_);
+    live_rows.clear();
+    for (size_t r = 0; r < group.rows; ++r) {
+      if (group.tombstones[r]) continue;
+      live.AppendRowFrom(blocks, r);
+      live_rows.push_back(r);
+    }
+    HANA_RETURN_IF_ERROR(match(live, &mask));
+    for (size_t i = 0; i < live_rows.size(); ++i) {
+      if (mask[i] != 0) rows.push_back(RowRef{g, live_rows[i]});
+    }
+  }
+  return rows;
+}
+
+size_t ExtendedTable::DeleteRows(const std::vector<RowRef>& rows) {
+  size_t deleted = 0;
+  for (const RowRef& ref : rows) {
+    RowGroup& group = groups_[ref.group];
+    if (group.tombstones.empty()) group.tombstones.assign(group.rows, 0);
+    if (group.tombstones[ref.row]) continue;
+    group.tombstones[ref.row] = 1;
+    ++group.deleted;
+    ++deleted;
   }
   return deleted;
 }

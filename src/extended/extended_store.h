@@ -70,10 +70,28 @@ class ExtendedTable {
   [[nodiscard]] Status Scan(const std::vector<ColumnRange>& ranges, size_t chunk_rows,
               const std::function<bool(const storage::Chunk&)>& callback);
 
-  /// Marks rows matching `predicate` (row-wise callback) deleted.
-  /// Returns the number of rows deleted.
-  [[nodiscard]] Result<size_t> DeleteWhere(
-      const std::function<bool(const std::vector<Value>&)>& predicate);
+  /// Position of one row: (row group, row within the group).
+  struct RowRef {
+    size_t group = 0;
+    size_t row = 0;
+  };
+  /// Chunk-level predicate: sets (*mask)[r] to 1 for the chunk rows it
+  /// selects (see exec::SelectRows).
+  using ChunkMatch =
+      std::function<Status(const storage::Chunk&, std::vector<uint8_t>*)>;
+
+  /// Live rows `match` selects, in row order; changes nothing. Row
+  /// groups that are fully deleted or whose zone maps cannot satisfy
+  /// `ranges` are not read. A group without deletes is matched as one
+  /// chunk over its decoded blocks (no copy); a group with some is
+  /// matched over a copy of its live rows, so deleted rows never reach
+  /// the predicate. A match error is returned as is.
+  [[nodiscard]] Result<std::vector<RowRef>> MatchRows(
+      const std::vector<ColumnRange>& ranges, const ChunkMatch& match);
+
+  /// Tombstones rows found by MatchRows. Returns the number of rows
+  /// deleted (rows already deleted are not counted again).
+  size_t DeleteRows(const std::vector<RowRef>& rows);
 
   /// Zone-map summary for statistics.
   [[nodiscard]] Result<Value> ColumnMin(size_t col) const;

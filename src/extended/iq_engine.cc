@@ -44,13 +44,20 @@ Result<plan::TableFunctionBinding> IqEngine::ResolveTableFunction(
   return Status::NotFound("IQ engine has no table function " + name);
 }
 
+std::vector<ColumnRange> ToColumnRanges(
+    const std::vector<plan::ScanRange>& ranges) {
+  std::vector<ColumnRange> out;
+  out.reserve(ranges.size());
+  for (const plan::ScanRange& r : ranges) {
+    out.push_back(ColumnRange{r.column, r.lower, r.upper});
+  }
+  return out;
+}
+
 Result<exec::ChunkStream> IqEngine::OpenScan(const plan::LogicalOp& scan) {
   HANA_ASSIGN_OR_RETURN(ExtendedTable * table,
                         store_->GetTable(scan.table.name));
-  std::vector<ColumnRange> ranges;
-  for (const auto& r : scan.scan_ranges) {
-    ranges.push_back(ColumnRange{r.column, r.lower, r.upper});
-  }
+  std::vector<ColumnRange> ranges = ToColumnRanges(scan.scan_ranges);
   // Materialize eagerly into a queue of chunks; the store already
   // charges virtual I/O per block read.
   auto chunks = std::make_shared<std::deque<storage::Chunk>>();

@@ -12,6 +12,10 @@
 
 namespace hana::extended {
 
+/// Zone-map constraints from plan ranges (same column indexes).
+std::vector<ColumnRange> ToColumnRanges(
+    const std::vector<plan::ScanRange>& ranges);
+
 /// The query processor of the IQ-style engine. HANA ships subplans to it
 /// as SQL text ("function shipping to the extended storage", Section
 /// 3.1); the engine parses, binds and executes them over the disk store

@@ -125,27 +125,6 @@ Status ExpandHybridScans(LogicalOpPtr* node, const catalog::Catalog* cat) {
   return Status::OK();
 }
 
-/// Bounds covered by partition `index` of a hybrid table, assuming the
-/// partitions were declared with ascending bounds.
-void PartitionBounds(const catalog::TableEntry& entry, size_t index,
-                     Value* lower, Value* upper) {
-  *lower = Value::Null();
-  *upper = Value::Null();
-  if (entry.partitions[index].def.is_others) {
-    // Covers everything at or above the highest declared bound.
-    for (const auto& p : entry.partitions) {
-      if (!p.def.is_others) *lower = p.def.upper_bound;
-    }
-    return;
-  }
-  *upper = entry.partitions[index].def.upper_bound;  // Exclusive.
-  for (size_t i = 0; i < index; ++i) {
-    if (!entry.partitions[i].def.is_others) {
-      *lower = entry.partitions[i].def.upper_bound;
-    }
-  }
-}
-
 Status PrunePartitions(LogicalOpPtr* node, const catalog::Catalog* cat) {
   LogicalOp* op = node->get();
   for (auto& child : op->children) {
@@ -179,29 +158,9 @@ Status PrunePartitions(LogicalOpPtr* node, const catalog::Catalog* cat) {
       }
       Result<const catalog::TableEntry*> entry = cat->GetTable(
           scan->table.name.substr(0, scan->table.name.find("__P")));
-      // Flag-based aging can move rows outside their range partition, so
-      // range pruning is only sound without an aging column.
-      if (entry.ok() && (*entry)->partition_column >= 0 &&
-          (*entry)->aging_column < 0) {
-        size_t part_col = static_cast<size_t>((*entry)->partition_column);
-        Value lower, upper;
-        PartitionBounds(**entry,
-                        static_cast<size_t>(scan->partition_index), &lower,
-                        &upper);
-        for (const auto& range : ranges) {
-          if (range.column != part_col) continue;
-          // Partition covers [lower, upper); predicate wants
-          // [range.lower, range.upper].
-          if (!range.upper.is_null() && !lower.is_null() &&
-              range.upper.Compare(lower) < 0) {
-            prune = true;
-          }
-          if (!range.lower.is_null() && !upper.is_null() &&
-              range.lower.Compare(upper) >= 0) {
-            prune = true;
-          }
-        }
-      }
+      prune = entry.ok() &&
+              (*entry)->PartitionExcluded(
+                  static_cast<size_t>(scan->partition_index), ranges);
     }
     if (!prune) kept.push_back(std::move(child));
   }

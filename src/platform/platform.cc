@@ -611,10 +611,8 @@ Result<exec::ChunkStream> Platform::OpenScanAt(const plan::LogicalOp& scan,
       federation::SdaRuntime::TrackedDispatch guard(&sda_);
       HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * table,
                             iq_->store()->GetTable(binding.name));
-      std::vector<extended::ColumnRange> ranges;
-      for (const auto& r : scan.scan_ranges) {
-        ranges.push_back(extended::ColumnRange{r.column, r.lower, r.upper});
-      }
+      std::vector<extended::ColumnRange> ranges =
+          extended::ToColumnRanges(scan.scan_ranges);
       auto chunks = std::make_shared<std::deque<storage::Chunk>>();
       HANA_RETURN_IF_ERROR(table->Scan(
           ranges, storage::kDefaultChunkRows,

@@ -569,6 +569,21 @@ void TableReadSnapshot::Scan(
 void TableReadSnapshot::ScanRange(
     size_t begin, size_t end, size_t chunk_rows,
     const std::function<bool(const Chunk&)>& callback) const {
+  ScanRows(begin, end, chunk_rows, nullptr, callback);
+}
+
+void TableReadSnapshot::ScanWithRowIds(
+    size_t chunk_rows,
+    const std::function<bool(const Chunk&, const std::vector<size_t>&)>&
+        callback) const {
+  std::vector<size_t> row_ids;
+  ScanRows(0, num_rows_, chunk_rows, &row_ids,
+           [&](const Chunk& chunk) { return callback(chunk, row_ids); });
+}
+
+void TableReadSnapshot::ScanRows(
+    size_t begin, size_t end, size_t chunk_rows, std::vector<size_t>* row_ids,
+    const std::function<bool(const Chunk&)>& callback) const {
   end = std::min(end, num_rows_);
   if (chunk_rows == 0) chunk_rows = kDefaultChunkRows;
   Chunk chunk = Chunk::Empty(schema_);
@@ -593,10 +608,14 @@ void TableReadSnapshot::ScanRange(
       for (size_t c = 0; c < columns_.size(); ++c) {
         columns_[c].Decode(r, run - r, chunk.columns[c].get());
       }
+      if (row_ids != nullptr) {
+        for (size_t id = r; id < run; ++id) row_ids->push_back(id);
+      }
       r = run;
       if (chunk.num_rows() >= chunk_rows) {
         if (!callback(chunk)) return;
         chunk = Chunk::Empty(schema_);
+        if (row_ids != nullptr) row_ids->clear();
       }
     }
     block = block_end;
@@ -625,6 +644,16 @@ std::shared_ptr<const TableReadSnapshot> ColumnTable::OpenSnapshot(
   if (view.read_ts == mvcc::kLatest && vm_ != nullptr) {
     view.read_ts = vm_->LastVisible();
   }
+  return OpenSnapshotAt(view);
+}
+
+std::shared_ptr<const TableReadSnapshot> ColumnTable::OpenLatestSnapshot()
+    const {
+  return OpenSnapshotAt(mvcc::ReadView{});
+}
+
+std::shared_ptr<const TableReadSnapshot> ColumnTable::OpenSnapshotAt(
+    const mvcc::ReadView& view) const {
   auto snapshot = std::make_shared<TableReadSnapshot>();
   snapshot->schema_ = schema_;
   snapshot->view_ = view;

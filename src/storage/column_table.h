@@ -354,8 +354,20 @@ class TableReadSnapshot {
   void ScanRange(size_t begin, size_t end, size_t chunk_rows,
                  const std::function<bool(const Chunk&)>& callback) const;
 
+  /// Scan with positions: `row_ids[i]` is the table row of chunk row i,
+  /// the address DeleteRow/UpdateRow take. Chunk framing matches Scan.
+  void ScanWithRowIds(
+      size_t chunk_rows,
+      const std::function<bool(const Chunk&, const std::vector<size_t>&)>&
+          callback) const;
+
  private:
   friend class ColumnTable;
+
+  /// ScanRange body; fills `row_ids` (cleared per chunk) when non-null.
+  void ScanRows(size_t begin, size_t end, size_t chunk_rows,
+                std::vector<size_t>* row_ids,
+                const std::function<bool(const Chunk&)>& callback) const;
 
   /// Fills `mask` (resized to end - begin) with 0/1 visibility bytes
   /// for global rows [begin, end).
@@ -412,9 +424,9 @@ class ColumnTable {
   /// not count.
   bool IsDeleted(size_t row) const;
   /// Latest-view MVCC visibility: created-committed and not deleted.
-  /// What non-transactional DML loops (catalog DeleteWhere/UpdateWhere)
-  /// use to skip rows they must not touch — uncommitted and aborted
-  /// rows are invisible here.
+  /// What non-transactional row loops (catalog RunAging) use to skip
+  /// rows they must not touch — uncommitted and aborted rows are
+  /// invisible here.
   bool IsVisibleLatest(size_t row) const;
 
   [[nodiscard]] Status DeleteRow(size_t row);
@@ -428,6 +440,12 @@ class ColumnTable {
   /// or to expose one transaction's own uncommitted writes.
   std::shared_ptr<const TableReadSnapshot> OpenSnapshot(
       mvcc::ReadView view = {}) const;
+  /// Snapshot at the unresolved latest view: every committed stamp,
+  /// including those of a commit still being stamped — IsVisibleLatest
+  /// as a scan. What non-transactional DML scans for its target rows,
+  /// so a statement sees every delete committed before it, even while
+  /// a transaction holds LastVisible() back.
+  std::shared_ptr<const TableReadSnapshot> OpenLatestSnapshot() const;
 
   /// The commit-timestamp source this table stamps against; defaults to
   /// mvcc::VersionManager::Global(). Tests inject their own.
@@ -573,6 +591,9 @@ class ColumnTable {
   Status MergeDeltaHoldingMergeMu(const MergeOptions& options,
                                   mvcc::Timestamp watermark)
       REQUIRES(sync_->merge_mu);
+  /// OpenSnapshot body: pins the parts under `view` as given.
+  std::shared_ptr<const TableReadSnapshot> OpenSnapshotAt(
+      const mvcc::ReadView& view) const;
 
   std::shared_ptr<Schema> schema_;
   std::vector<StoredColumn> columns_;

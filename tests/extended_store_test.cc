@@ -138,14 +138,24 @@ TEST_F(ExtendedStoreTest, VirtualIoTimeAdvances) {
   EXPECT_GT(store_->metrics().simulated_io_ms, 0.0);
 }
 
+// Chunk-level match on `id % 2 == 0`, the shape of exec::SelectRows.
+Status EvenIds(const storage::Chunk& chunk, std::vector<uint8_t>* mask) {
+  mask->resize(chunk.num_rows());
+  for (size_t r = 0; r < chunk.num_rows(); ++r) {
+    (*mask)[r] = chunk.columns[0]->GetInt(r) % 2 == 0;
+  }
+  return Status::OK();
+}
+
 TEST_F(ExtendedStoreTest, DeleteWhere) {
   auto table = store_->CreateTable("t", TestSchema());
   ASSERT_TRUE((*table)->BulkLoad(MakeRows(600)).ok());
-  auto deleted = (*table)->DeleteWhere([](const std::vector<Value>& row) {
-    return row[0].int_value() % 2 == 0;
-  });
-  ASSERT_TRUE(deleted.ok());
-  EXPECT_EQ(*deleted, 300u);
+  auto matched = (*table)->MatchRows({}, EvenIds);
+  ASSERT_TRUE(matched.ok());
+  EXPECT_EQ(matched->size(), 300u);
+  EXPECT_EQ((*table)->live_rows(), 600u);  // Matching changes nothing.
+  EXPECT_EQ((*table)->DeleteRows(*matched), 300u);
+  EXPECT_EQ((*table)->DeleteRows(*matched), 0u);  // Already deleted.
   EXPECT_EQ((*table)->live_rows(), 300u);
   size_t rows = 0;
   ASSERT_TRUE((*table)
@@ -160,6 +170,66 @@ TEST_F(ExtendedStoreTest, DeleteWhere) {
                          })
                   .ok());
   EXPECT_EQ(rows, 300u);
+  auto again = (*table)->MatchRows({}, EvenIds);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->empty());  // Deleted rows never match again.
+}
+
+TEST_F(ExtendedStoreTest, MatchRowsSkipsPrunedAndDeletedGroups) {
+  auto table = store_->CreateTable("t", TestSchema());
+  ASSERT_TRUE((*table)->BulkLoad(MakeRows(2048)).ok());
+  store_->metrics().Reset();
+  // id in [100, 150] lies in one of eight row groups: only its four
+  // column blocks are read.
+  std::vector<ColumnRange> ranges = {{0, Value::Int(100), Value::Int(150)}};
+  auto all_rows = [](const storage::Chunk& chunk, std::vector<uint8_t>* mask) {
+    mask->assign(chunk.num_rows(), 1);
+    return Status::OK();
+  };
+  auto group = (*table)->MatchRows(ranges, all_rows);
+  ASSERT_TRUE(group.ok());
+  EXPECT_EQ(group->size(), 256u);  // The zone map keeps the whole group.
+  EXPECT_EQ(store_->metrics().blocks_read, 4u);
+  EXPECT_EQ((*table)->DeleteRows(*group), 256u);
+
+  // A fully deleted group is not read again, even without ranges.
+  store_->metrics().Reset();
+  auto rest = (*table)->MatchRows({}, all_rows);
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(rest->size(), 2048u - 256u);
+  EXPECT_EQ(store_->metrics().blocks_read + store_->metrics().cache_hits,
+            7u * 4u);
+}
+
+TEST_F(ExtendedStoreTest, MatchRowsHidesDeletedRowsFromThePredicate) {
+  auto table = store_->CreateTable("t", TestSchema());
+  ASSERT_TRUE((*table)->BulkLoad(MakeRows(300)).ok());
+  auto odd = (*table)->MatchRows({}, [](const storage::Chunk& chunk,
+                                        std::vector<uint8_t>* mask) {
+    mask->resize(chunk.num_rows());
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      (*mask)[r] = chunk.columns[0]->GetInt(r) % 2 == 1;
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(odd.ok());
+  ASSERT_EQ((*table)->DeleteRows(*odd), 150u);
+  // A predicate that fails on any odd id now sees only even ids.
+  auto even = (*table)->MatchRows({}, [](const storage::Chunk& chunk,
+                                         std::vector<uint8_t>* mask) {
+    mask->resize(chunk.num_rows());
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      if (chunk.columns[0]->GetInt(r) % 2 == 1) {
+        return Status::InvalidArgument("deleted row reached the predicate");
+      }
+      (*mask)[r] = 1;
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(even.ok()) << even.status().ToString();
+  ASSERT_EQ(even->size(), 150u);
+  EXPECT_EQ((*even)[0].row, 0u);
+  EXPECT_EQ((*even)[1].row, 2u);
 }
 
 TEST_F(ExtendedStoreTest, ColumnMinMax) {
