@@ -2,15 +2,13 @@
 //
 // One ~2M-row fact table aggregated through two GROUP BY regimes — low
 // cardinality (~64 groups) and high cardinality (~500k groups) — over
-// every (CPU binding, thread count) cell, each cell measured twice:
-// parallel_agg=off (the seed path: boxed per-row keys, one partition,
-// serial partial fold) and parallel_agg=on (vectorized column-wise key
+// every (CPU binding, thread count) cell: vectorized column-wise key
 // hashing through the dispatched hash_i64 kernel, radix partitions,
-// per-partition merge fan-out). Every "on" cell is verified cell-for-
-// cell against the serial Volcano baseline before its timing is
-// reported (identical_to_serial), and the AggExecStats allocation
-// counters (boxed key vectors built, boxed rows accumulated) are
-// emitted per cell as the allocation-churn ablation.
+// per-partition merge fan-out. Every cell is verified cell-for-cell
+// against the threads=1 result before its timing is reported
+// (identical_to_serial), and the AggExecStats allocation counters
+// (boxed key vectors built, boxed rows accumulated) are emitted per
+// cell.
 //
 // JSON result lines go to stdout (bench/results/bench_agg.json);
 // progress chatter goes to stderr.
@@ -97,9 +95,8 @@ int RunSweep(platform::Platform* db, size_t rows) {
   const size_t host_cores = TaskPool::DefaultDop();
 
   for (const CardSpec& spec : specs) {
-    // Serial Volcano baseline: the reference result every cell must
+    // Single-threaded baseline: the reference result every cell must
     // reproduce bit for bit.
-    if (!db->SetParameter("executor", "serial").ok()) return 1;
     if (!db->SetParameter("threads", "1").ok()) return 1;
     auto baseline = db->Query(spec.sql);
     if (!baseline.ok()) {
@@ -107,7 +104,6 @@ int RunSweep(platform::Platform* db, size_t rows) {
                    baseline.status().ToString().c_str());
       return 1;
     }
-    if (!db->SetParameter("executor", "pipeline").ok()) return 1;
 
     for (const char* cpu : kCpuModes) {
       if (!db->SetParameter("cpu", cpu).ok()) return 1;
@@ -123,35 +119,29 @@ int RunSweep(platform::Platform* db, size_t rows) {
           uint64_t vectorized_chunks = 0;
           size_t partitions = 0;
         };
-        auto run_mode = [&](const char* mode) -> Cell {
-          if (!db->SetParameter("parallel_agg", mode).ok()) std::exit(1);
-          Cell cell;
-          cell.ms = BestOfThree([&] {
-            exec::ResetAggExecStats();
-            Stopwatch watch;
-            auto result = db->Query(spec.sql);
-            double ms = watch.ElapsedMillis();
-            if (!result.ok()) {
-              std::fprintf(stderr, "query failed: %s: %s\n",
-                           spec.sql.c_str(),
-                           result.status().ToString().c_str());
-              std::exit(1);
-            }
-            cell.identical = TablesIdentical(*baseline, *result);
-            const exec::AggExecStats& st = exec::GlobalAggExecStats();
-            cell.boxed_rows = st.boxed_rows.load();
-            cell.key_allocs = st.key_allocs.load();
-            cell.vectorized_chunks = st.vectorized_chunks.load();
-            return ms;
-          });
-          for (const exec::PipelineStats& p : db->last_pipeline_stats()) {
-            if (p.agg_partitions > 0) cell.partitions = p.agg_partitions;
+        Cell cell;
+        cell.ms = BestOfThree([&] {
+          exec::ResetAggExecStats();
+          Stopwatch watch;
+          auto result = db->Query(spec.sql);
+          double ms = watch.ElapsedMillis();
+          if (!result.ok()) {
+            std::fprintf(stderr, "query failed: %s: %s\n",
+                         spec.sql.c_str(),
+                         result.status().ToString().c_str());
+            std::exit(1);
           }
-          return cell;
-        };
-        Cell fold = run_mode("off");  // Seed path: boxed, serial fold.
-        Cell part = run_mode("on");
-        if (!fold.identical || !part.identical) {
+          cell.identical = TablesIdentical(*baseline, *result);
+          const exec::AggExecStats& st = exec::GlobalAggExecStats();
+          cell.boxed_rows = st.boxed_rows.load();
+          cell.key_allocs = st.key_allocs.load();
+          cell.vectorized_chunks = st.vectorized_chunks.load();
+          return ms;
+        });
+        for (const exec::PipelineStats& p : db->last_pipeline_stats()) {
+          if (p.agg_partitions > 0) cell.partitions = p.agg_partitions;
+        }
+        if (!cell.identical) {
           std::fprintf(stderr,
                        "result mismatch: card=%s cpu=%s threads=%zu\n",
                        spec.label, cpu, threads);
@@ -162,27 +152,19 @@ int RunSweep(platform::Platform* db, size_t rows) {
             "\"groups\": %lld, \"cpu\": \"%s\", \"cpu_level\": \"%s\", "
             "\"host_cores\": %zu, \"threads\": %zu, \"rows\": %zu, "
             "\"partitions\": %zu, \"ms\": %.3f, "
-            "\"serial_fold_ms\": %.3f, "
-            "\"speedup_vs_serial_fold\": %.2f, "
             "\"identical_to_serial\": true, "
             "\"boxed_rows\": %llu, \"key_allocs\": %llu, "
-            "\"vectorized_chunks\": %llu, "
-            "\"serial_fold_boxed_rows\": %llu, "
-            "\"serial_fold_key_allocs\": %llu}\n",
+            "\"vectorized_chunks\": %llu}\n",
             spec.label, static_cast<long long>(spec.groups), cpu,
             CpuLevelName(DetectedCpuLevel()), host_cores, threads, rows,
-            part.partitions, part.ms, fold.ms,
-            part.ms > 0 ? fold.ms / part.ms : 0.0,
-            static_cast<unsigned long long>(part.boxed_rows),
-            static_cast<unsigned long long>(part.key_allocs),
-            static_cast<unsigned long long>(part.vectorized_chunks),
-            static_cast<unsigned long long>(fold.boxed_rows),
-            static_cast<unsigned long long>(fold.key_allocs));
+            cell.partitions, cell.ms,
+            static_cast<unsigned long long>(cell.boxed_rows),
+            static_cast<unsigned long long>(cell.key_allocs),
+            static_cast<unsigned long long>(cell.vectorized_chunks));
         std::fflush(stdout);
       }
     }
     if (!db->SetParameter("cpu", "native").ok()) return 1;
-    if (!db->SetParameter("parallel_agg", "on").ok()) return 1;
   }
   return 0;
 }

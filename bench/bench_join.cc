@@ -1,22 +1,15 @@
 // Morsel-parallel radix hash join benchmark. Builds a probe table and
 // build tables of increasing size with deterministic keys, then times
-// an aggregating inner equi-join on two engines:
-//
-//   seed  — parallel_join=off: the serial row-at-a-time hash join
-//           (boxed Value keys, per-row unordered_multimap probes).
-//   radix — parallel_join=on: the morsel-parallel radix hash join
-//           (parallel partitioned build, vectorized column-wise keys,
-//           partitioned probe fused into the morsel pipeline).
-//
-// Each radix run is swept over thread counts and reported as JSON
-// lines with speedup relative to the seed engine. A second section
-// runs join-heavy TPC-H queries serial vs parallel end to end.
+// an aggregating inner equi-join on the radix hash join (parallel
+// partitioned build, vectorized column-wise keys, partitioned probe
+// fused into the morsel pipeline), swept over thread counts and
+// reported as JSON lines with the speedup relative to one thread. A
+// second section runs join-heavy TPC-H queries serial vs parallel end
+// to end.
 //
 // Note that real thread-scaling requires real cores: on a single-core
 // host the thread sweep mostly demonstrates that the scheduling
-// overhead is bounded and results stay bit-identical; the seed-vs-radix
-// speedup (vectorized keys + chunk-wise probe vs boxed row-at-a-time)
-// is visible at any core count.
+// overhead is bounded and results stay bit-identical.
 //
 // Usage: bench_join [probe_rows] [morsel_rows]
 
@@ -128,24 +121,8 @@ int Main(int argc, char** argv) {
                       "FROM probe p JOIN " +
                       build + " b ON p.k = b.k";
 
-    // Seed engine baseline: serial row-at-a-time hash join.
-    (void)db.SetParameter("parallel_join", "off");
-    (void)db.SetParameter("threads", "1");
-    storage::Table seed_result;
-    double seed_ms = BestOfThree([&] {
-      Stopwatch watch;
-      seed_result = MustQuery(db, sql);
-      return watch.ElapsedMillis();
-    });
-    std::printf(
-        "{\"bench\": \"join\", \"build\": \"%s\", \"engine\": \"seed\", "
-        "\"threads\": 1, \"ms\": %.3f, \"matches\": %lld}\n",
-        build.c_str(), seed_ms,
-        static_cast<long long>(seed_result.row(0)[0].int_value()));
-
-    // Radix engine across the thread sweep.
-    (void)db.SetParameter("parallel_join", "on");
-    storage::Table serial_radix;
+    storage::Table serial;
+    double serial_ms = 0;
     for (size_t threads : kThreadCounts) {
       (void)db.SetParameter("threads", std::to_string(threads));
       storage::Table result;
@@ -154,32 +131,22 @@ int Main(int argc, char** argv) {
         result = MustQuery(db, sql);
         return watch.ElapsedMillis();
       });
-      // Serial-vs-parallel radix runs must be bit-identical. The seed
-      // engine feeds the SUM in a different match order, so compare it
-      // by match count plus relative sum error instead.
       bool identical = true;
       if (threads == 1) {
-        serial_radix = std::move(result);
+        serial = std::move(result);
+        serial_ms = ms;
       } else {
-        identical = TablesIdentical(serial_radix, result);
+        identical = TablesIdentical(serial, result);
       }
-      double seed_sum = seed_result.row(0)[1].double_value();
-      double radix_sum = serial_radix.row(0)[1].double_value();
-      double rel = seed_sum == 0
-                       ? std::fabs(radix_sum)
-                       : std::fabs(radix_sum - seed_sum) /
-                             std::fabs(seed_sum);
-      bool matches_eq = seed_result.row(0)[0].int_value() ==
-                        serial_radix.row(0)[0].int_value();
       std::printf(
           "{\"bench\": \"join\", \"build\": \"%s\", \"engine\": "
           "\"radix\", \"threads\": %zu, \"ms\": %.3f, "
-          "\"speedup_vs_seed\": %.2f, \"identical_to_serial\": %s, "
-          "\"seed_matches_equal\": %s, \"seed_sum_rel_err\": %.2e}\n",
-          build.c_str(), threads, ms, ms > 0 ? seed_ms / ms : 0.0,
-          identical ? "true" : "false", matches_eq ? "true" : "false",
-          rel);
-      if (!identical || !matches_eq || rel > 1e-9) {
+          "\"speedup_vs_serial\": %.2f, \"matches\": %lld, "
+          "\"identical_to_serial\": %s}\n",
+          build.c_str(), threads, ms, ms > 0 ? serial_ms / ms : 0.0,
+          static_cast<long long>(serial.row(0)[0].int_value()),
+          identical ? "true" : "false");
+      if (!identical) {
         std::fprintf(stderr, "result mismatch on %s\n", build.c_str());
         return 1;
       }

@@ -1,23 +1,20 @@
-// Pipeline-executor ablation: the same plans driven by the three
-// scheduling modes of the `executor` knob (serial / fused / pipeline)
-// at 1/2/4/8 threads. All modes share one plan decomposition and one
-// morsel-order merge, so every run must produce bit-identical results;
-// only the schedule (and therefore the wall time) may differ.
+// Pipeline-executor thread sweep: the same plans at 1/2/4/8 threads.
+// Every thread count shares one plan decomposition and one morsel-order
+// merge, so every run must produce bit-identical results; only the
+// schedule (and therefore the wall time) may differ. With one thread
+// the pipelines run one after the other; with more, every pipeline
+// whose inputs are ready is scheduled on the pool at once.
 //
 // Two plans exercise the two ways the pipeline DAG wins:
 //
 //  1. A Figure-7-style Union Plan: a hybrid table whose four cold
 //     partitions live in the extended storage. Each branch becomes an
-//     independent pipeline; the pipeline executor dispatches them
-//     concurrently, so the statement pays the max of the simulated
-//     branch latencies instead of their sum. The fused executor runs
-//     one pipeline at a time and keeps paying the sum regardless of
-//     the thread count.
+//     independent pipeline dispatched concurrently, so the statement
+//     pays the max of the simulated branch latencies instead of their
+//     sum.
 //
 //  2. A TPC-H-Q5-style two-join aggregate: both dimension builds are
-//     independent single-morsel pipelines. The pipeline executor
-//     overlaps them; the fused executor builds one table after the
-//     other.
+//     independent single-morsel pipelines that overlap on the pool.
 //
 // Usage: bench_pipeline [fact_rows]
 
@@ -46,20 +43,19 @@ bool TablesEqual(const storage::Table& a, const storage::Table& b) {
   return true;
 }
 
-struct ModeTiming {
-  double fused_4t = 0.0;
-  double pipeline_4t = 0.0;
+struct SweepTiming {
+  double serial_1t = 0.0;
+  double parallel_4t = 0.0;
 };
 
-/// Runs `query` under every (executor, threads) combination, printing
-/// one JSON line per run with the chosen time metric and whether the
-/// result matched the serial single-threaded baseline bit for bit.
-/// Each cell reports the best of `kReps` runs to damp scheduler noise;
-/// the identity check covers every repetition.
-ModeTiming RunGrid(platform::Platform* db, const char* bench,
-                   const std::string& query, bool use_total_ms) {
+/// Runs `query` at every thread count, printing one JSON line per run
+/// with the chosen time metric and whether the result matched the
+/// single-threaded baseline bit for bit. Each cell reports the best of
+/// `kReps` runs to damp scheduler noise; the identity check covers
+/// every repetition.
+SweepTiming RunSweep(platform::Platform* db, const char* bench,
+                     const std::string& query, bool use_total_ms) {
   constexpr int kReps = 3;
-  (void)db->SetParameter("executor", "serial");
   (void)db->SetParameter("threads", "1");
   auto baseline = db->Execute(query);
   if (!baseline.ok()) {
@@ -67,59 +63,51 @@ ModeTiming RunGrid(platform::Platform* db, const char* bench,
                  baseline.status().ToString().c_str());
     std::exit(1);
   }
-  ModeTiming timing;
-  static const char* kModes[] = {"serial", "fused", "pipeline"};
-  for (const char* mode : kModes) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      (void)db->SetParameter("executor", mode);
-      (void)db->SetParameter("threads", std::to_string(threads));
-      double ms = 0.0;
-      double remote_ms = 0.0;
-      size_t rows = 0;
-      bool identical = true;
-      for (int rep = 0; rep < kReps; ++rep) {
-        auto result = db->Execute(query);
-        if (!result.ok()) {
-          std::fprintf(stderr, "%s %s/%zu failed: %s\n", bench, mode, threads,
-                       result.status().ToString().c_str());
-          std::exit(1);
-        }
-        double run_ms = use_total_ms ? result->metrics.total_ms
-                                     : result->metrics.local_ms;
-        if (rep == 0 || run_ms < ms) {
-          ms = run_ms;
-          remote_ms = result->metrics.simulated_remote_ms;
-        }
-        rows = result->table.num_rows();
-        identical = identical && TablesEqual(baseline->table, result->table);
+  SweepTiming timing;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    (void)db->SetParameter("threads", std::to_string(threads));
+    double ms = 0.0;
+    double remote_ms = 0.0;
+    size_t rows = 0;
+    bool identical = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+      auto result = db->Execute(query);
+      if (!result.ok()) {
+        std::fprintf(stderr, "%s threads=%zu failed: %s\n", bench, threads,
+                     result.status().ToString().c_str());
+        std::exit(1);
       }
-      std::printf(
-          "{\"bench\": \"%s\", \"executor\": \"%s\", \"threads\": %zu, "
-          "\"ms\": %.3f, \"remote_ms\": %.3f, \"rows\": %zu, "
-          "\"identical_to_serial\": %s}\n",
-          bench, mode, threads, ms, remote_ms, rows,
-          identical ? "true" : "false");
-      if (threads == 4 && std::string(mode) == "fused") timing.fused_4t = ms;
-      if (threads == 4 && std::string(mode) == "pipeline") {
-        timing.pipeline_4t = ms;
+      double run_ms = use_total_ms ? result->metrics.total_ms
+                                   : result->metrics.local_ms;
+      if (rep == 0 || run_ms < ms) {
+        ms = run_ms;
+        remote_ms = result->metrics.simulated_remote_ms;
       }
+      rows = result->table.num_rows();
+      identical = identical && TablesEqual(baseline->table, result->table);
     }
+    std::printf(
+        "{\"bench\": \"%s\", \"threads\": %zu, \"ms\": %.3f, "
+        "\"remote_ms\": %.3f, \"rows\": %zu, \"identical_to_serial\": %s}\n",
+        bench, threads, ms, remote_ms, rows, identical ? "true" : "false");
+    if (threads == 1) timing.serial_1t = ms;
+    if (threads == 4) timing.parallel_4t = ms;
   }
   return timing;
 }
 
-void PrintSummary(const char* bench, const ModeTiming& t) {
+void PrintSummary(const char* bench, const SweepTiming& t) {
   std::printf(
-      "{\"bench\": \"%s_summary\", \"fused_4t_ms\": %.3f, "
-      "\"pipeline_4t_ms\": %.3f, \"pipeline_vs_fused_speedup\": %.2f}\n",
-      bench, t.fused_4t, t.pipeline_4t,
-      t.pipeline_4t > 0 ? t.fused_4t / t.pipeline_4t : 0.0);
+      "{\"bench\": \"%s_summary\", \"threads_1_ms\": %.3f, "
+      "\"threads_4_ms\": %.3f, \"speedup_4_vs_1\": %.2f}\n",
+      bench, t.serial_1t, t.parallel_4t,
+      t.parallel_4t > 0 ? t.serial_1t / t.parallel_4t : 0.0);
 }
 
 /// Figure-7-style Union Plan: four cold extended-storage partitions,
 /// each a branch pipeline carrying simulated remote latency.
 void RunUnionPlan() {
-  std::printf("\nUnion Plan: 4 extended-storage branches, executor ablation\n");
+  std::printf("\nUnion Plan: 4 extended-storage branches, thread sweep\n");
   platform::Platform db;
   Status s = db.Run(R"(
       CREATE TABLE events (id BIGINT, bucket BIGINT, amount DOUBLE)
@@ -152,7 +140,8 @@ void RunUnionPlan() {
     std::fprintf(stderr, "warm-up failed\n");
     std::exit(1);
   }
-  ModeTiming t = RunGrid(&db, "pipeline_union", query, /*use_total_ms=*/true);
+  SweepTiming t =
+      RunSweep(&db, "pipeline_union", query, /*use_total_ms=*/true);
   PrintSummary("pipeline_union", t);
   std::printf(
       "shape: concurrent branch pipelines pay max-of-branch-latencies"
@@ -201,8 +190,7 @@ void RunTwoJoinPlan(size_t fact_rows) {
   (void)db.catalog().Insert("fact", rows);
 
   // Dimension builds stay single-morsel (their tables are smaller than
-  // one morsel), so the fused executor serializes them while the
-  // pipeline executor runs them concurrently.
+  // one morsel), so only concurrent pipeline scheduling overlaps them.
   (void)db.SetParameter("morsel_rows", "131072");
   const std::string query = R"(
       SELECT d.grp, SUM(f.amount) AS revenue
@@ -215,8 +203,8 @@ void RunTwoJoinPlan(size_t fact_rows) {
     std::fprintf(stderr, "warm-up failed\n");
     std::exit(1);
   }
-  ModeTiming t = RunGrid(&db, "pipeline_two_join", query,
-                         /*use_total_ms=*/false);
+  SweepTiming t = RunSweep(&db, "pipeline_two_join", query,
+                          /*use_total_ms=*/false);
   PrintSummary("pipeline_two_join", t);
   std::printf("shape: independent join builds overlap on the task pool\n");
 }
@@ -225,9 +213,8 @@ int Main(int argc, char** argv) {
   size_t fact_rows =
       argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 400000;
   std::printf(
-      "Pipeline executor ablation: serial vs fused vs pipeline-DAG\n"
-      "scheduling over the same plan decomposition (results must be\n"
-      "bit-identical in every cell).\n");
+      "Pipeline executor thread sweep over one plan decomposition\n"
+      "(results must be bit-identical in every cell).\n");
   RunUnionPlan();
   RunTwoJoinPlan(fact_rows);
   return 0;

@@ -13,8 +13,8 @@
 #      caller-side propagation does not trip the check.)
 #   3. Every const_cast / reinterpret_cast must carry a justification:
 #      a `lint: <cast> allowed` comment on the same or preceding line.
-#   4. No hand-rolled Volcano pull loops outside src/exec: calling
-#      PhysicalOp::Next() or DrainToTable directly bypasses the pipeline
+#   4. No hand-rolled operator pull loops outside src/exec: a ->Next()
+#      loop or a DrainToTable-style helper bypasses the pipeline
 #      executor (and its stats, scheduling and determinism guarantees).
 #      Other layers run plans through exec::ExecutePlan[WithStats].
 #   5. A file that declares a hana::Mutex member must GUARDED_BY-annotate

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "common/sync.h"
@@ -20,6 +22,8 @@ namespace {
 
 using plan::LogicalOp;
 
+constexpr size_t kNoCutoff = std::numeric_limits<size_t>::max();
+
 size_t ProbeStageCount(const Pipeline& p) {
   size_t n = 0;
   for (const PipelineStage& s : p.stages) {
@@ -30,12 +34,10 @@ size_t ProbeStageCount(const Pipeline& p) {
 
 /// Radix partition count of a kGroups sink: the knob override wins,
 /// then the optimizer's stamp from group-cardinality stats, then the
-/// default. parallel_agg=off forces the single-partition legacy fold.
-/// Purely a function of the plan and the policy — never of the thread
-/// count — and the partition count itself never changes results (the
-/// rank-ordered emit is partition-agnostic), only scheduling.
+/// default. Purely a function of the plan and the policy — never of the
+/// thread count — and the partition count itself never changes results
+/// (the rank-ordered emit is partition-agnostic), only scheduling.
 size_t AggPartitionCount(const Pipeline& p, const ParallelPolicy& policy) {
-  if (!policy.parallel_agg) return 1;
   if (policy.agg_partitions > 0) return policy.agg_partitions;
   if (p.sink_op->agg_partitions > 0) {
     return static_cast<size_t>(p.sink_op->agg_partitions);
@@ -59,7 +61,20 @@ struct PipelineRun {
   // every per-morsel slot write.
   std::atomic<size_t> workers_remaining{0};
   std::vector<Status> statuses;               // Per morsel.
-  std::vector<std::vector<Chunk>> collected;  // kCollect / kSort.
+  /// kCollect / kSort / nested-loop kJoinBuild, with the row count per
+  /// morsel.
+  std::vector<std::vector<Chunk>> collected;
+  std::vector<uint64_t> collected_rows;
+  /// LIMIT sinks: rows morsel m collected once it finished (-1 while it
+  /// has not), and the cutoff — the smallest k such that morsels [0, k)
+  /// all finished and together hold the limit. Morsels from the cutoff
+  /// on are never needed: they are skipped or stop early.
+  // atomic: release store when a morsel finishes, acquire loads while
+  // scanning the finished prefix.
+  std::unique_ptr<std::atomic<int64_t>[]> finished_rows;
+  // atomic: only ever lowered (CAS); acquire loads pair with the
+  // release CAS so a skipped morsel sees the prefix that justified it.
+  std::atomic<size_t> cutoff{kNoCutoff};
   /// kGroups: per-morsel radix-partitioned partials (phase 1).
   std::vector<std::unique_ptr<PartitionedGroupTable>> partials;
   size_t agg_partitions = 0;  // kGroups: phase-2 partition count.
@@ -78,16 +93,17 @@ struct PipelineRun {
   std::atomic<int64_t> cpu_us{0};
 };
 
-/// Drives one decomposed plan to completion. Three schedules share the
+/// Drives one decomposed plan to completion. Both schedules share the
 /// same morsel decomposition and the same morsel-order merges, so their
 /// results are bit-identical; only the wall-clock overlap differs:
-///   kSerial   — pipelines in id (topological) order, morsels inline.
-///   kFused    — pipelines in id order, morsels of each in parallel.
-///   kPipeline — every dependency-free pipeline scheduled on the pool
-///               at once; a dynamic SDA bracket (opened when the number
-///               of in-flight pipelines reaches 2, closed when it drops
-///               back to 1) charges concurrently dispatched federation
-///               branches max instead of sum.
+///   sequential — pipelines in id (topological) order, the morsels of
+///                each on the pool (inline with dop = 1 or no pool).
+///   concurrent — with a pool, dop > 1 and several pipelines: every
+///                dependency-free pipeline scheduled on the pool at
+///                once; a dynamic SDA bracket (opened when the number
+///                of in-flight pipelines reaches 2, closed when it
+///                drops back to 1) charges concurrently dispatched
+///                federation branches max instead of sum.
 ///
 /// Lock order: mu_ may be held while entering the SDA dispatch bracket
 /// (mu_ -> sda dispatch_mu_); tasks are never submitted and
@@ -120,9 +136,8 @@ class PipelineExecutor {
   /// skipped (inheriting its status) rather than run.
   [[nodiscard]] Result<std::vector<Chunk>> Run(
       std::vector<PipelineStats>* stats) {
-    bool concurrent = policy_.executor == ExecutorMode::kPipeline &&
-                      policy_.pool != nullptr && policy_.dop > 1 &&
-                      runs_.size() > 1;
+    bool concurrent =
+        policy_.pool != nullptr && policy_.dop > 1 && runs_.size() > 1;
     if (concurrent) {
       RunConcurrent();
     } else {
@@ -172,30 +187,24 @@ class PipelineExecutor {
       if (st.ok()) {
         size_t n = run.num_morsels;
         size_t probes = ProbeStageCount(*run.p);
-        bool parallel = policy_.executor != ExecutorMode::kSerial &&
-                        policy_.pool != nullptr && policy_.dop > 1 && n > 1;
-        if (parallel) {
+        if (policy_.pool != nullptr && policy_.dop > 1 && n > 1) {
           size_t slots = policy_.pool->WorkerSlots(n, policy_.dop);
           std::vector<std::vector<RadixJoinTable::ProbeKeys>> scratch(
               slots, std::vector<RadixJoinTable::ProbeKeys>(probes));
           policy_.pool->ParallelForWorker(
               n,
               [&](size_t worker, size_t m) {
-                run.statuses[m] = ProcessMorsel(run, m, &scratch[worker]);
+                RunMorsel(run, m, &scratch[worker]);
               },
               policy_.dop);
         } else {
           std::vector<RadixJoinTable::ProbeKeys> scratch(probes);
-          for (size_t m = 0; m < n; ++m) {
-            run.statuses[m] = ProcessMorsel(run, m, &scratch);
-          }
+          for (size_t m = 0; m < n; ++m) RunMorsel(run, m, &scratch);
         }
         st = Finish(run);
       }
       run.final_status = std::move(st);
       run.wall_ms = run.wall.ElapsedMillis();
-      run.cpu_us.store(static_cast<int64_t>(run.wall_ms * 1000.0),
-                       std::memory_order_relaxed);
     }
   }
 
@@ -272,15 +281,12 @@ class PipelineExecutor {
     run.workers_remaining.store(k, std::memory_order_relaxed);
     for (size_t t = 0; t < k; ++t) {
       policy_.pool->Submit([this, &run, probes] {
-        Stopwatch sw;
         std::vector<RadixJoinTable::ProbeKeys> scratch(probes);
         while (true) {
           size_t m = run.next_morsel.fetch_add(1, std::memory_order_relaxed);
           if (m >= run.num_morsels) break;
-          run.statuses[m] = ProcessMorsel(run, m, &scratch);
+          RunMorsel(run, m, &scratch);
         }
-        run.cpu_us.fetch_add(static_cast<int64_t>(sw.ElapsedMillis() * 1000.0),
-                             std::memory_order_relaxed);
         if (run.workers_remaining.fetch_sub(1, std::memory_order_acq_rel) ==
             1) {
           // Last worker out merges and completes the pipeline.
@@ -333,15 +339,27 @@ class PipelineExecutor {
     if (p.source == Pipeline::SourceKind::kScan) {
       HANA_ASSIGN_OR_RETURN(
           run.partition,
-          ctx_->OpenPartitionedScanAt(*p.scan, policy_.morsel_rows, view_));
+          ctx_->OpenPartitionedScan(*p.source_op, policy_.morsel_rows, view_));
       if (run.partition.has_value()) {
         run.num_morsels = run.partition->num_morsels;
       }
-      // Non-partitionable scan targets (remote, hybrid umbrella) fall
-      // back to a single morsel streaming through OpenScan.
+      // Non-partitionable scan targets (extended, remote, hybrid) run
+      // as a single morsel streaming through OpenScan.
     }
-    if (p.sink == Pipeline::SinkKind::kJoinBuild) {
-      JoinBuildState* b = p.build_target;
+    JoinBuildState* b = p.build_target;
+    if (b != nullptr && b->nested_loop) {
+      b->rows.clear();
+      if (b->join->condition != nullptr &&
+          b->join->join_kind != plan::JoinKind::kCross) {
+        // A conditioned join with no usable equi key silently leaves
+        // the hash path — worth noticing: count it and log.
+        GlobalJoinExecStats().nested_loop_fallbacks.fetch_add(
+            1, std::memory_order_relaxed);
+        HANA_LOG(LogLevel::kDebug,
+                 "join fell back to nested-loop: no equi key in " +
+                     b->join->condition->ToString());
+      }
+    } else if (b != nullptr) {
       bool vectorized = plan::EquiKeysVectorizable(b->parts);
       b->table = std::make_unique<RadixJoinTable>(
           b->build->schema, b->build_key_exprs, vectorized,
@@ -360,10 +378,61 @@ class PipelineExecutor {
       run.partials.resize(run.num_morsels);
     } else {
       run.collected.assign(run.num_morsels, {});
+      run.collected_rows.assign(run.num_morsels, 0);
+    }
+    if (p.limit >= 0) {
+      // atomic: orderings documented at PipelineRun::finished_rows.
+      run.finished_rows =
+          std::make_unique<std::atomic<int64_t>[]>(run.num_morsels);
+      for (size_t m = 0; m < run.num_morsels; ++m) {
+        run.finished_rows[m].store(-1, std::memory_order_relaxed);
+      }
+      run.cutoff.store(kNoCutoff, std::memory_order_relaxed);
     }
     run.next_morsel.store(0, std::memory_order_relaxed);
     run.output.clear();
     return Status::OK();
+  }
+
+  /// Whether morsel m of a LIMIT pipeline has nothing left to add: it
+  /// holds the limit itself, or an earlier finished prefix does.
+  static bool LimitReached(const PipelineRun& run, size_t m) {
+    const int64_t limit = run.p->limit;
+    return limit >= 0 &&
+           (run.collected_rows[m] >= static_cast<uint64_t>(limit) ||
+            m >= run.cutoff.load(std::memory_order_acquire));
+  }
+
+  /// Records that LIMIT morsel m finished and lowers the cutoff to the
+  /// end of the shortest finished prefix holding the limit.
+  static void NoteLimitMorselDone(PipelineRun& run, size_t m) {
+    run.finished_rows[m].store(static_cast<int64_t>(run.collected_rows[m]),
+                               std::memory_order_release);
+    uint64_t rows = 0;
+    for (size_t k = 0; k < run.num_morsels; ++k) {
+      int64_t done = run.finished_rows[k].load(std::memory_order_acquire);
+      if (done < 0) return;
+      rows += static_cast<uint64_t>(done);
+      if (rows < static_cast<uint64_t>(run.p->limit)) continue;
+      size_t cut = run.cutoff.load(std::memory_order_acquire);
+      while (k + 1 < cut && !run.cutoff.compare_exchange_weak(
+                                cut, k + 1, std::memory_order_acq_rel)) {
+      }
+      return;
+    }
+  }
+
+  /// Runs one morsel (unless a LIMIT no longer needs it), timing it
+  /// into the pipeline's summed CPU time.
+  void RunMorsel(PipelineRun& run, size_t m,
+                 std::vector<RadixJoinTable::ProbeKeys>* scratch) {
+    if (run.p->limit < 0 || m < run.cutoff.load(std::memory_order_acquire)) {
+      Stopwatch sw;
+      run.statuses[m] = ProcessMorsel(run, m, scratch);
+      run.cpu_us.fetch_add(static_cast<int64_t>(sw.ElapsedMillis() * 1000.0),
+                           std::memory_order_relaxed);
+    }
+    if (run.p->limit >= 0) NoteLimitMorselDone(run, m);
   }
 
   /// Streams morsel m's chunks from the source through the stage chain
@@ -376,65 +445,108 @@ class PipelineExecutor {
     if (p.sink == Pipeline::SinkKind::kGroups) {
       // Phase 1: each morsel accumulates into its own partitioned
       // partial (thread-local by construction — one worker per morsel).
-      // parallel_agg=off keeps the legacy boxed row-at-a-time layout.
       run.partials[m] = std::make_unique<PartitionedGroupTable>(
           &p.sink_op->group_by, &p.sink_op->aggregates,
-          AggPartitionCount(p, policy_), policy_.parallel_agg);
+          AggPartitionCount(p, policy_));
       run.partials[m]->BeginMorsel(static_cast<uint32_t>(m));
       partial = run.partials[m].get();
     }
+    Status inner = Status::OK();
+    ChunkSink sink = [&](const Chunk& in) {
+      inner = ProcessChunk(run, m, in, partial, scratch);
+      return inner.ok() && !LimitReached(run, m);
+    };
+    Status source = Status::OK();
     switch (p.source) {
       case Pipeline::SourceKind::kScan: {
         if (run.partition.has_value()) {
-          Status inner = Status::OK();
-          Status scan_status =
-              run.partition->scan_morsel(m, [&](const Chunk& in) {
-                inner = ProcessChunk(run, m, in, partial, scratch);
-                return inner.ok();
-              });
-          HANA_RETURN_IF_ERROR(inner);
-          return scan_status;
+          source = run.partition->scan_morsel(m, sink);
+          break;
         }
-        HANA_ASSIGN_OR_RETURN(ChunkStream stream,
-                              ctx_->OpenScanAt(*p.scan, view_));
-        while (true) {
-          HANA_ASSIGN_OR_RETURN(std::optional<Chunk> chunk, stream());
-          if (!chunk.has_value()) break;
-          HANA_RETURN_IF_ERROR(ProcessChunk(run, m, *chunk, partial, scratch));
-        }
-        return Status::OK();
+        HANA_ASSIGN_OR_RETURN(ChunkSource scan,
+                              ctx_->OpenScan(*p.source_op, view_));
+        source = scan(sink);
+        break;
       }
-      case Pipeline::SourceKind::kSerialOp: {
-        HANA_ASSIGN_OR_RETURN(PhysicalOpPtr op,
-                              BuildPhysicalPlan(*p.serial_root, ctx_, view_));
-        HANA_RETURN_IF_ERROR(op->Open());
-        while (true) {
-          HANA_ASSIGN_OR_RETURN(std::optional<Chunk> chunk, op->Next());
-          if (!chunk.has_value()) break;
-          HANA_RETURN_IF_ERROR(ProcessChunk(run, m, *chunk, partial, scratch));
+      case Pipeline::SourceKind::kRemoteQuery:
+        source = RemoteQuery(p, sink);
+        break;
+      case Pipeline::SourceKind::kTableFunction: {
+        HANA_ASSIGN_OR_RETURN(ChunkSource fn,
+                              ctx_->OpenTableFunction(*p.source_op));
+        source = fn(sink);
+        break;
+      }
+      case Pipeline::SourceKind::kConstant: {
+        Chunk row = Chunk::Empty(p.source_schema);
+        for (size_t c = 0; c < p.source_op->exprs.size(); ++c) {
+          HANA_ASSIGN_OR_RETURN(Value v,
+                                EvalExprRow(*p.source_op->exprs[c], {}));
+          row.columns[c]->Append(v);
         }
-        return Status::OK();
+        sink(row);
+        break;
       }
       case Pipeline::SourceKind::kUpstream: {
         // Upstream outputs, in listed (child) order, as one morsel. The
         // producer finished before this pipeline launched, so its
         // chunks can be consumed destructively (single consumer).
+        bool more = true;
         for (size_t uid : p.upstream) {
           for (Chunk& chunk : runs_[uid].output) {
-            chunk.schema = p.source_schema;  // Restamp, like UnionOp.
-            HANA_RETURN_IF_ERROR(
-                ProcessChunk(run, m, chunk, partial, scratch));
+            if (!more) break;
+            chunk.schema = p.source_schema;  // Restamp to this plan node.
+            more = sink(chunk);
           }
           runs_[uid].output.clear();
         }
-        return Status::OK();
+        break;
       }
     }
-    return Status::Internal("unknown pipeline source");
+    HANA_RETURN_IF_ERROR(inner);
+    return source;
   }
 
-  /// Runs the stage chain over one chunk, then feeds the sink — the
-  /// moved ProcessChunk of the old fused MorselPipelineOp.
+  /// Opens a remote-query source: a relocated upstream becomes the
+  /// uploaded table; under a semijoin pushdown the upstream (the join's
+  /// collected left side, left intact for the probe pipeline) yields
+  /// the IN-list — its distinct non-null first join keys, first-seen
+  /// order.
+  [[nodiscard]] Status RemoteQuery(const Pipeline& p, const ChunkSink& sink) {
+    PushdownInList in_list;
+    storage::Table relocated;
+    const PushdownInList* keys = nullptr;
+    const storage::Table* rows = nullptr;
+    if (!p.upstream.empty()) {
+      PipelineRun& producer = runs_[p.upstream[0]];
+      if (p.pushdown != nullptr) {
+        in_list.column = p.pushdown->join->pushdown_remote_column;
+        std::unordered_set<Value, storage::ValueHash> seen;
+        for (const Chunk& chunk : producer.output) {
+          for (size_t r = 0; r < chunk.num_rows(); ++r) {
+            HANA_ASSIGN_OR_RETURN(
+                Value v, EvalExpr(*p.pushdown->probe_key_exprs[0], chunk, r));
+            if (!v.is_null() && seen.insert(v).second) {
+              in_list.values.push_back(std::move(v));
+            }
+          }
+        }
+        keys = &in_list;
+      } else {
+        relocated = storage::Table(producer.p->output_schema);
+        for (Chunk& chunk : producer.output) {
+          relocated.AppendChunk(std::move(chunk));
+        }
+        producer.output.clear();
+        rows = &relocated;
+      }
+    }
+    HANA_ASSIGN_OR_RETURN(ChunkSource remote,
+                          ctx_->OpenRemoteQuery(*p.source_op, keys, rows));
+    return remote(sink);
+  }
+
+  /// Runs the stage chain over one chunk, then feeds the sink.
   [[nodiscard]] Status ProcessChunk(
       PipelineRun& run, size_t m, const Chunk& in,
       PartitionedGroupTable* partial,
@@ -444,14 +556,25 @@ class PipelineExecutor {
     const Chunk* stage = &in;
     size_t probe_idx = 0;
     for (const PipelineStage& s : p.stages) {
-      if (s.kind == PipelineStage::Kind::kFilter) {
-        HANA_ASSIGN_OR_RETURN(owned, FilterChunk(*s.op->predicate, *stage));
-      } else if (s.kind == PipelineStage::Kind::kJoinProbe) {
-        HANA_ASSIGN_OR_RETURN(
-            owned, ProbeJoinChunk(*s.build, *stage, &(*scratch)[probe_idx]));
-        ++probe_idx;
-      } else {  // kProject
-        HANA_ASSIGN_OR_RETURN(owned, ProjectChunk(*s.op, *stage));
+      switch (s.kind) {
+        case PipelineStage::Kind::kFilter: {
+          HANA_ASSIGN_OR_RETURN(owned, FilterChunk(*s.op->predicate, *stage));
+          break;
+        }
+        case PipelineStage::Kind::kProject: {
+          HANA_ASSIGN_OR_RETURN(owned, ProjectChunk(*s.op, *stage));
+          break;
+        }
+        case PipelineStage::Kind::kJoinProbe: {
+          HANA_ASSIGN_OR_RETURN(owned, ProbeJoinChunk(*s.build, *stage,
+                                                      &(*scratch)[probe_idx]));
+          ++probe_idx;
+          break;
+        }
+        case PipelineStage::Kind::kNestedLoopProbe: {
+          HANA_ASSIGN_OR_RETURN(owned, NestedLoopProbeChunk(*s.build, *stage));
+          break;
+        }
       }
       stage = &owned;
     }
@@ -460,12 +583,16 @@ class PipelineExecutor {
         return partial->AccumulateChunk(*stage);
       case Pipeline::SinkKind::kJoinBuild:
         run.rows.fetch_add(stage->num_rows(), std::memory_order_relaxed);
-        return p.build_target->table->AddBuildChunk(m, *stage);
+        if (!p.build_target->nested_loop) {
+          return p.build_target->table->AddBuildChunk(m, *stage);
+        }
+        [[fallthrough]];  // Nested-loop builds collect their rows.
       case Pipeline::SinkKind::kCollect:
       case Pipeline::SinkKind::kSort: {
         if (stage->num_rows() == 0) return Status::OK();
         Chunk out = stage == &in ? in : std::move(owned);
         out.schema = p.output_schema;
+        run.collected_rows[m] += out.num_rows();
         run.collected[m].push_back(std::move(out));
         return Status::OK();
       }
@@ -477,13 +604,28 @@ class PipelineExecutor {
   /// that makes every schedule (and thread count) bit-identical.
   [[nodiscard]] Status Finish(PipelineRun& run) {
     const Pipeline& p = *run.p;
-    // First failure in morsel order wins (deterministic error too).
-    for (Status& s : run.statuses) HANA_RETURN_IF_ERROR(s);
+    // First failure in morsel order wins (deterministic error too);
+    // morsels past a LIMIT cutoff never count.
+    const size_t needed = std::min(
+        run.statuses.size(), run.cutoff.load(std::memory_order_acquire));
+    for (size_t m = 0; m < needed; ++m) HANA_RETURN_IF_ERROR(run.statuses[m]);
     switch (p.sink) {
       case Pipeline::SinkKind::kCollect: {
         uint64_t rows = 0;
-        for (std::vector<Chunk>& morsel : run.collected) {
-          for (Chunk& chunk : morsel) {
+        const uint64_t limit = p.limit < 0 ? std::numeric_limits<uint64_t>::max()
+                                           : static_cast<uint64_t>(p.limit);
+        for (size_t m = 0; m < needed && rows < limit; ++m) {
+          for (Chunk& chunk : run.collected[m]) {
+            if (rows == limit) break;
+            if (rows + chunk.num_rows() > limit) {
+              // The prefix ends inside this chunk: keep its head only.
+              Chunk head = Chunk::Empty(chunk.schema);
+              for (size_t r = 0; rows < limit; ++r, ++rows) {
+                head.AppendRowFrom(chunk, r);
+              }
+              run.output.push_back(std::move(head));
+              break;
+            }
             rows += chunk.num_rows();
             run.output.push_back(std::move(chunk));
           }
@@ -496,16 +638,13 @@ class PipelineExecutor {
         // Phase 2: per-partition merges of the morsel partials, fanned
         // out on the pool — partitions touch disjoint sub-tables, so no
         // locks are needed, and each partition still folds its partials
-        // in ascending morsel order (determinism). parallel_agg=off
-        // degenerates to the legacy single-partition serial fold.
+        // in ascending morsel order (determinism).
         PartitionedGroupTable merged(&p.sink_op->group_by,
                                      &p.sink_op->aggregates,
-                                     AggPartitionCount(p, policy_),
-                                     policy_.parallel_agg);
+                                     AggPartitionCount(p, policy_));
         size_t parts = merged.num_partitions();
-        bool fan_out = policy_.pool != nullptr && parts > 1 &&
-                       policy_.executor != ExecutorMode::kSerial &&
-                       policy_.dop > 1;
+        bool fan_out =
+            policy_.pool != nullptr && parts > 1 && policy_.dop > 1;
         if (fan_out) {
           // ParallelFor from within a pool task is safe (caller
           // participation — same pattern as RadixJoinTable::Finalize).
@@ -518,10 +657,8 @@ class PipelineExecutor {
             merged.MergePartition(part, run.partials);
           }
         }
-        AggExecStats& stats = GlobalAggExecStats();
-        (policy_.parallel_agg ? stats.partitioned_aggs
-                              : stats.serial_fold_aggs)
-            .fetch_add(1, std::memory_order_relaxed);
+        GlobalAggExecStats().partitioned_aggs.fetch_add(
+            1, std::memory_order_relaxed);
         run.partials.clear();
         merged.EnsureGlobalGroup();
         // Rank-ordered emit across partitions reproduces the serial
@@ -541,9 +678,18 @@ class PipelineExecutor {
         return Status::OK();
       }
       case Pipeline::SinkKind::kJoinBuild:
-        return p.build_target->table->Finalize(
-            policy_.pool,
-            policy_.executor == ExecutorMode::kSerial ? 1 : policy_.dop);
+        if (p.build_target->nested_loop) {
+          for (const std::vector<Chunk>& morsel : run.collected) {
+            for (const Chunk& chunk : morsel) {
+              for (size_t r = 0; r < chunk.num_rows(); ++r) {
+                p.build_target->rows.push_back(chunk.Row(r));
+              }
+            }
+          }
+          run.collected.clear();
+          return Status::OK();
+        }
+        return p.build_target->table->Finalize(policy_.pool, policy_.dop);
       case Pipeline::SinkKind::kSort: {
         std::vector<std::vector<Value>> rows;
         for (std::vector<Chunk>& morsel : run.collected) {
@@ -608,38 +754,6 @@ class PipelineExecutor {
   bool region_open_ GUARDED_BY(mu_) = false;
 };
 
-/// Physical operator running a decomposed subtree through the pipeline
-/// executor; replaces the old single-fused-pipeline MorselPipelineOp.
-class SubPipelineOp : public PhysicalOp {
- public:
-  SubPipelineOp(std::shared_ptr<Schema> schema, ExecContext* ctx,
-                PipelinePlan plan, const mvcc::ReadView& view)
-      : PhysicalOp(std::move(schema)),
-        ctx_(ctx),
-        plan_(std::move(plan)),
-        view_(view) {}
-
-  Status Open() override {
-    chunks_.clear();
-    next_ = 0;
-    PipelineExecutor executor(&plan_, ctx_, ctx_->parallel_policy(), view_);
-    HANA_ASSIGN_OR_RETURN(chunks_, executor.Run(nullptr));
-    return Status::OK();
-  }
-
-  Result<std::optional<Chunk>> Next() override {
-    if (next_ >= chunks_.size()) return std::optional<Chunk>();
-    return std::optional<Chunk>(std::move(chunks_[next_++]));
-  }
-
- private:
-  ExecContext* ctx_;
-  PipelinePlan plan_;
-  mvcc::ReadView view_;
-  std::vector<Chunk> chunks_;
-  size_t next_ = 0;
-};
-
 void AnnotateNode(LogicalOp* op, const PipelinePlan& plan, int inherited) {
   auto it = plan.op_pipeline.find(op);
   int id = it != plan.op_pipeline.end() ? static_cast<int>(it->second)
@@ -650,40 +764,21 @@ void AnnotateNode(LogicalOp* op, const PipelinePlan& plan, int inherited) {
 
 }  // namespace
 
-Result<PhysicalOpPtr> TrySubPipeline(const plan::LogicalOp& logical,
-                                     ExecContext* ctx,
-                                     const mvcc::ReadView& view) {
-  ParallelPolicy policy = ctx->parallel_policy();
-  if (policy.pool == nullptr) return PhysicalOpPtr();
-  PipelinePlan plan = DecomposePlan(logical, policy);
-  if (plan.trivial()) return PhysicalOpPtr();
-  return PhysicalOpPtr(std::make_unique<SubPipelineOp>(
-      logical.schema, ctx, std::move(plan), view));
-}
-
 Result<storage::Table> ExecutePlanWithStats(const plan::LogicalOp& logical,
                                             ExecContext* ctx,
                                             std::vector<PipelineStats>* stats) {
   if (stats != nullptr) stats->clear();
   // One read lease per statement: every scan the plan opens — across
-  // pipelines, morsels and serial sub-plans — resolves against the same
-  // MVCC view, and the lease's snapshot registration holds the merge
-  // watermark back until the statement finishes (RAII on return).
+  // pipelines and morsels — resolves against the same MVCC view, and
+  // the lease's snapshot registration holds the merge watermark back
+  // until the statement finishes (RAII on return).
   ExecContext::ReadLease lease = ctx->AcquireReadLease();
-  ParallelPolicy policy = ctx->parallel_policy();
-  if (policy.pool != nullptr) {
-    PipelinePlan plan = DecomposePlan(logical, policy);
-    if (!plan.trivial()) {
-      PipelineExecutor executor(&plan, ctx, policy, lease.view);
-      HANA_ASSIGN_OR_RETURN(std::vector<Chunk> chunks, executor.Run(stats));
-      storage::Table table(plan.root().output_schema);
-      for (Chunk& chunk : chunks) table.AppendChunk(std::move(chunk));
-      return table;
-    }
-  }
-  HANA_ASSIGN_OR_RETURN(PhysicalOpPtr root,
-                        BuildPhysicalPlan(logical, ctx, lease.view));
-  return DrainToTable(root.get());
+  PipelinePlan plan = DecomposePlan(logical);
+  PipelineExecutor executor(&plan, ctx, ctx->parallel_policy(), lease.view);
+  HANA_ASSIGN_OR_RETURN(std::vector<Chunk> chunks, executor.Run(stats));
+  storage::Table table(logical.schema);
+  for (Chunk& chunk : chunks) table.AppendChunk(std::move(chunk));
+  return table;
 }
 
 Result<storage::Table> ExecutePlan(const plan::LogicalOp& logical,
@@ -691,12 +786,9 @@ Result<storage::Table> ExecutePlan(const plan::LogicalOp& logical,
   return ExecutePlanWithStats(logical, ctx, nullptr);
 }
 
-std::vector<plan::PipelineSummary> AnnotatePipelines(plan::LogicalOp* root,
-                                                     ExecContext* ctx) {
+std::vector<plan::PipelineSummary> AnnotatePipelines(plan::LogicalOp* root) {
   std::vector<plan::PipelineSummary> out;
-  ParallelPolicy policy = ctx->parallel_policy();
-  if (policy.pool == nullptr) return out;
-  PipelinePlan plan = DecomposePlan(*root, policy);
+  PipelinePlan plan = DecomposePlan(*root);
   AnnotateNode(root, plan, static_cast<int>(plan.root().id));
   for (const Pipeline& p : plan.pipelines) {
     plan::PipelineSummary summary;

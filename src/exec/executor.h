@@ -20,16 +20,13 @@ struct PipelineStats {
   uint64_t rows = 0;     // Rows the pipeline's sink emitted (or staged,
                          // for join builds).
   double wall_ms = 0.0;  // Launch-to-finish wall time.
-  double cpu_ms = 0.0;   // Summed task execution time (== wall time when
-                         // the pipeline ran inline).
+  double cpu_ms = 0.0;   // Morsel execution time summed over workers.
   size_t agg_partitions = 0;  // kGroups: radix partitions merged in
                               // phase 2 (0 for non-aggregate sinks).
   uint64_t agg_groups = 0;    // kGroups: groups the sink emitted.
 };
 
-/// ExecutePlan plus per-pipeline stats. When the context grants no pool
-/// (or the plan degenerates to a single opaque pipeline) the plan runs
-/// through the serial Volcano operators and `stats` stays empty.
+/// ExecutePlan plus per-pipeline stats.
 [[nodiscard]] Result<storage::Table> ExecutePlanWithStats(
     const plan::LogicalOp& logical, ExecContext* ctx,
     std::vector<PipelineStats>* stats);
@@ -37,23 +34,8 @@ struct PipelineStats {
 /// Stamps every node of `root` with the pipeline id the executor's
 /// decomposition assigns it (rendered by LogicalOp::ToString as a
 /// "[P<n>]" suffix) and returns one summary per pipeline for EXPLAIN.
-/// Purely structural — nothing executes and no counters move. Returns
-/// empty (and leaves the plan unstamped) when the context grants no
-/// pool, since the plan would run serially.
-std::vector<plan::PipelineSummary> AnnotatePipelines(plan::LogicalOp* root,
-                                                     ExecContext* ctx);
-
-/// Lowers `logical` to a physical operator that runs the subtree
-/// through the pipeline executor, or null when the context grants no
-/// pool or the decomposition degenerates to a single opaque serial
-/// pipeline (where the executor would only add overhead). The decision
-/// depends only on the plan shape and the policy flags — never on the
-/// degree of parallelism — so a query runs through the same operator at
-/// every thread count.
-/// Scans run at `view` (latest-visible by default).
-[[nodiscard]] Result<PhysicalOpPtr> TrySubPipeline(
-    const plan::LogicalOp& logical, ExecContext* ctx,
-    const mvcc::ReadView& view = {});
+/// Purely structural — nothing executes and no counters move.
+std::vector<plan::PipelineSummary> AnnotatePipelines(plan::LogicalOp* root);
 
 }  // namespace hana::exec
 

@@ -2,7 +2,6 @@
 #define HANA_EXEC_OPERATORS_H_
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "common/mvcc.h"
 #include "common/result.h"
 #include "common/task_pool.h"
-#include "plan/join_analysis.h"
 #include "plan/logical.h"
 #include "storage/column_vector.h"
 
@@ -18,8 +16,13 @@ namespace hana::exec {
 
 using storage::Chunk;
 
-/// Pull-based stream of chunks; returns std::nullopt at end-of-stream.
-using ChunkStream = std::function<Result<std::optional<Chunk>>()>;
+/// Receives a source's chunks in order; returns false to stop the
+/// source early (a satisfied LIMIT).
+using ChunkSink = std::function<bool(const Chunk&)>;
+
+/// A single-stream source: pushes its chunks into the sink in order
+/// until it is exhausted or the sink returns false.
+using ChunkSource = std::function<Status(const ChunkSink&)>;
 
 /// Distinct key values a semijoin-pushdown ships into a remote query.
 struct PushdownInList {
@@ -32,38 +35,17 @@ struct PushdownInList {
 /// constant instead of repeating the literal.
 inline constexpr size_t kDefaultMorselRows = 16384;
 
-/// How ExecutePlan drives the pipeline DAG (the `executor` platform
-/// knob). All three modes share one plan decomposition and one
-/// morsel-order merge, so their results are bit-identical; only the
-/// scheduling differs.
-enum class ExecutorMode {
-  kSerial,    // Pipelines in dependency order, morsels inline.
-  kFused,     // One pipeline at a time, morsels in parallel (the old
-              // single-fused-pipeline engine's schedule).
-  kPipeline,  // Ready pipelines scheduled concurrently on the pool.
-};
-
 /// Degree-of-parallelism policy the hosting platform grants the
-/// executor. A null pool (the default) keeps every operator serial.
+/// executor. A null pool (the default) or dop = 1 runs every pipeline
+/// inline on the calling thread, in dependency order.
 struct ParallelPolicy {
   TaskPool* pool = nullptr;
   size_t dop = 1;  // Worker budget per parallel region.
   size_t morsel_rows = kDefaultMorselRows;  // Rows per partitioned-scan morsel.
-  /// Allow joins to fuse into morsel pipelines (radix hash join).
-  /// Off forces the serial row-at-a-time hash join, regardless of dop;
-  /// scans and aggregates stay eligible for pipelines either way.
-  bool parallel_join = true;
-  /// Allow aggregate sinks to use the radix-partitioned two-phase merge
-  /// with vectorized column-wise key hashing. Off degenerates the sink
-  /// to one boxed partition folded serially (the legacy path) — results
-  /// are bit-identical either way, this is an ablation/debug knob.
-  bool parallel_agg = true;
   /// Radix partition count for aggregate sinks. 0 lets the optimizer's
   /// cardinality-based choice (or the kMaxPartitions default) decide;
   /// nonzero forces the count (rounded to a power of two, clamped).
   size_t agg_partitions = 0;
-  /// Pipeline scheduling mode (ignored when pool is null).
-  ExecutorMode executor = ExecutorMode::kPipeline;
 };
 
 /// A base-table scan decomposed into fixed, contiguous morsels. The
@@ -73,9 +55,7 @@ struct PartitionSource {
   size_t num_morsels = 0;
   /// Streams morsel m's chunks into `sink` (return false to stop).
   /// Must be safe to call concurrently for distinct morsel indices.
-  std::function<Status(size_t m,
-                       const std::function<bool(const Chunk&)>& sink)>
-      scan_morsel;
+  std::function<Status(size_t m, const ChunkSink& sink)> scan_morsel;
 };
 
 /// Runtime services the executor needs from the hosting platform:
@@ -100,51 +80,41 @@ class ExecContext {
   /// once and releases it (via the handle) when the statement finishes.
   virtual ReadLease AcquireReadLease() { return {}; }
 
-  [[nodiscard]] virtual Result<ChunkStream> OpenScan(const plan::LogicalOp& scan) = 0;
-
-  /// View-pinned scan: chunks reflect exactly the rows visible at
+  /// Single-stream scan: chunks reflect exactly the rows visible at
   /// `view`. Contexts without versioned storage ignore the view.
-  [[nodiscard]] virtual Result<ChunkStream> OpenScanAt(
-      const plan::LogicalOp& scan, const mvcc::ReadView& view) {
-    (void)view;
-    return OpenScan(scan);
-  }
+  [[nodiscard]] virtual Result<ChunkSource> OpenScan(
+      const plan::LogicalOp& scan, const mvcc::ReadView& view) = 0;
 
   /// Executes a shipped remote query. `in_list` (may be null) carries
   /// semijoin-pushdown keys spliced into the /*PUSHDOWN*/ marker;
   /// `relocated_rows` (may be null) is the local data uploaded as
   /// `relocation_table` before execution (Table Relocation strategy).
-  [[nodiscard]] virtual Result<ChunkStream> OpenRemoteQuery(
+  [[nodiscard]] virtual Result<ChunkSource> OpenRemoteQuery(
       const plan::LogicalOp& rq, const PushdownInList* in_list,
       const storage::Table* relocated_rows) = 0;
 
-  [[nodiscard]] virtual Result<ChunkStream> OpenTableFunction(
+  [[nodiscard]] virtual Result<ChunkSource> OpenTableFunction(
       const plan::LogicalOp& fn) = 0;
 
   /// Parallelism granted to this context's queries. The default policy
-  /// (no pool) makes every physical plan run serially.
+  /// (no pool) runs every pipeline inline.
   virtual ParallelPolicy parallel_policy() { return {}; }
 
-  /// Morsel decomposition of a base-table scan, or nullopt when the
-  /// scan target does not support partitioned access (remote sources,
-  /// hybrid umbrella tables). The decomposition must not depend on the
-  /// degree of parallelism.
-  [[nodiscard]] virtual Result<std::optional<PartitionSource>> OpenPartitionedScan(
-      const plan::LogicalOp& scan, size_t morsel_rows) {
+  /// Morsel decomposition of a base-table scan at `view`, or nullopt
+  /// when the scan target does not support partitioned access (remote
+  /// and extended sources, hybrid tables); those scans run as one
+  /// OpenScan stream. All morsels of one source share one storage
+  /// snapshot, so the decomposition (and every morsel's row range) is
+  /// fixed against `view` — concurrent commits cannot skew num_rows
+  /// between morsel planning and morsel scans — and it must not depend
+  /// on the degree of parallelism.
+  [[nodiscard]] virtual Result<std::optional<PartitionSource>>
+  OpenPartitionedScan(const plan::LogicalOp& scan, size_t morsel_rows,
+                      const mvcc::ReadView& view) {
     (void)scan;
     (void)morsel_rows;
-    return std::optional<PartitionSource>();
-  }
-
-  /// View-pinned morsel decomposition. All morsels of one source must
-  /// share one storage snapshot, so the decomposition (and every
-  /// morsel's row range) is fixed against `view` — concurrent commits
-  /// cannot skew num_rows between morsel planning and morsel scans.
-  [[nodiscard]] virtual Result<std::optional<PartitionSource>>
-  OpenPartitionedScanAt(const plan::LogicalOp& scan, size_t morsel_rows,
-                        const mvcc::ReadView& view) {
     (void)view;
-    return OpenPartitionedScan(scan, morsel_rows);
+    return std::optional<PartitionSource>();
   }
 
   /// Brackets a region in which federation branches are dispatched
@@ -154,43 +124,10 @@ class ExecContext {
   virtual void EndConcurrentRemoteDispatch() {}
 };
 
-/// Volcano-style physical operator.
-class PhysicalOp {
- public:
-  explicit PhysicalOp(std::shared_ptr<Schema> schema)
-      : schema_(std::move(schema)) {}
-  virtual ~PhysicalOp() = default;
-
-  PhysicalOp(const PhysicalOp&) = delete;
-  PhysicalOp& operator=(const PhysicalOp&) = delete;
-
-  [[nodiscard]] virtual Status Open() = 0;
-  [[nodiscard]] virtual Result<std::optional<Chunk>> Next() = 0;
-
-  const std::shared_ptr<Schema>& schema() const { return schema_; }
-
- protected:
-  std::shared_ptr<Schema> schema_;
-};
-
-using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
-
-/// Lowers a bound logical plan to a physical operator tree. The logical
-/// plan must outlive execution (operators keep pointers into it).
-/// The two-argument form scans at the latest-visible view; the
-/// three-argument form pins every base-table scan to `view`.
-[[nodiscard]] Result<PhysicalOpPtr> BuildPhysicalPlan(const plan::LogicalOp& logical,
-                                        ExecContext* ctx);
-[[nodiscard]] Result<PhysicalOpPtr> BuildPhysicalPlan(const plan::LogicalOp& logical,
-                                        ExecContext* ctx,
-                                        const mvcc::ReadView& view);
-
-/// Builds, opens and fully drains the plan into a materialized table.
+/// Runs a bound logical plan through the pipeline executor into a
+/// materialized table. The logical plan must outlive the call.
 [[nodiscard]] Result<storage::Table> ExecutePlan(const plan::LogicalOp& logical,
-                                   ExecContext* ctx);
-
-/// Drains a physical operator into a table (testing hook).
-[[nodiscard]] Result<storage::Table> DrainToTable(PhysicalOp* op);
+                                                 ExecContext* ctx);
 
 }  // namespace hana::exec
 

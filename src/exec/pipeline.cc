@@ -302,7 +302,6 @@ AggExecStats& GlobalAggExecStats() {
 void ResetAggExecStats() {
   AggExecStats& s = GlobalAggExecStats();
   s.partitioned_aggs.store(0);
-  s.serial_fold_aggs.store(0);
   s.vectorized_chunks.store(0);
   s.boxed_rows.store(0);
   s.key_allocs.store(0);
@@ -388,11 +387,10 @@ Status AggKeyBlock::Compute(const std::vector<plan::BoundExprPtr>& group_by,
 }
 
 GroupTable::GroupTable(const std::vector<plan::BoundExprPtr>* group_by,
-                       const std::vector<plan::BoundExprPtr>* aggregates,
-                       bool allow_vectorized)
+                       const std::vector<plan::BoundExprPtr>* aggregates)
     : group_by_(group_by),
       aggregates_(aggregates),
-      vectorized_(allow_vectorized && AggKeyBlock::Vectorizable(*group_by)) {
+      vectorized_(AggKeyBlock::Vectorizable(*group_by)) {
   if (vectorized_) {
     key_cols_.reserve(group_by->size());
     for (const auto& g : *group_by) {
@@ -655,18 +653,16 @@ void GroupTable::ReserveOnFirstGrowth() {
 
 PartitionedGroupTable::PartitionedGroupTable(
     const std::vector<plan::BoundExprPtr>* group_by,
-    const std::vector<plan::BoundExprPtr>* aggregates, size_t partitions,
-    bool allow_vectorized)
+    const std::vector<plan::BoundExprPtr>* aggregates, size_t partitions)
     : group_by_(group_by),
       aggregates_(aggregates),
-      vectorized_(allow_vectorized && AggKeyBlock::Vectorizable(*group_by)) {
+      vectorized_(AggKeyBlock::Vectorizable(*group_by)) {
   size_t p = 1;
   while (p < partitions && p < kMaxPartitions) p <<= 1;
   while ((size_t{1} << bits_) < p) ++bits_;
   parts_.reserve(p);
   for (size_t i = 0; i < p; ++i) {
-    parts_.push_back(
-        std::make_unique<GroupTable>(group_by, aggregates, vectorized_));
+    parts_.push_back(std::make_unique<GroupTable>(group_by, aggregates));
   }
 }
 
@@ -914,70 +910,89 @@ Result<Chunk> ProbeJoinChunk(const JoinBuildState& state, const Chunk& probe,
   return out;
 }
 
-namespace {
-
-const char* KindLabel(LogicalKind kind) {
-  switch (kind) {
-    case LogicalKind::kScan:
-      return "scan";
-    case LogicalKind::kTableFunctionScan:
-      return "table function";
-    case LogicalKind::kFilter:
-      return "filter";
-    case LogicalKind::kProject:
-      return "project";
-    case LogicalKind::kJoin:
-      return "join";
-    case LogicalKind::kAggregate:
-      return "aggregate";
-    case LogicalKind::kSort:
-      return "sort";
-    case LogicalKind::kLimit:
-      return "limit";
-    case LogicalKind::kUnion:
-      return "union";
-    case LogicalKind::kRemoteQuery:
-      return "remote query";
+Result<Chunk> NestedLoopProbeChunk(const JoinBuildState& state,
+                                   const Chunk& probe) {
+  const JoinKind kind = state.join->join_kind;
+  const BoundExpr* condition = state.join->condition.get();
+  Chunk out = Chunk::Empty(state.join->schema);
+  const bool existence = kind == JoinKind::kSemi || kind == JoinKind::kAnti;
+  const size_t build_width =
+      existence ? 0 : out.num_columns() - probe.num_columns();
+  std::vector<Value> combined;
+  for (size_t r = 0; r < probe.num_rows(); ++r) {
+    combined = probe.Row(r);
+    const size_t probe_width = combined.size();
+    bool matched = false;
+    for (const std::vector<Value>& build : state.rows) {
+      combined.resize(probe_width);
+      combined.insert(combined.end(), build.begin(), build.end());
+      if (condition != nullptr) {
+        HANA_ASSIGN_OR_RETURN(Value keep, EvalExprRow(*condition, combined));
+        if (keep.is_null() || !IsTruthy(keep)) continue;
+      }
+      matched = true;
+      if (existence) break;
+      out.AppendRow(combined);
+    }
+    if (matched ? kind == JoinKind::kSemi : kind == JoinKind::kAnti) {
+      out.AppendRowFrom(probe, r);
+    } else if (!matched && kind == JoinKind::kLeft) {
+      combined.resize(probe_width);
+      combined.resize(probe_width + build_width, Value::Null());
+      out.AppendRow(combined);
+    }
   }
-  return "?";
+  return out;
 }
+
+namespace {
 
 /// Recursive plan splitter. Pipelines are appended post-order, so every
 /// dependency has a smaller id and the root pipeline comes out last.
 struct Decomposer {
-  const ParallelPolicy& policy;
   PipelinePlan plan;
 
-  /// A join the executor can run as build pipeline + probe stage. The
-  /// decision is purely structural (plan shape + policy flags) so it is
-  /// identical at every degree of parallelism.
-  bool JoinEligible(const LogicalOp& op, plan::JoinConditionParts* parts) const {
-    if (op.kind != LogicalKind::kJoin || op.condition == nullptr ||
-        op.semijoin_pushdown || op.children.size() != 2) {
-      return false;
+  /// Decomposes the subtree rooted at `node` into pipelines producing
+  /// its collected output; a top aggregate, sort or limit becomes the
+  /// sink.
+  size_t Subtree(const LogicalOp& node) {
+    switch (node.kind) {
+      case LogicalKind::kAggregate:
+        return Build(*node.children[0], Pipeline::SinkKind::kGroups, &node,
+                     nullptr);
+      case LogicalKind::kSort:
+        return Build(*node.children[0], Pipeline::SinkKind::kSort, &node,
+                     nullptr);
+      case LogicalKind::kLimit:
+        return Build(*node.children[0], Pipeline::SinkKind::kCollect, &node,
+                     nullptr);
+      default:
+        return Build(node, Pipeline::SinkKind::kCollect, nullptr, nullptr);
     }
-    if (op.join_kind != JoinKind::kInner && op.join_kind != JoinKind::kLeft &&
-        op.join_kind != JoinKind::kSemi && op.join_kind != JoinKind::kAnti) {
-      return false;
-    }
-    if (!policy.parallel_join) return false;
-    size_t left_arity = op.children[0]->schema->num_columns();
-    *parts = plan::AnalyzeJoinCondition(*op.condition, left_arity);
-    return !parts->equi_keys.empty();
   }
 
-  /// Decomposes the subtree rooted at `node` into pipelines producing
-  /// its collected output; peels a top aggregate/sort into the sink.
-  size_t Subtree(const LogicalOp& node) {
-    if (node.kind == LogicalKind::kAggregate) {
-      return Build(*node.children[0], Pipeline::SinkKind::kGroups, &node,
-                   nullptr);
+  /// The breaker state of `join`: a radix hash join when the condition
+  /// has a usable equi key, else a nested-loop join over the right side.
+  JoinBuildState* NewBuild(const LogicalOp& join) {
+    auto state = std::make_unique<JoinBuildState>();
+    JoinBuildState* b = state.get();
+    b->join = &join;
+    if (join.condition != nullptr && join.join_kind != JoinKind::kCross) {
+      b->parts = plan::AnalyzeJoinCondition(
+          *join.condition, join.children[0]->schema->num_columns());
     }
-    if (node.kind == LogicalKind::kSort) {
-      return Build(*node.children[0], Pipeline::SinkKind::kSort, &node,
-                   nullptr);
+    b->nested_loop = b->parts.equi_keys.empty();
+    b->build_is_left = !b->nested_loop &&
+                       join.join_kind == JoinKind::kInner && join.build_left;
+    b->build = join.children[b->build_is_left ? 0 : 1].get();
+    for (const auto& ek : b->parts.equi_keys) {
+      b->build_key_exprs.push_back(b->build_is_left ? ek.left.get()
+                                                    : ek.right.get());
+      b->probe_key_exprs.push_back(b->build_is_left ? ek.right.get()
+                                                    : ek.left.get());
     }
-    return Build(node, Pipeline::SinkKind::kCollect, nullptr, nullptr);
+    plan.builds.push_back(std::move(state));
+    return b;
   }
 
   /// Builds one pipeline whose stage chain starts at `top` and ends in
@@ -985,81 +1000,116 @@ struct Decomposer {
   size_t Build(const LogicalOp& top, Pipeline::SinkKind sink,
                const LogicalOp* sink_op, JoinBuildState* build_target) {
     Pipeline p;
-    std::vector<size_t> deps;
+    std::string label;
     // Walk the streaming chain top-down (stages reversed afterwards so
     // they run innermost-first).
     const LogicalOp* cur = &top;
     while (true) {
-      if (cur->kind == LogicalKind::kFilter) {
-        p.stages.push_back({PipelineStage::Kind::kFilter, cur, nullptr});
+      if (cur->kind == LogicalKind::kFilter ||
+          (cur->kind == LogicalKind::kProject && !cur->children.empty())) {
+        p.stages.push_back({cur->kind == LogicalKind::kFilter
+                                ? PipelineStage::Kind::kFilter
+                                : PipelineStage::Kind::kProject,
+                            cur, nullptr});
         cur = cur->children[0].get();
         continue;
       }
-      if (cur->kind == LogicalKind::kProject && !cur->children.empty()) {
-        p.stages.push_back({PipelineStage::Kind::kProject, cur, nullptr});
-        cur = cur->children[0].get();
-        continue;
+      if (cur->kind != LogicalKind::kJoin) {
+        label = Source(&p, *cur);
+        break;
       }
-      plan::JoinConditionParts parts;
-      if (JoinEligible(*cur, &parts)) {
-        auto state = std::make_unique<JoinBuildState>();
-        JoinBuildState* raw = state.get();
-        raw->join = cur;
-        raw->build_is_left =
-            cur->join_kind == JoinKind::kInner && cur->build_left;
-        raw->build = cur->children[raw->build_is_left ? 0 : 1].get();
-        raw->parts = std::move(parts);
-        for (const auto& ek : raw->parts.equi_keys) {
-          raw->build_key_exprs.push_back(
-              raw->build_is_left ? ek.left.get() : ek.right.get());
-          raw->probe_key_exprs.push_back(
-              raw->build_is_left ? ek.right.get() : ek.left.get());
-        }
-        plan.builds.push_back(std::move(state));
-        deps.push_back(
-            Build(*raw->build, Pipeline::SinkKind::kJoinBuild, nullptr, raw));
-        p.stages.push_back({PipelineStage::Kind::kJoinProbe, cur, raw});
-        cur = cur->children[raw->build_is_left ? 1 : 0].get();
-        continue;
+      JoinBuildState* b = NewBuild(*cur);
+      if (cur->semijoin_pushdown && !b->nested_loop) {
+        // Semijoin federation strategy: the local left side is collected
+        // once; its distinct keys form the IN-list of the remote build
+        // side, and its rows then stream through the probe stage.
+        size_t left = Subtree(*cur->children[0]);
+        Pipeline remote;
+        remote.source = Pipeline::SourceKind::kRemoteQuery;
+        remote.source_op = b->build;
+        remote.source_schema = b->build->schema;
+        remote.upstream = {left};
+        remote.pushdown = b;
+        remote.deps = {left};
+        p.deps.push_back(Finish(std::move(remote), *b->build,
+                                Pipeline::SinkKind::kJoinBuild, nullptr, b,
+                                StrFormat("remote query (keys from P%zu)",
+                                          left)));
+        p.stages.push_back({PipelineStage::Kind::kJoinProbe, cur, b});
+        p.source = Pipeline::SourceKind::kUpstream;
+        p.upstream = {left};
+        p.deps.push_back(left);
+        p.source_schema = cur->children[0]->schema;
+        label = StrFormat("from P%zu", left);
+        break;
       }
-      break;
+      p.deps.push_back(
+          Build(*b->build, Pipeline::SinkKind::kJoinBuild, nullptr, b));
+      p.stages.push_back({b->nested_loop
+                              ? PipelineStage::Kind::kNestedLoopProbe
+                              : PipelineStage::Kind::kJoinProbe,
+                          cur, b});
+      cur = cur->children[b->build_is_left ? 1 : 0].get();
     }
     std::reverse(p.stages.begin(), p.stages.end());
+    return Finish(std::move(p), top, sink, sink_op, build_target,
+                  std::move(label));
+  }
 
-    // Resolve the source terminator.
-    std::string source_label;
-    if (cur->kind == LogicalKind::kScan) {
-      p.source = Pipeline::SourceKind::kScan;
-      p.scan = cur;
-      source_label = "scan " + cur->table.name;
-    } else if (cur->kind == LogicalKind::kUnion) {
-      p.source = Pipeline::SourceKind::kUpstream;
-      for (const auto& child : cur->children) {
-        size_t cid = Subtree(*child);
-        p.upstream.push_back(cid);
-        deps.push_back(cid);
+  /// Resolves the source terminating a stage chain at `node`; returns
+  /// the source's label.
+  std::string Source(Pipeline* p, const LogicalOp& node) {
+    p->source_schema = node.schema;
+    p->source_op = &node;
+    switch (node.kind) {
+      case LogicalKind::kScan:
+        p->source = Pipeline::SourceKind::kScan;
+        return "scan " + node.table.name;
+      case LogicalKind::kRemoteQuery:
+        p->source = Pipeline::SourceKind::kRemoteQuery;
+        if (node.relocate_local_child && !node.children.empty()) {
+          size_t child = Subtree(*node.children[0]);
+          p->upstream = {child};
+          p->deps.push_back(child);
+          return StrFormat("remote query (relocating P%zu)", child);
+        }
+        return "remote query";
+      case LogicalKind::kTableFunctionScan:
+        p->source = Pipeline::SourceKind::kTableFunction;
+        return "table function " + node.function.name;
+      case LogicalKind::kProject:  // Table-less SELECT.
+        p->source = Pipeline::SourceKind::kConstant;
+        return "constant row";
+      case LogicalKind::kUnion:
+        p->source = Pipeline::SourceKind::kUpstream;
+        for (const auto& child : node.children) {
+          size_t id = Subtree(*child);
+          p->upstream.push_back(id);
+          p->deps.push_back(id);
+        }
+        return "union";
+      default: {  // Aggregate, sort or limit below a streaming chain.
+        p->source = Pipeline::SourceKind::kUpstream;
+        p->source_op = nullptr;
+        size_t id = Subtree(node);
+        p->upstream = {id};
+        p->deps.push_back(id);
+        return StrFormat("from P%zu", id);
       }
-      source_label = "union";
-    } else if (cur->kind == LogicalKind::kAggregate ||
-               cur->kind == LogicalKind::kSort) {
-      size_t cid = Subtree(*cur);
-      p.upstream.push_back(cid);
-      deps.push_back(cid);
-      p.source = Pipeline::SourceKind::kUpstream;
-      source_label = StrFormat("from P%zu", cid);
-    } else {
-      p.source = Pipeline::SourceKind::kSerialOp;
-      p.serial_root = cur;
-      source_label = std::string("serial ") + KindLabel(cur->kind);
     }
-    p.source_schema = cur->schema;
+  }
 
+  /// Attaches the sink, labels the pipeline and appends it.
+  size_t Finish(Pipeline p, const LogicalOp& top, Pipeline::SinkKind sink,
+                const LogicalOp* sink_op, JoinBuildState* build_target,
+                std::string label) {
     p.sink = sink;
     p.sink_op = sink_op;
     p.build_target = build_target;
     switch (sink) {
       case Pipeline::SinkKind::kCollect:
         p.output_schema = p.stages.empty() ? p.source_schema : top.schema;
+        if (sink_op != nullptr) p.limit = std::max<int64_t>(sink_op->limit, 0);
         break;
       case Pipeline::SinkKind::kGroups:
       case Pipeline::SinkKind::kSort:
@@ -1069,46 +1119,42 @@ struct Decomposer {
         p.output_schema = build_target->build->schema;
         break;
     }
-    p.deps = std::move(deps);
-
-    p.label = source_label;
     for (const PipelineStage& s : p.stages) {
       switch (s.kind) {
         case PipelineStage::Kind::kFilter:
-          p.label += " -> filter";
+          label += " -> filter";
           break;
         case PipelineStage::Kind::kProject:
-          p.label += " -> project";
+          label += " -> project";
           break;
         case PipelineStage::Kind::kJoinProbe:
-          p.label += " -> probe";
+          label += " -> probe";
+          break;
+        case PipelineStage::Kind::kNestedLoopProbe:
+          label += " -> nested-loop probe";
           break;
       }
     }
     switch (sink) {
       case Pipeline::SinkKind::kCollect:
+        if (sink_op != nullptr) label += " -> limit " + std::to_string(p.limit);
         break;
       case Pipeline::SinkKind::kGroups:
-        p.label += " -> aggregate";
+        label += " -> aggregate";
         break;
       case Pipeline::SinkKind::kJoinBuild:
-        p.label += " -> build";
+        label += " -> build";
         break;
       case Pipeline::SinkKind::kSort:
-        p.label += " -> sort";
+        label += " -> sort";
         break;
     }
-
+    p.label = std::move(label);
     p.id = plan.pipelines.size();
     // EXPLAIN annotation: every node this pipeline touches directly.
     for (const PipelineStage& s : p.stages) plan.op_pipeline[s.op] = p.id;
-    if (p.scan != nullptr) plan.op_pipeline[p.scan] = p.id;
-    if (p.serial_root != nullptr) plan.op_pipeline[p.serial_root] = p.id;
+    if (p.source_op != nullptr) plan.op_pipeline[p.source_op] = p.id;
     if (sink_op != nullptr) plan.op_pipeline[sink_op] = p.id;
-    if (p.source == Pipeline::SourceKind::kUpstream &&
-        cur->kind == LogicalKind::kUnion) {
-      plan.op_pipeline[cur] = p.id;
-    }
     plan.pipelines.push_back(std::move(p));
     return plan.pipelines.back().id;
   }
@@ -1116,9 +1162,8 @@ struct Decomposer {
 
 }  // namespace
 
-PipelinePlan DecomposePlan(const plan::LogicalOp& root,
-                           const ParallelPolicy& policy) {
-  Decomposer d{policy, {}};
+PipelinePlan DecomposePlan(const plan::LogicalOp& root) {
+  Decomposer d;
   d.Subtree(root);
   return std::move(d.plan);
 }

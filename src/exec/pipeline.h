@@ -21,8 +21,7 @@
 namespace hana::exec {
 
 // ---------------------------------------------------------------------
-// Chunk-at-a-time operator kernels, shared by the pipeline executor and
-// the serial Volcano operators in operators.cc.
+// Chunk-at-a-time operator kernels of the pipeline executor.
 // ---------------------------------------------------------------------
 
 inline size_t HashKey(const std::vector<Value>& key) {
@@ -85,22 +84,17 @@ void MergeAggState(const plan::BoundExpr& agg, AggState& dst, AggState& src);
 /// run through, so silent fallbacks off the fast paths are observable
 /// (tests assert on them; bench_agg reports the allocation ablation).
 struct AggExecStats {
-  /// kGroups sinks that merged through the radix-partitioned two-phase
-  /// path (parallel_agg=on).
+  /// kGroups sinks merged through the radix-partitioned two-phase path.
   // atomic: relaxed counter; observers only need eventual totals.
   std::atomic<uint64_t> partitioned_aggs{0};
-  /// kGroups sinks that folded partials through the legacy serial
-  /// MergeFrom chain (parallel_agg=off ablation baseline).
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> serial_fold_aggs{0};
   /// Chunks accumulated through the vectorized column-wise key path.
   // atomic: relaxed counter; observers only need eventual totals.
   std::atomic<uint64_t> vectorized_chunks{0};
   /// Rows accumulated through the boxed row-at-a-time fallback.
   // atomic: relaxed counter; observers only need eventual totals.
   std::atomic<uint64_t> boxed_rows{0};
-  /// Boxed group-key vectors materialized (≈ groups created since the
-  /// scratch-key fix; equal to boxed_rows before it — the ablation).
+  /// Boxed group-key vectors materialized (one per group created by the
+  /// boxed-key fallback).
   // atomic: relaxed counter; observers only need eventual totals.
   std::atomic<uint64_t> key_allocs{0};
   /// Per-partition phase-2 merge tasks run by the executor.
@@ -143,8 +137,8 @@ class AggKeyBlock {
 };
 
 /// Hash table mapping group keys to per-aggregate states; groups keep
-/// first-seen order. Shared by the serial HashAggregateOp and the
-/// per-morsel partial aggregation of the pipeline executor.
+/// first-seen order. The per-morsel partials and the merged result of
+/// the pipeline executor's aggregate sink.
 ///
 /// Two key layouts, fixed at construction. Vectorized tables store one
 /// typed ColumnVector cell per key column per group (hashed and
@@ -152,11 +146,10 @@ class AggKeyBlock {
 /// open-addressing slot array (group index + 1, 0 = empty) over the
 /// stored per-group hashes, and keep every group's aggregate states in
 /// one flat group-major array — no per-group heap allocation on the
-/// hot path. Boxed tables are the preserved legacy layout (key types
-/// the cell helpers do not cover, and the parallel_agg=off ablation
-/// baseline): Value key rows, a chained hash->group multimap index and
-/// a per-group state vector, with only the scratch-key reuse and
-/// reserve fixes applied on top.
+/// hot path. Boxed tables are the fallback for key types the cell
+/// helpers do not cover (a kNull-typed key such as `GROUP BY k, NULL`):
+/// Value key rows, a chained hash->group multimap index and a per-group
+/// state vector.
 ///
 /// Group-by semantics: NULL == NULL (one NULL group), unlike join keys.
 ///
@@ -164,26 +157,21 @@ class AggKeyBlock {
 /// row within that morsel, assigned by PartitionedGroupTable — which is
 /// the group's position in the serial first-seen order. Morsels are
 /// bounded well below 2^32 and a morsel's rows below 2^32 (the scan
-/// decomposition caps morsel_rows; single-morsel serial sources would
+/// decomposition caps morsel_rows; single-morsel sources would
 /// need 4G+ rows to wrap, the radix join's same bound).
 class GroupTable {
  public:
-  /// `allow_vectorized=false` forces the boxed key layout even for
-  /// vectorizable key types — the parallel_agg=off ablation baseline.
-  /// Tables that merge into each other must share the flag.
   GroupTable(const std::vector<plan::BoundExprPtr>* group_by,
-             const std::vector<plan::BoundExprPtr>* aggregates,
-             bool allow_vectorized = true);
+             const std::vector<plan::BoundExprPtr>* aggregates);
 
   size_t num_groups() const { return hashes_.size(); }
   bool vectorized() const { return vectorized_; }
   uint64_t rank(size_t g) const { return ranks_[g]; }
 
   /// Row-at-a-time accumulate of one row whose boxed key (and its
-  /// HashKey hash) the caller already evaluated — the legacy path, kept
-  /// as the parallel_agg=off ablation baseline and for boxed-key
-  /// tables. The caller evaluates the hash first because it routes the
-  /// row to a partition by it.
+  /// HashKey hash) the caller already evaluated — the boxed-key
+  /// fallback. The caller evaluates the hash first because it routes
+  /// the row to a partition by it.
   [[nodiscard]] Status AccumulateValues(const std::vector<Value>& key,
                                         uint64_t hash,
                                         const storage::Chunk& chunk,
@@ -253,13 +241,12 @@ class GroupTable {
   /// at [g * aggregates_->size() + a] — one growable allocation instead
   /// of one heap vector per group.
   std::vector<AggState> vstates_;
-  /// Boxed layout: per-group state vectors (the legacy layout).
+  /// Boxed layout: per-group state vectors.
   std::vector<std::vector<AggState>> bstates_;
   /// Vectorized layout: open-addressing slot array (power of two,
   /// linear probe): group index + 1, 0 = empty.
   std::vector<uint32_t> slots_;
-  /// Boxed layout: chained hash -> group index multimap (the legacy
-  /// index the ablation baseline measures against).
+  /// Boxed layout: chained hash -> group index multimap.
   std::unordered_multimap<uint64_t, size_t> groups_;
   std::vector<uint32_t> merge_scratch_;  // MergeFrom's group map, reused.
 };
@@ -288,12 +275,9 @@ class PartitionedGroupTable {
   /// Partition counts are clamped to [1, kMaxPartitions] powers of two.
   static constexpr size_t kMaxPartitions = 64;
 
-  /// `allow_vectorized=false` forces the boxed row-at-a-time layout
-  /// (see GroupTable); pair it with one partition for the legacy serial
-  /// ablation baseline.
   PartitionedGroupTable(const std::vector<plan::BoundExprPtr>* group_by,
                         const std::vector<plan::BoundExprPtr>* aggregates,
-                        size_t partitions, bool allow_vectorized = true);
+                        size_t partitions);
 
   size_t num_partitions() const { return parts_.size(); }
   GroupTable& partition(size_t p) { return *parts_[p]; }
@@ -311,8 +295,8 @@ class PartitionedGroupTable {
   /// in its hash partition (groups are created in row order, keeping
   /// serial first-seen ranks), then one pass per aggregate over its
   /// input column with the aggregate-kind and column-type dispatch
-  /// hoisted out of the row loop. Boxed tables take the legacy
-  /// row-at-a-time path with the same partition routing.
+  /// hoisted out of the row loop. Boxed tables take the row-at-a-time
+  /// path with the same partition routing.
   [[nodiscard]] Status AccumulateChunk(const storage::Chunk& chunk);
 
   /// Phase 2: folds partition p of every source, in ascending source
@@ -361,23 +345,29 @@ class PartitionedGroupTable {
 size_t DefaultAggPartitions(const std::vector<plan::BoundExprPtr>& group_by);
 
 // ---------------------------------------------------------------------
-// Pipeline decomposition: a physical plan split at its breakers.
+// Pipeline decomposition: a plan split at its breakers.
 // ---------------------------------------------------------------------
 
-/// Shared state of one hash-join breaker: the build pipeline fills and
-/// finalizes `table`; the probe pipeline (a dependent) probes it.
+/// Shared state of one join breaker: the build pipeline fills and
+/// finalizes the build side; the probe pipeline (a dependent) probes it.
 struct JoinBuildState {
   const plan::LogicalOp* join = nullptr;  // The kJoin node.
   const plan::LogicalOp* build = nullptr;  // Build-side subtree root.
   /// True when the optimizer marked the LEFT child as the build side
-  /// (inner joins only); the probe chain is then the right child.
+  /// (inner hash joins only); the probe chain is then the right child.
   bool build_is_left = false;
+  /// No usable equi key (or a cross join): the build side is kept as
+  /// boxed rows and every probe row is tested against each of them.
+  bool nested_loop = false;
   plan::JoinConditionParts parts;
   std::vector<const plan::BoundExpr*> build_key_exprs;
   std::vector<const plan::BoundExpr*> probe_key_exprs;
-  /// Created at build-pipeline prepare time, finalized when the build
-  /// pipeline finishes, read-only to the probe pipeline afterwards.
+  /// Hash joins: created at build-pipeline prepare time, finalized when
+  /// the build pipeline finishes, read-only to the probe pipeline
+  /// afterwards.
   std::unique_ptr<RadixJoinTable> table;
+  /// Nested-loop joins: the build rows in (morsel, chunk) order.
+  std::vector<std::vector<Value>> rows;
 };
 
 /// Probes one chunk against a finalized join table, emitting joined
@@ -389,12 +379,18 @@ struct JoinBuildState {
     const JoinBuildState& state, const storage::Chunk& probe,
     RadixJoinTable::ProbeKeys* scratch);
 
+/// Nested-loop probe of one (left-side) chunk against the materialized
+/// build rows: probe rows in order, and for each the build rows in
+/// order, evaluating the whole join condition on the combined row.
+[[nodiscard]] Result<storage::Chunk> NestedLoopProbeChunk(
+    const JoinBuildState& state, const storage::Chunk& probe);
+
 /// One streaming stage of a pipeline (runs inside every morsel task).
 struct PipelineStage {
-  enum class Kind { kFilter, kProject, kJoinProbe };
+  enum class Kind { kFilter, kProject, kJoinProbe, kNestedLoopProbe };
   Kind kind;
-  const plan::LogicalOp* op = nullptr;   // kFilter / kProject node.
-  JoinBuildState* build = nullptr;       // kJoinProbe: table to probe.
+  const plan::LogicalOp* op = nullptr;  // The filter / project / join node.
+  JoinBuildState* build = nullptr;      // Probe kinds: the build to probe.
 };
 
 /// One pipeline: a source feeding a stage chain into a breaker sink.
@@ -405,18 +401,29 @@ struct Pipeline {
   std::vector<size_t> deps;  // Pipeline ids that must finish first.
 
   enum class SourceKind {
-    kScan,      // Base-table scan; morsel-partitioned when the context
-                // supports it, else a single-morsel stream.
-    kSerialOp,  // Opaque Volcano subplan drained as one morsel.
-    kUpstream,  // Output chunks of upstream pipelines, in order, as one
-                // morsel (union branches; nested breaker outputs).
+    kScan,           // Base-table scan; morsel-partitioned when the
+                     // context supports it, else one streamed morsel.
+    kRemoteQuery,    // Shipped remote query, one morsel.
+    kTableFunction,  // Virtual (map-reduce) table function, one morsel.
+    kConstant,       // One row of constants (table-less SELECT).
+    kUpstream,       // Output chunks of upstream pipelines, in order, as
+                     // one morsel (union branches; nested breaker
+                     // outputs; the collected left side of a semijoin
+                     // pushdown).
   };
-  SourceKind source = SourceKind::kSerialOp;
-  const plan::LogicalOp* scan = nullptr;         // kScan.
-  const plan::LogicalOp* serial_root = nullptr;  // kSerialOp.
-  std::vector<size_t> upstream;                  // kUpstream, child order.
+  SourceKind source = SourceKind::kUpstream;
+  /// The scan, remote query, table function or table-less project node.
+  const plan::LogicalOp* source_op = nullptr;
+  /// kUpstream: producers in child order. kRemoteQuery: at most one
+  /// producer — the relocated local child, or (with `pushdown`) the
+  /// semijoin's left side whose keys form the IN-list.
+  std::vector<size_t> upstream;
+  /// kRemoteQuery as the build side of a semijoin pushdown: the join
+  /// whose first probe key, evaluated over upstream[0]'s output, gives
+  /// the IN-list values.
+  const JoinBuildState* pushdown = nullptr;
   /// Schema chunks carry when they enter the stage chain (upstream
-  /// chunks are restamped with it, the way UnionOp restamps children).
+  /// chunks are restamped with it).
   std::shared_ptr<Schema> source_schema;
 
   std::vector<PipelineStage> stages;  // In execution order.
@@ -424,11 +431,16 @@ struct Pipeline {
   enum class SinkKind {
     kCollect,    // Chunks merged in (morsel, chunk) order.
     kGroups,     // Per-morsel partial GroupTables merged in morsel order.
-    kJoinBuild,  // Radix staging per morsel, finalize on finish.
+    kJoinBuild,  // Radix staging per morsel, finalize on finish (or the
+                 // boxed build rows of a nested-loop join).
     kSort,       // Rows concatenated in morsel order, stable-sorted.
   };
   SinkKind sink = SinkKind::kCollect;
-  const plan::LogicalOp* sink_op = nullptr;   // kGroups / kSort node.
+  /// kGroups / kSort node, or the kLimit node a kCollect sink applies.
+  const plan::LogicalOp* sink_op = nullptr;
+  /// kCollect: keep only the first `limit` rows in (morsel, chunk)
+  /// order; -1 keeps everything.
+  int64_t limit = -1;
   JoinBuildState* build_target = nullptr;     // kJoinBuild.
   std::shared_ptr<Schema> output_schema;      // Schema of emitted chunks.
   std::string label;                          // For stats and EXPLAIN.
@@ -441,33 +453,19 @@ struct PipelinePlan {
   std::vector<Pipeline> pipelines;
   std::vector<std::unique_ptr<JoinBuildState>> builds;
   /// Which pipeline each visited logical node was assigned to (EXPLAIN
-  /// annotation). Nodes inside an opaque kSerialOp subtree are not
-  /// listed; they inherit their parent's pipeline.
+  /// annotation). Nodes not listed inherit their parent's pipeline.
   std::unordered_map<const plan::LogicalOp*, size_t> op_pipeline;
 
   const Pipeline& root() const { return pipelines.back(); }
-
-  /// True when the decomposition degenerated to a single opaque serial
-  /// pipeline with no stages — running it through the executor would
-  /// just add scheduling overhead over the plain Volcano drain.
-  bool trivial() const {
-    return pipelines.size() == 1 &&
-           pipelines[0].source == Pipeline::SourceKind::kSerialOp &&
-           pipelines[0].stages.empty() &&
-           pipelines[0].sink == Pipeline::SinkKind::kCollect;
-  }
 };
 
-/// Splits `root` at its pipeline breakers (hash-join build, hash
-/// aggregate, sort, union) into a dependency DAG of pipelines. Purely
-/// structural: eligibility depends only on the plan shape and the
-/// policy flags — never on the degree of parallelism or the scan
-/// targets — so a query decomposes identically at every thread count.
-/// Joins fuse as probe stages only when `policy.parallel_join` is set
-/// and the condition has a usable equi key; everything else becomes an
-/// opaque kSerialOp source over the Volcano fallback operators.
-PipelinePlan DecomposePlan(const plan::LogicalOp& root,
-                           const ParallelPolicy& policy);
+/// Splits `root` at its pipeline breakers (join build, aggregate, sort,
+/// limit, union, and the inputs a remote query ships) into a dependency
+/// DAG of pipelines. Every plan node becomes a source, stage or sink.
+/// Purely structural — never a function of the degree of parallelism
+/// or the scan targets — so a query decomposes identically at every
+/// thread count.
+PipelinePlan DecomposePlan(const plan::LogicalOp& root);
 
 }  // namespace hana::exec
 

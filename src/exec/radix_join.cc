@@ -94,7 +94,6 @@ JoinExecStats& GlobalJoinExecStats() {
 void ResetJoinExecStats() {
   JoinExecStats& s = GlobalJoinExecStats();
   s.radix_hash_joins.store(0);
-  s.serial_hash_joins.store(0);
   s.nested_loop_fallbacks.store(0);
   s.boxed_key_builds.store(0);
   s.perfect_hash_joins.store(0);

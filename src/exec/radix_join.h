@@ -20,9 +20,6 @@ struct JoinExecStats {
   /// Joins executed by the morsel-parallel radix hash join pipeline.
   // atomic: relaxed counter; observers only need eventual totals.
   std::atomic<uint64_t> radix_hash_joins{0};
-  /// Joins executed by the serial row-at-a-time hash join.
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> serial_hash_joins{0};
   /// Joins that fell off the hash path to a nested-loop join even
   /// though they carried a join condition (no usable equi key).
   // atomic: relaxed counter; observers only need eventual totals.

@@ -1,7 +1,5 @@
 #include "extended/iq_engine.h"
 
-#include <deque>
-
 #include "plan/binder.h"
 #include "plan/rewrites.h"
 #include "sql/parser.h"
@@ -54,31 +52,26 @@ std::vector<ColumnRange> ToColumnRanges(
   return out;
 }
 
-Result<exec::ChunkStream> IqEngine::OpenScan(const plan::LogicalOp& scan) {
+Result<exec::ChunkSource> IqEngine::OpenScan(const plan::LogicalOp& scan,
+                                             const mvcc::ReadView& view) {
+  (void)view;  // The extended store is not versioned.
   HANA_ASSIGN_OR_RETURN(ExtendedTable * table,
                         store_->GetTable(scan.table.name));
-  std::vector<ColumnRange> ranges = ToColumnRanges(scan.scan_ranges);
-  // Materialize eagerly into a queue of chunks; the store already
-  // charges virtual I/O per block read.
-  auto chunks = std::make_shared<std::deque<storage::Chunk>>();
-  auto schema = scan.schema;
-  HANA_RETURN_IF_ERROR(table->Scan(
-      ranges, storage::kDefaultChunkRows,
-      [&](const storage::Chunk& chunk) {
-        storage::Chunk copy = chunk;
-        copy.schema = schema;  // Qualified names from the plan.
-        chunks->push_back(std::move(copy));
-        return true;
-      }));
-  return exec::ChunkStream([chunks]() -> Result<std::optional<storage::Chunk>> {
-    if (chunks->empty()) return std::optional<storage::Chunk>();
-    storage::Chunk chunk = std::move(chunks->front());
-    chunks->pop_front();
-    return std::optional<storage::Chunk>(std::move(chunk));
+  // Streams straight from the store (which charges virtual I/O per
+  // block read), so a consumer that stops early leaves later row groups
+  // unread.
+  return exec::ChunkSource([table, &scan](const exec::ChunkSink& sink) {
+    return table->Scan(ToColumnRanges(scan.scan_ranges),
+                       storage::kDefaultChunkRows,
+                       [&](const storage::Chunk& chunk) {
+                         storage::Chunk copy = chunk;
+                         copy.schema = scan.schema;  // Qualified names.
+                         return sink(copy);
+                       });
   });
 }
 
-Result<exec::ChunkStream> IqEngine::OpenRemoteQuery(
+Result<exec::ChunkSource> IqEngine::OpenRemoteQuery(
     const plan::LogicalOp& rq, const exec::PushdownInList* in_list,
     const storage::Table* relocated_rows) {
   (void)rq;
@@ -87,7 +80,7 @@ Result<exec::ChunkStream> IqEngine::OpenRemoteQuery(
   return Status::Internal("IQ engine cannot ship queries further");
 }
 
-Result<exec::ChunkStream> IqEngine::OpenTableFunction(
+Result<exec::ChunkSource> IqEngine::OpenTableFunction(
     const plan::LogicalOp& fn) {
   (void)fn;
   return Status::Internal("IQ engine has no table functions");

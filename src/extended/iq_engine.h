@@ -43,11 +43,12 @@ class IqEngine : public plan::BinderCatalog, public exec::ExecContext {
       const std::string& name) const override;
 
   // ExecContext:
-  [[nodiscard]] Result<exec::ChunkStream> OpenScan(const plan::LogicalOp& scan) override;
-  [[nodiscard]] Result<exec::ChunkStream> OpenRemoteQuery(
+  [[nodiscard]] Result<exec::ChunkSource> OpenScan(
+      const plan::LogicalOp& scan, const mvcc::ReadView& view) override;
+  [[nodiscard]] Result<exec::ChunkSource> OpenRemoteQuery(
       const plan::LogicalOp& rq, const exec::PushdownInList* in_list,
       const storage::Table* relocated_rows) override;
-  [[nodiscard]] Result<exec::ChunkStream> OpenTableFunction(
+  [[nodiscard]] Result<exec::ChunkSource> OpenTableFunction(
       const plan::LogicalOp& fn) override;
 
  private:

@@ -1,7 +1,6 @@
 #include "platform/platform.h"
 
 #include <cctype>
-#include <deque>
 #include <filesystem>
 
 #include "common/cpu_dispatch.h"
@@ -17,31 +16,32 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Builds a chunk stream over a materialized table, restamped with the
+/// A source over a materialized table, chunked and stamped with the
 /// plan's schema.
-exec::ChunkStream StreamTable(std::shared_ptr<storage::Table> table,
+exec::ChunkSource TableSource(storage::Table table,
                               std::shared_ptr<Schema> schema) {
-  auto position = std::make_shared<size_t>(0);
-  return [table = std::move(table), schema = std::move(schema),
-          position]() -> Result<std::optional<storage::Chunk>> {
-    if (*position >= table->num_rows()) {
-      return std::optional<storage::Chunk>();
+  auto rows = std::make_shared<storage::Table>(std::move(table));
+  return [rows, schema = std::move(schema)](const exec::ChunkSink& sink) {
+    for (size_t begin = 0; begin < rows->num_rows();
+         begin += storage::kDefaultChunkRows) {
+      storage::Chunk chunk = storage::Chunk::Empty(schema);
+      size_t end =
+          std::min(rows->num_rows(), begin + storage::kDefaultChunkRows);
+      for (size_t r = begin; r < end; ++r) chunk.AppendRow(rows->row(r));
+      if (!sink(chunk)) break;
     }
-    storage::Chunk chunk = storage::Chunk::Empty(schema);
-    size_t end =
-        std::min(table->num_rows(), *position + storage::kDefaultChunkRows);
-    for (size_t r = *position; r < end; ++r) chunk.AppendRow(table->row(r));
-    *position = end;
-    return std::optional<storage::Chunk>(std::move(chunk));
+    return Status::OK();
   };
 }
 
-exec::ChunkStream StreamChunks(std::shared_ptr<std::deque<storage::Chunk>> q) {
-  return [q]() -> Result<std::optional<storage::Chunk>> {
-    if (q->empty()) return std::optional<storage::Chunk>();
-    storage::Chunk chunk = std::move(q->front());
-    q->pop_front();
-    return std::optional<storage::Chunk>(std::move(chunk));
+/// Forwards storage chunks to `sink` stamped with the plan's qualified
+/// column names.
+exec::ChunkSink Restamp(std::shared_ptr<Schema> schema,
+                        const exec::ChunkSink& sink) {
+  return [schema = std::move(schema), &sink](const storage::Chunk& chunk) {
+    storage::Chunk copy = chunk;
+    copy.schema = schema;
+    return sink(copy);
   };
 }
 
@@ -327,7 +327,7 @@ Result<ExecResult> Platform::Execute(const std::string& sql) {
       HANA_ASSIGN_OR_RETURN(plan::LogicalOpPtr logical,
                             PlanSelect(*explain.select));
       std::vector<plan::PipelineSummary> pipelines =
-          exec::AnnotatePipelines(logical.get(), this);
+          exec::AnnotatePipelines(logical.get());
       ExecResult result;
       result.message = logical->ToString();
       result.message += optimizer::FormatPipelines(pipelines);
@@ -430,8 +430,7 @@ Status Platform::SetParameter(const std::string& name,
     }
     return Status::OK();
   }
-  if (key == "parallel_join" || key == "parallel_agg" ||
-      key == "parallel_merge") {
+  if (key == "parallel_merge") {
     std::string v;
     for (char c : value) v += static_cast<char>(std::tolower(c));
     bool enabled;
@@ -442,9 +441,7 @@ Status Platform::SetParameter(const std::string& name,
     } else {
       return Status::InvalidArgument("invalid " + key + ": " + value);
     }
-    (key == "parallel_join"  ? parallel_join_
-     : key == "parallel_agg" ? parallel_agg_
-                             : parallel_merge_) = enabled;
+    parallel_merge_ = enabled;
     return Status::OK();
   }
   if (key == "merge_threshold_rows") {
@@ -476,18 +473,6 @@ Status Platform::SetParameter(const std::string& name,
     std::string v;
     for (char c : value) v += static_cast<char>(std::tolower(c));
     return SetCpuMode(v);
-  }
-  if (key == "executor") {
-    if (value == "pipeline") {
-      executor_mode_ = exec::ExecutorMode::kPipeline;
-    } else if (value == "fused") {
-      executor_mode_ = exec::ExecutorMode::kFused;
-    } else if (value == "serial") {
-      executor_mode_ = exec::ExecutorMode::kSerial;
-    } else {
-      return Status::InvalidArgument("invalid executor: " + value);
-    }
-    return Status::OK();
   }
   return Status::NotFound("unknown parameter: " + name);
 }
@@ -545,84 +530,78 @@ std::shared_ptr<const storage::TableReadSnapshot> Platform::SnapshotFor(
   return it->second;  // First opener wins on a race.
 }
 
-Result<exec::ChunkStream> Platform::OpenScan(const plan::LogicalOp& scan) {
-  return OpenScanAt(scan, mvcc::ReadView{});
-}
-
-Result<exec::ChunkStream> Platform::OpenScanAt(const plan::LogicalOp& scan,
-                                               const mvcc::ReadView& view) {
+Result<exec::ChunkSource> Platform::OpenScan(const plan::LogicalOp& scan,
+                                             const mvcc::ReadView& view) {
   const plan::TableBinding& binding = scan.table;
   switch (binding.location) {
     case plan::TableLocation::kLocalColumn:
     case plan::TableLocation::kLocalRow:
     case plan::TableLocation::kHybrid: {
-      // Hybrid scans arrive either expanded (partition_index >= 0, hot
-      // partitions only) or unexpanded (scan everything).
+      // Hybrid scans arrive either expanded (partition_index >= 0, one
+      // partition) or unexpanded (scan everything).
       std::string base = binding.name;
       auto pos = base.find("__P");
       if (pos != std::string::npos) base = base.substr(0, pos);
       HANA_ASSIGN_OR_RETURN(catalog::TableEntry * entry,
                             catalog_->GetTable(base));
-      auto chunks = std::make_shared<std::deque<storage::Chunk>>();
-      auto sink = [&](const storage::Chunk& chunk) {
-        storage::Chunk copy = chunk;
-        copy.schema = scan.schema;
-        chunks->push_back(std::move(copy));
-        return true;
-      };
-      if (entry->kind == catalog::TableKind::kColumn) {
-        SnapshotFor(entry->column_table.get(), view)
-            ->Scan(storage::kDefaultChunkRows, sink);
-      } else if (entry->kind == catalog::TableKind::kRow) {
-        entry->row_table->Scan(storage::kDefaultChunkRows, sink);
-      } else if (entry->kind == catalog::TableKind::kHybrid) {
-        for (size_t i = 0; i < entry->partitions.size(); ++i) {
-          if (scan.partition_index >= 0 &&
-              static_cast<size_t>(scan.partition_index) != i) {
-            continue;
-          }
-          catalog::Partition& partition = entry->partitions[i];
-          if (partition.hot != nullptr) {
-            SnapshotFor(partition.hot.get(), view)
+      return exec::ChunkSource([this, entry, &scan,
+                                view](const exec::ChunkSink& out) -> Status {
+        bool more = true;
+        exec::ChunkSink until_stopped = [&](const storage::Chunk& chunk) {
+          return more = out(chunk);
+        };
+        exec::ChunkSink sink = Restamp(scan.schema, until_stopped);
+        switch (entry->kind) {
+          case catalog::TableKind::kColumn:
+            SnapshotFor(entry->column_table.get(), view)
                 ->Scan(storage::kDefaultChunkRows, sink);
-          } else if (scan.partition_index < 0) {
-            // Unexpanded hybrid scan: read cold partitions directly.
-            // The extended engine mutates its buffer cache and clock on
-            // reads, so direct access shares the SDA dispatch mutex
-            // with concurrently opened federation branches.
-            federation::SdaRuntime::TrackedDispatch guard(&sda_);
-            HANA_ASSIGN_OR_RETURN(
-                extended::ExtendedTable * cold,
-                iq_->store()->GetTable(partition.cold_table));
-            HANA_RETURN_IF_ERROR(
-                cold->Scan({}, storage::kDefaultChunkRows, sink));
-          }
+            return Status::OK();
+          case catalog::TableKind::kRow:
+            entry->row_table->Scan(storage::kDefaultChunkRows, sink);
+            return Status::OK();
+          case catalog::TableKind::kHybrid:
+            for (size_t i = 0; i < entry->partitions.size() && more; ++i) {
+              if (scan.partition_index >= 0 &&
+                  static_cast<size_t>(scan.partition_index) != i) {
+                continue;
+              }
+              catalog::Partition& partition = entry->partitions[i];
+              if (partition.hot != nullptr) {
+                SnapshotFor(partition.hot.get(), view)
+                    ->Scan(storage::kDefaultChunkRows, sink);
+              } else if (scan.partition_index < 0) {
+                // Unexpanded hybrid scan: read cold partitions directly.
+                // The extended engine mutates its buffer cache and clock
+                // on reads, so direct access shares the SDA dispatch
+                // mutex with concurrently opened federation branches.
+                federation::SdaRuntime::TrackedDispatch guard(&sda_);
+                HANA_ASSIGN_OR_RETURN(
+                    extended::ExtendedTable * cold,
+                    iq_->store()->GetTable(partition.cold_table));
+                HANA_RETURN_IF_ERROR(
+                    cold->Scan({}, storage::kDefaultChunkRows, sink));
+              }
+            }
+            return Status::OK();
+          default:
+            return Status::Internal("unexpected storage for scan of " +
+                                    entry->name);
         }
-      } else {
-        return Status::Internal("unexpected storage for scan of " + base);
-      }
-      return StreamChunks(chunks);
+      });
     }
     case plan::TableLocation::kExtended: {
       if (iq_ == nullptr) {
         return Status::Unavailable("extended storage not attached");
       }
-      // Direct engine access; see the hybrid cold-partition case above.
-      federation::SdaRuntime::TrackedDispatch guard(&sda_);
-      HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * table,
-                            iq_->store()->GetTable(binding.name));
-      std::vector<extended::ColumnRange> ranges =
-          extended::ToColumnRanges(scan.scan_ranges);
-      auto chunks = std::make_shared<std::deque<storage::Chunk>>();
-      HANA_RETURN_IF_ERROR(table->Scan(
-          ranges, storage::kDefaultChunkRows,
-          [&](const storage::Chunk& chunk) {
-            storage::Chunk copy = chunk;
-            copy.schema = scan.schema;
-            chunks->push_back(std::move(copy));
-            return true;
-          }));
-      return StreamChunks(chunks);
+      return exec::ChunkSource([this, &scan](const exec::ChunkSink& sink) {
+        // Direct engine access; see the hybrid cold-partition case above.
+        federation::SdaRuntime::TrackedDispatch guard(&sda_);
+        HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * table,
+                              iq_->store()->GetTable(scan.table.name));
+        return table->Scan(extended::ToColumnRanges(scan.scan_ranges),
+                           storage::kDefaultChunkRows,
+                           Restamp(scan.schema, sink));
+      });
     }
     case plan::TableLocation::kRemote: {
       // Federation disabled (or not split): fetch the full virtual table.
@@ -639,8 +618,7 @@ Result<exec::ChunkStream> Platform::OpenScanAt(const plan::LogicalOp& scan,
                       binding.remote_object + " t0";
       HANA_ASSIGN_OR_RETURN(storage::Table table,
                             sda_.ExecuteRemoteQuery(rq, nullptr, nullptr));
-      return StreamTable(std::make_shared<storage::Table>(std::move(table)),
-                         scan.schema);
+      return TableSource(std::move(table), scan.schema);
     }
   }
   return Status::Internal("unknown table location");
@@ -651,19 +629,11 @@ exec::ParallelPolicy Platform::parallel_policy() {
   policy.pool = &TaskPool::Global();
   policy.dop = dop_;
   policy.morsel_rows = morsel_rows_;
-  policy.parallel_join = parallel_join_;
-  policy.parallel_agg = parallel_agg_;
   policy.agg_partitions = agg_partitions_;
-  policy.executor = executor_mode_;
   return policy;
 }
 
 Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScan(
-    const plan::LogicalOp& scan, size_t morsel_rows) {
-  return OpenPartitionedScanAt(scan, morsel_rows, mvcc::ReadView{});
-}
-
-Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScanAt(
     const plan::LogicalOp& scan, size_t morsel_rows,
     const mvcc::ReadView& view) {
   const plan::TableBinding& binding = scan.table;
@@ -681,13 +651,6 @@ Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScanAt(
 
   exec::PartitionSource source;
   std::shared_ptr<Schema> schema = scan.schema;
-  auto restamp = [schema](
-      const std::function<bool(const storage::Chunk&)>& sink,
-      const storage::Chunk& chunk) {
-    storage::Chunk copy = chunk;
-    copy.schema = schema;
-    return sink(copy);
-  };
   if ((*entry)->kind == catalog::TableKind::kColumn) {
     // One storage snapshot shared by every morsel: the decomposition's
     // num_rows and each morsel's bounds come from the same frozen view,
@@ -698,36 +661,27 @@ Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScanAt(
         SnapshotFor((*entry)->column_table.get(), view);
     size_t rows = snap->num_rows();
     source.num_morsels = (rows + morsel_rows - 1) / morsel_rows;
-    source.scan_morsel =
-        [snap, morsel_rows, restamp](
-            size_t m,
-            const std::function<bool(const storage::Chunk&)>& sink) {
-          size_t begin = m * morsel_rows;
-          snap->ScanRange(begin,
-                          std::min(snap->num_rows(), begin + morsel_rows),
-                          morsel_rows, [&](const storage::Chunk& chunk) {
-                            return restamp(sink, chunk);
-                          });
-          return Status::OK();
-        };
+    source.scan_morsel = [snap, morsel_rows, schema](
+                             size_t m, const exec::ChunkSink& sink) {
+      size_t begin = m * morsel_rows;
+      snap->ScanRange(begin, std::min(snap->num_rows(), begin + morsel_rows),
+                      morsel_rows, Restamp(schema, sink));
+      return Status::OK();
+    };
     return std::optional<exec::PartitionSource>(std::move(source));
   }
   if ((*entry)->kind == catalog::TableKind::kRow) {
     storage::RowTable* table = (*entry)->row_table.get();
     size_t rows = table->num_rows();
     source.num_morsels = (rows + morsel_rows - 1) / morsel_rows;
-    source.scan_morsel =
-        [table, morsel_rows, restamp](
-            size_t m,
-            const std::function<bool(const storage::Chunk&)>& sink) {
-          size_t begin = m * morsel_rows;
-          table->ScanRange(begin,
-                           std::min(table->num_rows(), begin + morsel_rows),
-                           morsel_rows, [&](const storage::Chunk& chunk) {
-                             return restamp(sink, chunk);
-                           });
-          return Status::OK();
-        };
+    source.scan_morsel = [table, morsel_rows, schema](
+                             size_t m, const exec::ChunkSink& sink) {
+      size_t begin = m * morsel_rows;
+      table->ScanRange(begin,
+                       std::min(table->num_rows(), begin + morsel_rows),
+                       morsel_rows, Restamp(schema, sink));
+      return Status::OK();
+    };
     return std::optional<exec::PartitionSource>(std::move(source));
   }
   return std::optional<exec::PartitionSource>();
@@ -739,16 +693,15 @@ void Platform::BeginConcurrentRemoteDispatch() {
 
 void Platform::EndConcurrentRemoteDispatch() { sda_.EndConcurrentRegion(); }
 
-Result<exec::ChunkStream> Platform::OpenRemoteQuery(
+Result<exec::ChunkSource> Platform::OpenRemoteQuery(
     const plan::LogicalOp& rq, const exec::PushdownInList* in_list,
     const storage::Table* relocated_rows) {
   HANA_ASSIGN_OR_RETURN(storage::Table table,
                         sda_.ExecuteRemoteQuery(rq, in_list, relocated_rows));
-  return StreamTable(std::make_shared<storage::Table>(std::move(table)),
-                     rq.schema);
+  return TableSource(std::move(table), rq.schema);
 }
 
-Result<exec::ChunkStream> Platform::OpenTableFunction(
+Result<exec::ChunkSource> Platform::OpenTableFunction(
     const plan::LogicalOp& fn) {
   HANA_ASSIGN_OR_RETURN(
       storage::Table table,
@@ -758,8 +711,7 @@ Result<exec::ChunkStream> Platform::OpenTableFunction(
     return Status::Internal(
         "virtual function result arity does not match declaration");
   }
-  return StreamTable(std::make_shared<storage::Table>(std::move(table)),
-                     fn.schema);
+  return TableSource(std::move(table), fn.schema);
 }
 
 }  // namespace hana::platform

@@ -92,13 +92,7 @@ class Platform : public exec::ExecContext {
   ///   remote_cache_validity    = seconds
   ///   threads                  = degree of parallelism (0 = default)
   ///   morsel_rows              = rows per scan morsel (0 = default)
-  ///   executor                 = pipeline|fused|serial pipeline-DAG
-  ///                              scheduling mode (results identical)
-  ///   parallel_join            = on|off morsel-parallel radix hash join
-  ///   parallel_agg             = on|off radix-partitioned two-phase
-  ///                              aggregation with vectorized key hashing
-  ///                              (off = boxed serial-fold baseline;
-  ///                              results identical either way)
+  ///   cpu                      = scalar|native kernel binding
   ///   agg_partitions           = radix partitions for aggregate sinks
   ///                              (0 = optimizer/cardinality default)
   ///   parallel_merge           = on|off online parallel delta merge
@@ -107,6 +101,7 @@ class Platform : public exec::ExecContext {
   ///                              hybrid partition) after an INSERT
   ///                              leaves >= this many delta rows
   ///                              (0 = auto-merge disabled)
+  /// Unknown names return NotFound.
   [[nodiscard]] Status SetParameter(const std::string& name, const std::string& value);
 
   size_t degree_of_parallelism() const { return dop_; }
@@ -123,8 +118,7 @@ class Platform : public exec::ExecContext {
   SimClock& clock() { return clock_; }
   const QueryMetrics& last_metrics() const { return last_metrics_; }
 
-  /// Per-pipeline stats of the last SELECT (empty when it ran through
-  /// the serial Volcano fallback).
+  /// Per-pipeline stats of the last SELECT.
   const std::vector<exec::PipelineStats>& last_pipeline_stats() const {
     return last_pipeline_stats_;
   }
@@ -140,20 +134,17 @@ class Platform : public exec::ExecContext {
   /// timestamp and registers it in the active-snapshot set, holding the
   /// delta-merge watermark back while the statement runs.
   ReadLease AcquireReadLease() override;
-  [[nodiscard]] Result<exec::ChunkStream> OpenScan(const plan::LogicalOp& scan) override;
-  [[nodiscard]] Result<exec::ChunkStream> OpenScanAt(
+  [[nodiscard]] Result<exec::ChunkSource> OpenScan(
       const plan::LogicalOp& scan, const mvcc::ReadView& view) override;
-  [[nodiscard]] Result<exec::ChunkStream> OpenRemoteQuery(
+  [[nodiscard]] Result<exec::ChunkSource> OpenRemoteQuery(
       const plan::LogicalOp& rq, const exec::PushdownInList* in_list,
       const storage::Table* relocated_rows) override;
-  [[nodiscard]] Result<exec::ChunkStream> OpenTableFunction(
+  [[nodiscard]] Result<exec::ChunkSource> OpenTableFunction(
       const plan::LogicalOp& fn) override;
   exec::ParallelPolicy parallel_policy() override;
-  [[nodiscard]] Result<std::optional<exec::PartitionSource>> OpenPartitionedScan(
-      const plan::LogicalOp& scan, size_t morsel_rows) override;
   [[nodiscard]] Result<std::optional<exec::PartitionSource>>
-  OpenPartitionedScanAt(const plan::LogicalOp& scan, size_t morsel_rows,
-                        const mvcc::ReadView& view) override;
+  OpenPartitionedScan(const plan::LogicalOp& scan, size_t morsel_rows,
+                      const mvcc::ReadView& view) override;
   void BeginConcurrentRemoteDispatch() override;
   void EndConcurrentRemoteDispatch() override;
 
@@ -190,11 +181,8 @@ class Platform : public exec::ExecContext {
   optimizer::OptimizerOptions opt_options_;
   size_t dop_ = 1;
   size_t morsel_rows_ = exec::kDefaultMorselRows;
-  bool parallel_join_ = true;
-  bool parallel_agg_ = true;
   size_t agg_partitions_ = 0;  // 0 = optimizer/cardinality default.
   bool parallel_merge_ = true;
-  exec::ExecutorMode executor_mode_ = exec::ExecutorMode::kPipeline;
   size_t merge_threshold_rows_ = 0;  // 0 = auto-merge disabled.
   QueryMetrics last_metrics_;
   std::vector<exec::PipelineStats> last_pipeline_stats_;

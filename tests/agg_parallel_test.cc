@@ -2,11 +2,11 @@
 // observably identical to serial execution: morsel partials fold per
 // partition in ascending morsel order and the final emit is a
 // rank-ordered merge reproducing the serial first-seen group order — so
-// every GROUP BY below must produce bit-identical results across
-// executor modes (serial/fused/pipeline), thread counts (1/2/4/8), CPU
-// kernel bindings (scalar/native) and the parallel_agg on/off ablation,
-// with NULL group keys, DISTINCT aggregates, mixed-type (boxed) keys,
-// empty inputs and the TPC-H Q1 shape.
+// every GROUP BY below must produce bit-identical results across thread
+// counts (1/2/4/8) and CPU kernel bindings (scalar/native), and the
+// vectorized key path must agree with the boxed-key fallback, with
+// NULL group keys, DISTINCT aggregates, mixed-type keys, empty inputs
+// and the TPC-H Q1 shape.
 
 #include <gtest/gtest.h>
 
@@ -75,8 +75,6 @@ class AggParallelTest : public ::testing::Test {
 
   void TearDown() override {
     ASSERT_TRUE(db_->SetParameter("threads", "0").ok());
-    ASSERT_TRUE(db_->SetParameter("executor", "pipeline").ok());
-    ASSERT_TRUE(db_->SetParameter("parallel_agg", "on").ok());
     ASSERT_TRUE(db_->SetParameter("agg_partitions", "0").ok());
     ASSERT_TRUE(db_->SetParameter("cpu", "native").ok());
   }
@@ -100,13 +98,11 @@ class AggParallelTest : public ::testing::Test {
     }
   }
 
-  /// The full determinism matrix: the serial Volcano baseline
-  /// (executor=serial, threads=1) versus every executor mode x thread
-  /// count x CPU binding, asserted bit-identical cell for cell
+  /// The full determinism matrix: a threads=1 baseline versus every
+  /// thread count x CPU binding, asserted bit-identical cell for cell
   /// including row order (no ORDER BY needed — the rank-ordered emit
   /// pins the group order to serial first-seen).
   void ExpectIdenticalAcrossMatrix(const std::string& query) {
-    ASSERT_TRUE(db_->SetParameter("executor", "serial").ok());
     ASSERT_TRUE(db_->SetParameter("threads", "1").ok());
     auto baseline = db_->Query(query);
     ASSERT_TRUE(baseline.ok()) << query << ": "
@@ -114,33 +110,35 @@ class AggParallelTest : public ::testing::Test {
 
     for (const char* cpu : {"scalar", "native"}) {
       ASSERT_TRUE(db_->SetParameter("cpu", cpu).ok());
-      for (const char* mode : {"serial", "fused", "pipeline"}) {
-        ASSERT_TRUE(db_->SetParameter("executor", mode).ok());
-        for (const char* threads : {"1", "2", "4", "8"}) {
-          ASSERT_TRUE(db_->SetParameter("threads", threads).ok());
-          auto run = db_->Query(query);
-          ASSERT_TRUE(run.ok()) << query << ": " << run.status().ToString();
-          ExpectTablesIdentical(*baseline, *run,
-                                query + " [cpu=" + cpu + " executor=" +
-                                    mode + " threads=" + threads + "]");
-        }
+      for (const char* threads : {"1", "2", "4", "8"}) {
+        ASSERT_TRUE(db_->SetParameter("threads", threads).ok());
+        auto run = db_->Query(query);
+        ASSERT_TRUE(run.ok()) << query << ": " << run.status().ToString();
+        ExpectTablesIdentical(*baseline, *run,
+                              query + " [cpu=" + cpu + " threads=" +
+                                  threads + "]");
       }
     }
     ASSERT_TRUE(db_->SetParameter("cpu", "native").ok());
   }
 
-  /// parallel_agg off (the seed boxed serial fold) versus on (the
-  /// partitioned vectorized path) must agree bit for bit.
-  void ExpectAblationIdentical(const std::string& query) {
+  /// The vectorized key path versus the boxed-key fallback: adding a
+  /// NULL literal (a kNull-typed key no typed cell storage covers) to
+  /// `group_by` forces every group key into boxed Values without
+  /// changing the groups, so both queries must agree bit for bit.
+  void ExpectBoxedFallbackIdentical(const std::string& select,
+                                    const std::string& group_by) {
     ASSERT_TRUE(db_->SetParameter("threads", "4").ok());
-    ASSERT_TRUE(db_->SetParameter("parallel_agg", "off").ok());
-    auto seed = db_->Query(query);
-    ASSERT_TRUE(seed.ok()) << query << ": " << seed.status().ToString();
+    const std::string query = select + " GROUP BY " + group_by;
+    auto vectorized = db_->Query(query);
+    ASSERT_TRUE(vectorized.ok())
+        << query << ": " << vectorized.status().ToString();
 
-    ASSERT_TRUE(db_->SetParameter("parallel_agg", "on").ok());
-    auto part = db_->Query(query);
-    ASSERT_TRUE(part.ok()) << query << ": " << part.status().ToString();
-    ExpectTablesIdentical(*seed, *part, query + " [parallel_agg ablation]");
+    const std::string boxed_query = query + ", NULL";
+    auto boxed = db_->Query(boxed_query);
+    ASSERT_TRUE(boxed.ok())
+        << boxed_query << ": " << boxed.status().ToString();
+    ExpectTablesIdentical(*vectorized, *boxed, boxed_query);
   }
 
   static platform::Platform* db_;
@@ -179,15 +177,15 @@ TEST_F(AggParallelTest, MixedTypeKeysStayColumnWise) {
   EXPECT_EQ(GlobalAggExecStats().boxed_rows.load(), 0u);
 }
 
-TEST_F(AggParallelTest, SerialFoldPathUsesBoxedKeys) {
-  // The parallel_agg=off ablation reproduces the seed path: per-row
-  // boxed Value key vectors, one partition, serial fold — observable
-  // through the boxed-row and allocation counters.
+TEST_F(AggParallelTest, NullTypedKeyUsesBoxedKeys) {
+  // A kNull-typed group key has no typed cell storage, so the whole key
+  // takes the boxed fallback: per-row boxed Value key vectors —
+  // observable through the boxed-row and allocation counters.
   ResetAggExecStats();
-  ASSERT_TRUE(db_->SetParameter("parallel_agg", "off").ok());
   ASSERT_TRUE(db_->SetParameter("threads", "4").ok());
   auto r = db_->Query(
-      "SELECT g_lo, COUNT(*) AS n, SUM(v) AS sv FROM fact GROUP BY g_lo");
+      "SELECT g_lo, COUNT(*) AS n, SUM(v) AS sv FROM fact GROUP BY g_lo, "
+      "NULL");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(GlobalAggExecStats().boxed_rows.load(), 0u);
   EXPECT_GT(GlobalAggExecStats().key_allocs.load(), 0u);
@@ -221,13 +219,13 @@ TEST_F(AggParallelTest, AggregateOnTopOfJoin) {
       WHERE b.id < 2000 GROUP BY a.g_lo)");
 }
 
-TEST_F(AggParallelTest, SerialFoldAblationIdentical) {
-  ExpectAblationIdentical(
-      "SELECT g_hi, COUNT(*) AS n, SUM(v) AS sv FROM fact GROUP BY g_hi");
-  ExpectAblationIdentical(
-      "SELECT g_lo, COUNT(DISTINCT tag) AS dt FROM fact GROUP BY g_lo");
-  ExpectAblationIdentical(
-      "SELECT d, tag, COUNT(*) AS n FROM fact GROUP BY d, tag");
+TEST_F(AggParallelTest, BoxedFallbackIdentical) {
+  ExpectBoxedFallbackIdentical(
+      "SELECT g_hi, COUNT(*) AS n, SUM(v) AS sv FROM fact", "g_hi");
+  ExpectBoxedFallbackIdentical(
+      "SELECT g_lo, COUNT(DISTINCT tag) AS dt FROM fact", "g_lo");
+  ExpectBoxedFallbackIdentical("SELECT d, tag, COUNT(*) AS n FROM fact",
+                               "d, tag");
 }
 
 TEST_F(AggParallelTest, ForcedPartitionCountsIdentical) {
@@ -258,14 +256,6 @@ TEST_F(AggParallelTest, PartitionedAggCounters) {
   EXPECT_GT(GlobalAggExecStats().partition_merges.load(), 0u);
   // Vectorized int64 keys never box per-row Value vectors.
   EXPECT_EQ(GlobalAggExecStats().boxed_rows.load(), 0u);
-
-  ResetAggExecStats();
-  ASSERT_TRUE(db_->SetParameter("parallel_agg", "off").ok());
-  auto r2 = db_->Query(
-      "SELECT g_hi, COUNT(*) AS n FROM fact GROUP BY g_hi");
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  EXPECT_GT(GlobalAggExecStats().serial_fold_aggs.load(), 0u);
-  EXPECT_EQ(GlobalAggExecStats().partitioned_aggs.load(), 0u);
 }
 
 TEST_F(AggParallelTest, ExplainShowsPartitionedAgg) {
@@ -303,7 +293,7 @@ TEST_F(AggParallelTest, ConjunctionFastPathEquivalence) {
 }
 
 // TPC-H Q1: the canonical sum/avg-heavy aggregation, bit-identical
-// across the executor matrix at SF 0.01.
+// across thread counts at SF 0.01.
 class TpchAggParallelTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -334,12 +324,10 @@ platform::Platform* TpchAggParallelTest::db_ = nullptr;
 TEST_F(TpchAggParallelTest, Q1SerialParallelIdentical) {
   std::string sql = tpch::QueryText(1);
 
-  ASSERT_TRUE(db_->SetParameter("executor", "serial").ok());
   ASSERT_TRUE(db_->SetParameter("threads", "1").ok());
   auto baseline = db_->Query(sql);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  ASSERT_TRUE(db_->SetParameter("executor", "pipeline").ok());
   for (const char* threads : {"1", "2", "4", "8"}) {
     ASSERT_TRUE(db_->SetParameter("threads", threads).ok());
     auto run = db_->Query(sql);

@@ -106,7 +106,6 @@ class JoinParallelTest : public ::testing::Test {
 
   void TearDown() override {
     ASSERT_TRUE(db_->SetParameter("threads", "0").ok());
-    ASSERT_TRUE(db_->SetParameter("parallel_join", "on").ok());
   }
 
   static void ExpectTablesIdentical(const storage::Table& a,
@@ -142,20 +141,33 @@ class JoinParallelTest : public ::testing::Test {
     ExpectTablesIdentical(*serial, *parallel, query);
   }
 
-  /// Runs `query` on the seed row-at-a-time hash join (parallel_join
-  /// off) and on the radix pipeline and asserts identical results. The
-  /// seed join emits duplicate matches in unspecified order, so callers
-  /// must pass queries whose ORDER BY pins a total row order.
-  void ExpectRadixMatchesSeedPath(const std::string& query) {
+  /// Runs `query` on the radix hash join and on an independent
+  /// implementation — the nested-loop join, reached by spelling the
+  /// equi condition `equi` as the non-equi `nested_loop` — and asserts
+  /// identical results. Under a left-side build the two emit matches in
+  /// different orders, so such callers pass queries whose ORDER BY pins
+  /// a total row order.
+  void ExpectRadixMatchesNestedLoop(const std::string& query,
+                                    const std::string& equi,
+                                    const std::string& nested_loop) {
     ASSERT_TRUE(db_->SetParameter("threads", "8").ok());
-    ASSERT_TRUE(db_->SetParameter("parallel_join", "off").ok());
-    auto seed = db_->Query(query);
-    ASSERT_TRUE(seed.ok()) << query << ": " << seed.status().ToString();
-
-    ASSERT_TRUE(db_->SetParameter("parallel_join", "on").ok());
+    ResetJoinExecStats();
     auto radix = db_->Query(query);
     ASSERT_TRUE(radix.ok()) << query << ": " << radix.status().ToString();
-    ExpectTablesIdentical(*seed, *radix, query);
+    EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u) << query;
+    EXPECT_EQ(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u)
+        << query;
+
+    std::string nl_query = query;
+    ASSERT_NE(nl_query.find(equi), std::string::npos) << query;
+    nl_query.replace(nl_query.find(equi), equi.size(), nested_loop);
+    ResetJoinExecStats();
+    auto nl = db_->Query(nl_query);
+    ASSERT_TRUE(nl.ok()) << nl_query << ": " << nl.status().ToString();
+    EXPECT_EQ(GlobalJoinExecStats().radix_hash_joins.load(), 0u) << nl_query;
+    EXPECT_GT(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u)
+        << nl_query;
+    ExpectTablesIdentical(*nl, *radix, query);
   }
 
   static platform::Platform* db_;
@@ -241,22 +253,23 @@ TEST_F(JoinParallelTest, MixedTypeKeysUseBoxedFallback) {
   EXPECT_GT(GlobalJoinExecStats().boxed_key_builds.load(), 0u);
 }
 
-TEST_F(JoinParallelTest, RadixMatchesSeedHashJoin) {
-  // The seed hash join's duplicate-match order is unspecified, so pin a
-  // total order before comparing engines.
-  ExpectRadixMatchesSeedPath(R"(
-      SELECT f.id, d.name FROM fact f JOIN dim d ON f.k = d.k
-      ORDER BY f.id, d.name)");
-  ExpectRadixMatchesSeedPath(R"(
-      SELECT f.id, d.name FROM fact f LEFT JOIN dim d ON f.k = d.k
-      ORDER BY f.id, d.name)");
-  // COUNT only: the engines feed the aggregate in different match
-  // orders, so float SUMs may differ in the last ulp across engines
-  // (serial-vs-parallel radix runs stay bit-identical; see above).
-  ExpectRadixMatchesSeedPath(R"(
-      SELECT d.name, COUNT(*) AS n
+TEST_F(JoinParallelTest, RadixMatchesNestedLoopJoin) {
+  // Both joins emit probe rows in order with their matches in build-row
+  // order, so no ORDER BY is needed: even float SUMs see the same
+  // addition order.
+  const std::string equi = "f.k = d.k";
+  const std::string nested_loop = "f.k <= d.k AND f.k >= d.k";
+  ExpectRadixMatchesNestedLoop(
+      "SELECT f.id, d.name FROM fact f JOIN dim d ON f.k = d.k", equi,
+      nested_loop);
+  ExpectRadixMatchesNestedLoop(
+      "SELECT f.id, d.name, d.w FROM fact f LEFT JOIN dim d ON f.k = d.k",
+      equi, nested_loop);
+  ExpectRadixMatchesNestedLoop(R"(
+      SELECT d.name, COUNT(*) AS n, SUM(f.v) AS sv
       FROM fact f JOIN dim d ON f.k = d.k
-      GROUP BY d.name ORDER BY d.name)");
+      GROUP BY d.name ORDER BY d.name)",
+                               equi, nested_loop);
 }
 
 TEST_F(JoinParallelTest, RadixJoinCounterIncrements) {
@@ -267,16 +280,6 @@ TEST_F(JoinParallelTest, RadixJoinCounterIncrements) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
   EXPECT_EQ(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u);
-}
-
-TEST_F(JoinParallelTest, SerialHashJoinCounterIncrements) {
-  ResetJoinExecStats();
-  ASSERT_TRUE(db_->SetParameter("parallel_join", "off").ok());
-  auto r = db_->Query(
-      "SELECT COUNT(*) AS n FROM fact f JOIN dim d ON f.k = d.k");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
-  EXPECT_GT(GlobalJoinExecStats().serial_hash_joins.load(), 0u);
 }
 
 TEST_F(JoinParallelTest, NestedLoopFallbackIsCounted) {
@@ -309,9 +312,10 @@ TEST_F(JoinParallelTest, BuildSideFlipPreservesResults) {
   // The build_left flip must not change output columns or row order.
   ExpectSerialParallelIdentical(
       "SELECT d.name, f.id, f.v FROM dim d JOIN fact f ON d.k = f.k");
-  ExpectRadixMatchesSeedPath(R"(
+  ExpectRadixMatchesNestedLoop(R"(
       SELECT d.name, f.id FROM dim d JOIN fact f ON d.k = f.k
-      ORDER BY f.id, d.name)");
+      ORDER BY f.id, d.name)",
+                               "d.k = f.k", "d.k <= f.k AND d.k >= f.k");
 }
 
 // TPC-H join queries must be bit-identical between serial and parallel

@@ -4,8 +4,8 @@
 // the host bound; (2) whole queries must return cell-identical results
 // across HANA_CPU=scalar|native, every main encoding (bit-packed, RLE,
 // frame-of-reference), and 1/2/4/8 threads; (3) the perfect-hash join
-// fast path must match the independent seed hash join row for row, and
-// must show up in EXPLAIN only for dense build-key domains.
+// fast path must match the independent nested-loop join row for row,
+// and must show up in EXPLAIN only for dense build-key domains.
 // scripts/check_matrix.sh runs this under both HANA_CPU settings
 // (ctest -L kernels), with the lock-order validator fatal.
 
@@ -201,7 +201,6 @@ class KernelsMatrixTest : public ::testing::Test {
   void TearDown() override {
     ASSERT_TRUE(db_->SetParameter("threads", "0").ok());
     ASSERT_TRUE(db_->SetParameter("cpu", original_cpu_mode_).ok());
-    ASSERT_TRUE(db_->SetParameter("parallel_join", "on").ok());
   }
 
   static void ExpectTablesIdentical(const storage::Table& a,
@@ -253,8 +252,8 @@ platform::Platform* KernelsMatrixTest::db_ = nullptr;
 std::string KernelsMatrixTest::original_cpu_mode_;
 
 TEST_F(KernelsMatrixTest, RleEncodedFilterRunAtATime) {
-  // `flag` merges to RLE; the filter takes the run-indexed fast path in
-  // scan pipelines and the scalar path in serial mode — same rows.
+  // `flag` merges to RLE; the filter takes the run-indexed fast path
+  // in every cell — same rows as the scalar single-thread baseline.
   ExpectMatrixIdentical("SELECT id, flag, val FROM fact WHERE flag = 2");
   ExpectMatrixIdentical("SELECT id, flag FROM fact WHERE flag <> 0");
 }
@@ -312,22 +311,26 @@ TEST_F(KernelsMatrixTest, SparseKeyJoinMatrixIdentical) {
       "SELECT f.id, s.name FROM fact f JOIN sdim s ON f.nk = s.k");
 }
 
-TEST_F(KernelsMatrixTest, PerfectHashMatchesSeedHashJoin) {
-  // Independent implementation check: the row-at-a-time seed hash join
-  // (parallel_join off) never builds a RadixJoinTable, so agreement
-  // pins down the perfect-hash path end to end. ORDER BY pins a total
-  // row order because the seed join emits duplicates in its own order.
+TEST_F(KernelsMatrixTest, PerfectHashMatchesNestedLoopJoin) {
+  // Independent implementation check: spelled as a non-equi condition
+  // the same join runs as a nested loop and never builds a
+  // RadixJoinTable, so agreement pins down the perfect-hash path end to
+  // end. Both emit fact rows in order, each with its ddim matches in
+  // ddim row order.
   const std::string query =
-      "SELECT f.id, f.nk, d.name FROM fact f JOIN ddim d ON f.nk = d.k "
-      "ORDER BY f.id";
+      "SELECT f.id, f.nk, d.name FROM fact f JOIN ddim d ON f.nk = d.k";
+  const std::string nl_query =
+      "SELECT f.id, f.nk, d.name FROM fact f JOIN ddim d "
+      "ON f.nk <= d.k AND f.nk >= d.k";
+  auto plan = db_->Explain(query);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_NE(plan->find("[perfect-hash]"), std::string::npos) << *plan;
   ASSERT_TRUE(db_->SetParameter("threads", "4").ok());
-  ASSERT_TRUE(db_->SetParameter("parallel_join", "off").ok());
-  auto seed = db_->Query(query);
-  ASSERT_TRUE(seed.ok()) << seed.status().ToString();
-  ASSERT_TRUE(db_->SetParameter("parallel_join", "on").ok());
+  auto nl = db_->Query(nl_query);
+  ASSERT_TRUE(nl.ok()) << nl.status().ToString();
   auto perfect = db_->Query(query);
   ASSERT_TRUE(perfect.ok()) << perfect.status().ToString();
-  ExpectTablesIdentical(*seed, *perfect, query);
+  ExpectTablesIdentical(*nl, *perfect, query);
 }
 
 TEST_F(KernelsMatrixTest, EncodedTableSurvivesFurtherInsertsAndMerge) {

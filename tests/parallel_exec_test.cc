@@ -145,10 +145,13 @@ TEST_F(ParallelExecTest, HavingAndExpressionsOverAggregates) {
       FROM fact GROUP BY grp HAVING COUNT(*) > 100 ORDER BY grp)");
 }
 
-TEST_F(ParallelExecTest, LimitStaysOnSerialPath) {
-  // LIMIT disables the eager morsel pipeline; both settings must agree.
+TEST_F(ParallelExecTest, LimitOverSortAndScan) {
+  // LIMIT keeps the first rows in (morsel, chunk) order at any thread
+  // count: over a sort and directly over a 20-morsel scan.
   ExpectSerialParallelIdentical(
       "SELECT id FROM fact ORDER BY id LIMIT 17");
+  ExpectSerialParallelIdentical(
+      "SELECT id, grp FROM fact WHERE grp = 3 LIMIT 1500");
 }
 
 TEST_F(ParallelExecTest, JoinOverParallelScans) {
@@ -165,6 +168,12 @@ TEST_F(ParallelExecTest, DegreeOfParallelismIsConfigurable) {
   ASSERT_TRUE(db_->SetParameter("threads", "0").ok());
   EXPECT_GE(db_->degree_of_parallelism(), 1u);
   EXPECT_FALSE(db_->SetParameter("threads", "nope").ok());
+}
+
+TEST_F(ParallelExecTest, ScheduleIsNotAKnob) {
+  // The schedule follows from the pool and the thread count alone.
+  EXPECT_EQ(db_->SetParameter("executor", "serial").code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

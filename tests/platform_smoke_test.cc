@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -141,6 +142,73 @@ TEST_F(FederatedTpchTest, FederatedMatchesLocalExecution) {
     ASSERT_TRUE(loc.ok()) << loc.status().ToString();
     ASSERT_EQ(fed->num_rows(), loc->num_rows());
   }
+}
+
+TEST_F(FederatedTpchTest, WholeShippedQueryRunsOnPipelines) {
+  // Q1 reads only LINEITEM, so it ships to Hive whole; the remote query
+  // is a pipeline source like any other.
+  const std::string q1 = tpch::QueryText(1);
+  auto result = db_->Execute(q1);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->metrics.remote_calls, 0u);
+  const std::vector<exec::PipelineStats>& stats = db_->last_pipeline_stats();
+  ASSERT_FALSE(stats.empty());
+  EXPECT_NE(stats.back().label.find("remote query"), std::string::npos)
+      << stats.back().label;
+  EXPECT_EQ(stats.back().rows, result->table.num_rows());
+
+  auto plan = db_->Explain(q1);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const size_t pipelines = plan->find("Pipelines:");
+  ASSERT_NE(pipelines, std::string::npos) << *plan;
+  for (const std::string& line : Split(plan->substr(0, pipelines), '\n')) {
+    if (line.empty()) continue;
+    EXPECT_NE(line.find("[P"), std::string::npos) << line;
+  }
+}
+
+TEST(PlatformTableFunction, SqlQueryOverMapReduceFunction) {
+  // A map-reduce job exposed as a virtual table function, queried with
+  // a filter, an ORDER BY and a LIMIT.
+  Platform db;
+  ASSERT_TRUE(db.Run(R"(
+      CREATE REMOTE SOURCE MRSERVER ADAPTER hadoop CONFIGURATION
+        'webhdfs=http://mrserver1:50070;webhcatalog=http://mrserver1:50111'
+        WITH CREDENTIAL TYPE 'password' USING 'user=hadoop;password=pw')")
+                  .ok());
+  ASSERT_TRUE(db.RegisterMapReduceJob(
+                    "com.example.CodeCountDriver",
+                    [](hadoop::HiveEngine*) -> Result<storage::Table> {
+                      auto schema = std::make_shared<Schema>(
+                          std::vector<ColumnDef>{
+                              {"code", DataType::kString, false},
+                              {"claims", DataType::kInt64, false}});
+                      storage::Table result(schema);
+                      for (int64_t i = 0; i < 5000; ++i) {
+                        result.AppendRow({Value::String("C" + std::to_string(i)),
+                                          Value::Int((i * 7919) % 1000)});
+                      }
+                      return result;
+                    })
+                  .ok());
+  ASSERT_TRUE(db.Run(R"(
+      CREATE VIRTUAL FUNCTION CODE_COUNTS()
+        RETURNS TABLE (code VARCHAR(20), claims BIGINT)
+        CONFIGURATION 'hana.mapred.driver.class = com.example.CodeCountDriver'
+        AT MRSERVER)")
+                  .ok());
+  auto top = db.Query(R"(
+      SELECT code, claims FROM CODE_COUNTS()
+      WHERE claims > 990 ORDER BY claims DESC, code LIMIT 3)");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_EQ(top->num_rows(), 3u);
+  // claims = (i * 7919) % 1000 hits 999 for i = 321, 1321, ..., 4321.
+  EXPECT_EQ(top->row(0)[1].int_value(), 999);
+  EXPECT_EQ(top->row(0)[0].string_value(), "C1321");
+  EXPECT_EQ(top->row(1)[0].string_value(), "C2321");
+  EXPECT_EQ(top->row(2)[0].string_value(), "C321");
+  EXPECT_NE(db.last_pipeline_stats().front().label.find("table function"),
+            std::string::npos);
 }
 
 TEST_F(FederatedTpchTest, RemoteCacheHitIsFasterAndCorrect) {
