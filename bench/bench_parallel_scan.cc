@@ -2,8 +2,11 @@
 // lineitem table, then runs a full scan, a selective filter+project and
 // a Q1-style grouped aggregation at increasing degrees of parallelism,
 // reporting wall-clock speedup over the serial run as JSON lines. A
-// final section measures the raw ColumnTable::ScanPartitioned path
-// without SQL overhead.
+// projection leg runs one 3-column filter query on the 16-column
+// lineitem and on a copy holding only those 3 columns: with column
+// pruning the wide scan decodes the same 3 columns, so the two should
+// run close together. A final section measures the raw
+// ColumnTable::ScanPartitioned path without SQL overhead.
 //
 // Note that real speedup requires real cores: on a single-core host the
 // parallel runs mostly demonstrate that the overhead is bounded and the
@@ -125,6 +128,64 @@ int Main(int argc, char** argv) {
     }
     std::printf("\n");
   }
+
+  // Projection leg: the same query over the wide table and over a copy
+  // cut down to the columns it names.
+  const char* kProjection =
+      "SELECT l_orderkey, l_quantity, l_extendedprice FROM {T}"
+      " WHERE l_quantity > 40";
+  {
+    sql::CreateTableStmt narrow;
+    narrow.table = "lineitem_3col";
+    std::vector<size_t> keep;
+    for (const char* name : {"l_orderkey", "l_quantity", "l_extendedprice"}) {
+      int idx = tpch::TpchSchema("lineitem")->FindColumn(name);
+      keep.push_back(static_cast<size_t>(idx));
+      narrow.columns.push_back(create.columns[static_cast<size_t>(idx)]);
+    }
+    std::vector<std::vector<Value>> rows;
+    rows.reserve(data.lineitem.size());
+    for (const auto& row : data.lineitem) {
+      std::vector<Value> cut;
+      for (size_t c : keep) cut.push_back(row[c]);
+      rows.push_back(std::move(cut));
+    }
+    if (!db.catalog().CreateTable(narrow).ok() ||
+        !db.catalog().Insert("lineitem_3col", rows).ok()) {
+      std::fprintf(stderr, "lineitem_3col load failed\n");
+      return 1;
+    }
+  }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    (void)db.SetParameter("threads", std::to_string(threads));
+    storage::Table results[2];
+    double ms[2] = {0, 0};
+    const char* tables[2] = {"lineitem", "lineitem_3col"};
+    for (int t = 0; t < 2; ++t) {
+      std::string sql = kProjection;
+      sql.replace(sql.find("{T}"), 3, tables[t]);
+      ms[t] = BestOfThree([&] {
+        Stopwatch watch;
+        auto r = db.Query(sql);
+        double elapsed = watch.ElapsedMillis();
+        if (!r.ok()) {
+          std::fprintf(stderr, "projection failed: %s\n",
+                       r.status().ToString().c_str());
+          std::exit(1);
+        }
+        results[t] = std::move(*r);
+        return elapsed;
+      });
+    }
+    std::printf(
+        "{\"bench\": \"projection\", \"threads\": %zu, "
+        "\"wide_ms\": %.3f, \"narrow_ms\": %.3f, \"wide_over_narrow\": "
+        "%.2f, \"rows\": %zu, \"identical\": %s}\n",
+        threads, ms[0], ms[1], ms[1] > 0 ? ms[0] / ms[1] : 0.0,
+        results[0].num_rows(),
+        TablesIdentical(results[0], results[1]) ? "true" : "false");
+  }
+  std::printf("\n");
 
   // Raw storage-layer path: ScanPartitioned with no SQL machinery.
   auto entry = db.catalog().GetTable("lineitem");

@@ -1,5 +1,6 @@
 #include "catalog/catalog.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "common/strings.h"
@@ -412,41 +413,64 @@ struct DmlTargets {
 /// Finds the rows of a column, extended or hybrid table that
 /// `predicate` (every row when null) selects, skipping the partitions
 /// PartitionExcluded rules out. Hot rows come from one latest-view
-/// snapshot scan, chunk by chunk through exec::SelectRows; cold rows
-/// from zone-map-pruned row groups. `on_hot_match` (when set) runs on
-/// every hot hit in row order. The first predicate or `on_hot_match`
-/// error in row order is returned.
+/// snapshot scan, chunk by chunk through exec::SelectRows, decoding
+/// only the columns the predicate reads (the first column when it
+/// reads none, so chunks still count rows); cold rows from
+/// zone-map-pruned row groups. `on_hot_match` (when set) runs on the
+/// full image of every hot hit in row order. The first predicate or
+/// `on_hot_match` error in row order is returned.
 Result<DmlTargets> CollectTargets(
     const TableEntry& entry, extended::IqEngine* iq,
     const plan::BoundExpr* predicate,
-    const std::function<Status(const storage::Chunk&, size_t)>&
-        on_hot_match) {
-  auto select = [&](const storage::Chunk& chunk,
-                    std::vector<uint8_t>* mask) -> Status {
-    if (predicate == nullptr) {
+    const std::function<Status(const std::vector<Value>&)>& on_hot_match) {
+  auto select = [](const plan::BoundExpr* pred, const storage::Chunk& chunk,
+                   std::vector<uint8_t>* mask) -> Status {
+    if (pred == nullptr) {
       mask->assign(chunk.num_rows(), 1);
       return Status::OK();
     }
-    return exec::SelectRows(*predicate, chunk, mask);
+    return exec::SelectRows(*pred, chunk, mask);
   };
   const std::vector<plan::ScanRange> ranges =
       predicate != nullptr ? plan::ExtractRanges(*predicate)
                            : std::vector<plan::ScanRange>{};
+  // The hot-side projection: the predicate's columns, and the predicate
+  // rebound to their positions.
+  std::vector<size_t> columns;
+  if (predicate != nullptr) predicate->CollectColumns(&columns);
+  std::sort(columns.begin(), columns.end());
+  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+  if (columns.empty()) columns.push_back(0);
+  auto projected_schema = std::make_shared<Schema>();
+  std::vector<int> mapping(entry.schema->num_columns(), -1);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    mapping[columns[i]] = static_cast<int>(i);
+    projected_schema->AddColumn(entry.schema->column(columns[i]));
+  }
+  plan::BoundExprPtr projected;
+  if (predicate != nullptr) {
+    projected = predicate->Clone();
+    HANA_RETURN_IF_ERROR(plan::RemapColumns(projected.get(), mapping));
+  }
   DmlTargets targets;
   auto add_hot = [&](storage::ColumnTable* table) -> Status {
     DmlTargets::Hot hot{table, {}};
     Status status;
     std::vector<uint8_t> mask;
-    table->OpenLatestSnapshot()->ScanWithRowIds(
-        storage::kDefaultChunkRows,
+    std::shared_ptr<const storage::TableReadSnapshot> snapshot =
+        table->OpenLatestSnapshot();
+    snapshot->ScanWithRowIds(
+        storage::kDefaultChunkRows, columns, projected_schema,
         [&](const storage::Chunk& chunk, const std::vector<size_t>& row_ids) {
           // On a predicate error the mask holds the rows before the
           // failing one; an on_hot_match error among them comes first.
-          Status selected = select(chunk, &mask);
+          Status selected = select(projected.get(), chunk, &mask);
           for (size_t r = 0; r < mask.size() && status.ok(); ++r) {
             if (mask[r] == 0) continue;
             hot.rows.push_back(row_ids[r]);
-            if (on_hot_match) status = on_hot_match(chunk, r);
+            if (on_hot_match) {
+              status = on_hot_match(snapshot->GetRow(row_ids[r]));
+            }
           }
           if (status.ok()) status = std::move(selected);
           return status.ok();
@@ -460,7 +484,11 @@ Result<DmlTargets> CollectTargets(
                           iq->store()->GetTable(name));
     HANA_ASSIGN_OR_RETURN(
         std::vector<extended::ExtendedTable::RowRef> rows,
-        table->MatchRows(extended::ToColumnRanges(ranges), select));
+        table->MatchRows(extended::ToColumnRanges(ranges),
+                         [&](const storage::Chunk& chunk,
+                             std::vector<uint8_t>* mask) {
+                           return select(predicate, chunk, mask);
+                         }));
     targets.cold.push_back(DmlTargets::Cold{table, std::move(rows)});
     return Status::OK();
   };
@@ -560,10 +588,7 @@ Result<size_t> Catalog::UpdateWhere(
   }
   HANA_ASSIGN_OR_RETURN(
       DmlTargets targets,
-      CollectTargets(*entry, iq_, predicate,
-                     [&](const storage::Chunk& chunk, size_t r) {
-                       return add_image(chunk.Row(r));
-                     }));
+      CollectTargets(*entry, iq_, predicate, add_image));
   // Cold data is read-mostly by design: a statement that selects a cold
   // row fails before any hot row changes.
   for (const DmlTargets::Cold& cold : targets.cold) {

@@ -495,7 +495,7 @@ class PipelineExecutor {
         for (size_t uid : p.upstream) {
           for (Chunk& chunk : runs_[uid].output) {
             if (!more) break;
-            chunk.schema = p.source_schema;  // Restamp to this plan node.
+            chunk.schema = p.source_schema;  // This plan node's names.
             more = sink(chunk);
           }
           runs_[uid].output.clear();

@@ -230,16 +230,22 @@ Result<storage::ColumnVectorPtr> ExtendedTable::ReadColumn(size_t group,
 Status ExtendedTable::Scan(
     const std::vector<ColumnRange>& ranges, size_t chunk_rows,
     const std::function<bool(const storage::Chunk&)>& callback) {
-  storage::Chunk chunk = storage::Chunk::Empty(schema_);
+  return Scan(ranges, chunk_rows, storage::AllColumnIds(*schema_), schema_,
+              callback);
+}
+
+Status ExtendedTable::Scan(
+    const std::vector<ColumnRange>& ranges, size_t chunk_rows,
+    const std::vector<size_t>& columns, const std::shared_ptr<Schema>& schema,
+    const std::function<bool(const storage::Chunk&)>& callback) {
+  storage::Chunk chunk = storage::Chunk::Empty(schema);
+  std::vector<storage::ColumnVectorPtr> cols(columns.size());
   for (size_t g = 0; g < groups_.size(); ++g) {
     RowGroup& group = groups_[g];
     if (group.deleted == group.rows) continue;
     if (!GroupMatches(group, ranges)) continue;
-    std::vector<storage::ColumnVectorPtr> cols;
-    for (size_t c = 0; c < schema_->num_columns(); ++c) {
-      HANA_ASSIGN_OR_RETURN(storage::ColumnVectorPtr column,
-                            ReadColumn(g, c));
-      cols.push_back(std::move(column));
+    for (size_t c = 0; c < columns.size(); ++c) {
+      HANA_ASSIGN_OR_RETURN(cols[c], ReadColumn(g, columns[c]));
     }
     for (size_t r = 0; r < group.rows; ++r) {
       if (!group.tombstones.empty() && group.tombstones[r]) continue;
@@ -248,7 +254,7 @@ Status ExtendedTable::Scan(
       }
       if (chunk.num_rows() >= chunk_rows) {
         if (!callback(chunk)) return Status::OK();
-        chunk = storage::Chunk::Empty(schema_);
+        chunk = storage::Chunk::Empty(schema);
       }
     }
   }

@@ -69,6 +69,14 @@ class ExtendedTable {
   /// caller still applies its full filter).
   [[nodiscard]] Status Scan(const std::vector<ColumnRange>& ranges, size_t chunk_rows,
               const std::function<bool(const storage::Chunk&)>& callback);
+  /// Projected scan: reads only the blocks of table columns `columns`
+  /// (ids, at least one) and stamps chunks with `schema`, one column per
+  /// id. `ranges` still name table columns; zone maps need no block read.
+  [[nodiscard]] Status Scan(
+      const std::vector<ColumnRange>& ranges, size_t chunk_rows,
+      const std::vector<size_t>& columns,
+      const std::shared_ptr<Schema>& schema,
+      const std::function<bool(const storage::Chunk&)>& callback);
 
   /// Position of one row: (row group, row within the group).
   struct RowRef {

@@ -12,6 +12,7 @@ Result<storage::Table> IqEngine::ExecuteSql(const std::string& sql) {
                         plan::BindSelectStatement(*this, *select));
   HANA_RETURN_IF_ERROR(plan::PushDownFilters(&logical));
   plan::PushScanRanges(logical.get());
+  HANA_RETURN_IF_ERROR(plan::PruneColumns(logical.get()));
   return exec::ExecutePlan(*logical, this);
 }
 
@@ -62,12 +63,8 @@ Result<exec::ChunkSource> IqEngine::OpenScan(const plan::LogicalOp& scan,
   // unread.
   return exec::ChunkSource([table, &scan](const exec::ChunkSink& sink) {
     return table->Scan(ToColumnRanges(scan.scan_ranges),
-                       storage::kDefaultChunkRows,
-                       [&](const storage::Chunk& chunk) {
-                         storage::Chunk copy = chunk;
-                         copy.schema = scan.schema;  // Qualified names.
-                         return sink(copy);
-                       });
+                       storage::kDefaultChunkRows, scan.scan_columns,
+                       scan.schema, sink);
   });
 }
 

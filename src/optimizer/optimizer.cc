@@ -101,6 +101,7 @@ Status ExpandHybridScans(LogicalOpPtr* node, const catalog::Catalog* cat) {
     scan->alias = op->alias;
     scan->partition_index = static_cast<int>(i);
     scan->table = op->table;
+    scan->scan_columns = op->scan_columns;
     if (partition.hot != nullptr) {
       scan->table.location = TableLocation::kLocalColumn;
       scan->table.estimated_rows =
@@ -590,7 +591,9 @@ Status Optimize(plan::LogicalOpPtr* plan, const OptimizeContext& ctx) {
   }
   ChooseBuildSides(plan->get(), ctx.catalog);
   ChooseAggPartitions(plan->get(), ctx.catalog);
-  return Status::OK();
+  // Last: the passes above read table stats by scan column position,
+  // and the federation split has already fixed every remote_sql.
+  return plan::PruneColumns(plan->get());
 }
 
 }  // namespace hana::optimizer

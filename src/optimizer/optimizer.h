@@ -46,7 +46,12 @@ struct OptimizeContext {
 ///  4. federation split: maximal remote subtrees become shipped
 ///     kRemoteQuery nodes (capability-checked per adapter), with
 ///     cost-based Semijoin / Table Relocation handling at local-remote
-///     join boundaries.
+///     join boundaries,
+///  5. hash-join build sides, perfect-hash nomination and aggregate
+///     partition counts (stats looked up by scan column position),
+///  6. column pruning (plan::PruneColumns): scans decode only the
+///     columns the plan references. Last, so the lookups in 5 see
+///     table-ordered scan columns and shipped SQL is already fixed.
 [[nodiscard]] Status Optimize(plan::LogicalOpPtr* plan, const OptimizeContext& ctx);
 
 /// Heuristic output-cardinality estimate for costing.

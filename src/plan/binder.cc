@@ -97,6 +97,7 @@ Result<LogicalOpPtr> Binder::BindTableRef(const TableRef& ref) {
       op->alias = ref.alias.empty() ? BaseName(ref.name) : ref.alias;
       auto schema = std::make_shared<Schema>();
       for (const auto& col : binding.schema->columns()) {
+        op->scan_columns.push_back(schema->num_columns());
         schema->AddColumn({op->alias + "." + col.name, col.type, col.nullable});
       }
       op->schema = std::move(schema);

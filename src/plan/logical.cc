@@ -53,6 +53,8 @@ std::string LogicalOp::ToString(int indent) const {
       if (table.location == TableLocation::kRemote) {
         line += " @" + table.source;
       }
+      line += StrFormat(" [%zu/%zu cols]", scan_columns.size(),
+                        table.schema->num_columns());
       break;
     }
     case LogicalKind::kTableFunctionScan:

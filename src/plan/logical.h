@@ -78,7 +78,10 @@ struct SortKey {
 };
 
 /// Inclusive per-column bound pushed into a scan for zone-map / partition
-/// pruning. Null values mean unbounded.
+/// pruning. Null values mean unbounded. `column` is a table column id
+/// (the scan's schema before column pruning), not a position in the
+/// scan's output: PartitionExcluded and the extended store's zone maps
+/// index the table's own columns, and pruning leaves ranges untouched.
 struct ScanRange {
   size_t column = 0;
   Value lower;
@@ -101,6 +104,11 @@ struct LogicalOp {
   int partition_index = -1;
   /// Bounds pushed down for zone-map / partition pruning.
   std::vector<ScanRange> scan_ranges;
+  /// Table column ids the scan decodes, in table order: output column i
+  /// is table column scan_columns[i]. The binder lists every column;
+  /// PruneColumns narrows the list to what the plan references, never
+  /// below one column. Rendered by ToString as "[k/n cols]".
+  std::vector<size_t> scan_columns;
 
   // kTableFunctionScan
   TableFunctionBinding function;

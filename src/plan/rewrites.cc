@@ -1,5 +1,6 @@
 #include "plan/rewrites.h"
 
+#include <algorithm>
 #include <map>
 
 #include "plan/join_analysis.h"
@@ -342,6 +343,224 @@ void PushScanRanges(LogicalOp* plan) {
     for (auto& r : ranges) scan->scan_ranges.push_back(std::move(r));
   }
   for (auto& child : plan->children) PushScanRanges(child.get());
+}
+
+namespace {
+
+/// Output columns of one node, by position.
+using ColumnSet = std::vector<bool>;
+
+ColumnSet AllColumns(const LogicalOp& op) {
+  return ColumnSet(op.schema->num_columns(), true);
+}
+
+void MarkColumns(const BoundExpr& expr, ColumnSet* set) {
+  std::vector<size_t> cols;
+  expr.CollectColumns(&cols);
+  for (size_t c : cols) {
+    if (c < set->size()) (*set)[c] = true;
+  }
+}
+
+/// Old position -> new position of the columns `kept` retains.
+std::vector<int> KeptMapping(const ColumnSet& kept) {
+  std::vector<int> mapping(kept.size(), -1);
+  int next = 0;
+  for (size_t i = 0; i < kept.size(); ++i) {
+    if (kept[i]) mapping[i] = next++;
+  }
+  return mapping;
+}
+
+std::shared_ptr<Schema> KeptSchema(const std::shared_ptr<Schema>& schema,
+                                   const ColumnSet& kept) {
+  if (std::all_of(kept.begin(), kept.end(), [](bool k) { return k; })) {
+    return schema;
+  }
+  auto out = std::make_shared<Schema>();
+  for (size_t i = 0; i < kept.size(); ++i) {
+    if (kept[i]) out->AddColumn(schema->column(i));
+  }
+  return out;
+}
+
+/// Decode-cost rank of a column type: fixed-width integers (including
+/// bool, date, timestamp) first, then doubles, then strings.
+int DecodeCost(DataType type) {
+  switch (type) {
+    case DataType::kDouble:
+      return 1;
+    case DataType::kString:
+      return 2;
+    default:
+      return 0;
+  }
+}
+
+/// The column a scan keeps when its parent references none: row counts
+/// come from the chunk's first column, so a scan never goes empty.
+size_t CheapestColumn(const Schema& schema) {
+  size_t best = 0;
+  for (size_t i = 1; i < schema.num_columns(); ++i) {
+    if (DecodeCost(schema.column(i).type) <
+        DecodeCost(schema.column(best).type)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+/// Returns the columns `op` outputs once pruned for a parent that needs
+/// `needs` (always a superset of `needs`). With `apply` the subtree is
+/// narrowed to exactly those columns; without, nothing changes (unions
+/// probe their branches this way before committing to one layout).
+Result<ColumnSet> Prune(LogicalOp* op, ColumnSet needs, bool apply);
+
+/// Filter, sort and limit: the child's columns flow through unchanged.
+Result<ColumnSet> PrunePassThrough(LogicalOp* op, ColumnSet needs,
+                                   bool apply,
+                                   const std::vector<BoundExpr*>& exprs) {
+  for (const BoundExpr* e : exprs) MarkColumns(*e, &needs);
+  HANA_ASSIGN_OR_RETURN(ColumnSet kept,
+                        Prune(op->children[0].get(), std::move(needs), apply));
+  if (apply) {
+    std::vector<int> mapping = KeptMapping(kept);
+    for (BoundExpr* e : exprs) HANA_RETURN_IF_ERROR(RemapColumns(e, mapping));
+    op->schema = KeptSchema(op->schema, kept);
+  }
+  return kept;
+}
+
+/// Project and aggregate: outputs stay whole; the child keeps only what
+/// the expressions reference.
+Result<ColumnSet> PruneBelow(LogicalOp* op, bool apply,
+                             const std::vector<BoundExpr*>& exprs) {
+  if (op->children.empty()) return AllColumns(*op);  // Constant row.
+  LogicalOp* child = op->children[0].get();
+  ColumnSet needs(child->schema->num_columns(), false);
+  for (const BoundExpr* e : exprs) MarkColumns(*e, &needs);
+  HANA_ASSIGN_OR_RETURN(ColumnSet kept, Prune(child, std::move(needs), apply));
+  if (apply) {
+    std::vector<int> mapping = KeptMapping(kept);
+    for (BoundExpr* e : exprs) HANA_RETURN_IF_ERROR(RemapColumns(e, mapping));
+  }
+  return AllColumns(*op);
+}
+
+Result<ColumnSet> Prune(LogicalOp* op, ColumnSet needs, bool apply) {
+  switch (op->kind) {
+    case LogicalKind::kScan: {
+      if (std::none_of(needs.begin(), needs.end(), [](bool n) { return n; })) {
+        needs[CheapestColumn(*op->schema)] = true;
+      }
+      if (apply) {
+        std::vector<size_t> ids;
+        for (size_t i = 0; i < needs.size(); ++i) {
+          if (needs[i]) ids.push_back(op->scan_columns[i]);
+        }
+        op->scan_columns = std::move(ids);
+        op->schema = KeptSchema(op->schema, needs);
+      }
+      return needs;
+    }
+    case LogicalKind::kFilter:
+      return PrunePassThrough(op, std::move(needs), apply,
+                              {op->predicate.get()});
+    case LogicalKind::kSort: {
+      std::vector<BoundExpr*> keys;
+      for (SortKey& k : op->sort_keys) keys.push_back(k.expr.get());
+      return PrunePassThrough(op, std::move(needs), apply, keys);
+    }
+    case LogicalKind::kLimit:
+      return PrunePassThrough(op, std::move(needs), apply, {});
+    case LogicalKind::kUnion: {
+      // Every branch must produce the same layout: grow the kept set
+      // until no branch adds a column (filter columns of one branch,
+      // the whole row of an opaque one).
+      ColumnSet kept = std::move(needs);
+      while (true) {
+        ColumnSet grown = kept;
+        for (auto& child : op->children) {
+          HANA_ASSIGN_OR_RETURN(ColumnSet branch,
+                                Prune(child.get(), kept, false));
+          for (size_t i = 0; i < grown.size(); ++i) {
+            grown[i] = grown[i] || branch[i];
+          }
+        }
+        if (grown == kept) break;
+        kept = std::move(grown);
+      }
+      if (apply) {
+        for (auto& child : op->children) {
+          HANA_ASSIGN_OR_RETURN(ColumnSet branch,
+                                Prune(child.get(), kept, true));
+          if (branch != kept) {
+            return Status::Internal("union branches pruned unevenly");
+          }
+        }
+        op->schema = KeptSchema(op->schema, kept);
+      }
+      return kept;
+    }
+    case LogicalKind::kJoin: {
+      const size_t left_arity = op->children[0]->schema->num_columns();
+      const size_t right_arity = op->children[1]->schema->num_columns();
+      const bool existence = op->join_kind == JoinKind::kSemi ||
+                             op->join_kind == JoinKind::kAnti;
+      // Needs over left++right: semi and anti joins output the left
+      // side only, so their right side needs just the condition.
+      ColumnSet both(left_arity + right_arity, false);
+      std::copy(needs.begin(), needs.end(), both.begin());
+      if (op->condition != nullptr) MarkColumns(*op->condition, &both);
+      HANA_ASSIGN_OR_RETURN(
+          ColumnSet left,
+          Prune(op->children[0].get(),
+                ColumnSet(both.begin(), both.begin() + left_arity), apply));
+      HANA_ASSIGN_OR_RETURN(
+          ColumnSet right,
+          Prune(op->children[1].get(),
+                ColumnSet(both.begin() + left_arity, both.end()), apply));
+      ColumnSet concat = left;
+      concat.insert(concat.end(), right.begin(), right.end());
+      ColumnSet kept = existence ? std::move(left) : concat;
+      if (apply) {
+        if (op->condition != nullptr) {
+          HANA_RETURN_IF_ERROR(
+              RemapColumns(op->condition.get(), KeptMapping(concat)));
+        }
+        op->schema = KeptSchema(op->schema, kept);
+      }
+      return kept;
+    }
+    case LogicalKind::kProject: {
+      std::vector<BoundExpr*> exprs;
+      for (BoundExprPtr& e : op->exprs) exprs.push_back(e.get());
+      return PruneBelow(op, apply, exprs);
+    }
+    case LogicalKind::kAggregate: {
+      std::vector<BoundExpr*> exprs;
+      for (BoundExprPtr& e : op->group_by) exprs.push_back(e.get());
+      for (BoundExprPtr& e : op->aggregates) exprs.push_back(e.get());
+      return PruneBelow(op, apply, exprs);
+    }
+    case LogicalKind::kRemoteQuery:
+    case LogicalKind::kTableFunctionScan:
+      // Opaque: shipped SQL and relocated tables name every column.
+      if (apply) {
+        for (auto& child : op->children) {
+          HANA_RETURN_IF_ERROR(
+              Prune(child.get(), AllColumns(*child), true).status());
+        }
+      }
+      return AllColumns(*op);
+  }
+  return Status::Internal("unknown plan node in column pruning");
+}
+
+}  // namespace
+
+Status PruneColumns(LogicalOp* plan) {
+  return Prune(plan, AllColumns(*plan), true).status();
 }
 
 }  // namespace hana::plan

@@ -29,6 +29,19 @@ void PushScanRanges(LogicalOp* plan);
 /// indexes of the schema the predicate is bound against).
 std::vector<ScanRange> ExtractRanges(const BoundExpr& predicate);
 
+/// Column pruning. Computes top-down which columns every node must
+/// produce — the root all of its outputs; filter, sort, limit and union
+/// their parent's needs plus their own expression columns; a join its
+/// parent's needs plus its condition's, split at the left arity;
+/// project and aggregate only what their expressions reference — then
+/// narrows each scan to those columns (LogicalOp::scan_columns, table
+/// order, at least one: the cheapest type to decode when nothing is
+/// referenced), rebuilds the pass-through schemas and remaps every
+/// column index above a narrowed child. Project and aggregate outputs,
+/// table functions and remote queries (with their relocated children)
+/// keep every column. ScanRange bounds stay in table-column space.
+[[nodiscard]] Status PruneColumns(LogicalOp* plan);
+
 }  // namespace hana::plan
 
 #endif  // HANA_PLAN_REWRITES_H_

@@ -34,17 +34,6 @@ exec::ChunkSource TableSource(storage::Table table,
   };
 }
 
-/// Forwards storage chunks to `sink` stamped with the plan's qualified
-/// column names.
-exec::ChunkSink Restamp(std::shared_ptr<Schema> schema,
-                        const exec::ChunkSink& sink) {
-  return [schema = std::move(schema), &sink](const storage::Chunk& chunk) {
-    storage::Chunk copy = chunk;
-    copy.schema = schema;
-    return sink(copy);
-  };
-}
-
 }  // namespace
 
 Platform::Platform(PlatformOptions options) : options_(std::move(options)) {
@@ -546,18 +535,26 @@ Result<exec::ChunkSource> Platform::OpenScan(const plan::LogicalOp& scan,
                             catalog_->GetTable(base));
       return exec::ChunkSource([this, entry, &scan,
                                 view](const exec::ChunkSink& out) -> Status {
+        // Storage decodes only the scan's columns, stamped with its
+        // schema, so chunks go to the consumer as they are.
         bool more = true;
-        exec::ChunkSink until_stopped = [&](const storage::Chunk& chunk) {
+        exec::ChunkSink sink = [&](const storage::Chunk& chunk) {
           return more = out(chunk);
         };
-        exec::ChunkSink sink = Restamp(scan.schema, until_stopped);
+        auto scan_snapshot = [&](const storage::ColumnTable* table) {
+          std::shared_ptr<const storage::TableReadSnapshot> snap =
+              SnapshotFor(table, view);
+          snap->ScanRange(0, snap->num_rows(), storage::kDefaultChunkRows,
+                          scan.scan_columns, scan.schema, sink);
+        };
         switch (entry->kind) {
           case catalog::TableKind::kColumn:
-            SnapshotFor(entry->column_table.get(), view)
-                ->Scan(storage::kDefaultChunkRows, sink);
+            scan_snapshot(entry->column_table.get());
             return Status::OK();
           case catalog::TableKind::kRow:
-            entry->row_table->Scan(storage::kDefaultChunkRows, sink);
+            entry->row_table->ScanRange(0, entry->row_table->num_rows(),
+                                        storage::kDefaultChunkRows,
+                                        scan.scan_columns, scan.schema, sink);
             return Status::OK();
           case catalog::TableKind::kHybrid:
             for (size_t i = 0; i < entry->partitions.size() && more; ++i) {
@@ -567,8 +564,7 @@ Result<exec::ChunkSource> Platform::OpenScan(const plan::LogicalOp& scan,
               }
               catalog::Partition& partition = entry->partitions[i];
               if (partition.hot != nullptr) {
-                SnapshotFor(partition.hot.get(), view)
-                    ->Scan(storage::kDefaultChunkRows, sink);
+                scan_snapshot(partition.hot.get());
               } else if (scan.partition_index < 0) {
                 // Unexpanded hybrid scan: read cold partitions directly.
                 // The extended engine mutates its buffer cache and clock
@@ -578,8 +574,9 @@ Result<exec::ChunkSource> Platform::OpenScan(const plan::LogicalOp& scan,
                 HANA_ASSIGN_OR_RETURN(
                     extended::ExtendedTable * cold,
                     iq_->store()->GetTable(partition.cold_table));
-                HANA_RETURN_IF_ERROR(
-                    cold->Scan({}, storage::kDefaultChunkRows, sink));
+                HANA_RETURN_IF_ERROR(cold->Scan({}, storage::kDefaultChunkRows,
+                                                scan.scan_columns, scan.schema,
+                                                sink));
               }
             }
             return Status::OK();
@@ -599,20 +596,22 @@ Result<exec::ChunkSource> Platform::OpenScan(const plan::LogicalOp& scan,
         HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * table,
                               iq_->store()->GetTable(scan.table.name));
         return table->Scan(extended::ToColumnRanges(scan.scan_ranges),
-                           storage::kDefaultChunkRows,
-                           Restamp(scan.schema, sink));
+                           storage::kDefaultChunkRows, scan.scan_columns,
+                           scan.schema, sink);
       });
     }
     case plan::TableLocation::kRemote: {
-      // Federation disabled (or not split): fetch the full virtual table.
+      // Federation disabled (or not split): fetch the scan's columns of
+      // the whole virtual table.
       plan::LogicalOp rq;
       rq.kind = plan::LogicalKind::kRemoteQuery;
       rq.schema = scan.schema;
       rq.remote_source = binding.source;
       std::vector<std::string> cols;
-      for (size_t i = 0; i < binding.schema->num_columns(); ++i) {
-        cols.push_back("t0." + binding.schema->column(i).name + " AS c" +
-                       std::to_string(i));
+      for (size_t i = 0; i < scan.scan_columns.size(); ++i) {
+        cols.push_back("t0." +
+                       binding.schema->column(scan.scan_columns[i]).name +
+                       " AS c" + std::to_string(i));
       }
       rq.remote_sql = "SELECT " + Join(cols, ", ") + " FROM " +
                       binding.remote_object + " t0";
@@ -650,7 +649,6 @@ Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScan(
   if (morsel_rows == 0) morsel_rows = morsel_rows_;
 
   exec::PartitionSource source;
-  std::shared_ptr<Schema> schema = scan.schema;
   if ((*entry)->kind == catalog::TableKind::kColumn) {
     // One storage snapshot shared by every morsel: the decomposition's
     // num_rows and each morsel's bounds come from the same frozen view,
@@ -661,11 +659,11 @@ Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScan(
         SnapshotFor((*entry)->column_table.get(), view);
     size_t rows = snap->num_rows();
     source.num_morsels = (rows + morsel_rows - 1) / morsel_rows;
-    source.scan_morsel = [snap, morsel_rows, schema](
+    source.scan_morsel = [snap, morsel_rows, &scan](
                              size_t m, const exec::ChunkSink& sink) {
       size_t begin = m * morsel_rows;
       snap->ScanRange(begin, std::min(snap->num_rows(), begin + morsel_rows),
-                      morsel_rows, Restamp(schema, sink));
+                      morsel_rows, scan.scan_columns, scan.schema, sink);
       return Status::OK();
     };
     return std::optional<exec::PartitionSource>(std::move(source));
@@ -674,12 +672,12 @@ Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScan(
     storage::RowTable* table = (*entry)->row_table.get();
     size_t rows = table->num_rows();
     source.num_morsels = (rows + morsel_rows - 1) / morsel_rows;
-    source.scan_morsel = [table, morsel_rows, schema](
+    source.scan_morsel = [table, morsel_rows, &scan](
                              size_t m, const exec::ChunkSink& sink) {
       size_t begin = m * morsel_rows;
       table->ScanRange(begin,
                        std::min(table->num_rows(), begin + morsel_rows),
-                       morsel_rows, Restamp(schema, sink));
+                       morsel_rows, scan.scan_columns, scan.schema, sink);
       return Status::OK();
     };
     return std::optional<exec::PartitionSource>(std::move(source));

@@ -569,24 +569,35 @@ void TableReadSnapshot::Scan(
 void TableReadSnapshot::ScanRange(
     size_t begin, size_t end, size_t chunk_rows,
     const std::function<bool(const Chunk&)>& callback) const {
-  ScanRows(begin, end, chunk_rows, nullptr, callback);
+  ScanRows(begin, end, chunk_rows, AllColumnIds(*schema_), schema_, nullptr,
+           callback);
+}
+
+void TableReadSnapshot::ScanRange(
+    size_t begin, size_t end, size_t chunk_rows,
+    const std::vector<size_t>& columns, const std::shared_ptr<Schema>& schema,
+    const std::function<bool(const Chunk&)>& callback) const {
+  ScanRows(begin, end, chunk_rows, columns, schema, nullptr, callback);
 }
 
 void TableReadSnapshot::ScanWithRowIds(
-    size_t chunk_rows,
+    size_t chunk_rows, const std::vector<size_t>& columns,
+    const std::shared_ptr<Schema>& schema,
     const std::function<bool(const Chunk&, const std::vector<size_t>&)>&
         callback) const {
   std::vector<size_t> row_ids;
-  ScanRows(0, num_rows_, chunk_rows, &row_ids,
+  ScanRows(0, num_rows_, chunk_rows, columns, schema, &row_ids,
            [&](const Chunk& chunk) { return callback(chunk, row_ids); });
 }
 
 void TableReadSnapshot::ScanRows(
-    size_t begin, size_t end, size_t chunk_rows, std::vector<size_t>* row_ids,
+    size_t begin, size_t end, size_t chunk_rows,
+    const std::vector<size_t>& columns, const std::shared_ptr<Schema>& schema,
+    std::vector<size_t>* row_ids,
     const std::function<bool(const Chunk&)>& callback) const {
   end = std::min(end, num_rows_);
   if (chunk_rows == 0) chunk_rows = kDefaultChunkRows;
-  Chunk chunk = Chunk::Empty(schema_);
+  Chunk chunk = Chunk::Empty(schema);
   std::vector<uint8_t> mask;
   size_t block = begin;
   while (block < end) {
@@ -605,8 +616,8 @@ void TableReadSnapshot::ScanRows(
       size_t cap = chunk_rows - chunk.num_rows();
       size_t run = r;
       while (run < block_end && mask[run - block] && run - r < cap) ++run;
-      for (size_t c = 0; c < columns_.size(); ++c) {
-        columns_[c].Decode(r, run - r, chunk.columns[c].get());
+      for (size_t c = 0; c < columns.size(); ++c) {
+        columns_[columns[c]].Decode(r, run - r, chunk.columns[c].get());
       }
       if (row_ids != nullptr) {
         for (size_t id = r; id < run; ++id) row_ids->push_back(id);
@@ -614,7 +625,7 @@ void TableReadSnapshot::ScanRows(
       r = run;
       if (chunk.num_rows() >= chunk_rows) {
         if (!callback(chunk)) return;
-        chunk = Chunk::Empty(schema_);
+        chunk = Chunk::Empty(schema);
         if (row_ids != nullptr) row_ids->clear();
       }
     }
@@ -1166,15 +1177,24 @@ void RowTable::Scan(size_t chunk_rows,
 void RowTable::ScanRange(
     size_t begin, size_t end, size_t chunk_rows,
     const std::function<bool(const Chunk&)>& callback) const {
+  ScanRange(begin, end, chunk_rows, AllColumnIds(*schema_), schema_, callback);
+}
+
+void RowTable::ScanRange(
+    size_t begin, size_t end, size_t chunk_rows,
+    const std::vector<size_t>& columns, const std::shared_ptr<Schema>& schema,
+    const std::function<bool(const Chunk&)>& callback) const {
   end = std::min(end, rows_.size());
   if (chunk_rows == 0) chunk_rows = kDefaultChunkRows;
-  Chunk chunk = Chunk::Empty(schema_);
+  Chunk chunk = Chunk::Empty(schema);
   for (size_t r = begin; r < end; ++r) {
     if (deleted_[r]) continue;
-    chunk.AppendRow(rows_[r]);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      chunk.columns[c]->Append(rows_[r][columns[c]]);
+    }
     if (chunk.num_rows() >= chunk_rows) {
       if (!callback(chunk)) return;
-      chunk = Chunk::Empty(schema_);
+      chunk = Chunk::Empty(schema);
     }
   }
   if (chunk.num_rows() > 0) callback(chunk);

@@ -353,11 +353,21 @@ class TableReadSnapshot {
             const std::function<bool(const Chunk&)>& callback) const;
   void ScanRange(size_t begin, size_t end, size_t chunk_rows,
                  const std::function<bool(const Chunk&)>& callback) const;
+  /// Projected range scan: decodes only table columns `columns` (ids, at
+  /// least one) and stamps each chunk with `schema` — one column per id,
+  /// same types, e.g. a plan's qualified names — so chunk column i holds
+  /// table column columns[i]. Chunk framing matches the full scan.
+  void ScanRange(size_t begin, size_t end, size_t chunk_rows,
+                 const std::vector<size_t>& columns,
+                 const std::shared_ptr<Schema>& schema,
+                 const std::function<bool(const Chunk&)>& callback) const;
 
-  /// Scan with positions: `row_ids[i]` is the table row of chunk row i,
-  /// the address DeleteRow/UpdateRow take. Chunk framing matches Scan.
+  /// Projected scan with positions: `row_ids[i]` is the table row of
+  /// chunk row i, the address DeleteRow/UpdateRow take. Columns and
+  /// schema as in the projected ScanRange; chunk framing matches Scan.
   void ScanWithRowIds(
-      size_t chunk_rows,
+      size_t chunk_rows, const std::vector<size_t>& columns,
+      const std::shared_ptr<Schema>& schema,
       const std::function<bool(const Chunk&, const std::vector<size_t>&)>&
           callback) const;
 
@@ -366,6 +376,8 @@ class TableReadSnapshot {
 
   /// ScanRange body; fills `row_ids` (cleared per chunk) when non-null.
   void ScanRows(size_t begin, size_t end, size_t chunk_rows,
+                const std::vector<size_t>& columns,
+                const std::shared_ptr<Schema>& schema,
                 std::vector<size_t>* row_ids,
                 const std::function<bool(const Chunk&)>& callback) const;
 
@@ -628,6 +640,11 @@ class RowTable {
   /// Streams live rows of the physical range [begin, end); see
   /// ColumnTable::ScanRange.
   void ScanRange(size_t begin, size_t end, size_t chunk_rows,
+                 const std::function<bool(const Chunk&)>& callback) const;
+  /// Projected form; see TableReadSnapshot::ScanRange.
+  void ScanRange(size_t begin, size_t end, size_t chunk_rows,
+                 const std::vector<size_t>& columns,
+                 const std::shared_ptr<Schema>& schema,
                  const std::function<bool(const Chunk&)>& callback) const;
 
   /// Uncompressed row-layout footprint (fixed 16 bytes per field plus

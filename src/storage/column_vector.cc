@@ -181,6 +181,12 @@ Chunk Chunk::Empty(std::shared_ptr<Schema> schema) {
   return chunk;
 }
 
+std::vector<size_t> AllColumnIds(const Schema& schema) {
+  std::vector<size_t> ids(schema.num_columns());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  return ids;
+}
+
 std::vector<Value> Chunk::Row(size_t r) const {
   std::vector<Value> row;
   row.reserve(columns.size());

@@ -119,6 +119,9 @@ struct Chunk {
   void AppendRowFrom(const Chunk& src, size_t r);
 };
 
+/// Column ids 0..n-1 of `schema`: the column list of an unprojected scan.
+std::vector<size_t> AllColumnIds(const Schema& schema);
+
 /// Default number of rows per chunk produced by scans.
 inline constexpr size_t kDefaultChunkRows = 2048;
 

@@ -4,6 +4,7 @@
 #include "optimizer/statistics.h"
 #include "platform/platform.h"
 #include "tpch/dbgen.h"
+#include "tpch/queries.h"
 
 namespace hana::optimizer {
 namespace {
@@ -215,6 +216,34 @@ TEST_F(OptimizerPlanTest, RemoteSqlRoundTripsThroughRemoteEngine) {
     ASSERT_TRUE(local.ok()) << query;
     EXPECT_EQ(fed->num_rows(), local->num_rows()) << query;
   }
+}
+
+// EXPLAIN reports how many table columns each scan decodes.
+TEST(ColumnPruningPlanTest, ScanLinesShowDecodedColumns) {
+  platform::Platform db(platform::PlatformOptions{
+      .attach_extended = false, .start_hadoop = false});
+  tpch::TpchData data = tpch::Generate(0.001);
+  for (const std::string& table : {std::string("lineitem"),
+                                   std::string("orders")}) {
+    sql::CreateTableStmt create;
+    create.table = table;
+    create.columns = tpch::TpchSchema(table)->columns();
+    ASSERT_TRUE(db.catalog().CreateTable(create).ok());
+    ASSERT_TRUE(db.catalog().Insert(table, *tpch::TableRows(data, table)).ok());
+  }
+  auto q6 = db.Explain(tpch::QueryText(6));
+  ASSERT_TRUE(q6.ok()) << q6.status().ToString();
+  // l_shipdate, l_discount, l_quantity, l_extendedprice.
+  EXPECT_NE(q6->find("Column Scan lineitem [4/16 cols]"), std::string::npos)
+      << *q6;
+  auto q4 = db.Explain(tpch::QueryText(4));
+  ASSERT_TRUE(q4.ok()) << q4.status().ToString();
+  // EXISTS (SELECT * ...) still reads only l_orderkey, l_commitdate and
+  // l_receiptdate; orders contributes its key, date and priority.
+  EXPECT_NE(q4->find("Column Scan lineitem [3/16 cols]"), std::string::npos)
+      << *q4;
+  EXPECT_NE(q4->find("Column Scan orders [3/9 cols]"), std::string::npos)
+      << *q4;
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "narrow_copy.h"
 #include "platform/platform.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -173,6 +174,52 @@ TEST_F(TpchLocalExecution, Q6MatchesHandRolledFilter) {
     }
   }
   EXPECT_NEAR(result->row(0)[0].double_value(), expected, 1e-6);
+}
+
+// Column pruning against an independent reference: every query runs on
+// the full tables, where scans are pruned to the referenced columns, and
+// on copies of the tables cut down to the columns the query names. The
+// two must return the same rows, bit for bit, at every thread count.
+TEST(TpchColumnPruning, FullTablesMatchNarrowCopies) {
+  TpchData data = Generate(0.002);
+  auto create_stmt = [](const std::string& table) {
+    sql::CreateTableStmt create;
+    create.table = table;
+    create.columns = TpchSchema(table)->columns();
+    return create;
+  };
+  platform::Platform full(platform::PlatformOptions{
+      .attach_extended = false, .start_hadoop = false});
+  for (const std::string& table : TpchTableNames()) {
+    ASSERT_TRUE(full.catalog().CreateTable(create_stmt(table)).ok());
+    ASSERT_TRUE(full.catalog().Insert(table, *TableRows(data, table)).ok());
+  }
+  ASSERT_TRUE(full.SetParameter("morsel_rows", "1024").ok());
+  for (int q : BenchmarkQueries()) {
+    const std::string sql = QueryText(q);
+    platform::Platform narrow(platform::PlatformOptions{
+        .attach_extended = false, .start_hadoop = false});
+    for (const std::string& table : TpchTableNames()) {
+      ASSERT_TRUE(testutil::LoadNarrowCopy(&narrow, create_stmt(table),
+                                          *TableRows(data, table), sql)
+                      .ok());
+    }
+    ASSERT_TRUE(narrow.SetParameter("morsel_rows", "1024").ok());
+    for (int threads : {1, 2, 4}) {
+      ASSERT_TRUE(full.SetParameter("threads", std::to_string(threads)).ok());
+      ASSERT_TRUE(
+          narrow.SetParameter("threads", std::to_string(threads)).ok());
+      auto pruned = full.Query(sql);
+      auto reference = narrow.Query(sql);
+      ASSERT_TRUE(pruned.ok())
+          << "Q" << q << ": " << pruned.status().ToString();
+      ASSERT_TRUE(reference.ok())
+          << "Q" << q << ": " << reference.status().ToString();
+      EXPECT_EQ(testutil::ExactRows(*pruned),
+                testutil::ExactRows(*reference))
+          << "Q" << q << " at " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace
