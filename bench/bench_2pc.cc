@@ -78,8 +78,10 @@ double MeasureCommitMs(size_t num_participants, bool parallel_vote,
 int Main(int argc, char** argv) {
   double latency_ms = argc > 1 ? std::atof(argv[1]) : 10.0;
   int iterations = argc > 2 ? std::atoi(argv[2]) : 5;
-  std::printf("pool=%zu workers; prepare latency %.1f ms; %d txns/point\n\n",
-              TaskPool::Global().num_threads(), latency_ms, iterations);
+  std::printf(
+      "{\"bench\": \"2pc_commit_config\", \"pool_workers\": %zu, "
+      "\"prepare_latency_ms\": %.1f, \"txns_per_point\": %d}\n\n",
+      TaskPool::Global().num_threads(), latency_ms, iterations);
 
   const size_t kParticipantCounts[] = {1, 2, 4, 8};
   for (double lat : {latency_ms, 0.0}) {

@@ -186,8 +186,8 @@ int Main(int argc, char** argv) {
   size_t preload_rows =
       argc > 2 ? static_cast<size_t>(std::atoll(argv[2])) : 200000;
   std::printf(
-      "HTAP retention: %zu analytical readers, %zu preloaded rows, "
-      "%.0f ms/point\n\n",
+      "{\"bench\": \"htap_retention_config\", \"readers\": %zu, "
+      "\"preload_rows\": %zu, \"ms_per_point\": %.0f}\n\n",
       kReaders, preload_rows, duration_ms);
 
   double baseline_qps = 0;

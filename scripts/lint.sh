@@ -34,15 +34,19 @@
 #      lock_rank::kX};`) so the runtime lock-order validator can report
 #      and rank-check it. An unnamed mutex shows up in deadlock reports
 #      as an anonymous address and is exempt from rank checking.
+#  10. bench/results/*.json are JSON lines: every non-empty line parses
+#      as one JSON value (configuration headers included), so any result
+#      file can be read line by line.
 #
 # When clang-tidy is on PATH and a compile database exists, it also
 # runs the .clang-tidy profile over the checked sources. Missing tools
 # skip with a message instead of failing, so GCC-only environments
 # still pass.
 #
-# HANA_LINT_SRC overrides the scanned tree (default: src). The lint
-# rule tests point it at fixture directories to prove each rule still
-# fires/stays quiet; overriding skips the clang-tidy pass.
+# HANA_LINT_SRC overrides the scanned tree (default: src, and
+# bench/results for rule 10). The lint rule tests point it at fixture
+# directories to prove each rule still fires/stays quiet; overriding
+# skips the clang-tidy pass.
 #
 # Run from the repo root (the lint CMake target and the lint-labeled
 # ctest both do): scripts/lint.sh
@@ -154,6 +158,27 @@ check "IgnoreStatus without justification \
   "$(find_violations 'IgnoreStatus[[:space:]]*\(' \
      '^src/common/status\.h$' \
      | without_justification 'lint: IgnoreStatus allowed')"
+
+# Rule 10: every non-empty line of a result file parses as JSON.
+RESULTS_DIR="${HANA_LINT_SRC:-bench/results}"
+if command -v python3 > /dev/null 2>&1; then
+  check "bench result line that is not JSON \
+(write every line of bench/results/*.json, headers too, as a JSON object)" \
+    "$(find "$RESULTS_DIR" -name '*.json' | sort | xargs -r python3 -c '
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        for n, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                json.loads(line)
+            except ValueError:
+                print("%s:%d:%s" % (path, n, line.rstrip()))
+')"
+else
+  echo "SKIP rule 10: python3 not installed"
+fi
 
 # clang-tidy profile (.clang-tidy) when the tool and a compile database
 # are available. Skipped when scanning a fixture tree.

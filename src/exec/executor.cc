@@ -304,7 +304,10 @@ class PipelineExecutor {
       MutexLock lock(mu_);
       MarkDone(run.p->id);
       --in_flight_;
-      if (region_open_ && in_flight_ <= 1) {
+      // The region stays open until no pipeline runs: a branch whose
+      // dispatch queued on the serialized SDA mutex behind its siblings
+      // still overlapped them.
+      if (region_open_ && in_flight_ == 0) {
         region_open_ = false;
         ctx_->EndConcurrentRemoteDispatch();
       }

@@ -203,9 +203,17 @@ Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in) {
 
 Result<Chunk> ProjectChunk(const LogicalOp& project, const Chunk& in) {
   Chunk out = Chunk::Empty(project.schema);
-  for (size_t r = 0; r < in.num_rows(); ++r) {
-    for (size_t c = 0; c < project.exprs.size(); ++c) {
-      HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(*project.exprs[c], in, r));
+  for (size_t c = 0; c < project.exprs.size(); ++c) {
+    const BoundExpr& e = *project.exprs[c];
+    // A bare column of the same physical type copies as a whole vector.
+    if (e.kind == plan::BoundKind::kColumn &&
+        e.column_index < in.columns.size() &&
+        in.columns[e.column_index]->type() == out.columns[c]->type()) {
+      *out.columns[c] = *in.columns[e.column_index];
+      continue;
+    }
+    for (size_t r = 0; r < in.num_rows(); ++r) {
+      HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(e, in, r));
       out.columns[c]->Append(v);
     }
   }

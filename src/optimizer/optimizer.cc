@@ -274,7 +274,7 @@ std::string ComputeLabel(const LogicalOp& op, const OptimizeContext& ctx) {
     case LogicalKind::kLimit:
       return caps->limit ? label : "";
     case LogicalKind::kUnion:
-      return caps->joins ? "" : "";  // UNION shipping not supported.
+      return "";  // PlanToSql renders no UNION; branches ship one by one.
     default:
       return "";
   }
@@ -464,15 +464,15 @@ void MaybeNominatePerfectHash(LogicalOp* op,
   }
   const LogicalOp* scan =
       UnwrapToScan(op->children[op->build_left ? 0 : 1].get());
-  if (scan == nullptr || scan->table.location != TableLocation::kLocalColumn) {
+  if (scan == nullptr || scan->table.location != TableLocation::kLocalColumn ||
+      key->column_index >= scan->scan_columns.size()) {
     return;
   }
   Result<const catalog::TableEntry*> entry = catalog->GetTable(scan->table.name);
   if (!entry.ok() || (*entry)->column_table == nullptr) return;
-  const storage::ColumnTable& table = *(*entry)->column_table;
-  if (key->column_index >= table.schema()->num_columns()) return;
   storage::ColumnTable::ColumnDomain d =
-      table.GetColumnDomain(key->column_index);
+      (*entry)->column_table->GetColumnDomain(
+          scan->scan_columns[key->column_index]);
   if (d.distinct_upper == 0 || d.min.is_null() || d.max.is_null()) return;
   uint64_t range = static_cast<uint64_t>(d.max.AsInt()) -
                    static_cast<uint64_t>(d.min.AsInt());
@@ -536,15 +536,15 @@ void ChooseAggPartitions(LogicalOp* op, const catalog::Catalog* catalog) {
   }
   Result<const catalog::TableEntry*> entry = catalog->GetTable(scan->table.name);
   if (!entry.ok() || (*entry)->column_table == nullptr) return;
-  const storage::ColumnTable& table = *(*entry)->column_table;
   uint64_t groups_upper = 1;
   for (const plan::BoundExprPtr& g : op->group_by) {
     if (g->kind != plan::BoundKind::kColumn ||
-        g->column_index >= table.schema()->num_columns()) {
+        g->column_index >= scan->scan_columns.size()) {
       return;  // Computed key: cardinality unknown, keep the max.
     }
     storage::ColumnTable::ColumnDomain d =
-        table.GetColumnDomain(g->column_index);
+        (*entry)->column_table->GetColumnDomain(
+            scan->scan_columns[g->column_index]);
     if (d.distinct_upper == 0) return;
     if (groups_upper > (uint64_t{1} << 32) / std::max<uint64_t>(d.distinct_upper, 1)) {
       return;  // Product would overflow any useful bound; keep the max.
@@ -586,14 +586,16 @@ Status Optimize(plan::LogicalOpPtr* plan, const OptimizeContext& ctx) {
   HANA_RETURN_IF_ERROR(plan::PushDownFilters(plan));
   HANA_RETURN_IF_ERROR(PrunePartitions(plan, ctx.catalog));
   plan::PushScanRanges(plan->get());
+  HANA_RETURN_IF_ERROR(plan::SplitAggregateOverUnion(plan));
+  // Before the federation split, so every shipped remote_sql names only
+  // the columns the plan uses.
+  HANA_RETURN_IF_ERROR(plan::PruneColumns(plan->get()));
   if (ctx.sda != nullptr && ctx.options.enable_federation) {
     HANA_RETURN_IF_ERROR(SplitFederated(plan, ctx));
   }
   ChooseBuildSides(plan->get(), ctx.catalog);
   ChooseAggPartitions(plan->get(), ctx.catalog);
-  // Last: the passes above read table stats by scan column position,
-  // and the federation split has already fixed every remote_sql.
-  return plan::PruneColumns(plan->get());
+  return Status::OK();
 }
 
 }  // namespace hana::optimizer

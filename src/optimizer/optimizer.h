@@ -43,15 +43,18 @@ struct OptimizeContext {
 ///  1. predicate pushdown + join-condition recovery,
 ///  2. hybrid-table partition expansion (Union Plan) + pruning,
 ///  3. zone-map range extraction,
-///  4. federation split: maximal remote subtrees become shipped
+///  4. eager aggregation through UNION ALL
+///     (plan::SplitAggregateOverUnion): each branch gets a partial,
+///  5. column pruning (plan::PruneColumns): scans decode only the
+///     columns the plan references,
+///  6. federation split: maximal remote subtrees become shipped
 ///     kRemoteQuery nodes (capability-checked per adapter), with
 ///     cost-based Semijoin / Table Relocation handling at local-remote
-///     join boundaries,
-///  5. hash-join build sides, perfect-hash nomination and aggregate
-///     partition counts (stats looked up by scan column position),
-///  6. column pruning (plan::PruneColumns): scans decode only the
-///     columns the plan references. Last, so the lookups in 5 see
-///     table-ordered scan columns and shipped SQL is already fixed.
+///     join boundaries. Shipped SQL is rendered from the pruned
+///     subtrees, so it names only used columns,
+///  7. hash-join build sides, perfect-hash nomination and aggregate
+///     partition counts (stats looked up through each scan's
+///     scan_columns).
 [[nodiscard]] Status Optimize(plan::LogicalOpPtr* plan, const OptimizeContext& ctx);
 
 /// Heuristic output-cardinality estimate for costing.

@@ -83,6 +83,8 @@ std::string LogicalOp::ToString(int indent) const {
       for (const auto& a : aggregates) aggs.push_back(a->ToString());
       line += "Aggregate GROUP BY [" + Join(groups, ", ") + "] AGG [" +
               Join(aggs, ", ") + "]";
+      if (agg_phase == AggPhase::kPartial) line += " [partial]";
+      if (agg_phase == AggPhase::kFinal) line += " [final]";
       if (agg_partitions > 0) {
         line += StrFormat(" [partitioned-agg x%d]", agg_partitions);
       }

@@ -67,6 +67,11 @@ enum class LogicalKind {
 
 enum class JoinKind { kInner, kLeft, kCross, kSemi, kAnti };
 
+/// Role of an aggregate in the eager split through UNION ALL
+/// (plan::SplitAggregateOverUnion): one pass over the input, a per-branch
+/// partial, or the final aggregate that combines the partials.
+enum class AggPhase { kSingle, kPartial, kFinal };
+
 const char* JoinKindName(JoinKind kind);
 
 struct LogicalOp;
@@ -148,6 +153,8 @@ struct LogicalOp {
   /// chosen; the executor falls back to its default). Rendered by
   /// ToString as a "[partitioned-agg x<n>]" suffix for EXPLAIN.
   int agg_partitions = 0;
+  /// Rendered by ToString as "[partial]" / "[final]".
+  AggPhase agg_phase = AggPhase::kSingle;
 
   // kSort
   std::vector<SortKey> sort_keys;

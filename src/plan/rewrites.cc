@@ -345,6 +345,112 @@ void PushScanRanges(LogicalOp* plan) {
   for (auto& child : plan->children) PushScanRanges(child.get());
 }
 
+Status SplitAggregateOverUnion(LogicalOpPtr* plan) {
+  for (LogicalOpPtr& child : (*plan)->children) {
+    HANA_RETURN_IF_ERROR(SplitAggregateOverUnion(&child));
+  }
+  LogicalOp* agg = plan->get();
+  if (agg->kind != LogicalKind::kAggregate ||
+      agg->agg_phase != AggPhase::kSingle ||
+      agg->children[0]->kind != LogicalKind::kUnion ||
+      std::any_of(agg->aggregates.begin(), agg->aggregates.end(),
+                  [](const BoundExprPtr& a) { return a->distinct; })) {
+    return Status::OK();
+  }
+  const size_t keys = agg->group_by.size();
+  const size_t aggs = agg->aggregates.size();
+
+  // Partial layout: keys, one column per aggregate (an AVG's SUM), then
+  // one COUNT per AVG. The final aggregate has the same layout.
+  auto partial_schema = std::make_shared<Schema>();
+  for (size_t i = 0; i < keys; ++i) {
+    partial_schema->AddColumn(agg->schema->column(i));
+  }
+  std::vector<BoundExprPtr> partials;
+  std::vector<size_t> avgs;  // Positions in `aggregates` of each AVG.
+  for (size_t a = 0; a < aggs; ++a) {
+    BoundExprPtr p = agg->aggregates[a]->Clone();
+    if (p->agg_kind == AggKind::kAvg) {
+      p->agg_kind = AggKind::kSum;
+      p->type = p->child0->type == DataType::kDouble ? DataType::kDouble
+                                                     : DataType::kInt64;
+      avgs.push_back(a);
+    }
+    partials.push_back(std::move(p));
+  }
+  for (size_t a : avgs) {
+    BoundExprPtr count = agg->aggregates[a]->Clone();
+    count->agg_kind = AggKind::kCount;
+    count->type = DataType::kInt64;
+    partials.push_back(std::move(count));
+  }
+  for (const BoundExprPtr& p : partials) {
+    partial_schema->AddColumn({p->ToString(), p->type, true});
+  }
+
+  LogicalOp* union_op = agg->children[0].get();
+  for (LogicalOpPtr& branch : union_op->children) {
+    auto partial = std::make_unique<LogicalOp>();
+    partial->kind = LogicalKind::kAggregate;
+    partial->agg_phase = AggPhase::kPartial;
+    partial->schema = partial_schema;
+    for (const BoundExprPtr& g : agg->group_by) {
+      partial->group_by.push_back(g->Clone());
+    }
+    for (const BoundExprPtr& p : partials) {
+      partial->aggregates.push_back(p->Clone());
+    }
+    partial->children.push_back(std::move(branch));
+    branch = std::move(partial);
+  }
+  union_op->schema = partial_schema;
+
+  // The final aggregate: COUNT partials add up, the rest fold as
+  // themselves.
+  agg->group_by.clear();
+  agg->aggregates.clear();
+  for (size_t i = 0; i < partial_schema->num_columns(); ++i) {
+    const ColumnDef& col = partial_schema->column(i);
+    BoundExprPtr input = BoundExpr::Column(i, col.type, col.name);
+    if (i < keys) {
+      agg->group_by.push_back(std::move(input));
+      continue;
+    }
+    const BoundExpr& p = *partials[i - keys];
+    auto combine = std::make_unique<BoundExpr>();
+    combine->kind = BoundKind::kAggregate;
+    combine->type = p.type;
+    combine->agg_kind = p.agg_kind == AggKind::kCount ||
+                                p.agg_kind == AggKind::kCountStar
+                            ? AggKind::kSum
+                            : p.agg_kind;
+    combine->child0 = std::move(input);
+    agg->aggregates.push_back(std::move(combine));
+  }
+  agg->agg_phase = AggPhase::kFinal;
+  if (avgs.empty()) return Status::OK();
+
+  // AVG = SUM / COUNT; kDiv yields NULL on a zero count, as FinalizeAgg.
+  std::shared_ptr<Schema> output = agg->schema;
+  agg->schema = partial_schema;
+  std::vector<BoundExprPtr> exprs;
+  for (size_t i = 0; i < output->num_columns(); ++i) {
+    const ColumnDef& col = partial_schema->column(i);
+    exprs.push_back(BoundExpr::Column(i, col.type, col.name));
+  }
+  for (size_t k = 0; k < avgs.size(); ++k) {
+    const size_t sum = keys + avgs[k];
+    const size_t count = keys + aggs + k;
+    exprs[sum] = BoundExpr::Binary(
+        static_cast<int>(BinaryOp::kDiv), DataType::kDouble,
+        std::move(exprs[sum]),
+        BoundExpr::Column(count, DataType::kInt64,
+                          partial_schema->column(count).name));
+  }
+  *plan = MakeProject(std::move(*plan), std::move(exprs), std::move(output));
+  return Status::OK();
+}
+
 namespace {
 
 /// Output columns of one node, by position.
@@ -545,13 +651,8 @@ Result<ColumnSet> Prune(LogicalOp* op, ColumnSet needs, bool apply) {
     }
     case LogicalKind::kRemoteQuery:
     case LogicalKind::kTableFunctionScan:
-      // Opaque: shipped SQL and relocated tables name every column.
-      if (apply) {
-        for (auto& child : op->children) {
-          HANA_RETURN_IF_ERROR(
-              Prune(child.get(), AllColumns(*child), true).status());
-        }
-      }
+      // Opaque. The optimizer prunes before the federation split, so a
+      // remote query only appears here in a plan built by hand.
       return AllColumns(*op);
   }
   return Status::Internal("unknown plan node in column pruning");

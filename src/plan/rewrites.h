@@ -29,6 +29,20 @@ void PushScanRanges(LogicalOp* plan);
 /// indexes of the schema the predicate is bound against).
 std::vector<ScanRange> ExtractRanges(const BoundExpr& predicate);
 
+/// Eager aggregation through UNION ALL: every Aggregate(Union(b1..bn))
+/// becomes Final(Union(Partial(b1)..Partial(bn))), so each branch (a
+/// cold partition, a remote source) can ship or run a narrow GROUP BY.
+/// The partials group by the original keys and compute the original
+/// aggregates, except that AVG becomes a SUM and a COUNT. The final
+/// groups by the partial key columns and combines COUNT and COUNT(*) as
+/// SUM, and SUM, MIN and MAX as themselves; a Project above it divides
+/// each AVG's SUM by its COUNT (NULL when the count is 0, as
+/// exec::FinalizeAgg does). The final keeps the original output layout.
+/// DOUBLE sums re-associate: the final adds the partials in union branch
+/// order, each partial in morsel order, so results are deterministic at
+/// any thread count. Aggregates with a DISTINCT argument stay whole.
+[[nodiscard]] Status SplitAggregateOverUnion(LogicalOpPtr* plan);
+
 /// Column pruning. Computes top-down which columns every node must
 /// produce — the root all of its outputs; filter, sort, limit and union
 /// their parent's needs plus their own expression columns; a join its
@@ -38,8 +52,8 @@ std::vector<ScanRange> ExtractRanges(const BoundExpr& predicate);
 /// order, at least one: the cheapest type to decode when nothing is
 /// referenced), rebuilds the pass-through schemas and remaps every
 /// column index above a narrowed child. Project and aggregate outputs,
-/// table functions and remote queries (with their relocated children)
-/// keep every column. ScanRange bounds stay in table-column space.
+/// table functions and remote queries keep every column. ScanRange
+/// bounds stay in table-column space.
 [[nodiscard]] Status PruneColumns(LogicalOp* plan);
 
 }  // namespace hana::plan

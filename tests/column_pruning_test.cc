@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/util.h"
 #include "narrow_copy.h"
 #include "platform/platform.h"
@@ -264,29 +266,37 @@ uint64_t RoundedHash(const storage::Table& table) {
   return sum;
 }
 
-TEST(ColumnPruningFederation, DisabledFederationMatchesShippedPlan) {
-  platform::Platform db;
+/// The Figure 14 deployment: lineitem, customer and orders in Hive
+/// behind virtual tables; supplier, nation, region and a PART copy local.
+Status LoadFigure14(platform::Platform* db) {
   tpch::TpchData data = tpch::Generate(0.002);
   for (const std::string table : {"supplier", "nation", "region",
                                   "part_local"}) {
     sql::CreateTableStmt create;
     create.table = table;
     create.columns = tpch::TpchSchema(table)->columns();
-    ASSERT_TRUE(db.catalog().CreateTable(create).ok());
-    ASSERT_TRUE(db.catalog().Insert(table, *tpch::TableRows(data, table)).ok());
+    HANA_RETURN_IF_ERROR(db->catalog().CreateTable(create));
+    HANA_RETURN_IF_ERROR(
+        db->catalog().Insert(table, *tpch::TableRows(data, table)));
   }
   for (const std::string table : {"lineitem", "customer", "orders"}) {
-    ASSERT_TRUE(db.hive()->CreateTable(table, tpch::TpchSchema(table)).ok());
-    ASSERT_TRUE(db.hive()->LoadRows(table, *tpch::TableRows(data, table)).ok());
+    HANA_RETURN_IF_ERROR(
+        db->hive()->CreateTable(table, tpch::TpchSchema(table)));
+    HANA_RETURN_IF_ERROR(
+        db->hive()->LoadRows(table, *tpch::TableRows(data, table)));
   }
-  ASSERT_TRUE(db.Run(R"(
+  return db->Run(R"(
       CREATE REMOTE SOURCE HIVE1 ADAPTER "hiveodbc" CONFIGURATION
         'DSN=hive1' WITH CREDENTIAL TYPE 'PASSWORD'
         USING 'user=dfuser;password=dfpass';
       CREATE VIRTUAL TABLE lineitem AT "HIVE1"."dflo"."dflo"."lineitem";
       CREATE VIRTUAL TABLE customer AT "HIVE1"."dflo"."dflo"."customer";
-      CREATE VIRTUAL TABLE orders AT "HIVE1"."dflo"."dflo"."orders";)")
-                  .ok());
+      CREATE VIRTUAL TABLE orders AT "HIVE1"."dflo"."dflo"."orders";)");
+}
+
+TEST(ColumnPruningFederation, DisabledFederationMatchesShippedPlan) {
+  platform::Platform db;
+  ASSERT_TRUE(LoadFigure14(&db).ok());
   for (int q : {3, 14}) {
     const std::string sql = tpch::QueryText(q, "part_local");
     db.optimizer_options().enable_federation = true;
@@ -307,6 +317,51 @@ TEST(ColumnPruningFederation, DisabledFederationMatchesShippedPlan) {
     EXPECT_EQ(RoundedHash(*local), RoundedHash(*shipped)) << "Q" << q;
   }
   db.optimizer_options().enable_federation = true;
+}
+
+// Column pruning runs before the federation split, so the SQL shipped
+// under a local join names only the columns the plan uses.
+TEST(ColumnPruningFederation, ShippedSqlIsNarrow) {
+  platform::Platform db;
+  ASSERT_TRUE(LoadFigure14(&db).ok());
+  const std::string q14 = tpch::QueryText(14, "part_local");
+  auto plan = db.Explain(q14);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::istringstream lines(*plan);
+  std::string remote;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("Remote Row Scan @HIVE1") != std::string::npos) {
+      remote = line;
+    }
+  }
+  ASSERT_FALSE(remote.empty()) << *plan;
+  EXPECT_EQ(remote.find("l_comment"), std::string::npos) << remote;
+  EXPECT_NE(remote.find("l_extendedprice"), std::string::npos) << remote;
+
+  // The narrowed statement is what the remote cache keys on: a second
+  // hinted run is served from the cache the first one filled.
+  ASSERT_TRUE(db.SetParameter("enable_remote_cache", "true").ok());
+  const std::string hinted = q14 + " WITH HINT (USE_REMOTE_CACHE)";
+  auto first = db.Execute(hinted);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = db.Execute(hinted);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second->metrics.remote_cache_hit);
+  EXPECT_EQ(RoundedHash(second->table), RoundedHash(first->table));
+
+  for (int q : {5, 14}) {
+    const std::string sql = tpch::QueryText(q, "part_local");
+    db.optimizer_options().enable_federation = true;
+    auto shipped = db.Query(sql);
+    ASSERT_TRUE(shipped.ok()) << "Q" << q << ": "
+                              << shipped.status().ToString();
+    db.optimizer_options().enable_federation = false;
+    auto local = db.Query(sql);
+    db.optimizer_options().enable_federation = true;
+    ASSERT_TRUE(local.ok()) << "Q" << q << ": " << local.status().ToString();
+    EXPECT_GT(local->num_rows(), 0u) << "Q" << q;
+    EXPECT_EQ(RoundedHash(*local), RoundedHash(*shipped)) << "Q" << q;
+  }
 }
 
 }  // namespace

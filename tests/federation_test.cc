@@ -254,5 +254,42 @@ TEST(IqAdapterCapabilities, FullPushdownSurface) {
   EXPECT_FALSE(adapter.capabilities().remote_cache);
 }
 
+// Union Plan branches overlap: with more than one thread a statement pays
+// its slowest cold branch, not the sum. The split branches return one
+// row each, so a branch's pipeline finishes right after its dispatch
+// while siblings still queue on the serialized dispatch; they must still
+// count as overlapping.
+TEST(UnionPlanDispatch, ConcurrentBranchesChargeTheSlowest) {
+  platform::Platform db;
+  ASSERT_TRUE(db.Run(R"(
+      CREATE TABLE events (id BIGINT, bucket BIGINT, amount DOUBLE)
+        USING HYBRID EXTENDED STORAGE
+        PARTITION BY RANGE (bucket) (
+          PARTITION VALUES < 1 COLD,
+          PARTITION VALUES < 2 COLD,
+          PARTITION VALUES < 3 COLD,
+          PARTITION VALUES < 4 COLD,
+          PARTITION OTHERS HOT))").ok());
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 4000; ++i) {
+    rows.push_back({Value::Int(i), Value::Int(i % 5), Value::Double(0.5)});
+  }
+  ASSERT_TRUE(db.catalog().Insert("events", rows).ok());
+  const std::string sql = "SELECT COUNT(*) AS n, SUM(amount) AS s FROM events";
+  ASSERT_TRUE(db.Execute(sql).ok());  // Warm the extended buffer cache.
+  double remote_ms[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(db.SetParameter("threads", i == 0 ? "1" : "4").ok());
+    auto result = db.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->table.row(0)[0].int_value(), 4000);
+    remote_ms[i] = result->metrics.simulated_remote_ms;
+  }
+  EXPECT_GT(remote_ms[1], 0.0);
+  // Four equal branches: the concurrent statement pays about a quarter.
+  EXPECT_LT(remote_ms[1], 0.3 * remote_ms[0])
+      << remote_ms[0] << " ms serial, " << remote_ms[1] << " ms concurrent";
+}
+
 }  // namespace
 }  // namespace hana::federation

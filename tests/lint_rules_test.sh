@@ -51,6 +51,7 @@ check_fires "IgnoreStatus without justification" \
   "unjustified_ignore_status.cc"
 check_fires "raw SIMD intrinsics outside src/common/cpu_dispatch" \
   "raw_intrinsics.cc"
+check_fires "bench result line that is not JSON" "text_header.json"
 
 # The good fixture's block comment mentions every rule's trigger; if any
 # of them leaked into the good run, stripping regressed.

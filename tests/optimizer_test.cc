@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <regex>
+#include <sstream>
+
 #include "common/util.h"
 #include "optimizer/statistics.h"
 #include "platform/platform.h"
@@ -218,6 +222,61 @@ TEST_F(OptimizerPlanTest, RemoteSqlRoundTripsThroughRemoteEngine) {
   }
 }
 
+// The hybrid-table history aggregate splits through the union: the cold
+// branch ships a narrow GROUP BY and the hot branch aggregates only the
+// columns the query uses.
+TEST_F(OptimizerPlanTest, HistoryAggregateSplitsThroughUnion) {
+  ASSERT_TRUE(db_->Run(R"(
+      CREATE TABLE order_line (ol_o_id BIGINT, ol_d_id BIGINT,
+        ol_w_id BIGINT, ol_number BIGINT, ol_i_id BIGINT,
+        ol_supply_w_id BIGINT, ol_delivery_d DATE, ol_quantity BIGINT,
+        ol_amount DOUBLE, ol_dist_info VARCHAR(24))
+        USING HYBRID EXTENDED STORAGE PARTITION BY RANGE (ol_o_id)
+          (PARTITION VALUES < 100 COLD, PARTITION OTHERS HOT))").ok());
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 2000; ++i) {
+    rows.push_back({Value::Int(i / 10), Value::Int(1), Value::Int(1),
+                    Value::Int(i % 10), Value::Int(i * 7), Value::Int(1),
+                    Value::Date(16436 + i), Value::Int(1 + i % 5),
+                    Value::Double(0.25 * static_cast<double>(i)),
+                    Value::String("dist" + std::to_string(i))});
+  }
+  ASSERT_TRUE(db_->catalog().Insert("order_line", rows).ok());
+
+  std::string plan = Plan(
+      "SELECT ol_number, COUNT(*) AS n, SUM(ol_quantity) AS qty, "
+      "SUM(ol_amount) AS amount FROM order_line GROUP BY ol_number");
+  std::istringstream lines(plan);
+  std::string remote;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("Remote Row Scan @EXTENDED") != std::string::npos) {
+      remote = line;
+    }
+  }
+  ASSERT_FALSE(remote.empty()) << plan;
+  EXPECT_NE(remote.find("GROUP BY"), std::string::npos) << plan;
+  EXPECT_EQ(remote.find("ol_dist_info"), std::string::npos) << plan;
+  EXPECT_EQ(remote.find("ol_i_id"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("[final]"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("[partial]"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("Column Scan order_line PARTITION 1 [3/10 cols]"),
+            std::string::npos)
+      << plan;
+
+  // COUNT(DISTINCT ...) partials cannot combine: one aggregate stays
+  // above the union.
+  std::string distinct = Plan(
+      "SELECT ol_number, COUNT(DISTINCT ol_i_id) AS items FROM order_line "
+      "GROUP BY ol_number");
+  EXPECT_EQ(distinct.find("[partial]"), std::string::npos) << distinct;
+  EXPECT_EQ(distinct.find("[final]"), std::string::npos) << distinct;
+  size_t agg = distinct.find("Aggregate GROUP BY");
+  ASSERT_NE(agg, std::string::npos) << distinct;
+  EXPECT_LT(agg, distinct.find("Union All")) << distinct;
+  EXPECT_EQ(distinct.find("Aggregate GROUP BY", agg + 1), std::string::npos)
+      << distinct;
+}
+
 // EXPLAIN reports how many table columns each scan decodes.
 TEST(ColumnPruningPlanTest, ScanLinesShowDecodedColumns) {
   platform::Platform db(platform::PlatformOptions{
@@ -244,6 +303,94 @@ TEST(ColumnPruningPlanTest, ScanLinesShowDecodedColumns) {
       << *q4;
   EXPECT_NE(q4->find("Column Scan orders [3/9 cols]"), std::string::npos)
       << *q4;
+}
+
+// The stats passes read column domains through each scan's
+// scan_columns, so they annotate plans over pruned scans exactly as they
+// did when every scan still decoded all of its table's columns. The
+// expected lines (EXPLAIN line number, then the annotations on it) were
+// recorded from that unpruned layout.
+std::string StatsAnnotations(const std::string& plan) {
+  static const std::regex kAnnotation(
+      R"(\[(perfect-hash|partitioned-agg x[0-9]+)\])");
+  std::string out;
+  std::istringstream lines(plan);
+  std::string line;
+  for (int n = 1; std::getline(lines, line); ++n) {
+    std::string found;
+    for (std::sregex_iterator it(line.begin(), line.end(), kAnnotation), end;
+         it != end; ++it) {
+      found += " " + it->str();
+    }
+    if (found.empty()) continue;
+    out += (out.empty() ? "L" : "; L") + std::to_string(n) + found;
+  }
+  return out;
+}
+
+TEST(StatsPassTest, TpchAnnotationsMatchUnprunedLayout) {
+  platform::Platform db(platform::PlatformOptions{
+      .attach_extended = false, .start_hadoop = false});
+  tpch::TpchData data = tpch::Generate(0.01);
+  for (const std::string& table : tpch::TpchTableNames()) {
+    sql::CreateTableStmt create;
+    create.table = table;
+    create.columns = tpch::TpchSchema(table)->columns();
+    ASSERT_TRUE(db.catalog().CreateTable(create).ok());
+    ASSERT_TRUE(db.catalog().Insert(table, *tpch::TableRows(data, table)).ok());
+    ASSERT_TRUE(db.Execute("MERGE DELTA OF " + table).ok()) << table;
+  }
+  const std::map<int, std::string> expected = {
+      {1, "L2 [partitioned-agg x1]"},
+      {3, "L2 [partitioned-agg x64]; L4 [perfect-hash]"},
+      {4, "L2 [partitioned-agg x64]"},
+      {5, "L2 [partitioned-agg x64]; L3 [perfect-hash]; L4 [perfect-hash]; "
+          "L7 [perfect-hash]"},
+      {6, "L2 [partitioned-agg x1]"},
+      {10, "L2 [partitioned-agg x64]; L3 [perfect-hash]; L4 [perfect-hash]; "
+           "L5 [perfect-hash]"},
+      {12, "L2 [partitioned-agg x64]; L3 [perfect-hash]"},
+      {13, "L2 [partitioned-agg x64]; L4 [partitioned-agg x64]"},
+      {14, "L2 [partitioned-agg x1]; L3 [perfect-hash]"},
+      {16, "L2 [partitioned-agg x64]; L4 [perfect-hash]"},
+      {18, "L2 [partitioned-agg x64]; L5 [perfect-hash]; "
+           "L11 [partitioned-agg x32]"},
+      {19, "L2 [partitioned-agg x1]; L3 [perfect-hash]"},
+  };
+  ASSERT_EQ(expected.size(), tpch::BenchmarkQueries().size());
+  for (int q : tpch::BenchmarkQueries()) {
+    auto plan = db.Explain(tpch::QueryText(q));
+    ASSERT_TRUE(plan.ok()) << "Q" << q << ": " << plan.status().ToString();
+    EXPECT_EQ(StatsAnnotations(*plan), expected.at(q)) << "Q" << q << "\n"
+                                                       << *plan;
+  }
+}
+
+// A build key that is not its table's first column: the nomination must
+// read the key's own (dense) domain through scan_columns, not that of the
+// table column at the key's pruned position (a sparse id).
+TEST(StatsPassTest, PerfectHashReadsTheKeyColumnDomain) {
+  platform::Platform db(platform::PlatformOptions{
+      .attach_extended = false, .start_hadoop = false});
+  ASSERT_TRUE(db.Run(R"(
+      CREATE COLUMN TABLE keyed (id BIGINT, note VARCHAR(10), k BIGINT);
+      CREATE COLUMN TABLE probe (k BIGINT, v DOUBLE))").ok());
+  std::vector<std::vector<Value>> keyed, probe;
+  for (int64_t i = 0; i < 500; ++i) {
+    keyed.push_back(
+        {Value::Int(i * 1000003), Value::String("n"), Value::Int(i)});
+  }
+  for (int64_t i = 0; i < 5000; ++i) {
+    probe.push_back({Value::Int(i % 500), Value::Double(1.0)});
+  }
+  ASSERT_TRUE(db.catalog().Insert("keyed", keyed).ok());
+  ASSERT_TRUE(db.catalog().Insert("probe", probe).ok());
+  auto plan =
+      db.Explain("SELECT p.v FROM probe p JOIN keyed s ON p.k = s.k");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("Column Scan keyed AS s [1/3 cols]"), std::string::npos)
+      << *plan;
+  EXPECT_NE(plan->find("[perfect-hash]"), std::string::npos) << *plan;
 }
 
 }  // namespace
