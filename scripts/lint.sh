@@ -37,6 +37,11 @@
 #  10. bench/results/*.json are JSON lines: every non-empty line parses
 #      as one JSON value (configuration headers included), so any result
 #      file can be read line by line.
+#  11. No `AggKind::` outside src/plan/ and src/exec/. Aggregates have
+#      one definition: src/plan binds and types them (BindAggregateCall,
+#      AggResultType, AggName) and src/exec holds their state
+#      (AggState, AccumulateRow, FinalizeAgg). Another engine that
+#      switches on the aggregate kind is a copy that will drift.
 #
 # When clang-tidy is on PATH and a compile database exists, it also
 # runs the .clang-tidy profile over the checked sources. Missing tools
@@ -158,6 +163,11 @@ check "IgnoreStatus without justification \
   "$(find_violations 'IgnoreStatus[[:space:]]*\(' \
      '^src/common/status\.h$' \
      | without_justification 'lint: IgnoreStatus allowed')"
+
+check "aggregate-kind switch outside src/plan and src/exec \
+(bind with plan::BindAggregateCall; aggregate with exec::AggState, \
+AccumulateRow and FinalizeAgg)" \
+  "$(find_violations 'AggKind::' '^src/(plan|exec)/')"
 
 # Rule 10: every non-empty line of a result file parses as JSON.
 RESULTS_DIR="${HANA_LINT_SRC:-bench/results}"

@@ -1,10 +1,10 @@
 #include "esp/engine.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/strings.h"
 #include "exec/evaluator.h"
+#include "exec/pipeline.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
 
@@ -36,68 +36,6 @@ Result<plan::BoundExprPtr> BindText(const std::string& text,
                                     const Schema& schema) {
   HANA_ASSIGN_OR_RETURN(sql::ExprPtr ast, sql::ParseExpression(text));
   return plan::BindScalarExpr(*ast, schema);
-}
-
-struct AggAccum {
-  int64_t count = 0;
-  double sum_d = 0.0;
-  int64_t sum_i = 0;
-  bool any = false;
-  Value min_v;
-  Value max_v;
-  std::unordered_set<Value, storage::ValueHash> distinct;
-};
-
-Status UpdateAccum(const AggSpec& spec, const std::vector<Value>& row,
-                   AggAccum* acc) {
-  if (spec.kind == plan::AggKind::kCountStar) {
-    ++acc->count;
-    return Status::OK();
-  }
-  HANA_ASSIGN_OR_RETURN(Value v, exec::EvalExprRow(*spec.arg, row));
-  if (v.is_null()) return Status::OK();
-  if (spec.distinct && !acc->distinct.insert(v).second) return Status::OK();
-  acc->any = true;
-  switch (spec.kind) {
-    case plan::AggKind::kCount:
-      ++acc->count;
-      break;
-    case plan::AggKind::kSum:
-    case plan::AggKind::kAvg:
-      ++acc->count;
-      acc->sum_d += v.AsDouble();
-      acc->sum_i += v.AsInt();
-      break;
-    case plan::AggKind::kMin:
-      if (acc->min_v.is_null() || v.Compare(acc->min_v) < 0) acc->min_v = v;
-      break;
-    case plan::AggKind::kMax:
-      if (acc->max_v.is_null() || v.Compare(acc->max_v) > 0) acc->max_v = v;
-      break;
-    default:
-      break;
-  }
-  return Status::OK();
-}
-
-Value FinalizeAccum(const AggSpec& spec, DataType type, const AggAccum& acc) {
-  switch (spec.kind) {
-    case plan::AggKind::kCountStar:
-    case plan::AggKind::kCount:
-      return Value::Int(acc.count);
-    case plan::AggKind::kSum:
-      if (!acc.any) return Value::Null();
-      return type == DataType::kDouble ? Value::Double(acc.sum_d)
-                                       : Value::Int(acc.sum_i);
-    case plan::AggKind::kAvg:
-      if (!acc.any || acc.count == 0) return Value::Null();
-      return Value::Double(acc.sum_d / static_cast<double>(acc.count));
-    case plan::AggKind::kMin:
-      return acc.min_v;
-    case plan::AggKind::kMax:
-      return acc.max_v;
-  }
-  return Value::Null();
 }
 
 }  // namespace
@@ -166,8 +104,9 @@ void ContinuousQuery::CloseWindow(int64_t boundary_ms) {
     window_events_.clear();
     return;
   }
-  // Group and aggregate retained events.
-  std::map<std::vector<Value>, std::vector<AggAccum>> groups;
+  // Group and aggregate retained events. A row whose group key or
+  // aggregate argument fails to evaluate is skipped whole.
+  std::map<std::vector<Value>, std::vector<exec::AggState>> groups;
   for (const Event& event : window_events_) {
     std::vector<Value> key;
     key.reserve(group_by_.size());
@@ -181,26 +120,25 @@ void ContinuousQuery::CloseWindow(int64_t boundary_ms) {
       key.push_back(std::move(*v));
     }
     if (!ok) continue;
-    auto [it, inserted] =
-        groups.try_emplace(std::move(key),
-                           std::vector<AggAccum>(aggregates_.size()));
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      // lint: IgnoreStatus allowed — the update only fails when the
-      // aggregate argument fails to evaluate for this row; aggregation
-      // skips such rows, matching the group-key path above.
-      IgnoreStatus(UpdateAccum(aggregates_[a], event.values, &it->second[a]));
-    }
+    auto [it, inserted] = groups.try_emplace(std::move(key));
+    if (inserted) it->second.resize(aggregates_.size());
+    Status added =
+        exec::AccumulateRow(aggregates_, event.values, it->second.data());
+    if (!added.ok() && inserted) groups.erase(it);  // Only the skipped row.
   }
-  for (const auto& [key, accs] : groups) {
+  for (const auto& [key, states] : groups) {
     Event out;
     out.timestamp_ms = boundary_ms;
     out.values = key;
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      DataType type =
-          output_schema_->column(group_by_.size() + a).type;
-      out.values.push_back(FinalizeAccum(aggregates_[a], type, accs[a]));
+    bool finalized = true;
+    for (size_t a = 0; finalized && a < aggregates_.size(); ++a) {
+      Result<Value> v = exec::FinalizeAgg(*aggregates_[a], states[a]);
+      finalized = v.ok();
+      if (finalized) out.values.push_back(std::move(*v));
     }
-    Emit(out);
+    // A failed finalize (SUM overflow) drops the group's event, as a
+    // failed row drops the row.
+    if (finalized) Emit(out);
   }
   window_events_.clear();
 }
@@ -468,47 +406,10 @@ Result<ContinuousQuery*> CqBuilder::Finish(const std::string& name) {
       std::string text, alias;
       SplitAlias(item, &text, &alias);
       HANA_ASSIGN_OR_RETURN(sql::ExprPtr ast, sql::ParseExpression(text));
-      if (ast->kind != sql::ExprKind::kFunction) {
-        return Status::InvalidArgument("not an aggregate: " + item);
-      }
-      AggSpec spec;
-      spec.alias = alias.empty() ? text : alias;
-      spec.distinct = ast->distinct;
-      DataType type = DataType::kDouble;
-      const std::string& fn = ast->function_name;
-      bool star = ast->args.size() == 1 &&
-                  ast->args[0]->kind == sql::ExprKind::kStar;
-      if (fn == "COUNT" && (ast->args.empty() || star)) {
-        spec.kind = plan::AggKind::kCountStar;
-        type = DataType::kInt64;
-      } else {
-        if (ast->args.size() != 1) {
-          return Status::InvalidArgument("aggregate arity: " + item);
-        }
-        HANA_ASSIGN_OR_RETURN(spec.arg,
-                              plan::BindScalarExpr(*ast->args[0],
-                                                   *row_schema));
-        if (fn == "COUNT") {
-          spec.kind = plan::AggKind::kCount;
-          type = DataType::kInt64;
-        } else if (fn == "SUM") {
-          spec.kind = plan::AggKind::kSum;
-          type = spec.arg->type == DataType::kDouble ? DataType::kDouble
-                                                     : DataType::kInt64;
-        } else if (fn == "AVG") {
-          spec.kind = plan::AggKind::kAvg;
-        } else if (fn == "MIN") {
-          spec.kind = plan::AggKind::kMin;
-          type = spec.arg->type;
-        } else if (fn == "MAX") {
-          spec.kind = plan::AggKind::kMax;
-          type = spec.arg->type;
-        } else {
-          return Status::InvalidArgument("unknown aggregate: " + fn);
-        }
-      }
-      agg_schema->AddColumn({spec.alias, type, true});
-      query_->aggregates_.push_back(std::move(spec));
+      HANA_ASSIGN_OR_RETURN(plan::BoundExprPtr bound,
+                            plan::BindAggregateCall(*ast, *row_schema));
+      agg_schema->AddColumn({alias.empty() ? text : alias, bound->type, true});
+      query_->aggregates_.push_back(std::move(bound));
     }
     query_->output_schema_ = agg_schema;
   }

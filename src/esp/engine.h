@@ -36,14 +36,6 @@ struct WindowSpec {
   int64_t millis = 0;    // Time-based windows.
 };
 
-/// Aggregate requested over a window ("SUM(pressure) AS p").
-struct AggSpec {
-  plan::AggKind kind = plan::AggKind::kCountStar;
-  plan::BoundExprPtr arg;  // Null for COUNT(*).
-  std::string alias;
-  bool distinct = false;
-};
-
 /// One step of a pattern matcher: a predicate over the stream schema.
 /// A pattern fires when its steps match in order within `within_ms`.
 struct PatternSpec {
@@ -179,7 +171,9 @@ class ContinuousQuery {
 
   WindowSpec window_;
   std::vector<plan::BoundExprPtr> group_by_;  // Over post-stage schema.
-  std::vector<AggSpec> aggregates_;
+  /// Window aggregates ("SUM(pressure) AS p"): kAggregate nodes from
+  /// plan::BindAggregateCall; aliases live in the output schema.
+  std::vector<plan::BoundExprPtr> aggregates_;
   bool has_aggregation_ = false;
 
   PatternSpec pattern_;

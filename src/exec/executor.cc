@@ -667,13 +667,21 @@ class PipelineExecutor {
         // Rank-ordered emit across partitions reproduces the serial
         // first-seen group order bit-identically.
         Chunk out = Chunk::Empty(p.output_schema);
+        Status emitted;
         merged.EmitInOrder([&](const GroupTable& t, size_t g) {
-          out.AppendRow(t.EmitRow(g));
+          if (!emitted.ok()) return;
+          Result<std::vector<Value>> row = t.EmitRow(g);
+          if (!row.ok()) {
+            emitted = row.status();
+            return;
+          }
+          out.AppendRow(*row);
           if (out.num_rows() >= storage::kDefaultChunkRows) {
             run.output.push_back(std::move(out));
             out = Chunk::Empty(p.output_schema);
           }
         });
+        HANA_RETURN_IF_ERROR(emitted);
         if (out.num_rows() > 0) run.output.push_back(std::move(out));
         run.agg_partitions = parts;
         run.agg_groups = merged.num_groups();

@@ -220,15 +220,87 @@ Result<Chunk> ProjectChunk(const LogicalOp& project, const Chunk& in) {
   return out;
 }
 
-Value FinalizeAgg(const BoundExpr* agg, const AggState& st) {
-  switch (agg->agg_kind) {
+namespace {
+
+AggStateBox& BoxOf(AggState& st) {
+  if (st.box == nullptr) st.box = std::make_unique<AggStateBox>();
+  return *st.box;
+}
+
+/// True when `agg` sums into `sum_i`: a SUM typed other than DOUBLE.
+bool IntegerSum(const BoundExpr& agg) {
+  return agg.agg_kind == plan::AggKind::kSum && agg.type != DataType::kDouble;
+}
+
+/// Checked integer SUM add; an overflow sets the sticky flag.
+void AddToSum(AggState& st, int64_t v) {
+  if (__builtin_add_overflow(st.sum_i, v, &st.sum_i)) st.overflow = true;
+}
+
+}  // namespace
+
+void UpdateAggState(const BoundExpr& agg, AggState& st, Value v) {
+  if (agg.distinct) {
+    if (!BoxOf(st).distinct.insert(v).second) return;
+  }
+  st.any = true;
+  switch (agg.agg_kind) {
+    case plan::AggKind::kCount:
+      ++st.count;
+      break;
+    case plan::AggKind::kSum:
+    case plan::AggKind::kAvg:
+      ++st.count;
+      if (IntegerSum(agg)) {
+        AddToSum(st, v.AsInt());
+      } else {
+        st.sum_d += v.AsDouble();
+      }
+      break;
+    case plan::AggKind::kMin: {
+      AggStateBox& b = BoxOf(st);
+      if (b.min_v.is_null() || v.Compare(b.min_v) < 0) b.min_v = std::move(v);
+      break;
+    }
+    case plan::AggKind::kMax: {
+      AggStateBox& b = BoxOf(st);
+      if (b.max_v.is_null() || v.Compare(b.max_v) > 0) b.max_v = std::move(v);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+Status AccumulateRow(const std::vector<plan::BoundExprPtr>& aggregates,
+                     const std::vector<Value>& row, AggState* states) {
+  std::vector<Value> args(aggregates.size());
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    const BoundExpr& agg = *aggregates[a];
+    if (agg.agg_kind == plan::AggKind::kCountStar) continue;
+    HANA_ASSIGN_OR_RETURN(args[a], EvalExprRow(*agg.child0, row));
+  }
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    const BoundExpr& agg = *aggregates[a];
+    if (agg.agg_kind == plan::AggKind::kCountStar) {
+      ++states[a].count;
+    } else if (!args[a].is_null()) {
+      UpdateAggState(agg, states[a], std::move(args[a]));
+    }
+  }
+  return Status::OK();
+}
+
+Result<Value> FinalizeAgg(const BoundExpr& agg, const AggState& st) {
+  switch (agg.agg_kind) {
     case plan::AggKind::kCountStar:
     case plan::AggKind::kCount:
       return Value::Int(st.count);
     case plan::AggKind::kSum:
       if (!st.any) return Value::Null();
-      return agg->type == DataType::kDouble ? Value::Double(st.sum_d)
-                                            : Value::Int(st.sum_i);
+      if (!IntegerSum(agg)) return Value::Double(st.sum_d);
+      if (st.overflow) return Status::OutOfRange("numeric overflow in SUM");
+      return Value::Int(st.sum_i);
     case plan::AggKind::kAvg:
       if (!st.any || st.count == 0) return Value::Null();
       return Value::Double(st.sum_d / static_cast<double>(st.count));
@@ -240,15 +312,6 @@ Value FinalizeAgg(const BoundExpr* agg, const AggState& st) {
   return Value::Null();
 }
 
-namespace {
-
-AggStateBox& BoxOf(AggState& st) {
-  if (st.box == nullptr) st.box = std::make_unique<AggStateBox>();
-  return *st.box;
-}
-
-}  // namespace
-
 void MergeAggState(const BoundExpr& agg, AggState& dst, AggState& src) {
   if (agg.agg_kind == plan::AggKind::kCountStar) {
     dst.count += src.count;
@@ -256,35 +319,13 @@ void MergeAggState(const BoundExpr& agg, AggState& dst, AggState& src) {
   }
   if (agg.distinct) {
     if (src.box == nullptr) return;  // No values seen by this partial.
-    AggStateBox& db = BoxOf(dst);
-    for (const Value& v : src.box->distinct) {
-      if (!db.distinct.insert(v).second) continue;
-      dst.any = true;
-      switch (agg.agg_kind) {
-        case plan::AggKind::kCount:
-          ++dst.count;
-          break;
-        case plan::AggKind::kSum:
-        case plan::AggKind::kAvg:
-          ++dst.count;
-          dst.sum_d += v.AsDouble();
-          dst.sum_i += v.AsInt();
-          break;
-        case plan::AggKind::kMin:
-          if (db.min_v.is_null() || v.Compare(db.min_v) < 0) db.min_v = v;
-          break;
-        case plan::AggKind::kMax:
-          if (db.max_v.is_null() || v.Compare(db.max_v) > 0) db.max_v = v;
-          break;
-        default:
-          break;
-      }
-    }
+    for (const Value& v : src.box->distinct) UpdateAggState(agg, dst, v);
     return;
   }
   dst.count += src.count;
   dst.sum_d += src.sum_d;
-  dst.sum_i += src.sum_i;
+  AddToSum(dst, src.sum_i);
+  dst.overflow = dst.overflow || src.overflow;
   dst.any = dst.any || src.any;
   if (src.box != nullptr) {
     if (!src.box->min_v.is_null()) {
@@ -407,9 +448,6 @@ GroupTable::GroupTable(const std::vector<plan::BoundExprPtr>* group_by,
   }
 }
 
-/// Per-aggregate update from one non-null evaluated (boxed) value.
-void UpdateState(AggState& st, const BoundExpr& agg, Value v);
-
 Status GroupTable::AccumulateValues(const std::vector<Value>& key,
                                     uint64_t hash, const Chunk& chunk,
                                     size_t row, uint64_t rank) {
@@ -424,39 +462,9 @@ Status GroupTable::AccumulateValues(const std::vector<Value>& key,
     }
     HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(*agg.child0, chunk, row));
     if (v.is_null()) continue;
-    UpdateState(st, agg, std::move(v));
+    UpdateAggState(agg, st, std::move(v));
   }
   return Status::OK();
-}
-
-void UpdateState(AggState& st, const BoundExpr& agg, Value v) {
-  if (agg.distinct) {
-    if (!BoxOf(st).distinct.insert(v).second) return;
-  }
-  st.any = true;
-  switch (agg.agg_kind) {
-    case plan::AggKind::kCount:
-      ++st.count;
-      break;
-    case plan::AggKind::kSum:
-    case plan::AggKind::kAvg:
-      ++st.count;
-      st.sum_d += v.AsDouble();
-      st.sum_i += v.AsInt();
-      break;
-    case plan::AggKind::kMin: {
-      AggStateBox& b = BoxOf(st);
-      if (b.min_v.is_null() || v.Compare(b.min_v) < 0) b.min_v = v;
-      break;
-    }
-    case plan::AggKind::kMax: {
-      AggStateBox& b = BoxOf(st);
-      if (b.max_v.is_null() || v.Compare(b.max_v) > 0) b.max_v = v;
-      break;
-    }
-    default:
-      break;
-  }
 }
 
 void GroupTable::MergeFrom(GroupTable& src) {
@@ -494,7 +502,7 @@ void GroupTable::EnsureGlobalGroup() {
   }
 }
 
-std::vector<Value> GroupTable::EmitRow(size_t g) const {
+Result<std::vector<Value>> GroupTable::EmitRow(size_t g) const {
   std::vector<Value> row;
   if (vectorized_) {
     row.reserve(key_cols_.size() + aggregates_->size());
@@ -505,7 +513,8 @@ std::vector<Value> GroupTable::EmitRow(size_t g) const {
   }
   const AggState* states = StatesOf(g);
   for (size_t a = 0; a < aggregates_->size(); ++a) {
-    row.push_back(FinalizeAgg((*aggregates_)[a].get(), states[a]));
+    HANA_ASSIGN_OR_RETURN(Value v, FinalizeAgg(*(*aggregates_)[a], states[a]));
+    row.push_back(std::move(v));
   }
   return row;
 }
@@ -745,7 +754,7 @@ Status PartitionedGroupTable::AccumulateChunk(const Chunk& chunk) {
       // DISTINCT sets and min/max hold boxed Values either way.
       for (size_t r = 0; r < n; ++r) {
         if (col.IsNull(r)) continue;
-        UpdateState(row_states_[r][a], agg, col.GetValue(r));
+        UpdateAggState(agg, row_states_[r][a], col.GetValue(r));
       }
       continue;
     }
@@ -758,39 +767,49 @@ Status PartitionedGroupTable::AccumulateChunk(const Chunk& chunk) {
       }
       continue;
     }
-    // SUM / AVG: typed row loops (same casts as Value::AsDouble/AsInt).
+    // SUM / AVG: typed row loops (same casts as Value::AsDouble/AsInt)
+    // that fill only the sum FinalizeAgg reads. `add` is a lambda, so
+    // every loop compiles without a per-row branch on the sum's type.
+    auto for_each_value = [&](auto add) {
+      for (size_t r = 0; r < n; ++r) {
+        if (col.IsNull(r)) continue;
+        AggState& st = row_states_[r][a];
+        st.any = true;
+        ++st.count;
+        add(st, r);
+      }
+    };
+    const bool int_sum = IntegerSum(agg);
     switch (col.type()) {
       case DataType::kDouble:
-        for (size_t r = 0; r < n; ++r) {
-          if (col.IsNull(r)) continue;
-          AggState& st = row_states_[r][a];
-          st.any = true;
-          ++st.count;
-          double d = col.GetDouble(r);
-          st.sum_d += d;
-          st.sum_i += static_cast<int64_t>(d);
+        if (int_sum) {
+          for_each_value([&](AggState& st, size_t r) {
+            AddToSum(st, static_cast<int64_t>(col.GetDouble(r)));
+          });
+        } else {
+          for_each_value(
+              [&](AggState& st, size_t r) { st.sum_d += col.GetDouble(r); });
         }
         break;
-      case DataType::kString:
-        for (size_t r = 0; r < n; ++r) {
-          if (col.IsNull(r)) continue;
-          AggState& st = row_states_[r][a];
-          st.any = true;
-          ++st.count;  // Sums of a string are 0, the Value::As* image.
-        }
+      case DataType::kString:  // Sums of a string are 0, the As* image.
+        for_each_value([](AggState&, size_t) {});
         break;
-      default:  // kInt64 / kDate / kTimestamp / kBool.
-        for (size_t r = 0; r < n; ++r) {
-          if (col.IsNull(r)) continue;
-          AggState& st = row_states_[r][a];
-          st.any = true;
-          ++st.count;
+      default: {  // kInt64 / kDate / kTimestamp / kBool.
+        const bool is_bool = col.type() == DataType::kBool;
+        auto int_at = [&](size_t r) -> int64_t {
           int64_t v = col.GetInt(r);
-          if (col.type() == DataType::kBool) v = v != 0 ? 1 : 0;
-          st.sum_d += static_cast<double>(v);
-          st.sum_i += v;
+          return is_bool ? int64_t{v != 0} : v;
+        };
+        if (int_sum) {
+          for_each_value(
+              [&](AggState& st, size_t r) { AddToSum(st, int_at(r)); });
+        } else {
+          for_each_value([&](AggState& st, size_t r) {
+            st.sum_d += static_cast<double>(int_at(r));
+          });
         }
         break;
+      }
     }
   }
   row_in_morsel_ += n;

@@ -63,17 +63,39 @@ struct AggStateBox {
   std::unordered_set<Value, storage::ValueHash> distinct;
 };
 
-/// Aggregation state for one (group, aggregate) pair. The inline
-/// fields cover COUNT/SUM/AVG; MIN/MAX/DISTINCT go through `box`.
+/// Aggregation state for one (group, aggregate) pair — the one
+/// definition every engine aggregates with: the pipeline's group
+/// tables, Hive reducers and ESP windows. The inline fields cover
+/// COUNT/SUM/AVG; MIN/MAX/DISTINCT go through `box`. An update fills
+/// only the sum FinalizeAgg reads: `sum_i` for an integer SUM, `sum_d`
+/// for a DOUBLE SUM and for AVG.
 struct AggState {
   int64_t count = 0;
   double sum_d = 0.0;
   int64_t sum_i = 0;
   bool any = false;
+  /// Sticky: an integer SUM add overflowed (FinalizeAgg reports it).
+  bool overflow = false;
   std::unique_ptr<AggStateBox> box;
 };
 
-Value FinalizeAgg(const plan::BoundExpr* agg, const AggState& st);
+/// Folds one non-null evaluated argument value of `agg` into `st`
+/// (COUNT(*) counts rows without an argument; callers bump `count`).
+void UpdateAggState(const plan::BoundExpr& agg, AggState& st, Value v);
+
+/// Row-at-a-time accumulate of one boxed row into `states` (states[a]
+/// belongs to aggregates[a]): evaluates every aggregate's argument
+/// first, then updates the states, so a row whose argument fails to
+/// evaluate leaves every state untouched. For the engines that hold
+/// rows rather than chunks (Hive reducers, ESP windows).
+[[nodiscard]] Status AccumulateRow(
+    const std::vector<plan::BoundExprPtr>& aggregates,
+    const std::vector<Value>& row, AggState* states);
+
+/// The aggregate's value, typed as plan::AggResultType says. An integer
+/// SUM whose adds overflowed fails with OutOfRange.
+[[nodiscard]] Result<Value> FinalizeAgg(const plan::BoundExpr& agg,
+                                        const AggState& st);
 
 /// Folds `src` into `dst`. DISTINCT aggregates re-accumulate the source
 /// set element by element so values seen by both partials are not
@@ -190,7 +212,7 @@ class GroupTable {
 
   /// Boxes group g as an output row: key values then finalized
   /// aggregates.
-  std::vector<Value> EmitRow(size_t g) const;
+  [[nodiscard]] Result<std::vector<Value>> EmitRow(size_t g) const;
 
  private:
   /// Boxed-layout lookup of `key`, creating the group with `rank` if

@@ -1,10 +1,10 @@
 #include "hadoop/hive.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/strings.h"
 #include "exec/evaluator.h"
+#include "exec/pipeline.h"
 #include "hadoop/serde.h"
 #include "plan/binder.h"
 #include "plan/join_analysis.h"
@@ -21,72 +21,8 @@ using plan::JoinKind;
 using plan::LogicalKind;
 using plan::LogicalOp;
 
-/// Reduce-side aggregation state (Hive's own implementation; mirrors the
-/// HANA engine's semantics).
-struct AggState {
-  int64_t count = 0;
-  double sum_d = 0.0;
-  int64_t sum_i = 0;
-  bool any = false;
-  Value min_v;
-  Value max_v;
-  std::unordered_set<Value, storage::ValueHash> distinct;
-};
-
-Status UpdateAgg(const BoundExpr& agg, const std::vector<Value>& row,
-                 AggState* st) {
-  if (agg.agg_kind == plan::AggKind::kCountStar) {
-    ++st->count;
-    return Status::OK();
-  }
-  HANA_ASSIGN_OR_RETURN(Value v, exec::EvalExprRow(*agg.child0, row));
-  if (v.is_null()) return Status::OK();
-  if (agg.distinct && !st->distinct.insert(v).second) return Status::OK();
-  st->any = true;
-  switch (agg.agg_kind) {
-    case plan::AggKind::kCount:
-      ++st->count;
-      break;
-    case plan::AggKind::kSum:
-    case plan::AggKind::kAvg:
-      ++st->count;
-      st->sum_d += v.AsDouble();
-      st->sum_i += v.AsInt();
-      break;
-    case plan::AggKind::kMin:
-      if (st->min_v.is_null() || v.Compare(st->min_v) < 0) st->min_v = v;
-      break;
-    case plan::AggKind::kMax:
-      if (st->max_v.is_null() || v.Compare(st->max_v) > 0) st->max_v = v;
-      break;
-    default:
-      break;
-  }
-  return Status::OK();
-}
-
 /// MetaStore round-trip cost for each CTAS phase.
 constexpr double kCtasMetadataMs = 120.0;
-
-Value FinalizeAgg(const BoundExpr& agg, const AggState& st) {
-  switch (agg.agg_kind) {
-    case plan::AggKind::kCountStar:
-    case plan::AggKind::kCount:
-      return Value::Int(st.count);
-    case plan::AggKind::kSum:
-      if (!st.any) return Value::Null();
-      return agg.type == DataType::kDouble ? Value::Double(st.sum_d)
-                                           : Value::Int(st.sum_i);
-    case plan::AggKind::kAvg:
-      if (!st.any || st.count == 0) return Value::Null();
-      return Value::Double(st.sum_d / static_cast<double>(st.count));
-    case plan::AggKind::kMin:
-      return st.min_v;
-    case plan::AggKind::kMax:
-      return st.max_v;
-  }
-  return Value::Null();
-}
 
 }  // namespace
 
@@ -407,7 +343,7 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
                          const std::vector<std::string>& values,
                          std::vector<std::string>* out) {
         if (!error->ok()) return;
-        std::vector<AggState> states(agg_op->aggregates.size());
+        std::vector<exec::AggState> states(agg_op->aggregates.size());
         std::vector<Value> group_values;
         bool first = true;
         for (const std::string& line : values) {
@@ -427,17 +363,22 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
             }
             first = false;
           }
-          for (size_t a = 0; a < agg_op->aggregates.size(); ++a) {
-            Status s = UpdateAgg(*agg_op->aggregates[a], *parsed, &states[a]);
-            if (!s.ok()) {
-              *error = s;
-              return;
-            }
+          Status s =
+              exec::AccumulateRow(agg_op->aggregates, *parsed, states.data());
+          if (!s.ok()) {
+            *error = s;
+            return;
           }
         }
         std::vector<Value> row = std::move(group_values);
         for (size_t a = 0; a < agg_op->aggregates.size(); ++a) {
-          row.push_back(FinalizeAgg(*agg_op->aggregates[a], states[a]));
+          Result<Value> v =
+              exec::FinalizeAgg(*agg_op->aggregates[a], states[a]);
+          if (!v.ok()) {
+            *error = v.status();
+            return;
+          }
+          row.push_back(std::move(*v));
         }
         out->push_back(SerializeRow(row));
       };
@@ -449,9 +390,10 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
         HANA_ASSIGN_OR_RETURN(HdfsFileInfo info, hdfs_->Stat(spec.output));
         if (info.num_lines == 0) {
           std::vector<Value> row;
-          std::vector<AggState> states(op.aggregates.size());
-          for (size_t a = 0; a < op.aggregates.size(); ++a) {
-            row.push_back(FinalizeAgg(*op.aggregates[a], states[a]));
+          for (const auto& agg : op.aggregates) {
+            HANA_ASSIGN_OR_RETURN(Value v,
+                                  exec::FinalizeAgg(*agg, exec::AggState()));
+            row.push_back(std::move(v));
           }
           HANA_RETURN_IF_ERROR(
               hdfs_->WriteFile(spec.output, {SerializeRow(row)}));

@@ -73,29 +73,12 @@ Result<std::string> RenderExpr(const BoundExpr& e,
       return e.function_name + "(" + Join(args, ", ") + ")";
     }
     case BoundKind::kAggregate: {
-      const char* name;
-      switch (e.agg_kind) {
-        case plan::AggKind::kCountStar:
-          return std::string("COUNT(*)");
-        case plan::AggKind::kCount:
-          name = "COUNT";
-          break;
-        case plan::AggKind::kSum:
-          name = "SUM";
-          break;
-        case plan::AggKind::kAvg:
-          name = "AVG";
-          break;
-        case plan::AggKind::kMin:
-          name = "MIN";
-          break;
-        default:
-          name = "MAX";
-          break;
+      std::string arg = "*";  // COUNT(*) has no argument.
+      if (e.child0 != nullptr) {
+        HANA_ASSIGN_OR_RETURN(arg, RenderExpr(*e.child0, names));
+        if (e.distinct) arg = "DISTINCT " + arg;
       }
-      HANA_ASSIGN_OR_RETURN(std::string arg, RenderExpr(*e.child0, names));
-      return std::string(name) + "(" + (e.distinct ? "DISTINCT " : "") + arg +
-             ")";
+      return std::string(plan::AggName(e.agg_kind)) + "(" + arg + ")";
     }
     case BoundKind::kCase: {
       std::string out = "CASE";

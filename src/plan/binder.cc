@@ -71,6 +71,9 @@ class Binder {
   Result<LogicalOpPtr> BindSelect(const SelectStmt& stmt);
   Result<BoundExprPtr> BindExpr(const Expr& e, const Scope& scope,
                                 AggContext* agg);
+  /// Binds one aggregate call (its argument against `scope`) into a
+  /// typed kAggregate node.
+  Result<BoundExprPtr> BindAggregateCall(const Expr& e, const Scope& scope);
 
  private:
   Result<LogicalOpPtr> BindTableRef(const TableRef& ref);
@@ -174,6 +177,34 @@ Result<LogicalOpPtr> Binder::BindTableRef(const TableRef& ref) {
   return Status::Internal("unknown table ref kind");
 }
 
+Result<BoundExprPtr> Binder::BindAggregateCall(const Expr& e,
+                                               const Scope& scope) {
+  auto bound = std::make_unique<BoundExpr>();
+  bound->kind = BoundKind::kAggregate;
+  bound->distinct = e.distinct;
+  const std::string& name = e.function_name;
+  bool star_arg = e.args.size() == 1 && e.args[0]->kind == ExprKind::kStar;
+  if (name == "COUNT" && (e.args.empty() || star_arg)) {
+    bound->agg_kind = AggKind::kCountStar;
+    bound->type = AggResultType(AggKind::kCountStar, DataType::kNull);
+    return bound;
+  }
+  if (e.args.size() != 1) {
+    return Status::BindError("aggregate " + name +
+                             " expects exactly one argument");
+  }
+  HANA_ASSIGN_OR_RETURN(bound->child0, BindExpr(*e.args[0], scope, nullptr));
+  for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
+                       AggKind::kMin, AggKind::kMax}) {
+    if (name == AggName(kind)) {
+      bound->agg_kind = kind;
+      bound->type = AggResultType(kind, bound->child0->type);
+      return bound;
+    }
+  }
+  return Status::BindError("unknown aggregate " + name);
+}
+
 Result<BoundExprPtr> Binder::RegisterAggregate(const Expr& e,
                                                const Scope& scope,
                                                AggContext* agg) {
@@ -185,42 +216,7 @@ Result<BoundExprPtr> Binder::RegisterAggregate(const Expr& e,
                                (*agg->aggregates)[i]->ToString());
     }
   }
-  auto bound = std::make_unique<BoundExpr>();
-  bound->kind = BoundKind::kAggregate;
-  bound->distinct = e.distinct;
-  const std::string& name = e.function_name;
-  bool star_arg = e.args.size() == 1 && e.args[0]->kind == ExprKind::kStar;
-  if (name == "COUNT" && (e.args.empty() || star_arg)) {
-    bound->agg_kind = AggKind::kCountStar;
-    bound->type = DataType::kInt64;
-  } else {
-    if (e.args.size() != 1) {
-      return Status::BindError("aggregate " + name +
-                               " expects exactly one argument");
-    }
-    HANA_ASSIGN_OR_RETURN(bound->child0,
-                          BindExpr(*e.args[0], scope, nullptr));
-    if (name == "COUNT") {
-      bound->agg_kind = AggKind::kCount;
-      bound->type = DataType::kInt64;
-    } else if (name == "SUM") {
-      bound->agg_kind = AggKind::kSum;
-      bound->type = bound->child0->type == DataType::kDouble
-                        ? DataType::kDouble
-                        : DataType::kInt64;
-    } else if (name == "AVG") {
-      bound->agg_kind = AggKind::kAvg;
-      bound->type = DataType::kDouble;
-    } else if (name == "MIN") {
-      bound->agg_kind = AggKind::kMin;
-      bound->type = bound->child0->type;
-    } else if (name == "MAX") {
-      bound->agg_kind = AggKind::kMax;
-      bound->type = bound->child0->type;
-    } else {
-      return Status::BindError("unknown aggregate " + name);
-    }
-  }
+  HANA_ASSIGN_OR_RETURN(BoundExprPtr bound, BindAggregateCall(e, scope));
   size_t index = agg->group_keys.size() + agg->aggregates->size();
   DataType type = bound->type;
   std::string text = bound->ToString();
@@ -847,6 +843,18 @@ Result<BoundExprPtr> BindScalarExpr(const sql::Expr& expr,
   Binder binder(null_catalog);
   Scope scope{std::make_shared<Schema>(schema.columns()), nullptr};
   return binder.BindExpr(expr, scope, nullptr);
+}
+
+Result<BoundExprPtr> BindAggregateCall(const sql::Expr& expr,
+                                       const Schema& schema) {
+  if (expr.kind != ExprKind::kFunction ||
+      !IsAggregateName(expr.function_name)) {
+    return Status::BindError("not an aggregate: " + expr.ToSql());
+  }
+  NullCatalog null_catalog;
+  Binder binder(null_catalog);
+  Scope scope{std::make_shared<Schema>(schema.columns()), nullptr};
+  return binder.BindAggregateCall(expr, scope);
 }
 
 }  // namespace hana::plan

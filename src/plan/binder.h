@@ -32,6 +32,12 @@ struct Scope {
 [[nodiscard]] Result<BoundExprPtr> BindScalarExpr(const sql::Expr& expr,
                                     const Schema& schema);
 
+/// Binds one aggregate call ("SUM(x)", "COUNT(DISTINCT k)", "COUNT(*)")
+/// against a schema into a typed kAggregate node, exactly as the SELECT
+/// binder binds it (used for ESP window aggregates).
+[[nodiscard]] Result<BoundExprPtr> BindAggregateCall(const sql::Expr& expr,
+                                                     const Schema& schema);
+
 /// True if the AST contains an aggregate function call (at this level;
 /// subqueries are not inspected).
 bool ContainsAggregate(const sql::Expr& expr);

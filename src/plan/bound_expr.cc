@@ -5,6 +5,39 @@
 
 namespace hana::plan {
 
+const char* AggName(AggKind kind) {
+  switch (kind) {
+    case AggKind::kCount:
+    case AggKind::kCountStar:
+      return "COUNT";
+    case AggKind::kSum:
+      return "SUM";
+    case AggKind::kAvg:
+      return "AVG";
+    case AggKind::kMin:
+      return "MIN";
+    case AggKind::kMax:
+      return "MAX";
+  }
+  return "?";
+}
+
+DataType AggResultType(AggKind kind, DataType arg) {
+  switch (kind) {
+    case AggKind::kCount:
+    case AggKind::kCountStar:
+      return DataType::kInt64;
+    case AggKind::kSum:
+      return arg == DataType::kDouble ? DataType::kDouble : DataType::kInt64;
+    case AggKind::kAvg:
+      return DataType::kDouble;
+    case AggKind::kMin:
+    case AggKind::kMax:
+      return arg;
+  }
+  return DataType::kNull;
+}
+
 BoundExprPtr BoundExpr::Literal(Value v, DataType type) {
   auto e = std::make_unique<BoundExpr>();
   e->kind = BoundKind::kLiteral;
@@ -90,30 +123,11 @@ std::string BoundExpr::ToString() const {
       return function_name + "(" + Join(parts, ", ") + ")";
     }
     case BoundKind::kAggregate: {
-      const char* name = "?";
-      switch (agg_kind) {
-        case AggKind::kCount:
-        case AggKind::kCountStar:
-          name = "COUNT";
-          break;
-        case AggKind::kSum:
-          name = "SUM";
-          break;
-        case AggKind::kAvg:
-          name = "AVG";
-          break;
-        case AggKind::kMin:
-          name = "MIN";
-          break;
-        case AggKind::kMax:
-          name = "MAX";
-          break;
-      }
       std::string arg = agg_kind == AggKind::kCountStar
                             ? "*"
                             : (distinct ? "DISTINCT " : "") +
                                   (child0 ? child0->ToString() : "?");
-      return std::string(name) + "(" + arg + ")";
+      return std::string(AggName(agg_kind)) + "(" + arg + ")";
     }
     case BoundKind::kCase: {
       std::string out = "CASE";

@@ -29,6 +29,14 @@ enum class BoundKind {
 
 enum class AggKind { kCount, kCountStar, kSum, kAvg, kMin, kMax };
 
+/// The SQL function name of an aggregate ("COUNT" for COUNT(*) too).
+const char* AggName(AggKind kind);
+
+/// The result type of an aggregate over an argument of type `arg`: COUNT
+/// is BIGINT, SUM is DOUBLE iff its argument is, AVG is DOUBLE, MIN and
+/// MAX take the argument's type. Every engine types aggregates by this.
+DataType AggResultType(AggKind kind, DataType arg);
+
 struct BoundExpr;
 using BoundExprPtr = std::unique_ptr<BoundExpr>;
 

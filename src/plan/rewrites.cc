@@ -372,8 +372,7 @@ Status SplitAggregateOverUnion(LogicalOpPtr* plan) {
     BoundExprPtr p = agg->aggregates[a]->Clone();
     if (p->agg_kind == AggKind::kAvg) {
       p->agg_kind = AggKind::kSum;
-      p->type = p->child0->type == DataType::kDouble ? DataType::kDouble
-                                                     : DataType::kInt64;
+      p->type = AggResultType(AggKind::kSum, p->child0->type);
       avgs.push_back(a);
     }
     partials.push_back(std::move(p));
@@ -381,7 +380,7 @@ Status SplitAggregateOverUnion(LogicalOpPtr* plan) {
   for (size_t a : avgs) {
     BoundExprPtr count = agg->aggregates[a]->Clone();
     count->agg_kind = AggKind::kCount;
-    count->type = DataType::kInt64;
+    count->type = AggResultType(AggKind::kCount, count->child0->type);
     partials.push_back(std::move(count));
   }
   for (const BoundExprPtr& p : partials) {

@@ -95,6 +95,41 @@ TEST_F(EspTest, TumblingTimeWindowClosesOnBoundary) {
   EXPECT_EQ(out_[1].values[0].int_value(), 1);
 }
 
+TEST_F(EspTest, RowWithFailingAggregateArgumentIsSkippedWhole) {
+  // CAST('x' AS BIGINT) fails on the second row: that row leaves every
+  // aggregate of its window, not only the ones listed after SUM.
+  auto schema = std::make_shared<Schema>(std::vector<ColumnDef>{
+      {"k", DataType::kInt64, true}, {"s", DataType::kString, true}});
+  ASSERT_TRUE(engine_.CreateStream("raw", schema).ok());
+  const std::vector<std::string> aggs = {
+      "COUNT(*) AS n", "SUM(CAST(s AS BIGINT)) AS total", "COUNT(k) AS nk"};
+  std::vector<Event> per_key;
+  ASSERT_TRUE(CqBuilder(&engine_, "raw")
+                  .KeepRows(2)
+                  .GroupBy({}, aggs)
+                  .IntoCallback([&](const Event& e) { out_.push_back(e); })
+                  .Finish("global")
+                  .ok());
+  ASSERT_TRUE(CqBuilder(&engine_, "raw")
+                  .KeepRows(2)
+                  .GroupBy({"k"}, aggs)
+                  .IntoCallback([&](const Event& e) { per_key.push_back(e); })
+                  .Finish("per_key")
+                  .ok());
+  ASSERT_TRUE(
+      engine_.Publish("raw", 1, {Value::Int(1), Value::String("5")}).ok());
+  ASSERT_TRUE(
+      engine_.Publish("raw", 2, {Value::Int(2), Value::String("x")}).ok());
+  ASSERT_EQ(out_.size(), 1u);
+  EXPECT_EQ(out_[0].values[0].int_value(), 1);
+  EXPECT_EQ(out_[0].values[1].int_value(), 5);
+  EXPECT_EQ(out_[0].values[2].int_value(), 1);
+  // Grouped by k, the skipped row's group never forms.
+  ASSERT_EQ(per_key.size(), 1u);
+  EXPECT_EQ(per_key[0].values[0].int_value(), 1);
+  EXPECT_EQ(per_key[0].values[1].int_value(), 1);
+}
+
 TEST_F(EspTest, LookupJoinEnrichment) {
   auto dim_schema = std::make_shared<Schema>(std::vector<ColumnDef>{
       {"sensor", DataType::kInt64, false},

@@ -9,8 +9,9 @@ namespace hana::lintfix {
    find_violations once stripped only // comments, so this std::mutex
    mention (and this std::lock_guard one, and this throw keyword, and
    this IgnoreStatus( call, this std::atomic<int> declaration, and this
-   _mm256_loadu_si256( intrinsic with its __m256i register type) used
-   to require an exclusion instead of a fix. */
+   _mm256_loadu_si256( intrinsic with its __m256i register type, and
+   this plan::AggKind::kSum case label) used to require an exclusion
+   instead of a fix. */
 
 // Multi-line block comments on one line are stripped too:
 /* std::condition_variable */ struct Harmless {};

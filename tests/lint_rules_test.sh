@@ -52,6 +52,8 @@ check_fires "IgnoreStatus without justification" \
 check_fires "raw SIMD intrinsics outside src/common/cpu_dispatch" \
   "raw_intrinsics.cc"
 check_fires "bench result line that is not JSON" "text_header.json"
+check_fires "aggregate-kind switch outside src/plan and src/exec" \
+  "agg_switch_copy.cc"
 
 # The good fixture's block comment mentions every rule's trigger; if any
 # of them leaked into the good run, stripping regressed.
