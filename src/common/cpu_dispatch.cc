@@ -70,26 +70,6 @@ void ScalarHashI64(const int64_t* v, size_t count, uint64_t seed,
   }
 }
 
-inline bool CmpLane(CmpOp op, int64_t a, int64_t b) {
-  switch (op) {
-    case CmpOp::kEq: return a == b;
-    case CmpOp::kNe: return a != b;
-    case CmpOp::kLt: return a < b;
-    case CmpOp::kLe: return a <= b;
-    case CmpOp::kGt: return a > b;
-    case CmpOp::kGe: return a >= b;
-  }
-  return false;
-}
-
-void ScalarCmpI64(CmpOp op, const int64_t* v, const uint8_t* nulls,
-                  size_t count, int64_t rhs, uint8_t* out) {
-  for (size_t i = 0; i < count; ++i) {
-    bool keep = CmpLane(op, v[i], rhs) && (nulls == nullptr || nulls[i] == 0);
-    out[i] = keep ? 1 : 0;
-  }
-}
-
 // ---------------------------------------------------------------------
 // Tuned portable kernels (no intrinsics, still "native"): the packer
 // accumulates into a register and stores whole words instead of
@@ -209,56 +189,8 @@ __attribute__((target("avx2"))) void Avx2HashI64(const int64_t* v, size_t count,
   for (; i < count; ++i) out[i] = HashCombine(seed, HashIntLane(v[i]));
 }
 
-__attribute__((target("avx2"))) void Avx2CmpI64(CmpOp op, const int64_t* v,
-                                                const uint8_t* nulls,
-                                                size_t count, int64_t rhs,
-                                                uint8_t* out) {
-  const __m256i vrhs = _mm256_set1_epi64x(static_cast<long long>(rhs));
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    // lint: reinterpret_cast allowed — unaligned load of the caller's
-    // int64_t value array.
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i m;
-    switch (op) {
-      case CmpOp::kEq:
-        m = _mm256_cmpeq_epi64(x, vrhs);
-        break;
-      case CmpOp::kNe:
-        m = _mm256_cmpeq_epi64(x, vrhs);
-        m = _mm256_xor_si256(m, _mm256_set1_epi64x(-1));
-        break;
-      case CmpOp::kLt:
-        m = _mm256_cmpgt_epi64(vrhs, x);
-        break;
-      case CmpOp::kLe:  // !(x > rhs)
-        m = _mm256_cmpgt_epi64(x, vrhs);
-        m = _mm256_xor_si256(m, _mm256_set1_epi64x(-1));
-        break;
-      case CmpOp::kGt:
-        m = _mm256_cmpgt_epi64(x, vrhs);
-        break;
-      case CmpOp::kGe:  // !(rhs > x)
-        m = _mm256_cmpgt_epi64(vrhs, x);
-        m = _mm256_xor_si256(m, _mm256_set1_epi64x(-1));
-        break;
-    }
-    int lanes = _mm256_movemask_pd(_mm256_castsi256_pd(m));
-    for (size_t j = 0; j < 4; ++j) {
-      bool keep = ((lanes >> j) & 1) != 0 &&
-                  (nulls == nullptr || nulls[i + j] == 0);
-      out[i + j] = keep ? 1 : 0;
-    }
-  }
-  if (i < count) {
-    ScalarCmpI64(op, v + i, nulls == nullptr ? nullptr : nulls + i, count - i,
-                 rhs, out + i);
-  }
-}
-
 // ---------------------------------------------------------------------
-// AVX-512 kernels (F + BW): 8-lane unpack with a native 64->32 narrow,
-// and mask-register compares.
+// AVX-512 kernels (F + BW): 8-lane unpack with a native 64->32 narrow.
 // ---------------------------------------------------------------------
 
 __attribute__((target("avx512f,avx512bw"))) void Avx512BitUnpack(
@@ -310,36 +242,6 @@ __attribute__((target("avx512f,avx512bw"))) void Avx512BitUnpack(
   }
 }
 
-__attribute__((target("avx512f,avx512bw"))) void Avx512CmpI64(
-    CmpOp op, const int64_t* v, const uint8_t* nulls, size_t count,
-    int64_t rhs, uint8_t* out) {
-  const __m512i vrhs = _mm512_set1_epi64(static_cast<long long>(rhs));
-  size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    // lint: reinterpret_cast allowed — unaligned load of the caller's
-    // int64_t value array.
-    __m512i x = _mm512_loadu_si512(reinterpret_cast<const void*>(v + i));
-    __mmask8 m;
-    switch (op) {
-      case CmpOp::kEq: m = _mm512_cmpeq_epi64_mask(x, vrhs); break;
-      case CmpOp::kNe: m = _mm512_cmpneq_epi64_mask(x, vrhs); break;
-      case CmpOp::kLt: m = _mm512_cmplt_epi64_mask(x, vrhs); break;
-      case CmpOp::kLe: m = _mm512_cmple_epi64_mask(x, vrhs); break;
-      case CmpOp::kGt: m = _mm512_cmpgt_epi64_mask(x, vrhs); break;
-      default: m = _mm512_cmpge_epi64_mask(x, vrhs); break;
-    }
-    for (size_t j = 0; j < 8; ++j) {
-      bool keep = ((m >> j) & 1) != 0 &&
-                  (nulls == nullptr || nulls[i + j] == 0);
-      out[i + j] = keep ? 1 : 0;
-    }
-  }
-  if (i < count) {
-    ScalarCmpI64(op, v + i, nulls == nullptr ? nullptr : nulls + i, count - i,
-                 rhs, out + i);
-  }
-}
-
 #endif  // HANA_CPU_X86
 
 // ---------------------------------------------------------------------
@@ -360,11 +262,10 @@ CpuLevel ProbeCpu() {
 }
 
 /// Adversarial probe inputs for the bind-time self-check: boundary
-/// magnitudes for the hash window, every bit width for pack/unpack,
-/// misaligned starts, and sign patterns for the compares.
+/// magnitudes for the hash window, every bit width for pack/unpack and
+/// misaligned starts.
 struct ProbeData {
   std::vector<int64_t> ints;
-  std::vector<uint8_t> nulls;
   ProbeData() {
     ints = {0,  1,  -1, 42, -42, 9000000000000000LL, -9000000000000000LL,
             9000000000000001LL, -9000000000000001LL, INT64_MAX, INT64_MIN,
@@ -374,8 +275,6 @@ struct ProbeData {
       s = s * 6364136223846793005ULL + 1442695040888963407ULL;
       ints.push_back(static_cast<int64_t>(s >> (i % 3 == 0 ? 1 : 40)));
     }
-    nulls.assign(ints.size(), 0);
-    for (size_t i = 0; i < nulls.size(); i += 7) nulls[i] = 1;
   }
 };
 
@@ -411,20 +310,6 @@ bool VerifyKernels(const CpuKernels& candidate, const CpuKernels& ref) {
     ref.hash_i64(probe.ints.data(), n, seed, h2.data());
     if (h1 != h2) return false;
   }
-  // Compares, with and without a null mask.
-  for (int op = 0; op <= 5; ++op) {
-    for (int64_t rhs : {int64_t{0}, int64_t{42}, INT64_MIN, INT64_MAX}) {
-      std::vector<uint8_t> m1(n), m2(n);
-      const uint8_t* masks[2] = {nullptr, probe.nulls.data()};
-      for (const uint8_t* nulls : masks) {
-        candidate.cmp_i64(static_cast<CmpOp>(op), probe.ints.data(), nulls, n,
-                          rhs, m1.data());
-        ref.cmp_i64(static_cast<CmpOp>(op), probe.ints.data(), nulls, n, rhs,
-                    m2.data());
-        if (m1 != m2) return false;
-      }
-    }
-  }
   return true;
 }
 
@@ -435,7 +320,7 @@ struct Binding {
 
 const Binding& ScalarBinding() {
   static const Binding b = {
-      {&ScalarBitUnpack, &ScalarBitPack, &ScalarHashI64, &ScalarCmpI64},
+      {&ScalarBitUnpack, &ScalarBitPack, &ScalarHashI64},
       CpuLevel::kScalar};
   return b;
 }
@@ -448,11 +333,9 @@ Binding BuildNativeBinding() {
   if (level >= CpuLevel::kAvx2) {
     b.table.bit_unpack = &Avx2BitUnpack;
     b.table.hash_i64 = &Avx2HashI64;
-    b.table.cmp_i64 = &Avx2CmpI64;
   }
   if (level >= CpuLevel::kAvx512) {
     b.table.bit_unpack = &Avx512BitUnpack;
-    b.table.cmp_i64 = &Avx512CmpI64;
   }
 #endif
   b.level = level;

@@ -42,11 +42,6 @@ CpuLevel DetectedCpuLevel();
 /// the HANA_CPU override).
 CpuLevel ActiveCpuLevel();
 
-/// Comparison selector for the filter kernel (mirrors sql::BinaryOp's
-/// comparison subset; kept as a plain enum so storage/common code does
-/// not depend on the SQL layer).
-enum class CmpOp { kEq = 0, kNe, kLt, kLe, kGt, kGe };
-
 /// The dispatch table. All kernels are pure functions of their inputs;
 /// accelerated variants are bit-identical to the scalar references.
 struct CpuKernels {
@@ -66,12 +61,6 @@ struct CpuKernels {
   /// exact hash via std::hash<int64_t>, the rest via the double image).
   void (*hash_i64)(const int64_t* v, size_t count, uint64_t seed,
                    uint64_t* out);
-
-  /// Filter compare: out[i] = (v[i] op rhs) ? 1 : 0 for non-null rows;
-  /// rows with nulls[i] != 0 yield 0 (SQL: NULL compares to NULL, the
-  /// filter drops the row). `nulls` may be null meaning "no nulls".
-  void (*cmp_i64)(CmpOp op, const int64_t* v, const uint8_t* nulls,
-                  size_t count, int64_t rhs, uint8_t* out);
 };
 
 /// The active dispatch table (bound once at first use; rebindable via

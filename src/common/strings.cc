@@ -77,7 +77,7 @@ bool EqualsIgnoreCase(const std::string& a, const std::string& b) {
   return true;
 }
 
-bool LikeMatch(const std::string& text, const std::string& pattern) {
+bool LikeMatch(std::string_view text, std::string_view pattern) {
   // Iterative matcher with backtracking over the last '%'.
   size_t t = 0, p = 0;
   size_t star_p = std::string::npos, star_t = 0;

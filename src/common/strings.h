@@ -3,6 +3,7 @@
 
 #include <cstdarg>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hana {
@@ -29,7 +30,7 @@ std::string StrFormat(const char* fmt, ...)
 bool EqualsIgnoreCase(const std::string& a, const std::string& b);
 
 /// SQL LIKE matching with '%' and '_' wildcards.
-bool LikeMatch(const std::string& text, const std::string& pattern);
+bool LikeMatch(std::string_view text, std::string_view pattern);
 
 }  // namespace hana
 

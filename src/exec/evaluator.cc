@@ -1,6 +1,7 @@
 #include "exec/evaluator.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/strings.h"
 #include "sql/ast.h"
@@ -60,25 +61,28 @@ Result<Value> EvalBinary(const BoundExpr& expr, const RowView& view) {
     case BinaryOp::kAdd:
     case BinaryOp::kSub:
     case BinaryOp::kMul: {
-      if (expr.type == DataType::kDate) {
+      const DataType lane = *ResultType(expr, lhs.type(), rhs.type());
+      if (lane == DataType::kDate) {
         int64_t days = lhs.type() == DataType::kDate ? lhs.int_value()
                                                      : rhs.int_value();
         int64_t delta = lhs.type() == DataType::kDate ? rhs.AsInt()
                                                       : lhs.AsInt();
-        return Value::Date(op == BinaryOp::kSub ? days - delta
-                                                : days + delta);
-      }
-      if (expr.type == DataType::kInt64 &&
-          lhs.type() != DataType::kDouble && rhs.type() != DataType::kDouble) {
-        int64_t a = lhs.AsInt(), b = rhs.AsInt();
-        switch (op) {
-          case BinaryOp::kAdd:
-            return Value::Int(a + b);
-          case BinaryOp::kSub:
-            return Value::Int(a - b);
-          default:
-            return Value::Int(a * b);
+        int64_t out = 0;
+        if (op == BinaryOp::kSub ? __builtin_sub_overflow(days, delta, &out)
+                                 : __builtin_add_overflow(days, delta, &out)) {
+          return NumericOverflow();
         }
+        return Value::Date(out);
+      }
+      if (lane == DataType::kInt64) {
+        int64_t a = lhs.AsInt(), b = rhs.AsInt(), out = 0;
+        bool overflow = op == BinaryOp::kAdd
+                            ? __builtin_add_overflow(a, b, &out)
+                            : (op == BinaryOp::kSub
+                                   ? __builtin_sub_overflow(a, b, &out)
+                                   : __builtin_mul_overflow(a, b, &out));
+        if (overflow) return NumericOverflow();
+        return Value::Int(out);
       }
       double a = lhs.AsDouble(), b = rhs.AsDouble();
       switch (op) {
@@ -98,7 +102,7 @@ Result<Value> EvalBinary(const BoundExpr& expr, const RowView& view) {
     case BinaryOp::kMod: {
       int64_t b = rhs.AsInt();
       if (b == 0) return Value::Null();
-      return Value::Int(lhs.AsInt() % b);
+      return Value::Int(CheckedMod(lhs.AsInt(), b));
     }
     case BinaryOp::kEq:
       return Value::Bool(lhs.Compare(rhs) == 0);
@@ -161,24 +165,30 @@ Result<Value> EvalFunction(const BoundExpr& expr, const RowView& view) {
     return Value::String(args[0].ToString() + args[1].ToString());
   }
   if (name == "ABS") {
-    return args[0].type() == DataType::kDouble
-               ? Value::Double(std::fabs(args[0].double_value()))
-               : Value::Int(std::llabs(args[0].AsInt()));
+    if (ResultType(expr, args[0].type(), std::nullopt) == DataType::kDouble) {
+      return Value::Double(std::fabs(args[0].double_value()));
+    }
+    int64_t v = args[0].AsInt();
+    if (v == std::numeric_limits<int64_t>::min()) return NumericOverflow();
+    return Value::Int(v < 0 ? -v : v);
   }
   if (name == "ROUND") {
     double scale = args.size() > 1 ? std::pow(10.0, args[1].AsDouble()) : 1.0;
     return Value::Double(std::round(args[0].AsDouble() * scale) / scale);
   }
-  if (name == "FLOOR") {
-    return Value::Int(static_cast<int64_t>(std::floor(args[0].AsDouble())));
-  }
-  if (name == "CEIL" || name == "CEILING") {
-    return Value::Int(static_cast<int64_t>(std::ceil(args[0].AsDouble())));
+  if (name == "FLOOR" || name == "CEIL" || name == "CEILING") {
+    double v = name == "FLOOR" ? std::floor(args[0].AsDouble())
+                               : std::ceil(args[0].AsDouble());
+    // 2^63 bounds the int64 range; NaN fails both comparisons.
+    if (!(v >= -9223372036854775808.0 && v < 9223372036854775808.0)) {
+      return NumericOverflow();
+    }
+    return Value::Int(static_cast<int64_t>(v));
   }
   if (name == "MOD") {
     int64_t b = args[1].AsInt();
     if (b == 0) return Value::Null();
-    return Value::Int(args[0].AsInt() % b);
+    return Value::Int(CheckedMod(args[0].AsInt(), b));
   }
   if (name == "YEAR" || name == "MONTH" || name == "DAYOFMONTH") {
     int64_t days = args[0].type() == DataType::kDate
@@ -206,8 +216,14 @@ Result<Value> Eval(const BoundExpr& expr, const RowView& view) {
       if (expr.unary_op == static_cast<int>(UnaryOp::kNot)) {
         return Value::Bool(!IsTruthy(v));
       }
-      return v.type() == DataType::kDouble ? Value::Double(-v.double_value())
-                                           : Value::Int(-v.AsInt());
+      if (ResultType(expr, v.type(), std::nullopt) == DataType::kDouble) {
+        return Value::Double(-v.double_value());
+      }
+      int64_t out = 0;
+      if (__builtin_sub_overflow(int64_t{0}, v.AsInt(), &out)) {
+        return NumericOverflow();
+      }
+      return Value::Int(out);
     }
     case BoundKind::kBinary:
       return EvalBinary(expr, view);
@@ -252,6 +268,70 @@ Result<Value> Eval(const BoundExpr& expr, const RowView& view) {
 
 }  // namespace
 
+std::optional<DataType> ResultType(const BoundExpr& expr,
+                                   std::optional<DataType> a,
+                                   std::optional<DataType> b) {
+  // Unary minus and ABS keep a double operand double; any other operand
+  // reads as int64.
+  auto signed_type = [&]() -> std::optional<DataType> {
+    if (!a) return std::nullopt;
+    return *a == DataType::kDouble ? DataType::kDouble : DataType::kInt64;
+  };
+  switch (expr.kind) {
+    case BoundKind::kUnary:
+      if (expr.unary_op == static_cast<int>(UnaryOp::kNot)) {
+        return DataType::kBool;
+      }
+      return signed_type();
+    case BoundKind::kBinary:
+      switch (static_cast<BinaryOp>(expr.binary_op)) {
+        case BinaryOp::kAdd:
+        case BinaryOp::kSub:
+        case BinaryOp::kMul:
+          // DATE +/- int shifts days; int64 stays exact unless an
+          // operand is a double.
+          if (expr.type == DataType::kDate) return DataType::kDate;
+          if (!a || !b) return std::nullopt;
+          return expr.type == DataType::kInt64 && *a != DataType::kDouble &&
+                         *b != DataType::kDouble
+                     ? DataType::kInt64
+                     : DataType::kDouble;
+        case BinaryOp::kDiv:
+          return DataType::kDouble;
+        case BinaryOp::kMod:
+          return DataType::kInt64;
+        case BinaryOp::kConcat:
+          return DataType::kString;
+        default:  // AND, OR, LIKE and the comparisons.
+          return DataType::kBool;
+      }
+    case BoundKind::kFunction: {
+      const std::string& name = expr.function_name;
+      if (name == "UPPER" || name == "LOWER" || name == "TRIM" ||
+          name == "SUBSTR" || name == "SUBSTRING" || name == "CONCAT") {
+        return DataType::kString;
+      }
+      if (name == "LENGTH" || name == "FLOOR" || name == "CEIL" ||
+          name == "CEILING" || name == "MOD" || name == "YEAR" ||
+          name == "MONTH" || name == "DAYOFMONTH") {
+        return DataType::kInt64;
+      }
+      if (name == "ROUND") return DataType::kDouble;
+      if (name == "ABS") return signed_type();
+      return std::nullopt;
+    }
+    case BoundKind::kCast:
+      return expr.type;
+    case BoundKind::kInList:
+    case BoundKind::kIsNull:
+      return DataType::kBool;
+    default:
+      return std::nullopt;
+  }
+}
+
+Status NumericOverflow() { return Status::OutOfRange("numeric overflow"); }
+
 bool IsTruthy(const Value& v) {
   if (v.is_null()) return false;
   if (v.type() == DataType::kBool) return v.bool_value();
@@ -271,22 +351,6 @@ Result<Value> EvalExprRow(const plan::BoundExpr& expr,
   RowView view;
   view.boxed = &row;
   return Eval(expr, view);
-}
-
-Result<storage::ColumnVectorPtr> EvalExprColumn(const plan::BoundExpr& expr,
-                                                const storage::Chunk& chunk) {
-  if (expr.kind == plan::BoundKind::kColumn &&
-      expr.column_index < chunk.columns.size()) {
-    return chunk.columns[expr.column_index];  // Zero-copy fast path.
-  }
-  auto out = std::make_shared<storage::ColumnVector>(expr.type);
-  size_t n = chunk.num_rows();
-  out->Reserve(n);
-  for (size_t r = 0; r < n; ++r) {
-    HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, chunk, r));
-    out->Append(v);
-  }
-  return out;
 }
 
 }  // namespace hana::exec

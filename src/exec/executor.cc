@@ -91,6 +91,8 @@ struct PipelineRun {
   std::atomic<uint64_t> rows{0};
   // atomic: relaxed stats counter, same publication rule as rows.
   std::atomic<int64_t> cpu_us{0};
+  // atomic: relaxed stats counter, same publication rule as rows.
+  std::atomic<uint64_t> scalar_rows{0};
 };
 
 /// Drives one decomposed plan to completion. Both schedules share the
@@ -156,6 +158,7 @@ class PipelineExecutor {
             1000.0;
         st.agg_partitions = run.agg_partitions;
         st.agg_groups = run.agg_groups;
+        st.scalar_rows = run.scalar_rows.load(std::memory_order_relaxed);
         stats->push_back(std::move(st));
       }
     }
@@ -431,9 +434,14 @@ class PipelineExecutor {
                  std::vector<RadixJoinTable::ProbeKeys>* scratch) {
     if (run.p->limit < 0 || m < run.cutoff.load(std::memory_order_acquire)) {
       Stopwatch sw;
-      run.statuses[m] = ProcessMorsel(run, m, scratch);
+      uint64_t scalar_rows = 0;
+      {
+        ScalarRowScope scope(&scalar_rows);
+        run.statuses[m] = ProcessMorsel(run, m, scratch);
+      }
       run.cpu_us.fetch_add(static_cast<int64_t>(sw.ElapsedMillis() * 1000.0),
                            std::memory_order_relaxed);
+      run.scalar_rows.fetch_add(scalar_rows, std::memory_order_relaxed);
     }
     if (run.p->limit >= 0) NoteLimitMorselDone(run, m);
   }

@@ -24,6 +24,10 @@ struct PipelineStats {
   size_t agg_partitions = 0;  // kGroups: radix partitions merged in
                               // phase 2 (0 for non-aggregate sinks).
   uint64_t agg_groups = 0;    // kGroups: groups the sink emitted.
+  /// Rows the vectorized evaluator handed to the boxed EvalExpr
+  /// fallback (per-row nodes and error replays, join residuals
+  /// included). 0 when every expression ran on kernels.
+  uint64_t scalar_rows = 0;
 };
 
 /// ExecutePlan plus per-pipeline stats.

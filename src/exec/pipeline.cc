@@ -7,7 +7,6 @@
 #include "common/cpu_dispatch.h"
 #include "common/strings.h"
 #include "exec/evaluator.h"
-#include "sql/ast.h"
 
 namespace hana::exec {
 
@@ -19,184 +18,20 @@ using plan::LogicalKind;
 using plan::LogicalOp;
 using storage::ValueHash;
 
-/// Compiled form of `<int64 column> CMP <int64 literal>` predicates (in
-/// either operand order), the shape the dispatched compare kernel and
-/// the run-at-a-time RLE path can evaluate without boxing Values.
-struct IntCmpFilter {
-  bool ok = false;
-  size_t column = 0;
-  CmpOp op = CmpOp::kEq;
-  int64_t rhs = 0;
-};
-
-IntCmpFilter AnalyzeIntCmp(const BoundExpr& p) {
-  IntCmpFilter f;
-  if (p.kind != plan::BoundKind::kBinary) return f;
-  CmpOp op;
-  switch (static_cast<sql::BinaryOp>(p.binary_op)) {
-    case sql::BinaryOp::kEq:
-      op = CmpOp::kEq;
-      break;
-    case sql::BinaryOp::kNe:
-      op = CmpOp::kNe;
-      break;
-    case sql::BinaryOp::kLt:
-      op = CmpOp::kLt;
-      break;
-    case sql::BinaryOp::kLe:
-      op = CmpOp::kLe;
-      break;
-    case sql::BinaryOp::kGt:
-      op = CmpOp::kGt;
-      break;
-    case sql::BinaryOp::kGe:
-      op = CmpOp::kGe;
-      break;
-    default:
-      return f;
-  }
-  const BoundExpr* col = p.child0.get();
-  const BoundExpr* lit = p.child1.get();
-  bool swapped = false;
-  if (col != nullptr && lit != nullptr &&
-      col->kind == plan::BoundKind::kLiteral &&
-      lit->kind == plan::BoundKind::kColumn) {
-    std::swap(col, lit);
-    swapped = true;
-  }
-  if (col == nullptr || lit == nullptr ||
-      col->kind != plan::BoundKind::kColumn ||
-      lit->kind != plan::BoundKind::kLiteral) {
-    return f;
-  }
-  // Exact-int comparisons only: Value::Compare goes through double for
-  // mixed numeric types, which the kernel does not replicate.
-  if (col->type != DataType::kInt64) return f;
-  if (lit->literal.type() != DataType::kInt64) return f;
-  if (swapped) {
-    // `lit CMP col` is `col CMP' lit` with the comparison mirrored.
-    switch (op) {
-      case CmpOp::kLt:
-        op = CmpOp::kGt;
-        break;
-      case CmpOp::kLe:
-        op = CmpOp::kGe;
-        break;
-      case CmpOp::kGt:
-        op = CmpOp::kLt;
-        break;
-      case CmpOp::kGe:
-        op = CmpOp::kLe;
-        break;
-      default:
-        break;  // kEq / kNe are symmetric.
-    }
-  }
-  f.ok = true;
-  f.column = col->column_index;
-  f.op = op;
-  f.rhs = lit->literal.int_value();
-  return f;
-}
-
-bool CmpScalar(CmpOp op, int64_t a, int64_t b) {
-  switch (op) {
-    case CmpOp::kEq:
-      return a == b;
-    case CmpOp::kNe:
-      return a != b;
-    case CmpOp::kLt:
-      return a < b;
-    case CmpOp::kLe:
-      return a <= b;
-    case CmpOp::kGt:
-      return a > b;
-    case CmpOp::kGe:
-      return a >= b;
-  }
-  return false;
-}
-
 }  // namespace
-
-Status SelectRows(const BoundExpr& predicate, const Chunk& in,
-                  std::vector<uint8_t>* mask, bool* conjunction_kernel) {
-  const size_t n = in.num_rows();
-  mask->resize(n);
-  if (conjunction_kernel != nullptr) *conjunction_kernel = false;
-  // Two-term conjunction fast path: `a CMP k AND b CMP m` over int64
-  // columns runs as two dispatched kernel passes sharing one selection
-  // mask. NULL semantics match the scalar Kleene AND exactly: a row is
-  // kept only when both conjuncts are TRUE, and the kernel writes 0 for
-  // null lanes — NULL AND TRUE, NULL AND FALSE and NULL AND NULL all
-  // drop the row in both paths.
-  if (predicate.kind == plan::BoundKind::kBinary &&
-      static_cast<sql::BinaryOp>(predicate.binary_op) == sql::BinaryOp::kAnd &&
-      predicate.child0 != nullptr && predicate.child1 != nullptr && n > 0) {
-    const IntCmpFilter f1 = AnalyzeIntCmp(*predicate.child0);
-    const IntCmpFilter f2 = AnalyzeIntCmp(*predicate.child1);
-    if (f1.ok && f2.ok && f1.column < in.columns.size() &&
-        f2.column < in.columns.size()) {
-      const storage::ColumnVector& c1 = *in.columns[f1.column];
-      const storage::ColumnVector& c2 = *in.columns[f2.column];
-      if (c1.type() == DataType::kInt64 && c2.type() == DataType::kInt64 &&
-          c1.size() == n && c2.size() == n) {
-        std::vector<uint8_t> mask2(n);
-        Kernels().cmp_i64(f1.op, c1.ints_data(), c1.nulls_data(), n, f1.rhs,
-                          mask->data());
-        Kernels().cmp_i64(f2.op, c2.ints_data(), c2.nulls_data(), n, f2.rhs,
-                          mask2.data());
-        for (size_t r = 0; r < n; ++r) (*mask)[r] &= mask2[r];
-        if (conjunction_kernel != nullptr) *conjunction_kernel = true;
-        return Status::OK();
-      }
-    }
-  }
-  const IntCmpFilter f = AnalyzeIntCmp(predicate);
-  if (f.ok && f.column < in.columns.size()) {
-    const storage::ColumnVector& col = *in.columns[f.column];
-    if (col.type() == DataType::kInt64 && col.size() == n && n > 0) {
-      if (col.run_indexed()) {
-        // Run-at-a-time: the RLE decoder registered runs of equal
-        // values, so evaluate the predicate once per run. Runs hold
-        // non-null values only, matching the NULL-drops-row semantics
-        // of the scalar path.
-        for (const storage::ColumnVector::ValueRun& run : col.runs()) {
-          const uint8_t keep = CmpScalar(f.op, col.GetInt(run.begin), f.rhs);
-          std::fill(mask->begin() + static_cast<ptrdiff_t>(run.begin),
-                    mask->begin() + static_cast<ptrdiff_t>(run.end), keep);
-        }
-        return Status::OK();
-      }
-      // Vectorized: one dispatched compare over the column produces the
-      // mask (null rows compare to 0, i.e. dropped).
-      Kernels().cmp_i64(f.op, col.ints_data(), col.nulls_data(), n, f.rhs,
-                        mask->data());
-      return Status::OK();
-    }
-  }
-  for (size_t r = 0; r < n; ++r) {
-    Result<Value> keep = EvalExpr(predicate, in, r);
-    if (!keep.ok()) {
-      mask->resize(r);
-      return keep.status();
-    }
-    (*mask)[r] = !keep->is_null() && IsTruthy(*keep);
-  }
-  return Status::OK();
-}
 
 Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in) {
   std::vector<uint8_t> mask;
-  bool conjunction_kernel = false;
-  HANA_RETURN_IF_ERROR(SelectRows(predicate, in, &mask, &conjunction_kernel));
-  if (conjunction_kernel) {
-    GlobalAggExecStats().conjunction_kernel_chunks.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  Chunk out = Chunk::Empty(in.schema);
+  HANA_RETURN_IF_ERROR(SelectRows(predicate, in, &mask));
+  std::vector<uint32_t> rows;
+  rows.reserve(mask.size());
   for (size_t r = 0; r < mask.size(); ++r) {
-    if (mask[r] != 0) out.AppendRowFrom(in, r);
+    if (mask[r] != 0) rows.push_back(static_cast<uint32_t>(r));
+  }
+  if (rows.size() == in.num_rows()) return in;  // Shares the vectors.
+  Chunk out = Chunk::Empty(in.schema);
+  for (size_t c = 0; c < out.num_columns(); ++c) {
+    out.columns[c]->AppendGather(*in.columns[c], rows.data(), rows.size());
   }
   return out;
 }
@@ -205,17 +40,15 @@ Result<Chunk> ProjectChunk(const LogicalOp& project, const Chunk& in) {
   Chunk out = Chunk::Empty(project.schema);
   for (size_t c = 0; c < project.exprs.size(); ++c) {
     const BoundExpr& e = *project.exprs[c];
-    // A bare column of the same physical type copies as a whole vector.
+    // A bare column of the same physical type passes through as is.
     if (e.kind == plan::BoundKind::kColumn &&
         e.column_index < in.columns.size() &&
         in.columns[e.column_index]->type() == out.columns[c]->type()) {
-      *out.columns[c] = *in.columns[e.column_index];
+      out.columns[c] = in.columns[e.column_index];
       continue;
     }
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(e, in, r));
-      out.columns[c]->Append(v);
-    }
+    HANA_ASSIGN_OR_RETURN(out.columns[c],
+                          EvalExprColumnAs(e, in, out.columns[c]->type()));
   }
   return out;
 }
@@ -355,7 +188,6 @@ void ResetAggExecStats() {
   s.boxed_rows.store(0);
   s.key_allocs.store(0);
   s.partition_merges.store(0);
-  s.conjunction_kernel_chunks.store(0);
 }
 
 namespace {
@@ -871,69 +703,127 @@ Result<Chunk> ProbeJoinChunk(const JoinBuildState& state, const Chunk& probe,
                              RadixJoinTable::ProbeKeys* scratch) {
   HANA_RETURN_IF_ERROR(
       state.table->ComputeProbeKeys(probe, state.probe_key_exprs, scratch));
-  JoinKind kind = state.join->join_kind;
+  const JoinKind kind = state.join->join_kind;
+  const bool existence = kind == JoinKind::kSemi || kind == JoinKind::kAnti;
   Chunk out = Chunk::Empty(state.join->schema);
-  size_t probe_width = probe.num_columns();
-  size_t build_width = out.num_columns() > probe_width
-                           ? out.num_columns() - probe_width
-                           : 0;  // Semi/anti emit probe columns only.
-  size_t probe_off = state.build_is_left ? build_width : 0;
-  size_t build_off = state.build_is_left ? 0 : probe_width;
-  const BoundExpr* residual = state.parts.residual.get();
-  for (size_t r = 0; r < probe.num_rows(); ++r) {
-    bool matched = false;
-    Status status = Status::OK();
-    state.table->ForEachMatch(
-        *scratch, r,
-        [&](const RadixJoinTable::Partition& part, size_t b) {
-          if (residual != nullptr) {
-            std::vector<Value> combined =
-                state.build_is_left ? part.payload.Row(b) : probe.Row(r);
-            std::vector<Value> tail =
-                state.build_is_left ? probe.Row(r) : part.payload.Row(b);
-            combined.insert(combined.end(),
-                            std::make_move_iterator(tail.begin()),
-                            std::make_move_iterator(tail.end()));
-            Result<Value> keep = EvalExprRow(*residual, combined);
-            if (!keep.ok()) {
-              status = keep.status();
-              return false;
-            }
-            if (keep->is_null() || !IsTruthy(*keep)) return true;
-          }
-          matched = true;
-          switch (kind) {
-            case JoinKind::kInner:
-            case JoinKind::kLeft:
-              for (size_t c = 0; c < probe_width; ++c) {
-                out.columns[probe_off + c]->AppendFrom(*probe.columns[c], r);
-              }
-              for (size_t c = 0; c < build_width; ++c) {
-                out.columns[build_off + c]->AppendFrom(
-                    *part.payload.columns[c], b);
-              }
-              return true;
-            case JoinKind::kSemi:
-              out.AppendRowFrom(probe, r);
-              return false;  // Existence established.
-            default:
-              return false;  // kAnti: first match disqualifies.
-          }
-        });
-    HANA_RETURN_IF_ERROR(status);
-    if (!matched) {
-      if (kind == JoinKind::kAnti) {
-        out.AppendRowFrom(probe, r);
-      } else if (kind == JoinKind::kLeft) {
-        for (size_t c = 0; c < probe_width; ++c) {
-          out.columns[c]->AppendFrom(*probe.columns[c], r);
+  const size_t n = probe.num_rows();
+  const size_t probe_width = probe.num_columns();
+  const size_t build_width = out.num_columns() > probe_width
+                                 ? out.num_columns() - probe_width
+                                 : 0;  // Semi/anti emit probe columns only.
+  const size_t probe_off = state.build_is_left ? build_width : 0;
+  const size_t build_off = state.build_is_left ? 0 : probe_width;
+  // Inner and left joins emit each passing pair; every join kind then
+  // closes a probe row once all its candidates were seen.
+  auto emit_pair = [&](size_t r, const Chunk& payload, size_t b) {
+    for (size_t c = 0; c < probe_width; ++c) {
+      out.columns[probe_off + c]->AppendFrom(*probe.columns[c], r);
+    }
+    for (size_t c = 0; c < build_width; ++c) {
+      out.columns[build_off + c]->AppendFrom(*payload.columns[c], b);
+    }
+  };
+  auto close_row = [&](size_t r, bool matched) {
+    if (matched ? kind == JoinKind::kSemi : kind == JoinKind::kAnti) {
+      out.AppendRowFrom(probe, r);
+    } else if (!matched && kind == JoinKind::kLeft) {
+      for (size_t c = 0; c < probe_width; ++c) {
+        out.columns[c]->AppendFrom(*probe.columns[c], r);
+      }
+      for (size_t c = 0; c < build_width; ++c) {
+        out.columns[probe_width + c]->AppendNull();
+      }
+    }
+  };
+  if (state.residual == nullptr) {
+    for (size_t r = 0; r < n; ++r) {
+      bool matched = false;
+      state.table->ForEachMatch(
+          *scratch, r, [&](const RadixJoinTable::Partition& part, size_t b) {
+            matched = true;
+            if (existence) return false;  // The first match decides.
+            emit_pair(r, part.payload, b);
+            return true;
+          });
+      close_row(r, matched);
+    }
+    return out;
+  }
+
+  // Residual: candidate pairs collect into batches; each batch gathers
+  // the residual's columns into a compact chunk and gets one mask.
+  std::vector<uint32_t> pair_probe, pair_build;
+  std::vector<const Chunk*> pair_payload;
+  std::vector<uint8_t> matched(n, 0), mask;
+  size_t collected = 0;  // Probe rows whose candidates are all batched.
+  size_t closed = 0;     // Probe rows closed so far.
+  auto flush = [&]() -> Status {
+    const size_t m = pair_probe.size();
+    if (m > 0) {
+      Chunk compact;
+      for (const JoinBuildState::ResidualColumn& rc : state.residual_cols) {
+        if (!rc.build) {
+          const storage::ColumnVector& src = *probe.columns[rc.column];
+          auto col = std::make_shared<storage::ColumnVector>(src.type());
+          col->AppendGather(src, pair_probe.data(), m);
+          compact.columns.push_back(std::move(col));
+          continue;
         }
-        for (size_t c = 0; c < build_width; ++c) {
-          out.columns[probe_width + c]->AppendNull();
+        auto col = std::make_shared<storage::ColumnVector>(
+            pair_payload[0]->columns[rc.column]->type());
+        col->Reserve(m);
+        for (size_t i = 0; i < m; ++i) {
+          col->AppendFrom(*pair_payload[i]->columns[rc.column], pair_build[i]);
+        }
+        compact.columns.push_back(std::move(col));
+      }
+      if (!KernelSelectRows(*state.residual, compact, &mask).ok()) {
+        // Replay the batch the way the row-at-a-time probe evaluated
+        // it: an existence join never evaluates a probe row's
+        // candidates past its first match.
+        mask.assign(m, 0);
+        size_t decided = n;
+        for (size_t i = 0; i < m; ++i) {
+          const size_t r = pair_probe[i];
+          if (existence && (matched[r] != 0 || r == decided)) continue;
+          HANA_ASSIGN_OR_RETURN(bool keep,
+                                SelectRow(*state.residual, compact, i));
+          mask[i] = keep;
+          if (existence && keep) decided = r;
         }
       }
     }
+    for (size_t i = 0; i < m; ++i) {
+      const size_t r = pair_probe[i];
+      for (; closed < r; ++closed) close_row(closed, matched[closed] != 0);
+      if (mask[i] == 0) continue;
+      if (!existence) emit_pair(r, *pair_payload[i], pair_build[i]);
+      matched[r] = 1;
+    }
+    for (; closed < collected; ++closed) {
+      close_row(closed, matched[closed] != 0);
+    }
+    pair_probe.clear();
+    pair_build.clear();
+    pair_payload.clear();
+    return Status::OK();
+  };
+  for (size_t r = 0; r < n; ++r) {
+    Status status;
+    state.table->ForEachMatch(
+        *scratch, r, [&](const RadixJoinTable::Partition& part, size_t b) {
+          if (existence && matched[r] != 0) return false;
+          pair_probe.push_back(static_cast<uint32_t>(r));
+          pair_build.push_back(static_cast<uint32_t>(b));
+          pair_payload.push_back(&part.payload);
+          if (pair_probe.size() < storage::kDefaultChunkRows) return true;
+          status = flush();
+          return status.ok();
+        });
+    HANA_RETURN_IF_ERROR(status);
+    collected = r + 1;
   }
+  HANA_RETURN_IF_ERROR(flush());
   return out;
 }
 
@@ -1018,8 +908,34 @@ struct Decomposer {
       b->probe_key_exprs.push_back(b->build_is_left ? ek.right.get()
                                                     : ek.left.get());
     }
+    if (!b->nested_loop && b->parts.residual != nullptr) {
+      CompactResidual(b, join.children[0]->schema->num_columns());
+    }
     plan.builds.push_back(std::move(state));
     return b;
+  }
+
+  /// Rebinds the residual (over left++right, the left side spanning
+  /// [0, left_arity)) to a compact chunk of just the columns it reads.
+  /// A residual reading no column keeps the probe's first one, so
+  /// batches still count rows.
+  static void CompactResidual(JoinBuildState* b, size_t left_arity) {
+    std::vector<size_t> cols;
+    b->parts.residual->CollectColumns(&cols);
+    if (cols.empty()) cols.push_back(b->build_is_left ? left_arity : 0);
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    std::vector<int> mapping(cols.back() + 1, -1);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      const bool left = cols[k] < left_arity;
+      mapping[cols[k]] = static_cast<int>(k);
+      b->residual_cols.push_back(
+          {left == b->build_is_left, left ? cols[k] : cols[k] - left_arity});
+    }
+    b->residual = b->parts.residual->Clone();
+    // lint: IgnoreStatus allowed — every column the residual reads is
+    // in `mapping`, so the strict remap cannot fail.
+    IgnoreStatus(plan::RemapColumns(b->residual.get(), mapping));
   }
 
   /// Builds one pipeline whose stage chain starts at `top` and ends in

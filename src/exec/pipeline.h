@@ -14,6 +14,7 @@
 #include "common/util.h"
 #include "exec/operators.h"
 #include "exec/radix_join.h"
+#include "exec/vector_eval.h"
 #include "plan/join_analysis.h"
 #include "plan/logical.h"
 #include "storage/column_table.h"
@@ -30,24 +31,13 @@ inline size_t HashKey(const std::vector<Value>& key) {
   return h;
 }
 
-/// Selection-mask kernel: sets `(*mask)[r]` to 1 where `predicate` is
-/// TRUE on row r of `in` and to 0 where it is FALSE or NULL. Int64
-/// `column CMP literal` terms and two-term conjunctions of them run as
-/// dispatched `cmp_i64` passes (run-at-a-time on RLE-indexed vectors);
-/// anything else goes through the scalar evaluator. On error, `mask`
-/// holds the verdicts of the rows before the failing one. Sets
-/// `*conjunction_kernel` (when given) to whether the two-term
-/// conjunction kernel ran. Shared by FilterChunk and catalog DML.
-[[nodiscard]] Status SelectRows(const plan::BoundExpr& predicate,
-                                const storage::Chunk& in,
-                                std::vector<uint8_t>* mask,
-                                bool* conjunction_kernel = nullptr);
-
-/// Chunk-at-a-time filter: keeps rows whose predicate is TRUE.
+/// Chunk-at-a-time filter: keeps rows whose predicate is TRUE
+/// (SelectRows), gathered column at a time.
 [[nodiscard]] Result<storage::Chunk> FilterChunk(const plan::BoundExpr& predicate,
                                                  const storage::Chunk& in);
 
-/// Chunk-at-a-time projection into the project node's schema.
+/// Chunk-at-a-time projection into the project node's schema: bare
+/// columns pass through, computed ones run on the vectorized evaluator.
 [[nodiscard]] Result<storage::Chunk> ProjectChunk(const plan::LogicalOp& project,
                                                   const storage::Chunk& in);
 
@@ -122,10 +112,6 @@ struct AggExecStats {
   /// Per-partition phase-2 merge tasks run by the executor.
   // atomic: relaxed counter; observers only need eventual totals.
   std::atomic<uint64_t> partition_merges{0};
-  /// Chunks filtered through the two-term conjunction kernel fast path
-  /// (two dispatched compare passes over one shared selection mask).
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> conjunction_kernel_chunks{0};
 };
 
 AggExecStats& GlobalAggExecStats();
@@ -382,6 +368,16 @@ struct JoinBuildState {
   /// boxed rows and every probe row is tested against each of them.
   bool nested_loop = false;
   plan::JoinConditionParts parts;
+  /// Hash joins with a residual: the residual rebound to a compact chunk
+  /// holding only the columns it reads, in `residual_cols` order, each
+  /// taken from the probe chunk or the build payload. ProbeJoinChunk
+  /// gathers those columns for batches of candidate pairs.
+  struct ResidualColumn {
+    bool build = false;
+    size_t column = 0;
+  };
+  plan::BoundExprPtr residual;
+  std::vector<ResidualColumn> residual_cols;
   std::vector<const plan::BoundExpr*> build_key_exprs;
   std::vector<const plan::BoundExpr*> probe_key_exprs;
   /// Hash joins: created at build-pipeline prepare time, finalized when
@@ -395,8 +391,12 @@ struct JoinBuildState {
 /// Probes one chunk against a finalized join table, emitting joined
 /// rows in probe-row order with matches per probe row in ascending
 /// build-row order. Output columns keep the join's left++right layout
-/// regardless of which side built. `scratch` is per-worker-slot key
-/// scratch, never shared between concurrent workers.
+/// regardless of which side built. A residual is evaluated on batches
+/// of at most kDefaultChunkRows candidate (probe row, build row) pairs,
+/// one mask per batch; existence joins stop collecting a probe row's
+/// candidates once a batch found its first match. `scratch` is
+/// per-worker-slot key scratch, never shared between concurrent
+/// workers.
 [[nodiscard]] Result<storage::Chunk> ProbeJoinChunk(
     const JoinBuildState& state, const storage::Chunk& probe,
     RadixJoinTable::ProbeKeys* scratch);

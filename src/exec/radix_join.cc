@@ -7,6 +7,7 @@
 #include "common/cpu_dispatch.h"
 #include "common/util.h"
 #include "exec/evaluator.h"
+#include "exec/vector_eval.h"
 
 namespace hana::exec {
 

@@ -107,6 +107,52 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
   }
 }
 
+void ColumnVector::AppendGather(const ColumnVector& src, const uint32_t* rows,
+                                size_t count) {
+  if (src.type_ != type_) {
+    for (size_t k = 0; k < count; ++k) Append(src.GetValue(rows[k]));
+    return;
+  }
+  const size_t base = size();
+  nulls_.resize(base + count);
+  for (size_t k = 0; k < count; ++k) nulls_[base + k] = src.nulls_[rows[k]];
+  switch (type_) {
+    case DataType::kDouble:
+      doubles_.resize(base + count);
+      for (size_t k = 0; k < count; ++k) {
+        doubles_[base + k] = src.doubles_[rows[k]];
+      }
+      break;
+    case DataType::kString:
+      strings_.reserve(base + count);
+      for (size_t k = 0; k < count; ++k) {
+        strings_.push_back(src.strings_[rows[k]]);
+      }
+      break;
+    default:
+      ints_.resize(base + count);
+      for (size_t k = 0; k < count; ++k) ints_[base + k] = src.ints_[rows[k]];
+      break;
+  }
+}
+
+void ColumnVector::Resize(size_t n) {
+  nulls_.resize(n, 0);
+  switch (type_) {
+    case DataType::kDouble:
+      doubles_.resize(n, 0.0);
+      break;
+    case DataType::kString:
+      strings_.resize(n);
+      break;
+    default:
+      ints_.resize(n, 0);
+      break;
+  }
+  runs_.clear();
+  runs_covered_ = 0;
+}
+
 void ColumnVector::AppendIntRun(int64_t v, size_t n) {
   if (n == 0) return;
   runs_.push_back({static_cast<uint32_t>(size()),

@@ -50,6 +50,21 @@ class ColumnVector {
   /// must have the same physical type as this vector.
   void AppendFrom(const ColumnVector& src, size_t i);
 
+  /// Appends rows rows[0..count) of `src` in order, column-at-a-time
+  /// (the gather of filters and join residual batches). Same type rule
+  /// as AppendFrom.
+  void AppendGather(const ColumnVector& src, const uint32_t* rows,
+                    size_t count);
+
+  /// Resizes to `n` rows for kernels that write rows in place through
+  /// the mutable views below; added rows are non-null zeros (empty
+  /// strings). Clears the run index.
+  void Resize(size_t n);
+  uint8_t* mutable_nulls() { return nulls_.data(); }
+  int64_t* mutable_ints() { return ints_.data(); }
+  double* mutable_doubles() { return doubles_.data(); }
+  std::string* mutable_strings() { return strings_.data(); }
+
   /// A maximal range of equal, non-null values recorded by a run-aware
   /// decoder (RLE-encoded mains): rows [begin, end), half-open.
   struct ValueRun {

@@ -274,22 +274,24 @@ TEST_F(AggParallelTest, ExplainShowsPartitionedAgg) {
 }
 
 TEST_F(AggParallelTest, ConjunctionFastPathEquivalence) {
-  // Two-term integer conjunctions run as two kernel passes sharing one
-  // selection mask; results (incl. NULL semantics: a NULL comparand
-  // never passes) must match the scalar evaluator exactly across the
-  // matrix, and the fast path must actually engage on the pipeline.
+  // Integer conjunctions run as compare kernels over Kleene masks;
+  // results (incl. NULL semantics: a NULL comparand never passes) must
+  // match the scalar evaluator exactly across the matrix, and no row
+  // may fall back to the boxed evaluator.
   ExpectIdenticalAcrossMatrix(
       "SELECT id, g_hi, v FROM fact WHERE g_lo = 7 AND g_hi < 9000");
   ExpectIdenticalAcrossMatrix(
       "SELECT g_lo, COUNT(*) AS n FROM fact "
       "WHERE g_hi > 100 AND id < 30000 GROUP BY g_lo");
 
-  ResetAggExecStats();
   ASSERT_TRUE(db_->SetParameter("threads", "4").ok());
   auto r = db_->Query(
       "SELECT COUNT(*) AS n FROM fact WHERE g_lo = 7 AND g_hi < 9000");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GT(GlobalAggExecStats().conjunction_kernel_chunks.load(), 0u);
+  ASSERT_FALSE(db_->last_pipeline_stats().empty());
+  for (const exec::PipelineStats& p : db_->last_pipeline_stats()) {
+    EXPECT_EQ(p.scalar_rows, 0u) << p.label;
+  }
 }
 
 // TPC-H Q1: the canonical sum/avg-heavy aggregation, bit-identical

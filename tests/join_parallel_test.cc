@@ -10,10 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exec/executor.h"
 #include "exec/radix_join.h"
+#include "optimizer/optimizer.h"
+#include "plan/binder.h"
 #include "platform/platform.h"
+#include "sql/parser.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -25,6 +30,7 @@ class JoinParallelTest : public ::testing::Test {
   static constexpr size_t kFactRows = 20000;
   static constexpr size_t kDimRows = 500;
   static constexpr size_t kBigDimRows = 30000;  // Larger than the probe.
+  static constexpr size_t kWideDuplicates = 2100;  // > kDefaultChunkRows.
 
   static void SetUpTestSuite() {
     db_ = new platform::Platform(platform::PlatformOptions{
@@ -88,6 +94,58 @@ class JoinParallelTest : public ::testing::Test {
                       Value::Double((h % 100) * 0.5)});
     }
     ASSERT_TRUE(db_->catalog().Insert("bigdim", rows).ok());
+
+    // Residual batches: a probe side whose first 50 rows carry keys 7,
+    // 8, 9, 11 and NULL (the rest miss every build key; 20000 rows keep
+    // the inner join building on the right), a build side with 2100
+    // duplicates of keys 7 and 8 each — more candidates per probe row
+    // than one kDefaultChunkRows batch — and a small build side whose
+    // strings CAST to BIGINT except 'x'.
+    sql::CreateTableStmt wprobe;
+    wprobe.table = "wprobe";
+    wprobe.columns = {{"id", DataType::kInt64, false},
+                      {"k", DataType::kInt64, true},
+                      {"v", DataType::kDouble, false}};
+    ASSERT_TRUE(db_->catalog().CreateTable(wprobe).ok());
+    rows.clear();
+    static const int64_t kProbeKeys[] = {7, 8, 9, 11, -1};
+    for (size_t i = 0; i < kFactRows; ++i) {
+      const int64_t k =
+          i < 50 ? kProbeKeys[i % 5] : 1000 + static_cast<int64_t>(i);
+      rows.push_back({Value::Int(static_cast<int64_t>(i)),
+                      k < 0 ? Value::Null() : Value::Int(k),
+                      Value::Double(static_cast<double>(i % 4) * 10.0)});
+    }
+    ASSERT_TRUE(db_->catalog().Insert("wprobe", rows).ok());
+
+    sql::CreateTableStmt wide;
+    wide.table = "wide_dim";
+    wide.columns = {{"id", DataType::kInt64, false},
+                    {"k", DataType::kInt64, true},
+                    {"w", DataType::kDouble, false}};
+    ASSERT_TRUE(db_->catalog().CreateTable(wide).ok());
+    rows.clear();
+    for (size_t i = 0; i < 2 * kWideDuplicates; ++i) {
+      const bool seven = i < kWideDuplicates;
+      const double j = static_cast<double>(seven ? i : i - kWideDuplicates);
+      rows.push_back({Value::Int(static_cast<int64_t>(i)),
+                      Value::Int(seven ? 7 : 8),
+                      Value::Double(seven ? j : j * 0.01)});
+    }
+    ASSERT_TRUE(db_->catalog().Insert("wide_dim", rows).ok());
+
+    sql::CreateTableStmt cast;
+    cast.table = "cast_dim";
+    cast.columns = {{"k", DataType::kInt64, true},
+                    {"s", DataType::kString, false}};
+    ASSERT_TRUE(db_->catalog().CreateTable(cast).ok());
+    rows.clear();
+    for (const auto& [k, str] : std::vector<std::pair<int64_t, std::string>>{
+             {7, "1"}, {7, "x"}, {7, "x"}, {9, "-20"}, {9, "1"}, {9, "x"},
+             {11, "-50"}, {11, "-40"}}) {
+      rows.push_back({Value::Int(k), Value::String(str)});
+    }
+    ASSERT_TRUE(db_->catalog().Insert("cast_dim", rows).ok());
 
     sql::CreateTableStmt empty;
     empty.table = "empty_dim";
@@ -168,6 +226,87 @@ class JoinParallelTest : public ::testing::Test {
     EXPECT_GT(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u)
         << nl_query;
     ExpectTablesIdentical(*nl, *radix, query);
+  }
+
+  /// Binds `query` — one join, a SELECT list and WHERE clause reading
+  /// only the join's left side — turns the join into a `kind` join,
+  /// then optimizes and executes it at threads=8. SQL reaches semi and
+  /// anti joins only through IN and EXISTS, whose join conditions are
+  /// all equalities; this is how a residual gets onto one.
+  static Result<storage::Table> QueryAsJoinKind(const std::string& query,
+                                                plan::JoinKind kind) {
+    HANA_RETURN_IF_ERROR(db_->SetParameter("threads", "8"));
+    HANA_ASSIGN_OR_RETURN(auto stmt, sql::ParseSelect(query));
+    HANA_ASSIGN_OR_RETURN(plan::LogicalOpPtr logical,
+                          plan::BindSelectStatement(db_->catalog(), *stmt));
+    plan::LogicalOp* join = logical.get();
+    while (join->kind != plan::LogicalKind::kJoin) {
+      if (join->children.empty()) return Status::Internal("no join");
+      join = join->children[0].get();
+    }
+    join->join_kind = kind;
+    join->schema = join->children[0]->schema;
+    optimizer::OptimizeContext ctx;
+    ctx.catalog = &db_->catalog();
+    HANA_RETURN_IF_ERROR(optimizer::Optimize(&logical, ctx));
+    std::vector<PipelineStats> stats;
+    return ExecutePlanWithStats(*logical, db_, &stats);
+  }
+
+  /// `query` with its equi condition `equi` spelled as `nested_loop`.
+  static std::string NestedLoopQuery(const std::string& query,
+                                     const std::string& equi,
+                                     const std::string& nested_loop) {
+    std::string nl_query = query;
+    const size_t at = nl_query.find(equi);
+    EXPECT_NE(at, std::string::npos) << query;
+    if (at != std::string::npos) {
+      nl_query.replace(at, equi.size(), nested_loop);
+    }
+    return nl_query;
+  }
+
+  /// ExpectRadixMatchesNestedLoop for the inner join `query` run as a
+  /// semi and as an anti join (QueryAsJoinKind).
+  void ExpectExistenceJoinsMatchNestedLoop(const std::string& query,
+                                           const std::string& equi,
+                                           const std::string& nested_loop) {
+    const std::string nl_query = NestedLoopQuery(query, equi, nested_loop);
+    for (plan::JoinKind kind : {plan::JoinKind::kSemi, plan::JoinKind::kAnti}) {
+      const std::string context =
+          (kind == plan::JoinKind::kSemi ? "semi: " : "anti: ") + query;
+      ResetJoinExecStats();
+      auto radix = QueryAsJoinKind(query, kind);
+      ASSERT_TRUE(radix.ok()) << context << ": " << radix.status().ToString();
+      EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u) << context;
+      ResetJoinExecStats();
+      auto nl = QueryAsJoinKind(nl_query, kind);
+      ASSERT_TRUE(nl.ok()) << context << ": " << nl.status().ToString();
+      EXPECT_GT(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u)
+          << context;
+      ExpectTablesIdentical(*nl, *radix, context);
+    }
+  }
+
+  /// Runs `query` as a `kind` join (inner and left through SQL) on the
+  /// radix hash join and on the nested-loop join and asserts both fail
+  /// with the same Status.
+  void ExpectRadixFailsLikeNestedLoop(const std::string& query,
+                                      const std::string& equi,
+                                      const std::string& nested_loop,
+                                      plan::JoinKind kind) {
+    auto run = [&](const std::string& q) {
+      if (kind == plan::JoinKind::kSemi || kind == plan::JoinKind::kAnti) {
+        return QueryAsJoinKind(q, kind);
+      }
+      EXPECT_TRUE(db_->SetParameter("threads", "8").ok());
+      return db_->Query(q);
+    };
+    auto radix = run(query);
+    ASSERT_FALSE(radix.ok()) << query;
+    auto nl = run(NestedLoopQuery(query, equi, nested_loop));
+    ASSERT_FALSE(nl.ok()) << query;
+    EXPECT_EQ(radix.status().ToString(), nl.status().ToString()) << query;
   }
 
   static platform::Platform* db_;
@@ -270,6 +409,68 @@ TEST_F(JoinParallelTest, RadixMatchesNestedLoopJoin) {
       FROM fact f JOIN dim d ON f.k = d.k
       GROUP BY d.name ORDER BY d.name)",
                                equi, nested_loop);
+}
+
+TEST_F(JoinParallelTest, ExistenceJoinsWithResidualMatchNestedLoop) {
+  ExpectExistenceJoinsMatchNestedLoop(R"(
+      SELECT f.id, f.k FROM fact f JOIN dim d ON f.k = d.k AND d.w > f.v
+      WHERE f.id < 3000)",
+                                      "f.k = d.k", "f.k <= d.k AND f.k >= d.k");
+}
+
+TEST_F(JoinParallelTest, ResidualCandidatesSpanBatches) {
+  // Each probe row with key 7 or 8 has 2100 candidates, so its pairs
+  // straddle residual batches; key 7 rows first match past candidate
+  // 2060, key 8 rows never match (LEFT pads them, anti keeps them).
+  const std::string equi = "p.k = d.k";
+  const std::string nested_loop = "p.k <= d.k AND p.k >= d.k";
+  const std::string inner = R"(
+      SELECT p.id, d.id, d.w FROM wprobe p JOIN wide_dim d
+      ON p.k = d.k AND d.w > p.v + 2060.0 WHERE p.id < 50)";
+  auto plan = db_->Explain(inner);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->find("[build=left]"), std::string::npos) << *plan;
+  ExpectRadixMatchesNestedLoop(inner, equi, nested_loop);
+  ExpectRadixMatchesNestedLoop(R"(
+      SELECT p.id, d.id, d.w FROM wprobe p LEFT JOIN wide_dim d
+      ON p.k = d.k AND d.w > p.v + 2060.0 WHERE p.id < 50)",
+                               equi, nested_loop);
+  ExpectExistenceJoinsMatchNestedLoop(R"(
+      SELECT p.id, p.k FROM wprobe p JOIN wide_dim d
+      ON p.k = d.k AND d.w > p.v + 2060.0 WHERE p.id < 50)",
+                                      equi, nested_loop);
+}
+
+TEST_F(JoinParallelTest, ResidualErrorsFollowTheRowAtATimeProbe) {
+  // CAST('x' AS BIGINT) fails. Key 7 and 9 rows find their first match
+  // before any 'x' candidate, and key 11 rows have no 'x' candidate, so
+  // existence joins (which stop at a row's first match) succeed while
+  // inner and left joins, which test every candidate, fail. NULL keys
+  // are filtered out: the nested-loop spelling's Kleene AND would reach
+  // the CAST on them.
+  const std::string equi = "p.k = d.k";
+  const std::string nested_loop = "p.k <= d.k AND p.k >= d.k";
+  const std::string query = R"(
+      SELECT p.id, p.k FROM wprobe p JOIN cast_dim d
+      ON p.k = d.k AND CAST(d.s AS BIGINT) + p.k > 0
+      WHERE p.id < 50 AND p.k IS NOT NULL)";
+  ExpectExistenceJoinsMatchNestedLoop(query, equi, nested_loop);
+  ExpectRadixFailsLikeNestedLoop(query, equi, nested_loop,
+                                 plan::JoinKind::kInner);
+  ExpectRadixFailsLikeNestedLoop(R"(
+      SELECT p.id, d.s FROM wprobe p LEFT JOIN cast_dim d
+      ON p.k = d.k AND CAST(d.s AS BIGINT) + p.k > 0
+      WHERE p.id < 50 AND p.k IS NOT NULL)",
+                                 equi, nested_loop, plan::JoinKind::kLeft);
+  // With `> 100` no key 7 candidate matches before the first 'x'.
+  const std::string early = R"(
+      SELECT p.id, p.k FROM wprobe p JOIN cast_dim d
+      ON p.k = d.k AND CAST(d.s AS BIGINT) + p.k > 100
+      WHERE p.id < 50 AND p.k IS NOT NULL)";
+  ExpectRadixFailsLikeNestedLoop(early, equi, nested_loop,
+                                 plan::JoinKind::kSemi);
+  ExpectRadixFailsLikeNestedLoop(early, equi, nested_loop,
+                                 plan::JoinKind::kAnti);
 }
 
 TEST_F(JoinParallelTest, RadixJoinCounterIncrements) {

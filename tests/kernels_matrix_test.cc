@@ -89,34 +89,6 @@ TEST_F(KernelBitIdentityTest, HashI64MatchesScalar) {
   }
 }
 
-TEST_F(KernelBitIdentityTest, CmpI64AllOpsWithAndWithoutNulls) {
-  uint64_t seed = 3;
-  std::vector<int64_t> vals(2049);
-  std::vector<uint8_t> nulls(vals.size());
-  for (size_t i = 0; i < vals.size(); ++i) {
-    // Cluster values around the pivots so every op gets both outcomes.
-    vals[i] = static_cast<int64_t>(Next(&seed) % 13) - 6;
-    nulls[i] = static_cast<uint8_t>(Next(&seed) % 5 == 0);
-  }
-  vals[0] = INT64_MIN;
-  vals[1] = INT64_MAX;
-  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe,
-                   CmpOp::kGt, CmpOp::kGe}) {
-    for (int64_t rhs : {int64_t{0}, int64_t{-6}, INT64_MIN, INT64_MAX}) {
-      for (const uint8_t* null_mask :
-           std::vector<const uint8_t*>{nullptr, nulls.data()}) {
-        std::vector<uint8_t> a(vals.size()), b(vals.size());
-        ScalarKernels().cmp_i64(op, vals.data(), null_mask, vals.size(), rhs,
-                                a.data());
-        Kernels().cmp_i64(op, vals.data(), null_mask, vals.size(), rhs,
-                          b.data());
-        ASSERT_EQ(a, b) << "op " << static_cast<int>(op) << " rhs " << rhs
-                        << " nulls " << (null_mask != nullptr);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
 // Query-level matrix: encodings x cpu mode x threads.
 // ---------------------------------------------------------------------

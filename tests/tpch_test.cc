@@ -176,6 +176,23 @@ TEST_F(TpchLocalExecution, Q6MatchesHandRolledFilter) {
   EXPECT_NEAR(result->row(0)[0].double_value(), expected, 1e-6);
 }
 
+// The expression-bound queries run every filter, computed column and
+// join residual on the vectorized kernels: no row of any pipeline falls
+// back to the boxed scalar evaluator.
+TEST_F(TpchLocalExecution, ExpressionBoundQueriesStayOnKernels) {
+  for (int q : {1, 4, 6, 12, 13, 14, 19}) {
+    auto result = db_->Query(QueryText(q));
+    ASSERT_TRUE(result.ok()) << "Q" << q << ": "
+                             << result.status().ToString();
+    const std::vector<exec::PipelineStats>& stats = db_->last_pipeline_stats();
+    ASSERT_FALSE(stats.empty()) << "Q" << q;
+    for (const exec::PipelineStats& p : stats) {
+      EXPECT_EQ(p.scalar_rows, 0u) << "Q" << q << " P" << p.id << ": "
+                                   << p.label;
+    }
+  }
+}
+
 // Column pruning against an independent reference: every query runs on
 // the full tables, where scans are pruned to the referenced columns, and
 // on copies of the tables cut down to the columns the query names. The
