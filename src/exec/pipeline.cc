@@ -706,6 +706,12 @@ Result<Chunk> ProbeJoinChunk(const JoinBuildState& state, const Chunk& probe,
   const JoinKind kind = state.join->join_kind;
   const bool existence = kind == JoinKind::kSemi || kind == JoinKind::kAnti;
   Chunk out = Chunk::Empty(state.join->schema);
+  // NOT IN (never with a residual): a NULL in the subquery rejects
+  // every row; a NULL outer key is rejected by any non-empty subquery.
+  const bool null_aware = state.join->null_aware;
+  if (null_aware && state.table->build_has_null_key()) return out;
+  const bool null_key_matches =
+      null_aware && state.table->num_build_rows() > 0;
   const size_t n = probe.num_rows();
   const size_t probe_width = probe.num_columns();
   const size_t build_width = out.num_columns() > probe_width
@@ -735,13 +741,41 @@ Result<Chunk> ProbeJoinChunk(const JoinBuildState& state, const Chunk& probe,
       }
     }
   };
+  if (state.residual == nullptr && existence) {
+    // A semi or anti join keeps a subset of the probe rows: gather them
+    // column by column, or pass the chunk on when it keeps every row.
+    std::vector<uint32_t> kept;
+    kept.reserve(n);
+    for (size_t r = 0; r < n; ++r) {
+      bool matched = null_key_matches && scratch->has_null[r] != 0;
+      if (!matched) {
+        state.table->ForEachMatch(
+            *scratch, r, [&](const RadixJoinTable::Partition&, size_t) {
+              matched = true;
+              return false;  // The first match decides.
+            });
+      }
+      if (matched == (kind == JoinKind::kSemi)) {
+        kept.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    if (kept.size() == n) {
+      Chunk all = probe;  // Shares the vectors.
+      all.schema = state.join->schema;
+      return all;
+    }
+    for (size_t c = 0; c < probe_width; ++c) {
+      out.columns[c]->AppendGather(*probe.columns[c], kept.data(),
+                                   kept.size());
+    }
+    return out;
+  }
   if (state.residual == nullptr) {
     for (size_t r = 0; r < n; ++r) {
       bool matched = false;
       state.table->ForEachMatch(
           *scratch, r, [&](const RadixJoinTable::Partition& part, size_t b) {
             matched = true;
-            if (existence) return false;  // The first match decides.
             emit_pair(r, part.payload, b);
             return true;
           });
@@ -845,7 +879,10 @@ Result<Chunk> NestedLoopProbeChunk(const JoinBuildState& state,
       combined.insert(combined.end(), build.begin(), build.end());
       if (condition != nullptr) {
         HANA_ASSIGN_OR_RETURN(Value keep, EvalExprRow(*condition, combined));
-        if (keep.is_null() || !IsTruthy(keep)) continue;
+        // NOT IN: an unknown comparison rejects the row like a match.
+        if (keep.is_null() ? !state.join->null_aware : !IsTruthy(keep)) {
+          continue;
+        }
       }
       matched = true;
       if (existence) break;

@@ -396,14 +396,17 @@ struct JoinBuildState {
 /// one mask per batch; existence joins stop collecting a probe row's
 /// candidates once a batch found its first match. `scratch` is
 /// per-worker-slot key scratch, never shared between concurrent
-/// workers.
+/// workers. A null-aware anti join (NOT IN) emits nothing once the build
+/// saw a NULL key, and counts a NULL probe key as a match against any
+/// non-empty build.
 [[nodiscard]] Result<storage::Chunk> ProbeJoinChunk(
     const JoinBuildState& state, const storage::Chunk& probe,
     RadixJoinTable::ProbeKeys* scratch);
 
 /// Nested-loop probe of one (left-side) chunk against the materialized
 /// build rows: probe rows in order, and for each the build rows in
-/// order, evaluating the whole join condition on the combined row.
+/// order, evaluating the whole join condition on the combined row. A
+/// null-aware anti join counts an unknown (NULL) condition as a match.
 [[nodiscard]] Result<storage::Chunk> NestedLoopProbeChunk(
     const JoinBuildState& state, const storage::Chunk& probe);
 

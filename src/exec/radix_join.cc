@@ -156,7 +156,10 @@ Status RadixJoinTable::AddBuildChunk(size_t m, const Chunk& chunk) {
   for (size_t r = 0; r < n; ++r) {
     uint64_t h;
     if (single_int) {
-      if (key_cols[0]->IsNull(r)) continue;  // NULL never joins.
+      if (key_cols[0]->IsNull(r)) {  // NULL never joins.
+        buffers.null_key = true;
+        continue;
+      }
       h = batch_hashes[r];
     } else if (vectorized_) {
       bool null_key = false;
@@ -168,12 +171,18 @@ Status RadixJoinTable::AddBuildChunk(size_t m, const Chunk& chunk) {
         }
         acc = HashCombine(acc, HashCell(*col, r));
       }
-      if (null_key) continue;  // NULL never joins; row can't ever match.
+      if (null_key) {  // NULL never joins; row can't ever match.
+        buffers.null_key = true;
+        continue;
+      }
       h = acc;
     } else {
       bool null_key = false;
       for (const Value& v : boxed[r]) null_key = null_key || v.is_null();
-      if (null_key) continue;
+      if (null_key) {
+        buffers.null_key = true;
+        continue;
+      }
       h = HashBoxedKey(boxed[r]);
     }
     MorselBuffers::PartitionBuffer& buf =
@@ -332,6 +341,9 @@ bool RadixJoinTable::TryFinalizePerfect() {
 }
 
 Status RadixJoinTable::Finalize(TaskPool* pool, size_t dop) {
+  for (const MorselBuffers& m : morsels_) {
+    build_has_null_key_ = build_has_null_key_ || m.null_key;
+  }
   if (allow_perfect_) {
     if (TryFinalizePerfect()) {
       GlobalJoinExecStats().perfect_hash_joins.fetch_add(

@@ -82,7 +82,8 @@ bool CellsEqual(const storage::ColumnVector& a, size_t i,
 ///
 /// Build rows with a NULL in any key are dropped at partition time:
 /// NULL never equals in a join key, and none of the supported kinds
-/// (inner/left/semi/anti) ever emits an unmatched build row.
+/// (inner/left/semi/anti) ever emits an unmatched build row. The table
+/// remembers whether it dropped any, which decides a NOT IN.
 class RadixJoinTable {
  public:
   static constexpr size_t kRadixBits = 6;
@@ -105,6 +106,8 @@ class RadixJoinTable {
   /// Whether Finalize built the direct-address (perfect-hash) layout.
   bool perfect() const { return perfect_; }
   size_t num_build_rows() const { return build_rows_; }
+  /// Whether some build row had a NULL key (valid after Finalize).
+  bool build_has_null_key() const { return build_has_null_key_; }
 
   void SetNumMorsels(size_t n);
 
@@ -189,6 +192,7 @@ class RadixJoinTable {
       std::vector<uint64_t> hashes;
     };
     std::vector<PartitionBuffer> parts;  // Lazily sized to kPartitions.
+    bool null_key = false;  // A row of this morsel had a NULL key.
   };
 
   bool KeysEqual(const Partition& p, uint32_t row, const ProbeKeys& keys,
@@ -209,6 +213,7 @@ class RadixJoinTable {
   std::vector<MorselBuffers> morsels_;
   std::vector<Partition> parts_;
   size_t build_rows_ = 0;
+  bool build_has_null_key_ = false;
 };
 
 }  // namespace hana::exec

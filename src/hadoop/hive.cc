@@ -209,11 +209,39 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
       if (op.condition != nullptr) {
         parts = plan::AnalyzeJoinCondition(*op.condition, left_arity);
       }
+      // NOT IN reads the whole subquery first: a NULL in it empties the
+      // result, and any row in it rejects NULL outer keys.
+      bool right_empty = true;
+      if (op.null_aware) {
+        if (parts.equi_keys.size() != 1) {
+          return Status::Internal("null-aware anti join without one key");
+        }
+        HANA_ASSIGN_OR_RETURN(std::vector<std::string> lines,
+                              hdfs_->ReadFile(right.path));
+        right_empty = lines.empty();
+        for (const std::string& line : lines) {
+          HANA_ASSIGN_OR_RETURN(std::vector<Value> row,
+                                ParseRow(line, *right.schema));
+          HANA_ASSIGN_OR_RETURN(Value key,
+                                exec::EvalExprRow(*parts.equi_keys[0].right,
+                                                  row));
+          if (!key.is_null()) continue;
+          std::string empty = TempPath(query_id, (*job_counter)++);
+          HANA_RETURN_IF_ERROR(hdfs_->WriteFile(empty, {}));
+          return Dataset{empty, op.schema};
+        }
+      }
       auto shared_parts =
           std::make_shared<plan::JoinConditionParts>(std::move(parts));
       auto error = std::make_shared<Status>();
       size_t right_arity = right.schema->num_columns();
       JoinKind kind = op.join_kind;
+      // Outer rows with a NULL key match nothing; LEFT pads them and
+      // anti joins keep them (NOT IN only against an empty subquery).
+      // They group under a key no subquery row emits.
+      const bool keep_null_outer =
+          kind == JoinKind::kLeft ||
+          (kind == JoinKind::kAnti && (!op.null_aware || right_empty));
 
       JobSpec spec;
       spec.name = StrFormat("q%zu-join-stage", query_id);
@@ -221,7 +249,7 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
       spec.output = TempPath(query_id, (*job_counter)++);
       std::shared_ptr<Schema> lschema = left.schema;
       std::shared_ptr<Schema> rschema = right.schema;
-      spec.mapper = [shared_parts, lschema, rschema, error](
+      spec.mapper = [shared_parts, lschema, rschema, error, keep_null_outer](
                         int input, const std::string& line,
                         std::vector<KeyValue>* out) {
         if (!error->ok()) return;
@@ -239,7 +267,7 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
             *error = v.status();
             return;
           }
-          if (v->is_null()) return;  // Null keys never join.
+          if (v->is_null() && !(input == 0 && keep_null_outer)) return;
           key_values.push_back(std::move(*v));
         }
         out->emplace_back(SerializeRow(key_values),
@@ -299,12 +327,8 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
       HANA_RETURN_IF_ERROR(mapreduce_->RunJob(spec).status());
       HANA_RETURN_IF_ERROR(*error);
 
-      // LEFT and ANTI joins must also surface left rows whose key never
-      // appeared on the right: re-emit unmatched keys in a second pass.
-      // The repartition reducer above only sees keys present on at least
-      // one side, so for kLeft/kAnti we additionally process left rows
-      // whose key group contained no right rows — which the reducer above
-      // already handles (the group exists because the left row is in it).
+      // LEFT and ANTI joins surface left rows whose key never appeared
+      // on the right: the group exists because the left row is in it.
       return Dataset{spec.output, op.schema};
     }
 

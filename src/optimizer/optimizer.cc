@@ -251,12 +251,13 @@ std::string ComputeLabel(const LogicalOp& op, const OptimizeContext& ctx) {
           return caps->outer_joins ? label : "";
         case JoinKind::kSemi:
         case JoinKind::kAnti: {
-          if (!caps->semi_joins) return "";
-          // The rebuilt [NOT] EXISTS requires equality-only conditions.
+          if (!caps->semi_joins || op.condition == nullptr) return "";
+          // The rebuilt [NOT] EXISTS needs a correlated equality, as the
+          // binder does; NOT IN is its own equality.
           size_t left_arity = op.children[0]->schema->num_columns();
           plan::JoinConditionParts parts =
               plan::AnalyzeJoinCondition(*op.condition, left_arity);
-          return parts.residual == nullptr ? label : "";
+          return parts.equi_keys.empty() ? "" : label;
         }
       }
       return "";
@@ -430,14 +431,25 @@ Status SplitFederated(LogicalOpPtr* node, const OptimizeContext& ctx) {
 // Hash-join build-side selection.
 // ---------------------------------------------------------------------
 
-/// Returns the scan a build subtree bottoms out in, unwrapping
-/// schema-preserving filters; null when the subtree is anything else.
-const LogicalOp* UnwrapToScan(const LogicalOp* op) {
-  while (op != nullptr && op->kind == LogicalKind::kFilter) {
-    op = op->children.empty() ? nullptr : op->children[0].get();
+/// Returns the scan a subtree bottoms out in, unwrapping filters and
+/// column-only projects, and maps `*column` (an output column of `op`)
+/// to the scan's output column; null when the subtree is anything else
+/// or the column is computed.
+const LogicalOp* UnwrapToScan(const LogicalOp* op, size_t* column) {
+  while (op->kind == LogicalKind::kFilter ||
+         (op->kind == LogicalKind::kProject && !op->children.empty())) {
+    if (op->kind == LogicalKind::kProject) {
+      if (*column >= op->exprs.size() ||
+          op->exprs[*column]->kind != plan::BoundKind::kColumn) {
+        return nullptr;
+      }
+      *column = op->exprs[*column]->column_index;
+    }
+    op = op->children[0].get();
   }
-  if (op == nullptr || op->kind != LogicalKind::kScan) return nullptr;
-  return op;
+  return op->kind == LogicalKind::kScan && *column < op->scan_columns.size()
+             ? op
+             : nullptr;
 }
 
 /// Nominates a join for the perfect-hash build layout when its single
@@ -462,17 +474,16 @@ void MaybeNominatePerfectHash(LogicalOp* op,
       t != DataType::kTimestamp) {
     return;
   }
+  size_t column = key->column_index;
   const LogicalOp* scan =
-      UnwrapToScan(op->children[op->build_left ? 0 : 1].get());
-  if (scan == nullptr || scan->table.location != TableLocation::kLocalColumn ||
-      key->column_index >= scan->scan_columns.size()) {
+      UnwrapToScan(op->children[op->build_left ? 0 : 1].get(), &column);
+  if (scan == nullptr || scan->table.location != TableLocation::kLocalColumn) {
     return;
   }
   Result<const catalog::TableEntry*> entry = catalog->GetTable(scan->table.name);
   if (!entry.ok() || (*entry)->column_table == nullptr) return;
   storage::ColumnTable::ColumnDomain d =
-      (*entry)->column_table->GetColumnDomain(
-          scan->scan_columns[key->column_index]);
+      (*entry)->column_table->GetColumnDomain(scan->scan_columns[column]);
   if (d.distinct_upper == 0 || d.min.is_null() || d.max.is_null()) return;
   uint64_t range = static_cast<uint64_t>(d.max.AsInt()) -
                    static_cast<uint64_t>(d.min.AsInt());
@@ -514,7 +525,8 @@ void ChooseBuildSides(LogicalOp* op, const catalog::Catalog* catalog) {
 /// Picks the radix partition count for two-phase parallel aggregation
 /// sinks from group-cardinality statistics: the product of the group-by
 /// keys' dictionary distinct upper bounds, when every key is a bare
-/// column over a (filter-wrapped) local column-table scan. Few expected
+/// column over a local column-table scan under filters and column-only
+/// projects. Few expected
 /// groups → few partitions (phase-2 fan-out overhead isn't worth it);
 /// unknown or large cardinality → the executor's maximum. The count
 /// only shapes the schedule — results are bit-identical at any value —
@@ -530,21 +542,22 @@ void ChooseAggPartitions(LogicalOp* op, const catalog::Catalog* catalog) {
   constexpr uint64_t kGroupsPerPartition = 512;
   op->agg_partitions = kMax;  // Default when stats can't bound the groups.
   if (catalog == nullptr || op->children.empty()) return;
-  const LogicalOp* scan = UnwrapToScan(op->children[0].get());
-  if (scan == nullptr || scan->table.location != TableLocation::kLocalColumn) {
-    return;
-  }
-  Result<const catalog::TableEntry*> entry = catalog->GetTable(scan->table.name);
-  if (!entry.ok() || (*entry)->column_table == nullptr) return;
   uint64_t groups_upper = 1;
   for (const plan::BoundExprPtr& g : op->group_by) {
-    if (g->kind != plan::BoundKind::kColumn ||
-        g->column_index >= scan->scan_columns.size()) {
+    if (g->kind != plan::BoundKind::kColumn) {
       return;  // Computed key: cardinality unknown, keep the max.
     }
+    size_t column = g->column_index;
+    const LogicalOp* scan = UnwrapToScan(op->children[0].get(), &column);
+    if (scan == nullptr ||
+        scan->table.location != TableLocation::kLocalColumn) {
+      return;
+    }
+    Result<const catalog::TableEntry*> entry =
+        catalog->GetTable(scan->table.name);
+    if (!entry.ok() || (*entry)->column_table == nullptr) return;
     storage::ColumnTable::ColumnDomain d =
-        (*entry)->column_table->GetColumnDomain(
-            scan->scan_columns[g->column_index]);
+        (*entry)->column_table->GetColumnDomain(scan->scan_columns[column]);
     if (d.distinct_upper == 0) return;
     if (groups_upper > (uint64_t{1} << 32) / std::max<uint64_t>(d.distinct_upper, 1)) {
       return;  // Product would overflow any useful bound; keep the max.
@@ -582,6 +595,7 @@ std::string FormatPipelines(
 Status Optimize(plan::LogicalOpPtr* plan, const OptimizeContext& ctx) {
   HANA_RETURN_IF_ERROR(plan::PushDownFilters(plan));
   plan::PullFiltersIntoJoins(plan);
+  HANA_RETURN_IF_ERROR(plan::PushDownSemiJoins(plan));
   HANA_RETURN_IF_ERROR(ExpandHybridScans(plan, ctx.catalog));
   HANA_RETURN_IF_ERROR(plan::PushDownFilters(plan));
   HANA_RETURN_IF_ERROR(PrunePartitions(plan, ctx.catalog));

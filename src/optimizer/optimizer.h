@@ -40,19 +40,24 @@ struct OptimizeContext {
 };
 
 /// Runs the full rewrite pipeline:
-///  1. predicate pushdown + join-condition recovery,
-///  2. hybrid-table partition expansion (Union Plan) + pruning,
-///  3. zone-map range extraction,
-///  4. eager aggregation through UNION ALL
+///  1. predicate pushdown, with join-condition placement (single-side ON
+///     conjuncts become filters on the input where that is legal), then
+///     join-condition recovery from straddling filters,
+///  2. semi/anti join placement (plan::PushDownSemiJoins): IN/EXISTS
+///     joins move down to the input that owns their key,
+///  3. hybrid-table partition expansion (Union Plan) + pruning,
+///  4. zone-map range extraction,
+///  5. eager aggregation through UNION ALL
 ///     (plan::SplitAggregateOverUnion): each branch gets a partial,
-///  5. column pruning (plan::PruneColumns): scans decode only the
+///  6. column pruning (plan::PruneColumns): scans decode only the
 ///     columns the plan references,
-///  6. federation split: maximal remote subtrees become shipped
+///  7. federation split: maximal remote subtrees become shipped
 ///     kRemoteQuery nodes (capability-checked per adapter), with
 ///     cost-based Semijoin / Table Relocation handling at local-remote
-///     join boundaries. Shipped SQL is rendered from the pruned
-///     subtrees, so it names only used columns,
-///  7. hash-join build sides, perfect-hash nomination and aggregate
+///     join boundaries. Shipped SQL is rendered from the placed and
+///     pruned subtrees, so it carries moved predicates and names only
+///     used columns,
+///  8. hash-join build sides, perfect-hash nomination and aggregate
 ///     partition counts (stats looked up through each scan's
 ///     scan_columns).
 [[nodiscard]] Status Optimize(plan::LogicalOpPtr* plan, const OptimizeContext& ctx);

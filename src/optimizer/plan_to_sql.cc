@@ -1,6 +1,7 @@
 #include "optimizer/plan_to_sql.h"
 
 #include "common/strings.h"
+#include "plan/join_analysis.h"
 #include "sql/ast.h"
 
 namespace hana::optimizer {
@@ -193,20 +194,39 @@ Result<Rendered> Render(const LogicalOp& op, int* next_alias) {
       names.insert(names.end(), rnames.begin(), rnames.end());
 
       if (op.join_kind == JoinKind::kSemi || op.join_kind == JoinKind::kAnti) {
-        HANA_ASSIGN_OR_RETURN(std::string cond,
-                              RenderExpr(*op.condition, names));
+        if (op.condition == nullptr) {
+          return Status::Unimplemented("cannot ship a semi join without keys");
+        }
+        std::string test;
+        if (op.null_aware) {
+          // NOT IN keeps its NULL semantics only when rendered as NOT IN.
+          plan::JoinConditionParts parts =
+              plan::AnalyzeJoinCondition(*op.condition, left.arity);
+          if (parts.equi_keys.size() != 1 || parts.residual != nullptr) {
+            return Status::Internal("null-aware anti join without one key");
+          }
+          HANA_ASSIGN_OR_RETURN(std::string outer,
+                                RenderExpr(*parts.equi_keys[0].left, names));
+          HANA_ASSIGN_OR_RETURN(std::string inner,
+                                RenderExpr(*parts.equi_keys[0].right, rnames));
+          test = outer + " NOT IN (SELECT " + inner + " AS c0 FROM (" +
+                 right.select + ") " + ralias + ")";
+        } else {
+          HANA_ASSIGN_OR_RETURN(std::string cond,
+                                RenderExpr(*op.condition, names));
+          test = std::string(op.join_kind == JoinKind::kAnti ? "NOT EXISTS ("
+                                                             : "EXISTS (") +
+                 "SELECT 1 AS one FROM (" + right.select + ") " + ralias +
+                 " WHERE " + cond + ")";
+        }
         std::vector<std::string> items;
         for (size_t i = 0; i < left.arity; ++i) {
           items.push_back(lalias + ".c" + std::to_string(i) + " AS c" +
                           std::to_string(i));
         }
         Rendered out;
-        out.select =
-            "SELECT " + Join(items, ", ") + " FROM (" + left.select + ") " +
-            lalias + " WHERE " +
-            (op.join_kind == JoinKind::kAnti ? "NOT EXISTS (" : "EXISTS (") +
-            "SELECT 1 AS one FROM (" + right.select + ") " + ralias +
-            " WHERE " + cond + ")";
+        out.select = "SELECT " + Join(items, ", ") + " FROM (" + left.select +
+                     ") " + lalias + " WHERE " + test;
         out.arity = left.arity;
         return out;
       }
@@ -241,6 +261,8 @@ Result<Rendered> Render(const LogicalOp& op, int* next_alias) {
         HANA_ASSIGN_OR_RETURN(std::string cond,
                               RenderExpr(*op.condition, names));
         out.select += " ON " + cond;
+      } else if (op.join_kind != JoinKind::kCross) {
+        out.select += " ON TRUE";  // Every ON conjunct moved to an input.
       }
       out.arity = left.arity + right.arity;
       return out;

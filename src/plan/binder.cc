@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "plan/join_analysis.h"
 
 namespace hana::plan {
 
@@ -327,13 +328,25 @@ Result<BoundExprPtr> Binder::BindExpr(const Expr& e, const Scope& scope,
     case ExprKind::kColumnRef: {
       std::string name =
           e.table.empty() ? e.column : e.table + "." + e.column;
-      int idx = scope.schema->FindColumn(name);
-      if (idx < 0) {
-        return Status::BindError("column not found or ambiguous: " + name);
+      // With an outer scope, columns bind into the outer++inner layout
+      // of a semi/anti join condition; inner names shadow outer ones.
+      auto bind = [&](const Schema& schema, int idx, size_t offset) {
+        const ColumnDef& col = schema.column(static_cast<size_t>(idx));
+        return BoundExpr::Column(static_cast<size_t>(idx) + offset, col.type,
+                                 col.name);
+      };
+      if (int idx = scope.schema->FindColumn(name); idx >= 0) {
+        return bind(*scope.schema, idx,
+                    scope.outer != nullptr
+                        ? scope.outer->schema->num_columns()
+                        : 0);
       }
-      return BoundExpr::Column(static_cast<size_t>(idx),
-                               scope.schema->column(idx).type,
-                               scope.schema->column(idx).name);
+      if (scope.outer != nullptr) {
+        if (int idx = scope.outer->schema->FindColumn(name); idx >= 0) {
+          return bind(*scope.outer->schema, idx, 0);
+        }
+      }
+      return Status::BindError("column not found or ambiguous: " + name);
     }
     case ExprKind::kStar:
       return Status::BindError("'*' is not valid in this context");
@@ -473,9 +486,8 @@ Result<LogicalOpPtr> Binder::UnnestSubqueryConjunct(LogicalOpPtr plan,
   bool negated = conjunct.negated != negate;
 
   if (conjunct.kind == ExprKind::kIn) {
-    // expr [NOT] IN (SELECT col FROM ...): uncorrelated only.
-    // NOTE: NOT IN uses anti-join semantics; SQL's NULL corner case
-    // (inner NULL => empty result) is intentionally not modeled.
+    // expr [NOT] IN (SELECT col FROM ...): uncorrelated only. NOT IN is
+    // a null-aware anti join (see LogicalOp::null_aware).
     HANA_ASSIGN_OR_RETURN(BoundExprPtr outer_expr,
                           BindExpr(*conjunct.child0, scope, nullptr));
     HANA_ASSIGN_OR_RETURN(LogicalOpPtr sub, BindSelect(*conjunct.subquery));
@@ -485,6 +497,7 @@ Result<LogicalOpPtr> Binder::UnnestSubqueryConjunct(LogicalOpPtr plan,
     auto join = std::make_unique<LogicalOp>();
     join->kind = LogicalKind::kJoin;
     join->join_kind = negated ? JoinKind::kAnti : JoinKind::kSemi;
+    join->null_aware = negated;
     join->schema = plan->schema;
     BoundExprPtr inner_col = BoundExpr::Column(
         left_arity, sub->schema->column(0).type, sub->schema->column(0).name);
@@ -496,13 +509,17 @@ Result<LogicalOpPtr> Binder::UnnestSubqueryConjunct(LogicalOpPtr plan,
     return LogicalOpPtr(std::move(join));
   }
 
-  // [NOT] EXISTS (SELECT ... WHERE inner.x = outer.y AND locals...).
+  // [NOT] EXISTS (SELECT ... WHERE inner.x = outer.y AND locals...):
+  // conjuncts over the subquery alone filter it; the correlated ones
+  // form the join condition, whose equalities become hash keys and the
+  // rest its residual.
   const SelectStmt& sub = *conjunct.subquery;
   if (sub.from == nullptr) {
     return Status::BindError("EXISTS subquery requires a FROM clause");
   }
   HANA_ASSIGN_OR_RETURN(LogicalOpPtr inner_plan, BindTableRef(*sub.from));
   Scope inner_scope{inner_plan->schema, nullptr};
+  Scope correlated_scope{inner_plan->schema, &scope};
 
   std::vector<BoundExprPtr> inner_filters;
   BoundExprPtr join_condition;
@@ -515,41 +532,25 @@ Result<LogicalOpPtr> Binder::UnnestSubqueryConjunct(LogicalOpPtr plan,
         inner_filters.push_back(std::move(*local));
         continue;
       }
-      // Correlated: must be an equality between an inner and an outer
-      // column expression.
-      if (c->kind != ExprKind::kBinary || c->binary_op != BinaryOp::kEq) {
+      Result<BoundExprPtr> correlated =
+          BindExpr(*c, correlated_scope, nullptr);
+      if (!correlated.ok()) {
         return Status::BindError(
             "unsupported correlated predicate in EXISTS: " + c->ToSql());
       }
-      Result<BoundExprPtr> l_inner = BindExpr(*c->child0, inner_scope, nullptr);
-      Result<BoundExprPtr> r_inner = BindExpr(*c->child1, inner_scope, nullptr);
-      BoundExprPtr inner_side, outer_side;
-      if (l_inner.ok() && !r_inner.ok()) {
-        HANA_ASSIGN_OR_RETURN(outer_side, BindExpr(*c->child1, scope, nullptr));
-        inner_side = std::move(*l_inner);
-      } else if (r_inner.ok() && !l_inner.ok()) {
-        HANA_ASSIGN_OR_RETURN(outer_side, BindExpr(*c->child0, scope, nullptr));
-        inner_side = std::move(*r_inner);
-      } else {
-        return Status::BindError(
-            "unsupported correlated predicate in EXISTS: " + c->ToSql());
-      }
-      ShiftColumns(inner_side.get(), left_arity);
-      BoundExprPtr eq =
-          BoundExpr::Binary(static_cast<int>(BinaryOp::kEq), DataType::kBool,
-                            std::move(outer_side), std::move(inner_side));
       join_condition =
           join_condition == nullptr
-              ? std::move(eq)
+              ? std::move(*correlated)
               : BoundExpr::Binary(static_cast<int>(BinaryOp::kAnd),
                                   DataType::kBool, std::move(join_condition),
-                                  std::move(eq));
+                                  std::move(*correlated));
     }
   }
   for (auto& f : inner_filters) {
     inner_plan = MakeFilter(std::move(inner_plan), std::move(f));
   }
-  if (join_condition == nullptr) {
+  if (join_condition == nullptr ||
+      AnalyzeJoinCondition(*join_condition, left_arity).equi_keys.empty()) {
     return Status::BindError(
         "EXISTS without a correlated equality predicate is not supported");
   }

@@ -10,8 +10,9 @@
 namespace hana::plan {
 
 /// Name-resolution scope: the (qualified) columns visible at one query
-/// level. `outer` chains to the enclosing query for correlated
-/// subqueries.
+/// level. `outer` is the enclosing query of a correlated EXISTS: names
+/// not found here resolve there, and columns bind into the outer++inner
+/// layout of the semi/anti join condition (outer columns first).
 struct Scope {
   std::shared_ptr<Schema> schema;
   const Scope* outer = nullptr;
@@ -22,7 +23,8 @@ struct Scope {
 ///    catalog interface,
 ///  * resolves and types all expressions,
 ///  * unnests [NOT] IN (subquery) and [NOT] EXISTS into semi/anti joins
-///    (equality-correlated EXISTS supported),
+///    (NOT IN null-aware; an EXISTS needs one correlated equality, and
+///    its other correlated conjuncts become the join's residual),
 ///  * plans GROUP BY / aggregates / HAVING / DISTINCT / ORDER BY / LIMIT.
 [[nodiscard]] Result<LogicalOpPtr> BindSelectStatement(const BinderCatalog& catalog,
                                          const sql::SelectStmt& stmt);

@@ -74,6 +74,7 @@ std::string LogicalOp::ToString(int indent) const {
     case LogicalKind::kJoin:
       line += StrFormat("%s Join", JoinKindName(join_kind));
       if (condition) line += " ON " + condition->ToString();
+      if (null_aware) line += " [null-aware]";
       if (build_left) line += " [build=left]";
       if (perfect_hash) line += " [perfect-hash]";
       break;

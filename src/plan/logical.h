@@ -127,6 +127,12 @@ struct LogicalOp {
   // kJoin: condition indexes the concatenated left++right schema.
   JoinKind join_kind = JoinKind::kInner;
   BoundExprPtr condition;
+  /// NOT IN semantics for an anti join (its condition is the single
+  /// equality outer = subquery column): a NULL in the subquery's column
+  /// rejects every outer row, and when the subquery is non-empty an
+  /// outer row with a NULL key is rejected too. NOT EXISTS anti joins
+  /// leave this false. Rendered by ToString as "[null-aware]".
+  bool null_aware = false;
   /// Hash-join build-side selection (optimizer, inner joins only): true
   /// when the LEFT child is the estimated-smaller side and should be
   /// built into the hash table while the right side probes. Output

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "plan/join_analysis.h"
 #include "sql/ast.h"
@@ -81,6 +82,31 @@ void AddFilter(LogicalOpPtr* plan, BoundExprPtr pred) {
   *plan = MakeFilter(std::move(*plan), std::move(pred));
 }
 
+/// The conjunction of `parts`; null when there are none.
+BoundExprPtr AndAll(std::vector<BoundExprPtr> parts) {
+  BoundExprPtr out;
+  for (auto& p : parts) {
+    out = out == nullptr
+              ? std::move(p)
+              : BoundExpr::Binary(static_cast<int>(BinaryOp::kAnd),
+                                  DataType::kBool, std::move(out),
+                                  std::move(p));
+  }
+  return out;
+}
+
+/// Rebases an expression over a join's left++right layout, reading only
+/// right-side columns, onto the right child's own layout.
+Status RebaseToRight(BoundExpr* expr, size_t left_arity) {
+  std::vector<size_t> cols;
+  expr->CollectColumns(&cols);
+  size_t max_col = 0;
+  for (size_t c : cols) max_col = std::max(max_col, c);
+  std::vector<int> mapping(max_col + 1, -1);
+  for (size_t c : cols) mapping[c] = static_cast<int>(c - left_arity);
+  return RemapColumns(expr, mapping);
+}
+
 bool TryPush(LogicalOpPtr* plan, BoundExprPtr* conjunct) {
   LogicalOp* op = plan->get();
   switch (op->kind) {
@@ -103,13 +129,7 @@ bool TryPush(LogicalOpPtr* plan, BoundExprPtr* conjunct) {
       }
       if (right_pushable &&
           ColumnsWithin(**conjunct, left_arity, static_cast<size_t>(-1))) {
-        std::vector<size_t> cols;
-        (*conjunct)->CollectColumns(&cols);
-        size_t max_col = 0;
-        for (size_t c : cols) max_col = std::max(max_col, c);
-        std::vector<int> mapping(max_col + 1, -1);
-        for (size_t c : cols) mapping[c] = static_cast<int>(c - left_arity);
-        if (!RemapColumns(conjunct->get(), mapping).ok()) return false;
+        if (!RebaseToRight(conjunct->get(), left_arity).ok()) return false;
         if (!TryPush(&op->children[1], conjunct)) {
           AddFilter(&op->children[1], std::move(*conjunct));
         }
@@ -156,6 +176,41 @@ bool TryPush(LogicalOpPtr* plan, BoundExprPtr* conjunct) {
   }
 }
 
+/// Join-condition placement: each conjunct of a join's ON condition that
+/// reads one side only becomes a filter on that side's input where this
+/// keeps the join's result — either side of inner, cross and semi
+/// joins, the right (null-supplying or subquery) side of left and anti
+/// joins. Equi keys and other conjuncts over both sides stay. A
+/// null-aware anti join keeps its condition whole: NOT IN compares
+/// against every subquery row, NULLs included.
+Status PlaceJoinConjuncts(LogicalOp* op) {
+  if (op->kind != LogicalKind::kJoin || op->condition == nullptr ||
+      op->null_aware) {
+    return Status::OK();
+  }
+  const JoinKind kind = op->join_kind;
+  const bool left_ok = kind == JoinKind::kInner ||
+                       kind == JoinKind::kCross || kind == JoinKind::kSemi;
+  const size_t left_arity = op->children[0]->schema->num_columns();
+  std::vector<BoundExprPtr> conjuncts, kept;
+  SplitAnd(std::move(op->condition), &conjuncts);
+  for (BoundExprPtr& c : conjuncts) {
+    if (left_ok && ColumnsWithin(*c, 0, left_arity)) {
+      AddFilter(&op->children[0], std::move(c));
+    } else if (ColumnsWithin(*c, left_arity, static_cast<size_t>(-1))) {
+      HANA_RETURN_IF_ERROR(RebaseToRight(c.get(), left_arity));
+      AddFilter(&op->children[1], std::move(c));
+    } else {
+      kept.push_back(std::move(c));
+    }
+  }
+  op->condition = AndAll(std::move(kept));
+  if (op->condition == nullptr && kind == JoinKind::kInner) {
+    op->join_kind = JoinKind::kCross;
+  }
+  return Status::OK();
+}
+
 Status PushDownFiltersImpl(LogicalOpPtr* plan) {
   // Hoist the entire stack of filters at this position, then push each
   // conjunct as deep as it goes; what cannot move re-stacks here.
@@ -176,18 +231,12 @@ Status PushDownFiltersImpl(LogicalOpPtr* plan) {
   for (auto& c : conjuncts) {
     if (!TryPush(plan, &c)) kept.push_back(std::move(c));
   }
+  HANA_RETURN_IF_ERROR(PlaceJoinConjuncts(plan->get()));
   for (auto& child : plan->get()->children) {
     HANA_RETURN_IF_ERROR(PushDownFiltersImpl(&child));
   }
   // Re-add the immovable conjuncts as one combined filter.
-  BoundExprPtr rest;
-  for (auto& c : kept) {
-    rest = rest == nullptr
-               ? std::move(c)
-               : BoundExpr::Binary(static_cast<int>(BinaryOp::kAnd),
-                                   DataType::kBool, std::move(rest),
-                                   std::move(c));
-  }
+  BoundExprPtr rest = AndAll(std::move(kept));
   if (rest != nullptr) AddFilter(plan, std::move(rest));
   return Status::OK();
 }
@@ -232,15 +281,128 @@ void PullFiltersIntoJoins(LogicalOpPtr* plan) {
     keep = std::move(conjuncts);
   }
   for (auto& child : plan->get()->children) PullFiltersIntoJoins(&child);
-  BoundExprPtr rest;
-  for (auto& c : keep) {
-    rest = rest == nullptr
-               ? std::move(c)
-               : BoundExpr::Binary(static_cast<int>(sql::BinaryOp::kAnd),
-                                   DataType::kBool, std::move(rest),
-                                   std::move(c));
-  }
+  BoundExprPtr rest = AndAll(std::move(keep));
   if (rest != nullptr) AddFilter(plan, std::move(rest));
+}
+
+namespace {
+
+/// The source every scan under `op` reads when that is one remote or
+/// extended source; "" for subtrees touching local data, several
+/// sources, table functions or no table at all.
+std::string RemoteSource(const LogicalOp& op) {
+  switch (op.kind) {
+    case LogicalKind::kScan:
+      return op.table.location == TableLocation::kRemote ||
+                     op.table.location == TableLocation::kExtended
+                 ? op.table.source
+                 : "";
+    case LogicalKind::kTableFunctionScan:
+    case LogicalKind::kRemoteQuery:
+    case LogicalKind::kUnion:  // Ships branch by branch.
+      return "";
+    default:
+      break;
+  }
+  if (op.children.empty()) return "";
+  std::string source = RemoteSource(*op.children[0]);
+  for (const LogicalOpPtr& child : op.children) {
+    if (RemoteSource(*child) != source) return "";
+  }
+  return source;
+}
+
+/// Moves the semi or anti join in *slot below its left child while that
+/// is legal (see PushDownSemiJoins). Its left child C is replaced by C's
+/// child G that supplies every outer column of the condition; the join
+/// then sits on G and C on the join, so C's schema stays as it was.
+Status SinkExistenceJoin(LogicalOpPtr* slot) {
+  while (true) {
+    LogicalOp* join = slot->get();
+    LogicalOp* child = join->children[0].get();
+    const size_t arity = child->schema->num_columns();
+    std::vector<size_t> cols;
+    if (join->condition != nullptr) join->condition->CollectColumns(&cols);
+    std::vector<size_t> outer;
+    for (size_t c : cols) {
+      if (c < arity) outer.push_back(c);
+    }
+    // Target child of C, and where each outer column lands in it.
+    size_t target = 0;
+    std::vector<int> mapping(arity, -1);
+    switch (child->kind) {
+      case LogicalKind::kFilter:
+        for (size_t c : outer) mapping[c] = static_cast<int>(c);
+        break;
+      case LogicalKind::kProject:
+        if (child->children.empty()) return Status::OK();
+        for (size_t c : outer) {
+          if (child->exprs[c]->kind != BoundKind::kColumn) {
+            return Status::OK();
+          }
+          mapping[c] = static_cast<int>(child->exprs[c]->column_index);
+        }
+        break;
+      case LogicalKind::kJoin: {
+        const size_t split = child->children[0]->schema->num_columns();
+        const bool in_left = std::all_of(outer.begin(), outer.end(),
+                                         [&](size_t c) { return c < split; });
+        const bool in_right =
+            std::all_of(outer.begin(), outer.end(),
+                        [&](size_t c) { return c >= split; });
+        const bool either = child->join_kind == JoinKind::kInner ||
+                            child->join_kind == JoinKind::kCross;
+        if (in_left) {
+          target = 0;
+        } else if (either && in_right) {
+          target = 1;
+        } else {
+          return Status::OK();
+        }
+        const size_t base = target == 0 ? 0 : split;
+        for (size_t c : outer) mapping[c] = static_cast<int>(c - base);
+        break;
+      }
+      default:
+        return Status::OK();
+    }
+    LogicalOpPtr& grand = child->children[target];
+    const std::string source = RemoteSource(*grand);
+    if (!source.empty() && source != RemoteSource(*join->children[1])) {
+      return Status::OK();  // Would split a subtree shipped to `source`.
+    }
+    // Subquery columns follow the new left side.
+    const size_t new_arity = grand->schema->num_columns();
+    for (size_t c : cols) {
+      if (c < arity) continue;
+      if (mapping.size() <= c) mapping.resize(c + 1, -1);
+      mapping[c] = static_cast<int>(c - arity + new_arity);
+    }
+    if (join->condition != nullptr) {
+      HANA_RETURN_IF_ERROR(RemapColumns(join->condition.get(), mapping));
+    }
+    LogicalOpPtr moved = std::move(*slot);
+    LogicalOpPtr parent = std::move(moved->children[0]);
+    moved->children[0] = std::move(grand);
+    moved->schema = moved->children[0]->schema;
+    grand = std::move(moved);
+    *slot = std::move(parent);
+    slot = &grand;
+  }
+}
+
+}  // namespace
+
+Status PushDownSemiJoins(LogicalOpPtr* plan) {
+  for (LogicalOpPtr& child : (*plan)->children) {
+    HANA_RETURN_IF_ERROR(PushDownSemiJoins(&child));
+  }
+  const LogicalOp& op = **plan;
+  if (op.kind == LogicalKind::kJoin &&
+      (op.join_kind == JoinKind::kSemi || op.join_kind == JoinKind::kAnti)) {
+    return SinkExistenceJoin(plan);
+  }
+  return Status::OK();
 }
 
 std::vector<ScanRange> ExtractRanges(const BoundExpr& predicate) {
@@ -552,6 +714,34 @@ Result<ColumnSet> PruneBelow(LogicalOp* op, bool apply,
   return AllColumns(*op);
 }
 
+/// One join input pruned for `needs`. A filter input also keeps the
+/// columns only its predicate reads; a Project above it drops them
+/// again, so the join neither stages nor copies them (TPC-H Q13's
+/// o_comment).
+Result<ColumnSet> PruneJoinInput(LogicalOpPtr* input, ColumnSet needs,
+                                 bool apply) {
+  HANA_ASSIGN_OR_RETURN(ColumnSet kept, Prune(input->get(), needs, apply));
+  if ((*input)->kind != LogicalKind::kFilter || kept == needs ||
+      std::none_of(needs.begin(), needs.end(), [](bool n) { return n; })) {
+    return kept;
+  }
+  if (apply) {
+    const std::vector<int> mapping = KeptMapping(kept);
+    const Schema& in = *(*input)->schema;
+    auto schema = std::make_shared<Schema>();
+    std::vector<BoundExprPtr> exprs;
+    for (size_t i = 0; i < needs.size(); ++i) {
+      if (!needs[i]) continue;
+      const ColumnDef& col = in.column(static_cast<size_t>(mapping[i]));
+      exprs.push_back(BoundExpr::Column(static_cast<size_t>(mapping[i]),
+                                        col.type, col.name));
+      schema->AddColumn(col);
+    }
+    *input = MakeProject(std::move(*input), std::move(exprs), std::move(schema));
+  }
+  return needs;
+}
+
 Result<ColumnSet> Prune(LogicalOp* op, ColumnSet needs, bool apply) {
   switch (op->kind) {
     case LogicalKind::kScan: {
@@ -619,12 +809,14 @@ Result<ColumnSet> Prune(LogicalOp* op, ColumnSet needs, bool apply) {
       if (op->condition != nullptr) MarkColumns(*op->condition, &both);
       HANA_ASSIGN_OR_RETURN(
           ColumnSet left,
-          Prune(op->children[0].get(),
-                ColumnSet(both.begin(), both.begin() + left_arity), apply));
+          PruneJoinInput(&op->children[0],
+                         ColumnSet(both.begin(), both.begin() + left_arity),
+                         apply));
       HANA_ASSIGN_OR_RETURN(
           ColumnSet right,
-          Prune(op->children[1].get(),
-                ColumnSet(both.begin() + left_arity, both.end()), apply));
+          PruneJoinInput(&op->children[1],
+                         ColumnSet(both.begin() + left_arity, both.end()),
+                         apply));
       ColumnSet concat = left;
       concat.insert(concat.end(), right.begin(), right.end());
       ColumnSet kept = existence ? std::move(left) : concat;

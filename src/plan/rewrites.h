@@ -11,8 +11,28 @@ namespace hana::plan {
 ///  * through the left side of LEFT/SEMI/ANTI joins,
 ///  * through unions into every branch.
 /// Filters that straddle both join sides become (or remain) part of a
-/// filter directly above the join.
+/// filter directly above the join. Join conditions are placed the same
+/// way: an ON conjunct reading one side only becomes a filter on that
+/// input — either side of inner, cross and semi joins, the right side of
+/// LEFT and anti joins — and sinks from there; equi keys and other
+/// conjuncts over both sides stay (a null-aware anti join keeps its
+/// whole condition). An inner join left without a condition becomes a
+/// cross join.
 [[nodiscard]] Status PushDownFilters(LogicalOpPtr* plan);
+
+/// Moves every semi and anti join down to the input that owns its key,
+/// so it drops outer rows before they reach other joins:
+///  * through inner and cross joins, into the child that supplies every
+///    outer column of its condition,
+///  * into the preserved (left) side of LEFT joins and the left side of
+///    other semi/anti joins,
+///  * through filters and projects that pass its outer columns through
+///    as plain columns.
+/// It never moves through unions, aggregates, sorts or limits, nor into
+/// a null-supplying side. Federation guard: it does not move onto a
+/// subtree reading one remote source only unless its subquery reads
+/// that same source, so shipped subtrees stay whole.
+[[nodiscard]] Status PushDownSemiJoins(LogicalOpPtr* plan);
 
 /// Moves filter conjuncts that reference both sides of an inner/cross
 /// join below them into the join condition (turning cross joins into
@@ -51,7 +71,9 @@ std::vector<ScanRange> ExtractRanges(const BoundExpr& predicate);
 /// narrows each scan to those columns (LogicalOp::scan_columns, table
 /// order, at least one: the cheapest type to decode when nothing is
 /// referenced), rebuilds the pass-through schemas and remaps every
-/// column index above a narrowed child. Project and aggregate outputs,
+/// column index above a narrowed child. A filter that feeds a join and
+/// reads columns the join does not need gets a column-only Project
+/// above it that drops them. Project and aggregate outputs,
 /// table functions and remote queries keep every column. ScanRange
 /// bounds stay in table-column space.
 [[nodiscard]] Status PruneColumns(LogicalOp* plan);

@@ -230,9 +230,8 @@ class JoinParallelTest : public ::testing::Test {
 
   /// Binds `query` — one join, a SELECT list and WHERE clause reading
   /// only the join's left side — turns the join into a `kind` join,
-  /// then optimizes and executes it at threads=8. SQL reaches semi and
-  /// anti joins only through IN and EXISTS, whose join conditions are
-  /// all equalities; this is how a residual gets onto one.
+  /// then optimizes and executes it at threads=8, so one inner-join
+  /// query with a residual also runs as a semi and as an anti join.
   static Result<storage::Table> QueryAsJoinKind(const std::string& query,
                                                 plan::JoinKind kind) {
     HANA_RETURN_IF_ERROR(db_->SetParameter("threads", "8"));
@@ -349,8 +348,24 @@ TEST_F(JoinParallelTest, SemiJoinViaExists) {
 }
 
 TEST_F(JoinParallelTest, AntiJoinViaNotIn) {
-  ExpectSerialParallelIdentical(
-      "SELECT id, k FROM fact WHERE k NOT IN (SELECT k FROM dim)");
+  // dim holds NULL keys, so NOT IN rejects every row.
+  const std::string with_nulls =
+      "SELECT id, k FROM fact WHERE k NOT IN (SELECT k FROM dim)";
+  ExpectSerialParallelIdentical(with_nulls);
+  auto empty = db_->Query(with_nulls);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->num_rows(), 0u);
+  // Without them, the probe drops NULL-key rows and keeps the misses.
+  const std::string null_free =
+      "SELECT id, k FROM fact WHERE k NOT IN "
+      "(SELECT k FROM dim WHERE k IS NOT NULL)";
+  ExpectSerialParallelIdentical(null_free);
+  auto kept = db_->Query(null_free);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_GT(kept->num_rows(), 0u);
+  for (size_t r = 0; r < kept->num_rows(); ++r) {
+    EXPECT_FALSE(kept->row(r)[1].is_null()) << "row " << r;
+  }
 }
 
 TEST_F(JoinParallelTest, AntiJoinViaNotExists) {
