@@ -93,6 +93,8 @@ struct PipelineRun {
   std::atomic<int64_t> cpu_us{0};
   // atomic: relaxed stats counter, same publication rule as rows.
   std::atomic<uint64_t> scalar_rows{0};
+  // atomic: relaxed stats counter, same publication rule as rows.
+  std::atomic<uint64_t> dict_flattened_rows{0};
 };
 
 /// Drives one decomposed plan to completion. Both schedules share the
@@ -159,6 +161,8 @@ class PipelineExecutor {
         st.agg_partitions = run.agg_partitions;
         st.agg_groups = run.agg_groups;
         st.scalar_rows = run.scalar_rows.load(std::memory_order_relaxed);
+        st.dict_flattened_rows =
+            run.dict_flattened_rows.load(std::memory_order_relaxed);
         stats->push_back(std::move(st));
       }
     }
@@ -435,13 +439,16 @@ class PipelineExecutor {
     if (run.p->limit < 0 || m < run.cutoff.load(std::memory_order_acquire)) {
       Stopwatch sw;
       uint64_t scalar_rows = 0;
+      uint64_t flattened = 0;
       {
         ScalarRowScope scope(&scalar_rows);
+        storage::DictFlattenScope flatten_scope(&flattened);
         run.statuses[m] = ProcessMorsel(run, m, scratch);
       }
       run.cpu_us.fetch_add(static_cast<int64_t>(sw.ElapsedMillis() * 1000.0),
                            std::memory_order_relaxed);
       run.scalar_rows.fetch_add(scalar_rows, std::memory_order_relaxed);
+      run.dict_flattened_rows.fetch_add(flattened, std::memory_order_relaxed);
     }
     if (run.p->limit >= 0) NoteLimitMorselDone(run, m);
   }
@@ -566,10 +573,22 @@ class PipelineExecutor {
     Chunk owned;
     const Chunk* stage = &in;
     size_t probe_idx = 0;
-    for (const PipelineStage& s : p.stages) {
+    for (size_t i = 0; i < p.stages.size(); ++i) {
+      const PipelineStage& s = p.stages[i];
       switch (s.kind) {
         case PipelineStage::Kind::kFilter: {
-          HANA_ASSIGN_OR_RETURN(owned, FilterChunk(*s.op->predicate, *stage));
+          // A column-only Project right after the filter: gather only
+          // the columns it keeps, and skip the Project stage.
+          const PipelineStage* next =
+              i + 1 < p.stages.size() ? &p.stages[i + 1] : nullptr;
+          const plan::LogicalOp* project =
+              next != nullptr && next->kind == PipelineStage::Kind::kProject &&
+                      IsColumnOnlyProject(*next->op, *stage)
+                  ? next->op
+                  : nullptr;
+          HANA_ASSIGN_OR_RETURN(owned,
+                                FilterChunk(*s.op->predicate, *stage, project));
+          if (project != nullptr) ++i;
           break;
         }
         case PipelineStage::Kind::kProject: {
@@ -611,9 +630,22 @@ class PipelineExecutor {
     return Status::Internal("unknown pipeline sink");
   }
 
+  /// Finishes the sink (FinishSink), counting the rows it flattened
+  /// from dictionary codes into the pipeline's stats.
+  [[nodiscard]] Status Finish(PipelineRun& run) {
+    uint64_t flattened = 0;
+    Status st;
+    {
+      storage::DictFlattenScope scope(&flattened);
+      st = FinishSink(run);
+    }
+    run.dict_flattened_rows.fetch_add(flattened, std::memory_order_relaxed);
+    return st;
+  }
+
   /// Merges per-morsel results in ascending morsel order — the step
   /// that makes every schedule (and thread count) bit-identical.
-  [[nodiscard]] Status Finish(PipelineRun& run) {
+  [[nodiscard]] Status FinishSink(PipelineRun& run) {
     const Pipeline& p = *run.p;
     // First failure in morsel order wins (deterministic error too);
     // morsels past a LIMIT cutoff never count.
@@ -659,10 +691,17 @@ class PipelineExecutor {
         if (fan_out) {
           // ParallelFor from within a pool task is safe (caller
           // participation — same pattern as RadixJoinTable::Finalize).
+          // Workers count flattened rows into their partition's slot;
+          // the sum lands in this thread's scope.
+          std::vector<uint64_t> flattened(parts, 0);
           policy_.pool->ParallelFor(
               parts,
-              [&](size_t part) { merged.MergePartition(part, run.partials); },
+              [&](size_t part) {
+                storage::DictFlattenScope scope(&flattened[part]);
+                merged.MergePartition(part, run.partials);
+              },
               policy_.dop);
+          for (uint64_t f : flattened) storage::CountDictFlattenedRows(f);
         } else {
           for (size_t part = 0; part < parts; ++part) {
             merged.MergePartition(part, run.partials);

@@ -28,6 +28,11 @@ struct PipelineStats {
   /// fallback (per-row nodes and error replays, join residuals
   /// included). 0 when every expression ran on kernels.
   uint64_t scalar_rows = 0;
+  /// Rows converted from dictionary codes to owned strings (a vector
+  /// flattened because a delta, remote or computed string met main
+  /// codes, or codes of another dictionary). 0 when every string stayed
+  /// in the dictionary form of its main.
+  uint64_t dict_flattened_rows = 0;
 };
 
 /// ExecutePlan plus per-pipeline stats.

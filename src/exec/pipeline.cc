@@ -20,7 +20,8 @@ using storage::ValueHash;
 
 }  // namespace
 
-Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in) {
+Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in,
+                          const LogicalOp* project) {
   std::vector<uint8_t> mask;
   HANA_RETURN_IF_ERROR(SelectRows(predicate, in, &mask));
   std::vector<uint32_t> rows;
@@ -28,12 +29,29 @@ Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in) {
   for (size_t r = 0; r < mask.size(); ++r) {
     if (mask[r] != 0) rows.push_back(static_cast<uint32_t>(r));
   }
-  if (rows.size() == in.num_rows()) return in;  // Shares the vectors.
-  Chunk out = Chunk::Empty(in.schema);
+  if (rows.size() == in.num_rows()) {  // Shares the vectors.
+    if (project != nullptr) return ProjectChunk(*project, in);
+    return in;
+  }
+  Chunk out = Chunk::Empty(project != nullptr ? project->schema : in.schema);
   for (size_t c = 0; c < out.num_columns(); ++c) {
-    out.columns[c]->AppendGather(*in.columns[c], rows.data(), rows.size());
+    const size_t from =
+        project != nullptr ? project->exprs[c]->column_index : c;
+    out.columns[c]->AppendGather(*in.columns[from], rows.data(), rows.size());
   }
   return out;
+}
+
+bool IsColumnOnlyProject(const LogicalOp& project, const Chunk& in) {
+  for (size_t c = 0; c < project.exprs.size(); ++c) {
+    const BoundExpr& e = *project.exprs[c];
+    if (e.kind != plan::BoundKind::kColumn ||
+        e.column_index >= in.columns.size() ||
+        in.columns[e.column_index]->type() != project.schema->column(c).type) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Result<Chunk> ProjectChunk(const LogicalOp& project, const Chunk& in) {
@@ -242,6 +260,7 @@ Status AggKeyBlock::Compute(const std::vector<plan::BoundExprPtr>& group_by,
   }
   hashes_.assign(n, 0x12345);  // HashKey's seed; final hash of a
                                // zero-column key (global aggregates).
+  code_hashes_.resize(cols_.size());
   for (size_t k = 0; k < cols_.size(); ++k) {
     const storage::ColumnVector& col = *cols_[k];
     DataType t = col.type();
@@ -256,6 +275,32 @@ Status AggKeyBlock::Compute(const std::vector<plan::BoundExprPtr>& group_by,
       Kernels().hash_i64(col.ints_data(), n, 0x12345, hashes_.data());
       for (size_t r = 0; r < n; ++r) {
         if (col.IsNull(r)) hashes_[r] = HashCombine(0x12345, kNullCellHash);
+      }
+      continue;
+    }
+    const storage::StringDictionaryPtr& dict = col.dictionary();
+    if (dict != nullptr && dict->size() <= n) {
+      // Dictionary codes: HashCell once per distinct code, then a lookup
+      // per row (the same hash, so routing and group order are as for
+      // flat strings).
+      CodeHashes& cache = code_hashes_[k];
+      if (cache.dict != dict) {
+        cache.dict = dict;
+        cache.hash.resize(dict->size());
+        cache.known.assign(dict->size(), 0);
+      }
+      const uint32_t* codes = col.codes_data();
+      for (size_t r = 0; r < n; ++r) {
+        uint64_t cell = kNullCellHash;
+        if (!col.IsNull(r)) {
+          const uint32_t c = codes[r];
+          if (cache.known[c] == 0) {
+            cache.hash[c] = HashCell(col, r);
+            cache.known[c] = 1;
+          }
+          cell = cache.hash[c];
+        }
+        hashes_[r] = HashCombine(hashes_[r], cell);
       }
       continue;
     }

@@ -32,9 +32,18 @@ inline size_t HashKey(const std::vector<Value>& key) {
 }
 
 /// Chunk-at-a-time filter: keeps rows whose predicate is TRUE
-/// (SelectRows), gathered column at a time.
-[[nodiscard]] Result<storage::Chunk> FilterChunk(const plan::BoundExpr& predicate,
-                                                 const storage::Chunk& in);
+/// (SelectRows), gathered column at a time. With `project` (a
+/// column-only Project over the filter's output, IsColumnOnlyProject),
+/// the result is the projected chunk and only the columns the Project
+/// keeps are gathered.
+[[nodiscard]] Result<storage::Chunk> FilterChunk(
+    const plan::BoundExpr& predicate, const storage::Chunk& in,
+    const plan::LogicalOp* project = nullptr);
+
+/// True when every expression of `project` is a bare column of `in`
+/// with the output column's type: the projection only picks vectors.
+bool IsColumnOnlyProject(const plan::LogicalOp& project,
+                         const storage::Chunk& in);
 
 /// Chunk-at-a-time projection into the project node's schema: bare
 /// columns pass through, computed ones run on the vectorized evaluator.
@@ -140,8 +149,19 @@ class AggKeyBlock {
   const std::vector<uint64_t>& hashes() const { return hashes_; }
 
  private:
+  /// One key column's cell hash per dictionary code, computed on the
+  /// code's first row (dictionary-form key columns whose dictionary is
+  /// no larger than the chunk). Holding the dictionary pins it, so a
+  /// cached entry never outlives the dictionary it describes.
+  struct CodeHashes {
+    storage::StringDictionaryPtr dict;
+    std::vector<uint64_t> hash;
+    std::vector<uint8_t> known;
+  };
+
   std::vector<storage::ColumnVectorPtr> cols_;
   std::vector<uint64_t> hashes_;
+  std::vector<CodeHashes> code_hashes_;
 };
 
 /// Hash table mapping group keys to per-aggregate states; groups keep

@@ -74,13 +74,15 @@ size_t HashCell(const ColumnVector& col, size_t i) {
 
 /// Typed equality of two non-null cells of the same concrete type
 /// (vectorized-mode precondition). Double equality matches
-/// Value::Compare on the same type (-0.0 == 0.0).
+/// Value::Compare on the same type (-0.0 == 0.0). Strings of one
+/// dictionary compare by code (its entries are unique).
 bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
                 size_t j) {
   switch (a.type()) {
     case DataType::kDouble:
       return a.GetDouble(i) == b.GetDouble(j);
     case DataType::kString:
+      if (a.SharesDictionary(b)) return a.GetCode(i) == b.GetCode(j);
       return a.GetString(i) == b.GetString(j);
     default:
       return a.GetInt(i) == b.GetInt(j);
@@ -356,12 +358,18 @@ Status RadixJoinTable::Finalize(TaskPool* pool, size_t dop) {
         1, std::memory_order_relaxed);
   }
   std::vector<Status> statuses(kPartitions);
-  auto finalize_one = [&](size_t p) { statuses[p] = FinalizePartition(p); };
+  // Rows flattened by a partition's worker land in the caller's scope.
+  std::vector<uint64_t> flattened(kPartitions, 0);
+  auto finalize_one = [&](size_t p) {
+    storage::DictFlattenScope scope(&flattened[p]);
+    statuses[p] = FinalizePartition(p);
+  };
   if (pool != nullptr && dop > 1) {
     pool->ParallelFor(kPartitions, finalize_one, dop);
   } else {
     for (size_t p = 0; p < kPartitions; ++p) finalize_one(p);
   }
+  for (uint64_t f : flattened) storage::CountDictFlattenedRows(f);
   for (Status& s : statuses) HANA_RETURN_IF_ERROR(s);
   build_rows_ = 0;
   for (const Partition& part : parts_) build_rows_ += part.hashes.size();

@@ -153,6 +153,15 @@ struct StringArg {
   bool Null(size_t r) const { return n[r] != 0; }
 };
 
+/// A dictionary-form string column: a view of the row's entry, no copy.
+struct DictStringArg {
+  const uint32_t* c;
+  const Value* d;
+  const uint8_t* n;
+  std::string_view Get(size_t r) const { return d[c[r]].string_value(); }
+  bool Null(size_t r) const { return n[r] != 0; }
+};
+
 // Each calls f with an accessor of v's Value::AsInt / AsDouble / string
 // image. A constant operand must not be NULL (callers check first).
 template <typename F>
@@ -179,8 +188,96 @@ template <typename F>
 void WithString(const Vec& v, F&& f) {
   if (v.col == nullptr) {
     f(ConstArg<std::string_view>{v.constant.string_value()});
+  } else if (v.col->dictionary() != nullptr) {
+    f(DictStringArg{v.col->codes_data(), v.col->dictionary()->data(),
+                    v.col->nulls_data()});
   } else {
     f(StringArg{v.col->strings_data(), v.col->nulls_data()});
+  }
+}
+
+/// The dictionary a string Vec's codes index, or null (a constant or a
+/// flat column).
+const storage::StringDictionary* DictOf(const Vec& v) {
+  return v.col != nullptr ? v.col->dictionary().get() : nullptr;
+}
+
+/// First dictionary entry not ordered before `c` (the dictionary is
+/// sorted by Value::Compare, which orders strings by bytes, as
+/// string_view does).
+uint32_t LowerCode(const storage::StringDictionary& dict, std::string_view c) {
+  return static_cast<uint32_t>(
+      std::lower_bound(dict.begin(), dict.end(), c,
+                       [](const Value& e, std::string_view k) {
+                         return std::string_view(e.string_value()) < k;
+                       }) -
+      dict.begin());
+}
+
+/// Codes [lo, hi) of the entries equal to `c` (empty when c is absent).
+std::pair<uint32_t, uint32_t> EqualCodes(const storage::StringDictionary& dict,
+                                         std::string_view c) {
+  const uint32_t lo = LowerCode(dict, c);
+  const bool found = lo < dict.size() && dict[lo].string_value() == c;
+  return {lo, lo + (found ? 1u : 0u)};
+}
+
+/// Codes [lo, hi) of the entries that start with `prefix` (one range:
+/// the dictionary is sorted).
+std::pair<uint32_t, uint32_t> PrefixCodes(const storage::StringDictionary& dict,
+                                          std::string_view prefix) {
+  const uint32_t lo = LowerCode(dict, prefix);
+  const auto end = std::partition_point(
+      dict.begin() + lo, dict.end(), [&](const Value& e) {
+        return std::string_view(e.string_value()).substr(0, prefix.size()) ==
+               prefix;
+      });
+  return {lo, static_cast<uint32_t>(end - dict.begin())};
+}
+
+/// A predicate on dictionary codes: TRUE for codes in [lo, hi), or for
+/// codes outside it when `negated`.
+struct CodeRange {
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  bool negated = false;
+};
+
+/// `entry op c` as a code range: the comparison against a constant
+/// becomes a binary search plus a code compare.
+CodeRange CompareCodes(const storage::StringDictionary& dict, BinaryOp op,
+                       std::string_view c) {
+  const auto [lo, hi] = EqualCodes(dict, c);
+  const uint32_t end = static_cast<uint32_t>(dict.size());
+  switch (op) {
+    case BinaryOp::kEq:
+      return {lo, hi, false};
+    case BinaryOp::kNe:
+      return {lo, hi, true};
+    case BinaryOp::kLt:
+      return {0, lo, false};
+    case BinaryOp::kLe:
+      return {0, hi, false};
+    case BinaryOp::kGt:
+      return {hi, end, false};
+    default:  // kGe
+      return {lo, end, false};
+  }
+}
+
+/// `c op x` rewritten as `x op' c`.
+BinaryOp MirrorComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    default:
+      return op;
   }
 }
 
@@ -327,8 +424,14 @@ Status Scatter(const Vec& v, const Sel& sel, ColumnVector* out) {
       break;
     }
     case DataType::kString: {
-      const std::string* src = v.col->strings_data();
       std::string* dst = out->mutable_strings();
+      if (v.col->dictionary() != nullptr) {
+        // Dictionary strings copied into a computed vector.
+        ForEach(sel, [&](size_t r) { dst[r] = v.col->GetString(r); });
+        storage::CountDictFlattenedRows(sel.count);
+        break;
+      }
+      const std::string* src = v.col->strings_data();
       ForEach(sel, [&](size_t r) { dst[r] = src[r]; });
       break;
     }
@@ -382,6 +485,17 @@ class LikePattern {
     }
   }
 
+  /// True for 'text' (exact) and 'prefix%' patterns, whose matches are
+  /// the strings of one byte-order range: `*prefix` receives the text.
+  bool Prefix(std::string_view* prefix, bool* exact) const {
+    if (!simple_ || !middle_.empty() || (!exact_ && !suffix_.empty())) {
+      return false;
+    }
+    *prefix = prefix_;
+    *exact = exact_;
+    return true;
+  }
+
   bool Match(std::string_view text) const {
     if (!simple_) return LikeMatch(text, pattern_);
     if (exact_) return text == prefix_;
@@ -407,6 +521,23 @@ class LikePattern {
   std::string_view suffix_;
   std::vector<std::string_view> middle_;
 };
+
+/// Kleene verdict of a code range on the rows of `sel` of the
+/// dictionary-form column `col`.
+void CodeRangeTruth(const ColumnVector& col, const CodeRange& range,
+                    const Sel& sel, Mask* out) {
+  const uint32_t* codes = col.codes_data();
+  const uint8_t* nulls = col.nulls_data();
+  const uint32_t lo = range.lo;
+  const uint32_t span = range.hi - range.lo;
+  const uint8_t inside = range.negated ? kFalse : kTrue;
+  const uint8_t outside = range.negated ? kTrue : kFalse;
+  uint8_t* o = out->data();
+  ForEach(sel, [&](size_t r) {
+    o[r] = nulls[r] ? uint8_t{kUnknown}
+                    : (codes[r] - lo < span ? inside : outside);
+  });
+}
 
 /// Evaluates bound expressions over one chunk. Value nodes yield Vecs,
 /// predicates Kleene masks; children see only the rows their parent
@@ -699,6 +830,30 @@ class VectorEvaluator {
         });
       });
     };
+    if (lane == CmpLane::kString) {
+      // Dictionary codes: against a constant, a binary search turns the
+      // comparison into a code range; two columns of one dictionary
+      // compare codes, whose order is the strings' order.
+      if (DictOf(a) != nullptr && b.col == nullptr) {
+        CodeRangeTruth(*a.col,
+                       CompareCodes(*DictOf(a), op, b.constant.string_value()),
+                       sel, &out);
+        return out;
+      }
+      if (a.col == nullptr && DictOf(b) != nullptr) {
+        CodeRangeTruth(*b.col,
+                       CompareCodes(*DictOf(b), MirrorComparison(op),
+                                    a.constant.string_value()),
+                       sel, &out);
+        return out;
+      }
+      if (a.col != nullptr && b.col != nullptr &&
+          a.col->SharesDictionary(*b.col)) {
+        loop(ColArg<uint32_t>{a.col->codes_data(), a.col->nulls_data()},
+             ColArg<uint32_t>{b.col->codes_data(), b.col->nulls_data()});
+        return out;
+      }
+    }
     switch (lane) {
       case CmpLane::kString:
         WithString(a, [&](auto x) {
@@ -733,6 +888,31 @@ class VectorEvaluator {
     }
     if (b.col == nullptr) {
       const LikePattern pattern(b.constant.string_value());
+      if (const storage::StringDictionary* dict = DictOf(a)) {
+        std::string_view prefix;
+        bool exact = false;
+        if (pattern.Prefix(&prefix, &exact)) {
+          // The matches of 'text' and 'prefix%' are one code range.
+          const auto [lo, hi] = exact ? EqualCodes(*dict, prefix)
+                                      : PrefixCodes(*dict, prefix);
+          CodeRangeTruth(*a.col, CodeRange{lo, hi, false}, sel, &out);
+          return out;
+        }
+        if (dict->size() <= sel.count) {
+          // No more entries than rows: match each entry once.
+          std::vector<uint8_t> verdict(dict->size());
+          for (size_t i = 0; i < dict->size(); ++i) {
+            verdict[i] = pattern.Match((*dict)[i].string_value()) ? kTrue
+                                                                   : kFalse;
+          }
+          const uint32_t* codes = a.col->codes_data();
+          const uint8_t* nulls = a.col->nulls_data();
+          ForEach(sel, [&](size_t r) {
+            out[r] = nulls[r] ? uint8_t{kUnknown} : verdict[codes[r]];
+          });
+          return out;
+        }
+      }
       WithString(a, [&](auto x) {
         ForEach(sel, [&](size_t r) {
           out[r] = x.Null(r) ? kUnknown
@@ -790,7 +970,17 @@ class VectorEvaluator {
         out[r] = found ? hit : miss;
       });
     };
-    if (*t == DataType::kString) {
+    if (*t == DataType::kString && DictOf(v) != nullptr) {
+      // Dictionary codes: the items present in the dictionary as codes.
+      std::vector<uint32_t> keys;
+      for (const Value& c : items) {
+        if (c.type() != DataType::kString) continue;
+        const auto [lo, hi] = EqualCodes(*DictOf(v), c.string_value());
+        if (lo < hi) keys.push_back(lo);
+      }
+      loop(ColArg<uint32_t>{v.col->codes_data(), v.col->nulls_data()}, keys,
+           [](uint32_t a, uint32_t b) { return a == b; });
+    } else if (*t == DataType::kString) {
       std::vector<std::string_view> keys;
       for (const Value& c : items) {
         if (c.type() == DataType::kString) keys.push_back(c.string_value());

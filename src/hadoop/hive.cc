@@ -153,14 +153,43 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
                             CompileNode(*base, job_counter, query_id));
       std::reverse(pipeline.begin(), pipeline.end());  // Bottom-up order.
 
+      // A project of bare columns moves cells by index; a column it
+      // reads twice is copied for all but its last read.
+      struct MapStage {
+        const LogicalOp* op = nullptr;
+        bool column_only = false;
+        std::vector<size_t> cols;
+        std::vector<uint8_t> move;
+      };
+      std::vector<MapStage> stages;
+      for (const LogicalOp* stage : pipeline) {
+        MapStage m;
+        m.op = stage;
+        m.column_only = stage->kind == LogicalKind::kProject;
+        for (const auto& e : stage->exprs) {
+          if (!m.column_only) break;
+          m.column_only = e->kind == plan::BoundKind::kColumn;
+          m.cols.push_back(e->column_index);
+        }
+        if (m.column_only) {
+          m.move.assign(m.cols.size(), 1);
+          for (size_t i = 0; i < m.cols.size(); ++i) {
+            for (size_t j = i + 1; j < m.cols.size(); ++j) {
+              if (m.cols[j] == m.cols[i]) m.move[i] = 0;
+            }
+          }
+        }
+        stages.push_back(std::move(m));
+      }
+
       auto error = std::make_shared<Status>();
       JobSpec spec;
       spec.name = StrFormat("q%zu-select-stage", query_id);
       spec.inputs = {input.path};
       spec.output = TempPath(query_id, (*job_counter)++);
       std::shared_ptr<Schema> in_schema = input.schema;
-      spec.mapper = [pipeline, in_schema, error](int, const std::string& line,
-                                                 std::vector<KeyValue>* out) {
+      spec.mapper = [stages, in_schema, error](int, const std::string& line,
+                                               std::vector<KeyValue>* out) {
         if (!error->ok()) return;
         Result<std::vector<Value>> parsed = ParseRow(line, *in_schema);
         if (!parsed.ok()) {
@@ -168,7 +197,18 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
           return;
         }
         std::vector<Value> row = std::move(*parsed);
-        for (const LogicalOp* stage : pipeline) {
+        for (const MapStage& m : stages) {
+          const LogicalOp* stage = m.op;
+          bool in_range = m.column_only;
+          for (size_t c : m.cols) in_range = in_range && c < row.size();
+          if (in_range) {
+            std::vector<Value> next(m.cols.size());
+            for (size_t i = 0; i < m.cols.size(); ++i) {
+              next[i] = m.move[i] ? std::move(row[m.cols[i]]) : row[m.cols[i]];
+            }
+            row = std::move(next);
+            continue;
+          }
           if (stage->kind == LogicalKind::kFilter) {
             Result<Value> keep = exec::EvalExprRow(*stage->predicate, row);
             if (!keep.ok()) {

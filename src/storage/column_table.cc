@@ -160,9 +160,32 @@ Value DeltaValueAt(const DeltaPart& part, size_t row) {
 /// kRle appends whole runs (registering them in the vector's run index
 /// so filters can evaluate once per run), kFor skips the dictionary
 /// gather entirely, and the classic bit-packed layout bulk-unpacks its
-/// codes through the CPU-dispatched kernel before the gather.
-void DecodeMainRows(DataType type, const ColumnMain& main, size_t begin,
-                    size_t end, ColumnVector* out) {
+/// codes through the CPU-dispatched kernel before the gather. A string
+/// main with an all-string dictionary appends codes instead (the
+/// dictionary form, pinned by an aliasing pointer to `main_ptr`).
+void DecodeMainRows(DataType type,
+                    const std::shared_ptr<const ColumnMain>& main_ptr,
+                    size_t begin, size_t end, ColumnVector* out) {
+  const ColumnMain& main = *main_ptr;
+  if (type == DataType::kString && main.string_dict) {
+    StringDictionaryPtr dict(main_ptr, &main.dict);
+    if (main.encoding == MainEncoding::kRle) {
+      size_t k = std::upper_bound(main.run_ends.begin(), main.run_ends.end(),
+                                  static_cast<uint32_t>(begin)) -
+                 main.run_ends.begin();
+      for (size_t r = begin; r < end; ++k) {
+        size_t run_end = std::min<size_t>(main.run_ends[k], end);
+        out->AppendCodeRun(dict, main.run_values[k], run_end - r);
+        r = run_end;
+      }
+      return;
+    }
+    std::vector<uint32_t> codes(end - begin);
+    main.DecodeCodes(begin, end - begin, codes.data());
+    out->AppendCodes(dict, codes.data(), main.nulls.data() + begin,
+                     end - begin);
+    return;
+  }
   if (main.encoding == MainEncoding::kRle) {
     // Null-free by construction (the merge only picks RLE for columns
     // without nulls); walk the runs overlapping [begin, end).
@@ -279,12 +302,15 @@ void ChooseMainEncoding(ColumnMain* main) {
 
 void ColumnSnapshot::Decode(size_t start, size_t count,
                             ColumnVector* out) const {
-  out->Reserve(out->size() + count);
   size_t end = start + count;
-  // Main segment: decoded per its chosen encoding.
+  // Main segment: decoded per its chosen encoding. Dictionary-form
+  // appends size the code array themselves.
+  if (start >= main->rows || type != DataType::kString || !main->string_dict) {
+    out->Reserve(out->size() + count);
+  }
   if (start < main->rows) {
     size_t seg_end = std::min(end, main->rows);
-    DecodeMainRows(type, *main, start, seg_end, out);
+    DecodeMainRows(type, main, start, seg_end, out);
   }
   // Delta segments: frozen rows are part-local, live rows additionally
   // shifted by the folded prefix (live_skip) and bounded by the
@@ -415,6 +441,7 @@ std::shared_ptr<const ColumnMain> BuildMergedMain(const ColumnMain& main,
   std::vector<uint32_t> remap_delta(frozen.dict.size());
   size_t i = 0;
   size_t j = 0;
+  bool all_strings = true;
   while (i < main_dict.size() || j < order.size()) {
     int cmp;
     if (i == main_dict.size()) {
@@ -433,7 +460,9 @@ std::shared_ptr<const ColumnMain> BuildMergedMain(const ColumnMain& main,
       merged->dict.push_back(frozen.dict[order[j]]);
       remap_delta[order[j++]] = code;
     }
+    all_strings &= merged->dict.back().type() == DataType::kString;
   }
+  merged->string_dict = all_strings && !merged->dict.empty();
 
   merged->rows = total;
   merged->bits = BitWidth(merged->dict.empty() ? 0 : merged->dict.size() - 1);

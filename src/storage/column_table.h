@@ -62,6 +62,9 @@ struct ColumnMain {
   int64_t for_base = 0;   // kFor: value = for_base + code.
   std::vector<uint32_t> run_values;  // kRle: code per run.
   std::vector<uint32_t> run_ends;    // kRle: ascending exclusive end row.
+  /// Every dict entry is a kString Value and dict is non-empty: scans
+  /// emit dictionary-form vectors (codes into `dict`) for this main.
+  bool string_dict = false;
 
   /// Code of one row under any encoding (kRle binary-searches the runs).
   uint32_t CodeAt(size_t row) const;

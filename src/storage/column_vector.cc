@@ -6,6 +6,23 @@
 
 namespace hana::storage {
 
+namespace {
+
+thread_local uint64_t* t_dict_flattened = nullptr;
+
+}  // namespace
+
+void CountDictFlattenedRows(uint64_t rows) {
+  if (t_dict_flattened != nullptr) *t_dict_flattened += rows;
+}
+
+DictFlattenScope::DictFlattenScope(uint64_t* sink)
+    : previous_(t_dict_flattened) {
+  t_dict_flattened = sink;
+}
+
+DictFlattenScope::~DictFlattenScope() { t_dict_flattened = previous_; }
+
 void ColumnVector::Reserve(size_t n) {
   nulls_.reserve(n);
   switch (type_) {
@@ -13,7 +30,11 @@ void ColumnVector::Reserve(size_t n) {
       doubles_.reserve(n);
       break;
     case DataType::kString:
-      strings_.reserve(n);
+      if (dict_ != nullptr) {
+        codes_.reserve(n);
+      } else {
+        strings_.reserve(n);
+      }
       break;
     default:
       ints_.reserve(n);
@@ -28,7 +49,11 @@ void ColumnVector::AppendNull() {
       doubles_.push_back(0.0);
       break;
     case DataType::kString:
-      strings_.emplace_back();
+      if (dict_ != nullptr) {
+        codes_.push_back(0);
+      } else {
+        strings_.emplace_back();
+      }
       break;
     default:
       ints_.push_back(0);
@@ -52,8 +77,64 @@ void ColumnVector::AppendBool(bool v) {
 }
 
 void ColumnVector::AppendString(std::string v) {
+  Flatten();
   nulls_.push_back(0);
   strings_.push_back(std::move(v));
+}
+
+bool ColumnVector::Adopt(const StringDictionaryPtr& dict) {
+  if (dict_ == dict) return true;
+  if (dict_ == nullptr &&
+      std::find(nulls_.begin(), nulls_.end(), 0) == nulls_.end()) {
+    // No owned string yet (empty, or NULL rows only): take the codes.
+    dict_ = dict;
+    codes_.assign(size(), 0);
+    std::vector<std::string>().swap(strings_);
+    return true;
+  }
+  Flatten();
+  return false;
+}
+
+void ColumnVector::Flatten() {
+  if (dict_ == nullptr) return;
+  const size_t n = size();
+  strings_.clear();
+  strings_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (nulls_[i]) {
+      strings_.emplace_back();
+    } else {
+      strings_.push_back((*dict_)[codes_[i]].string_value());
+    }
+  }
+  CountDictFlattenedRows(n);
+  dict_.reset();
+  std::vector<uint32_t>().swap(codes_);
+}
+
+void ColumnVector::AppendCodes(const StringDictionaryPtr& dict,
+                               const uint32_t* codes, const uint8_t* nulls,
+                               size_t n) {
+  if (n == 0) return;
+  if (!Adopt(dict)) {
+    for (size_t i = 0; i < n; ++i) {
+      if (nulls != nullptr && nulls[i]) {
+        AppendNull();
+      } else {
+        nulls_.push_back(0);
+        strings_.push_back((*dict)[codes[i]].string_value());
+      }
+    }
+    CountDictFlattenedRows(n);
+    return;
+  }
+  if (nulls != nullptr) {
+    nulls_.insert(nulls_.end(), nulls, nulls + n);
+  } else {
+    nulls_.insert(nulls_.end(), n, 0);
+  }
+  codes_.insert(codes_.end(), codes, codes + n);
 }
 
 void ColumnVector::Append(const Value& v) {
@@ -93,13 +174,21 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
     AppendNull();
     return;
   }
+  if (type_ == DataType::kString) {
+    if (src.dict_ != nullptr && src.dict_ == dict_) {
+      nulls_.push_back(0);
+      codes_.push_back(src.codes_[i]);
+    } else if (src.dict_ != nullptr) {
+      AppendCodes(src.dict_, &src.codes_[i], nullptr, 1);
+    } else {
+      AppendString(src.strings_[i]);
+    }
+    return;
+  }
   nulls_.push_back(0);
   switch (type_) {
     case DataType::kDouble:
       doubles_.push_back(src.doubles_[i]);
-      break;
-    case DataType::kString:
-      strings_.push_back(src.strings_[i]);
       break;
     default:
       ints_.push_back(src.ints_[i]);
@@ -109,9 +198,24 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
 
 void ColumnVector::AppendGather(const ColumnVector& src, const uint32_t* rows,
                                 size_t count) {
+  if (count == 0) return;
   if (src.type_ != type_) {
     for (size_t k = 0; k < count; ++k) Append(src.GetValue(rows[k]));
     return;
+  }
+  if (type_ == DataType::kString && src.dict_ != nullptr && Adopt(src.dict_)) {
+    const size_t base = size();
+    nulls_.resize(base + count);
+    codes_.resize(base + count);
+    for (size_t k = 0; k < count; ++k) {
+      nulls_[base + k] = src.nulls_[rows[k]];
+      codes_[base + k] = src.codes_[rows[k]];
+    }
+    return;
+  }
+  if (type_ == DataType::kString) {
+    Flatten();
+    if (src.dict_ != nullptr) CountDictFlattenedRows(count);
   }
   const size_t base = size();
   nulls_.resize(base + count);
@@ -126,7 +230,7 @@ void ColumnVector::AppendGather(const ColumnVector& src, const uint32_t* rows,
     case DataType::kString:
       strings_.reserve(base + count);
       for (size_t k = 0; k < count; ++k) {
-        strings_.push_back(src.strings_[rows[k]]);
+        strings_.push_back(src.GetString(rows[k]));
       }
       break;
     default:
@@ -137,6 +241,7 @@ void ColumnVector::AppendGather(const ColumnVector& src, const uint32_t* rows,
 }
 
 void ColumnVector::Resize(size_t n) {
+  Flatten();
   nulls_.resize(n, 0);
   switch (type_) {
     case DataType::kDouble:
@@ -182,11 +287,27 @@ void ColumnVector::AppendBoolRun(bool v, size_t n) {
 
 void ColumnVector::AppendStringRun(const std::string& v, size_t n) {
   if (n == 0) return;
+  Flatten();
   runs_.push_back({static_cast<uint32_t>(size()),
                    static_cast<uint32_t>(size() + n)});
   runs_covered_ += n;
   nulls_.insert(nulls_.end(), n, 0);
   strings_.insert(strings_.end(), n, v);
+}
+
+void ColumnVector::AppendCodeRun(const StringDictionaryPtr& dict,
+                                 uint32_t code, size_t n) {
+  if (n == 0) return;
+  if (!Adopt(dict)) {
+    AppendStringRun((*dict)[code].string_value(), n);
+    CountDictFlattenedRows(n);
+    return;
+  }
+  runs_.push_back({static_cast<uint32_t>(size()),
+                   static_cast<uint32_t>(size() + n)});
+  runs_covered_ += n;
+  nulls_.insert(nulls_.end(), n, 0);
+  codes_.insert(codes_.end(), n, code);
 }
 
 Value ColumnVector::GetValue(size_t i) const {
@@ -203,14 +324,14 @@ Value ColumnVector::GetValue(size_t i) const {
     case DataType::kDouble:
       return Value::Double(doubles_[i]);
     case DataType::kString:
-      return Value::String(strings_[i]);
+      return Value::String(GetString(i));
     default:
       return Value::Null();
   }
 }
 
 Value ColumnVector::TakeValue(size_t i) {
-  if (type_ == DataType::kString && !nulls_[i]) {
+  if (type_ == DataType::kString && !nulls_[i] && dict_ == nullptr) {
     return Value::String(std::move(strings_[i]));
   }
   return GetValue(i);

@@ -193,6 +193,41 @@ TEST_F(TpchLocalExecution, ExpressionBoundQueriesStayOnKernels) {
   }
 }
 
+// On merged tables, main-store string columns reach filters, joins and
+// group keys as dictionary codes: no pipeline of the string-heavy
+// queries converts a code to an owned string, and every result equals
+// the unmerged (flat-string) tables' result.
+TEST_F(TpchLocalExecution, MergedStringColumnsStayDictionaryCoded) {
+  platform::PlatformOptions options;
+  options.attach_extended = false;
+  options.start_hadoop = false;
+  platform::Platform merged(options);
+  for (const std::string& table : TpchTableNames()) {
+    sql::CreateTableStmt create;
+    create.table = table;
+    create.columns = TpchSchema(table)->columns();
+    ASSERT_TRUE(merged.catalog().CreateTable(create).ok());
+    ASSERT_TRUE(merged.catalog().Insert(table, *TableRows(*data_, table)).ok());
+    ASSERT_TRUE(merged.Execute("MERGE DELTA OF " + table).ok());
+  }
+  for (int q : {1, 3, 10, 12, 13, 16, 19}) {
+    auto want = db_->Query(QueryText(q));
+    ASSERT_TRUE(want.ok()) << "Q" << q;
+    auto result = merged.Query(QueryText(q));
+    ASSERT_TRUE(result.ok()) << "Q" << q << ": "
+                             << result.status().ToString();
+    EXPECT_EQ(result->ToString(1u << 20), want->ToString(1u << 20))
+        << "Q" << q;
+    const std::vector<exec::PipelineStats>& stats = merged.last_pipeline_stats();
+    ASSERT_FALSE(stats.empty()) << "Q" << q;
+    for (const exec::PipelineStats& p : stats) {
+      EXPECT_EQ(p.dict_flattened_rows, 0u) << "Q" << q << " P" << p.id << ": "
+                                           << p.label;
+      EXPECT_EQ(p.scalar_rows, 0u) << "Q" << q << " P" << p.id;
+    }
+  }
+}
+
 // Column pruning against an independent reference: every query runs on
 // the full tables, where scans are pruned to the referenced columns, and
 // on copies of the tables cut down to the columns the query names. The
