@@ -2,13 +2,11 @@
 //
 // One ~2M-row fact table aggregated through two GROUP BY regimes — low
 // cardinality (~64 groups) and high cardinality (~500k groups) — over
-// every (CPU binding, thread count) cell: vectorized column-wise key
-// hashing through the dispatched hash_i64 kernel, radix partitions,
+// every (CPU binding, thread count) cell: column-wise key hashing
+// through the dispatched hash_i64 kernel, radix partitions,
 // per-partition merge fan-out. Every cell is verified cell-for-cell
 // against the threads=1 result before its timing is reported
-// (identical_to_serial), and the AggExecStats allocation counters
-// (boxed key vectors built, boxed rows accumulated) are emitted per
-// cell.
+// (identical_to_serial), with the partition count the cell merged.
 //
 // JSON result lines go to stdout (bench/results/bench_agg.json);
 // progress chatter goes to stderr.
@@ -26,7 +24,6 @@
 #include "common/task_pool.h"
 #include "common/util.h"
 #include "exec/executor.h"
-#include "exec/pipeline.h"
 #include "platform/platform.h"
 
 namespace hana {
@@ -114,14 +111,10 @@ int RunSweep(platform::Platform* db, size_t rows) {
         struct Cell {
           double ms = 0.0;
           bool identical = false;
-          uint64_t boxed_rows = 0;
-          uint64_t key_allocs = 0;
-          uint64_t vectorized_chunks = 0;
           size_t partitions = 0;
         };
         Cell cell;
         cell.ms = BestOfThree([&] {
-          exec::ResetAggExecStats();
           Stopwatch watch;
           auto result = db->Query(spec.sql);
           double ms = watch.ElapsedMillis();
@@ -132,10 +125,6 @@ int RunSweep(platform::Platform* db, size_t rows) {
             std::exit(1);
           }
           cell.identical = TablesIdentical(*baseline, *result);
-          const exec::AggExecStats& st = exec::GlobalAggExecStats();
-          cell.boxed_rows = st.boxed_rows.load();
-          cell.key_allocs = st.key_allocs.load();
-          cell.vectorized_chunks = st.vectorized_chunks.load();
           return ms;
         });
         for (const exec::PipelineStats& p : db->last_pipeline_stats()) {
@@ -152,15 +141,10 @@ int RunSweep(platform::Platform* db, size_t rows) {
             "\"groups\": %lld, \"cpu\": \"%s\", \"cpu_level\": \"%s\", "
             "\"host_cores\": %zu, \"threads\": %zu, \"rows\": %zu, "
             "\"partitions\": %zu, \"ms\": %.3f, "
-            "\"identical_to_serial\": true, "
-            "\"boxed_rows\": %llu, \"key_allocs\": %llu, "
-            "\"vectorized_chunks\": %llu}\n",
+            "\"identical_to_serial\": true}\n",
             spec.label, static_cast<long long>(spec.groups), cpu,
             CpuLevelName(DetectedCpuLevel()), host_cores, threads, rows,
-            cell.partitions, cell.ms,
-            static_cast<unsigned long long>(cell.boxed_rows),
-            static_cast<unsigned long long>(cell.key_allocs),
-            static_cast<unsigned long long>(cell.vectorized_chunks));
+            cell.partitions, cell.ms);
         std::fflush(stdout);
       }
     }

@@ -187,8 +187,7 @@ JoinResult RunJoin(const std::vector<int64_t>& build_keys,
 
   const size_t kMorselRows = 65536;
   JoinResult result;
-  exec::RadixJoinTable table(schema, key_exprs, /*vectorized=*/true,
-                             allow_perfect);
+  exec::RadixJoinTable table(schema, key_exprs, allow_perfect);
   Stopwatch build_watch;
   const size_t num_morsels =
       (build_keys.size() + kMorselRows - 1) / kMorselRows;

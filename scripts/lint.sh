@@ -42,6 +42,11 @@
 #      AggResultType, AggName) and src/exec holds their state
 #      (AggState, AccumulateRow, FinalizeAgg). Another engine that
 #      switches on the aggregate kind is a copy that will drift.
+#  12. No `EvalExpr(` call outside src/exec/vector_eval.cc and
+#      src/exec/evaluator.{h,cc}. Chunk rows evaluate through the
+#      vectorized evaluator (EvalExprColumn, SelectRows); per-row
+#      evaluation lives only in its fallback, where scalar_rows counts
+#      it. Boxed rows that are not chunk rows use EvalExprRow.
 #
 # When clang-tidy is on PATH and a compile database exists, it also
 # runs the .clang-tidy profile over the checked sources. Missing tools
@@ -168,6 +173,11 @@ check "aggregate-kind switch outside src/plan and src/exec \
 (bind with plan::BindAggregateCall; aggregate with exec::AggState, \
 AccumulateRow and FinalizeAgg)" \
   "$(find_violations 'AggKind::' '^src/(plan|exec)/')"
+
+check "per-row EvalExpr outside the vectorized evaluator \
+(evaluate chunk columns with EvalExprColumn / SelectRows)" \
+  "$(find_violations '(^|[^_[:alnum:]])EvalExpr[[:space:]]*\(' \
+     '^src/exec/(vector_eval\.cc|evaluator\.(h|cc))$')"
 
 # Rule 10: every non-empty line of a result file parses as JSON.
 RESULTS_DIR="${HANA_LINT_SRC:-bench/results}"

@@ -1,5 +1,7 @@
 #include "exec/executor.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <atomic>
 #include <limits>
@@ -23,6 +25,14 @@ namespace {
 using plan::LogicalOp;
 
 constexpr size_t kNoCutoff = std::numeric_limits<size_t>::max();
+
+/// CPU time the calling thread has consumed, in microseconds: time the
+/// thread spent descheduled or blocked does not count.
+int64_t ThreadCpuMicros() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
+}
 
 size_t ProbeStageCount(const Pipeline& p) {
   size_t n = 0;
@@ -370,16 +380,10 @@ class PipelineExecutor {
                      b->join->condition->ToString());
       }
     } else if (b != nullptr) {
-      bool vectorized = plan::EquiKeysVectorizable(b->parts);
       b->table = std::make_unique<RadixJoinTable>(
-          b->build->schema, b->build_key_exprs, vectorized,
-          b->join->perfect_hash);
+          b->build->schema, b->build_key_exprs, b->join->perfect_hash);
       GlobalJoinExecStats().radix_hash_joins.fetch_add(
           1, std::memory_order_relaxed);
-      if (!vectorized) {
-        GlobalJoinExecStats().boxed_key_builds.fetch_add(
-            1, std::memory_order_relaxed);
-      }
       b->table->SetNumMorsels(run.num_morsels);
     }
     run.statuses.assign(run.num_morsels, Status::OK());
@@ -437,7 +441,7 @@ class PipelineExecutor {
   void RunMorsel(PipelineRun& run, size_t m,
                  std::vector<RadixJoinTable::ProbeKeys>* scratch) {
     if (run.p->limit < 0 || m < run.cutoff.load(std::memory_order_acquire)) {
-      Stopwatch sw;
+      const int64_t cpu_start = ThreadCpuMicros();
       uint64_t scalar_rows = 0;
       uint64_t flattened = 0;
       {
@@ -445,7 +449,7 @@ class PipelineExecutor {
         storage::DictFlattenScope flatten_scope(&flattened);
         run.statuses[m] = ProcessMorsel(run, m, scratch);
       }
-      run.cpu_us.fetch_add(static_cast<int64_t>(sw.ElapsedMillis() * 1000.0),
+      run.cpu_us.fetch_add(ThreadCpuMicros() - cpu_start,
                            std::memory_order_relaxed);
       run.scalar_rows.fetch_add(scalar_rows, std::memory_order_relaxed);
       run.dict_flattened_rows.fetch_add(flattened, std::memory_order_relaxed);
@@ -541,12 +545,13 @@ class PipelineExecutor {
         in_list.column = p.pushdown->join->pushdown_remote_column;
         std::unordered_set<Value, storage::ValueHash> seen;
         for (const Chunk& chunk : producer.output) {
+          HANA_ASSIGN_OR_RETURN(
+              storage::ColumnVectorPtr col,
+              EvalExprColumn(*p.pushdown->pushdown_key, chunk));
           for (size_t r = 0; r < chunk.num_rows(); ++r) {
-            HANA_ASSIGN_OR_RETURN(
-                Value v, EvalExpr(*p.pushdown->probe_key_exprs[0], chunk, r));
-            if (!v.is_null() && seen.insert(v).second) {
-              in_list.values.push_back(std::move(v));
-            }
+            if (col->IsNull(r)) continue;
+            Value v = col->GetValue(r);
+            if (seen.insert(v).second) in_list.values.push_back(std::move(v));
           }
         }
         keys = &in_list;

@@ -20,7 +20,10 @@ struct PipelineStats {
   uint64_t rows = 0;     // Rows the pipeline's sink emitted (or staged,
                          // for join builds).
   double wall_ms = 0.0;  // Launch-to-finish wall time.
-  double cpu_ms = 0.0;   // Morsel execution time summed over workers.
+  /// CPU time of the pipeline's morsels, summed over workers: each
+  /// morsel is timed on its worker's thread CPU clock, so time a morsel
+  /// spends blocked or descheduled does not count.
+  double cpu_ms = 0.0;
   size_t agg_partitions = 0;  // kGroups: radix partitions merged in
                               // phase 2 (0 for non-aggregate sinks).
   uint64_t agg_groups = 0;    // kGroups: groups the sink emitted.

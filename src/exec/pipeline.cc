@@ -7,6 +7,7 @@
 #include "common/cpu_dispatch.h"
 #include "common/strings.h"
 #include "exec/evaluator.h"
+#include "sql/ast.h"
 
 namespace hana::exec {
 
@@ -202,9 +203,6 @@ AggExecStats& GlobalAggExecStats() {
 void ResetAggExecStats() {
   AggExecStats& s = GlobalAggExecStats();
   s.partitioned_aggs.store(0);
-  s.vectorized_chunks.store(0);
-  s.boxed_rows.store(0);
-  s.key_allocs.store(0);
   s.partition_merges.store(0);
 }
 
@@ -216,7 +214,7 @@ constexpr uint64_t kNullCellHash = 0x9e3779b97f4a7c15ULL;
 
 /// Group-key cell equality: NULL == NULL (one NULL group), and double
 /// comparison goes through the same `<` trichotomy as Value::Compare so
-/// even NaN cells group identically in the boxed and vectorized paths.
+/// NaN cells form one group, as they do under Value::Compare.
 bool AggCellsEqual(const storage::ColumnVector& a, size_t i,
                    const storage::ColumnVector& b, size_t j) {
   const bool an = a.IsNull(i), bn = b.IsNull(j);
@@ -229,24 +227,6 @@ bool AggCellsEqual(const storage::ColumnVector& a, size_t i,
 }
 
 }  // namespace
-
-bool AggKeyBlock::Vectorizable(
-    const std::vector<plan::BoundExprPtr>& group_by) {
-  for (const auto& g : group_by) {
-    switch (g->type) {
-      case DataType::kBool:
-      case DataType::kInt64:
-      case DataType::kDouble:
-      case DataType::kString:
-      case DataType::kDate:
-      case DataType::kTimestamp:
-        continue;
-      default:
-        return false;  // No typed cell storage (e.g. untyped NULL).
-    }
-  }
-  return true;
-}
 
 Status AggKeyBlock::Compute(const std::vector<plan::BoundExprPtr>& group_by,
                             const Chunk& chunk) {
@@ -314,48 +294,26 @@ Status AggKeyBlock::Compute(const std::vector<plan::BoundExprPtr>& group_by,
 
 GroupTable::GroupTable(const std::vector<plan::BoundExprPtr>* group_by,
                        const std::vector<plan::BoundExprPtr>* aggregates)
-    : group_by_(group_by),
-      aggregates_(aggregates),
-      vectorized_(AggKeyBlock::Vectorizable(*group_by)) {
-  if (vectorized_) {
-    key_cols_.reserve(group_by->size());
-    for (const auto& g : *group_by) {
-      key_cols_.push_back(std::make_shared<storage::ColumnVector>(g->type));
-    }
+    : group_by_(group_by), aggregates_(aggregates) {
+  key_cols_.reserve(group_by->size());
+  for (const auto& g : *group_by) {
+    key_cols_.push_back(std::make_shared<storage::ColumnVector>(g->type));
   }
-}
-
-Status GroupTable::AccumulateValues(const std::vector<Value>& key,
-                                    uint64_t hash, const Chunk& chunk,
-                                    size_t row, uint64_t rank) {
-  GlobalAggExecStats().boxed_rows.fetch_add(1, std::memory_order_relaxed);
-  AggState* states = StatesOf(FindOrCreateBoxed(key, hash, rank));
-  for (size_t a = 0; a < aggregates_->size(); ++a) {
-    const BoundExpr& agg = *(*aggregates_)[a];
-    AggState& st = states[a];
-    if (agg.agg_kind == plan::AggKind::kCountStar) {
-      ++st.count;
-      continue;
-    }
-    HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(*agg.child0, chunk, row));
-    if (v.is_null()) continue;
-    UpdateAggState(agg, st, std::move(v));
-  }
-  return Status::OK();
 }
 
 void GroupTable::MergeFrom(GroupTable& src) {
   const size_t n = src.num_groups();
   if (n == 0) return;
-  // Two passes so vectorized state growth batches into one resize for
-  // all groups this partial contributes, not one per group.
+  // Two passes so state growth batches into one resize for all groups
+  // this partial contributes, not one per group.
   merge_scratch_.clear();
   merge_scratch_.reserve(n);
   for (size_t g = 0; g < n; ++g) {
-    merge_scratch_.push_back(
-        static_cast<uint32_t>(FindOrCreatePeer(src, g)));
+    // A new group inherits the partial's serial first-seen rank.
+    merge_scratch_.push_back(static_cast<uint32_t>(
+        FindOrCreate(src.key_cols_, g, src.hashes_[g], src.ranks_[g])));
   }
-  if (vectorized_) EnsureStates();
+  EnsureStates();
   for (size_t g = 0; g < n; ++g) {
     AggState* states = StatesOf(merge_scratch_[g]);
     AggState* theirs = src.StatesOf(g);
@@ -369,25 +327,14 @@ void GroupTable::EnsureGlobalGroup() {
   if (!group_by_->empty() || num_groups() > 0 || aggregates_->empty()) return;
   hashes_.push_back(0x12345);  // HashKey of the empty key.
   ranks_.push_back(0);
-  if (vectorized_) {  // Vectorized: no key columns for the empty key.
-    EnsureStates();
-    InsertSlot(0x12345, 0);
-  } else {
-    keys_.push_back({});
-    bstates_.emplace_back(aggregates_->size());
-    groups_.emplace(0x12345, 0);
-  }
+  EnsureStates();
+  InsertSlot(0x12345, 0);
 }
 
 Result<std::vector<Value>> GroupTable::EmitRow(size_t g) const {
   std::vector<Value> row;
-  if (vectorized_) {
-    row.reserve(key_cols_.size() + aggregates_->size());
-    for (const auto& col : key_cols_) row.push_back(col->GetValue(g));
-  } else {
-    row = keys_[g];
-    row.reserve(row.size() + aggregates_->size());
-  }
+  row.reserve(key_cols_.size() + aggregates_->size());
+  for (const auto& col : key_cols_) row.push_back(col->GetValue(g));
   const AggState* states = StatesOf(g);
   for (size_t a = 0; a < aggregates_->size(); ++a) {
     HANA_ASSIGN_OR_RETURN(Value v, FinalizeAgg(*(*aggregates_)[a], states[a]));
@@ -396,33 +343,9 @@ Result<std::vector<Value>> GroupTable::EmitRow(size_t g) const {
   return row;
 }
 
-size_t GroupTable::FindOrCreateBoxed(const std::vector<Value>& key,
-                                     uint64_t hash, uint64_t rank) {
-  auto [it, end] = groups_.equal_range(hash);
-  for (; it != end; ++it) {
-    const std::vector<Value>& existing = keys_[it->second];
-    bool equal = true;
-    for (size_t i = 0; i < key.size(); ++i) {
-      if (key[i].Compare(existing[i]) != 0) {  // Group-by: NULL == NULL.
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return it->second;
-  }
-  size_t g = num_groups();
-  ReserveOnFirstGrowth();
-  keys_.push_back(key);
-  GlobalAggExecStats().key_allocs.fetch_add(1, std::memory_order_relaxed);
-  hashes_.push_back(hash);
-  ranks_.push_back(rank);
-  bstates_.emplace_back(aggregates_->size());
-  groups_.emplace(hash, g);
-  return g;
-}
-
-size_t GroupTable::FindOrCreateVec(const AggKeyBlock& keys, size_t row,
-                                   uint64_t hash, uint64_t rank) {
+size_t GroupTable::FindOrCreate(
+    const std::vector<storage::ColumnVectorPtr>& keys, size_t row,
+    uint64_t hash, uint64_t rank) {
   if (!slots_.empty()) {
     const size_t mask = slots_.size() - 1;
     for (size_t idx = hash & mask; slots_[idx] != 0; idx = (idx + 1) & mask) {
@@ -430,7 +353,7 @@ size_t GroupTable::FindOrCreateVec(const AggKeyBlock& keys, size_t row,
       if (hashes_[g] != hash) continue;
       bool equal = true;
       for (size_t k = 0; k < key_cols_.size(); ++k) {
-        if (!AggCellsEqual(*key_cols_[k], g, *keys.cols()[k], row)) {
+        if (!AggCellsEqual(*key_cols_[k], g, *keys[k], row)) {
           equal = false;
           break;
         }
@@ -441,65 +364,12 @@ size_t GroupTable::FindOrCreateVec(const AggKeyBlock& keys, size_t row,
   size_t g = num_groups();
   ReserveOnFirstGrowth();
   for (size_t k = 0; k < key_cols_.size(); ++k) {
-    key_cols_[k]->AppendFrom(*keys.cols()[k], row);
+    key_cols_[k]->AppendFrom(*keys[k], row);
   }
   hashes_.push_back(hash);
   ranks_.push_back(rank);
   InsertSlot(hash, g);  // State growth deferred to EnsureStates().
   return g;
-}
-
-size_t GroupTable::FindOrCreatePeer(const GroupTable& src, size_t g) {
-  const uint64_t hash = src.hashes_[g];
-  if (vectorized_) {
-    if (!slots_.empty()) {
-      const size_t mask = slots_.size() - 1;
-      for (size_t idx = hash & mask; slots_[idx] != 0;
-           idx = (idx + 1) & mask) {
-        size_t mine = slots_[idx] - 1;
-        if (hashes_[mine] != hash) continue;
-        bool equal = true;
-        for (size_t k = 0; k < key_cols_.size(); ++k) {
-          if (!AggCellsEqual(*key_cols_[k], mine, *src.key_cols_[k], g)) {
-            equal = false;
-            break;
-          }
-        }
-        if (equal) return mine;
-      }
-    }
-    size_t mine = num_groups();
-    ReserveOnFirstGrowth();
-    for (size_t k = 0; k < key_cols_.size(); ++k) {
-      key_cols_[k]->AppendFrom(*src.key_cols_[k], g);
-    }
-    hashes_.push_back(hash);
-    ranks_.push_back(src.ranks_[g]);  // The group's serial first-seen rank.
-    InsertSlot(hash, mine);  // State growth deferred to EnsureStates().
-    return mine;
-  }
-  auto [it, end] = groups_.equal_range(hash);
-  for (; it != end; ++it) {
-    const std::vector<Value>& key = src.keys_[g];
-    const std::vector<Value>& existing = keys_[it->second];
-    bool equal = true;
-    for (size_t i = 0; i < key.size(); ++i) {
-      if (key[i].Compare(existing[i]) != 0) {  // NULL == NULL.
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return it->second;
-  }
-  size_t mine = num_groups();
-  ReserveOnFirstGrowth();
-  keys_.push_back(src.keys_[g]);
-  GlobalAggExecStats().key_allocs.fetch_add(1, std::memory_order_relaxed);
-  hashes_.push_back(hash);
-  ranks_.push_back(src.ranks_[g]);
-  bstates_.emplace_back(aggregates_->size());
-  groups_.emplace(hash, mine);
-  return mine;
 }
 
 void GroupTable::InsertSlot(uint64_t hash, size_t group) {
@@ -523,11 +393,11 @@ void GroupTable::InsertSlot(uint64_t hash, size_t group) {
 
 void GroupTable::EnsureStates() {
   const size_t need = num_groups() * aggregates_->size();
-  if (vstates_.size() >= need) return;
-  if (need > vstates_.capacity()) {
-    vstates_.reserve(std::max(need, vstates_.capacity() * 2));
+  if (states_.size() >= need) return;
+  if (need > states_.capacity()) {
+    states_.reserve(std::max(need, states_.capacity() * 2));
   }
-  vstates_.resize(need);
+  states_.resize(need);
 }
 
 void GroupTable::ReserveOnFirstGrowth() {
@@ -537,20 +407,13 @@ void GroupTable::ReserveOnFirstGrowth() {
   constexpr size_t kInitialGroups = 64;
   hashes_.reserve(kInitialGroups);
   ranks_.reserve(kInitialGroups);
-  if (vectorized_) {
-    vstates_.reserve(kInitialGroups * aggregates_->size());
-  } else {
-    keys_.reserve(kInitialGroups);
-    bstates_.reserve(kInitialGroups);
-  }
+  states_.reserve(kInitialGroups * aggregates_->size());
 }
 
 PartitionedGroupTable::PartitionedGroupTable(
     const std::vector<plan::BoundExprPtr>* group_by,
     const std::vector<plan::BoundExprPtr>* aggregates, size_t partitions)
-    : group_by_(group_by),
-      aggregates_(aggregates),
-      vectorized_(AggKeyBlock::Vectorizable(*group_by)) {
+    : group_by_(group_by), aggregates_(aggregates) {
   size_t p = 1;
   while (p < partitions && p < kMaxPartitions) p <<= 1;
   while ((size_t{1} << bits_) < p) ++bits_;
@@ -575,22 +438,6 @@ Status PartitionedGroupTable::AccumulateChunk(const Chunk& chunk) {
   const size_t n = chunk.num_rows();
   if (n == 0) return Status::OK();
   const uint64_t base = uint64_t{morsel_} << 32;
-  if (!vectorized_) {
-    // Boxed fallback: row-at-a-time key boxing with the same partition
-    // routing (HashKey agrees with the vectorized hash by design).
-    for (size_t r = 0; r < n; ++r) {
-      boxed_key_.clear();
-      for (const auto& g : *group_by_) {
-        HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, chunk, r));
-        boxed_key_.push_back(std::move(v));
-      }
-      uint64_t h = HashKey(boxed_key_);
-      HANA_RETURN_IF_ERROR(parts_[PartitionOf(h)]->AccumulateValues(
-          boxed_key_, h, chunk, r, base | (row_in_morsel_ + r)));
-    }
-    row_in_morsel_ += n;
-    return Status::OK();
-  }
   HANA_RETURN_IF_ERROR(keys_.Compute(*group_by_, chunk));
   agg_cols_.assign(aggregates_->size(), nullptr);
   for (size_t a = 0; a < aggregates_->size(); ++a) {
@@ -606,9 +453,9 @@ Status PartitionedGroupTable::AccumulateChunk(const Chunk& chunk) {
   row_group_.resize(n);
   for (size_t r = 0; r < n; ++r) {
     GroupTable& part = *parts_[PartitionOf(hashes[r])];
-    row_group_[r] = {&part,
-                     static_cast<uint32_t>(part.FindOrCreateVec(
-                         keys_, r, hashes[r], base | (row_in_morsel_ + r)))};
+    const size_t g = part.FindOrCreate(keys_.cols(), r, hashes[r],
+                                       base | (row_in_morsel_ + r));
+    row_group_[r] = {&part, static_cast<uint32_t>(g)};
   }
   for (auto& part : parts_) part->EnsureStates();
   row_states_.resize(n);
@@ -616,7 +463,7 @@ Status PartitionedGroupTable::AccumulateChunk(const Chunk& chunk) {
     row_states_[r] = row_group_[r].first->StatesOf(row_group_[r].second);
   }
   // Pass 2, column at a time per aggregate, rows in order (each group
-  // sees its rows in the same sequence as the row-at-a-time path, so
+  // sees its rows in input order, as AccumulateRow would, so
   // floating-point sums are bit-identical). The aggregate-kind and
   // column-type dispatch runs once per column, not once per row.
   for (size_t a = 0; a < aggregates_->size(); ++a) {
@@ -628,7 +475,7 @@ Status PartitionedGroupTable::AccumulateChunk(const Chunk& chunk) {
     const storage::ColumnVector& col = *agg_cols_[a];
     if (agg.distinct || agg.agg_kind == plan::AggKind::kMin ||
         agg.agg_kind == plan::AggKind::kMax) {
-      // DISTINCT sets and min/max hold boxed Values either way.
+      // DISTINCT sets and min/max hold boxed Values.
       for (size_t r = 0; r < n; ++r) {
         if (col.IsNull(r)) continue;
         UpdateAggState(agg, row_states_[r][a], col.GetValue(r));
@@ -690,8 +537,6 @@ Status PartitionedGroupTable::AccumulateChunk(const Chunk& chunk) {
     }
   }
   row_in_morsel_ += n;
-  GlobalAggExecStats().vectorized_chunks.fetch_add(1,
-                                                   std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -976,10 +821,14 @@ struct Decomposer {
     auto state = std::make_unique<JoinBuildState>();
     JoinBuildState* b = state.get();
     b->join = &join;
+    const size_t left_arity = join.children[0]->schema->num_columns();
     if (join.condition != nullptr && join.join_kind != JoinKind::kCross) {
-      b->parts = plan::AnalyzeJoinCondition(
-          *join.condition, join.children[0]->schema->num_columns());
+      b->parts = plan::AnalyzeJoinCondition(*join.condition, left_arity);
     }
+    if (!b->parts.equi_keys.empty()) {
+      b->pushdown_key = b->parts.equi_keys[0].left.get();
+    }
+    UnifyKeyTypes(&b->parts, left_arity);
     b->nested_loop = b->parts.equi_keys.empty();
     b->build_is_left = !b->nested_loop &&
                        join.join_kind == JoinKind::kInner && join.build_left;
@@ -991,10 +840,58 @@ struct Decomposer {
                                                     : ek.left.get());
     }
     if (!b->nested_loop && b->parts.residual != nullptr) {
-      CompactResidual(b, join.children[0]->schema->num_columns());
+      CompactResidual(b, left_arity);
     }
     plan.builds.push_back(std::move(state));
     return b;
+  }
+
+  /// Gives both sides of every equi key one type, so keys hash and
+  /// compare as typed columns with Value::Compare's equality: two
+  /// different numeric types both become DOUBLE (Compare's numeric
+  /// rule), and a NULL-typed side takes the other side's type (its rows
+  /// stay NULL keys). A pair Value::Compare never equates (BOOL or
+  /// VARCHAR against another type) moves back into the residual, ahead
+  /// of the conjuncts already there; the join then runs on its other
+  /// keys, or as a nested-loop join when none is left.
+  static void UnifyKeyTypes(plan::JoinConditionParts* parts,
+                            size_t left_arity) {
+    auto cast = [](plan::BoundExprPtr* e, DataType type) {
+      if ((*e)->type == type) return;
+      auto node = std::make_unique<BoundExpr>();
+      node->kind = plan::BoundKind::kCast;
+      node->type = type;
+      node->child0 = std::move(*e);
+      *e = std::move(node);
+    };
+    auto conjoin = [](plan::BoundExprPtr a, plan::BoundExprPtr b) {
+      if (a == nullptr) return b;
+      if (b == nullptr) return a;
+      return BoundExpr::Binary(static_cast<int>(sql::BinaryOp::kAnd),
+                               DataType::kBool, std::move(a), std::move(b));
+    };
+    std::vector<plan::EquiKey> keys;
+    plan::BoundExprPtr moved;
+    for (plan::EquiKey& key : parts->equi_keys) {
+      const DataType l = key.left->type, r = key.right->type;
+      if (l == r || l == DataType::kNull || r == DataType::kNull) {
+        cast(&key.left, l == DataType::kNull ? r : l);
+        cast(&key.right, r == DataType::kNull ? l : r);
+      } else if (IsNumericType(l) && IsNumericType(r)) {
+        cast(&key.left, DataType::kDouble);
+        cast(&key.right, DataType::kDouble);
+      } else {
+        ShiftColumns(key.right.get(), left_arity);  // Back to left++right.
+        moved = conjoin(std::move(moved),
+                        BoundExpr::Binary(static_cast<int>(sql::BinaryOp::kEq),
+                                          DataType::kBool, std::move(key.left),
+                                          std::move(key.right)));
+        continue;
+      }
+      keys.push_back(std::move(key));
+    }
+    parts->equi_keys = std::move(keys);
+    parts->residual = conjoin(std::move(moved), std::move(parts->residual));
   }
 
   /// Rebinds the residual (over left++right, the left side spanning

@@ -102,22 +102,12 @@ void UpdateAggState(const plan::BoundExpr& agg, AggState& st, Value v);
 void MergeAggState(const plan::BoundExpr& agg, AggState& dst, AggState& src);
 
 /// Process-wide counters for which implementation aggregations actually
-/// run through, so silent fallbacks off the fast paths are observable
-/// (tests assert on them; bench_agg reports the allocation ablation).
+/// run through, so the phase-2 fan-out is observable (tests assert on
+/// them).
 struct AggExecStats {
   /// kGroups sinks merged through the radix-partitioned two-phase path.
   // atomic: relaxed counter; observers only need eventual totals.
   std::atomic<uint64_t> partitioned_aggs{0};
-  /// Chunks accumulated through the vectorized column-wise key path.
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> vectorized_chunks{0};
-  /// Rows accumulated through the boxed row-at-a-time fallback.
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> boxed_rows{0};
-  /// Boxed group-key vectors materialized (one per group created by the
-  /// boxed-key fallback).
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> key_allocs{0};
   /// Per-partition phase-2 merge tasks run by the executor.
   // atomic: relaxed counter; observers only need eventual totals.
   std::atomic<uint64_t> partition_merges{0};
@@ -129,18 +119,13 @@ void ResetAggExecStats();
 /// Column-wise group keys of one chunk: the evaluated key columns plus
 /// one hash per row, reproducing HashKey (seed 0x12345 folded over
 /// Value::Hash) exactly — a NULL cell contributes Value::Hash's null
-/// image — so the vectorized and boxed paths agree on partition and
-/// bucket placement. A single int64/date/timestamp key column goes
-/// through the CPU-dispatched `hash_i64` batch kernel. Scratch object:
-/// reuse one instance across chunks to avoid re-allocating the hash
-/// array per chunk.
+/// image. Every key type has typed cell storage; a kNull-typed key
+/// (`GROUP BY k, NULL`) is a column of NULLs. A single
+/// int64/date/timestamp key column goes through the CPU-dispatched
+/// `hash_i64` batch kernel. Scratch object: reuse one instance across
+/// chunks to avoid re-allocating the hash array per chunk.
 class AggKeyBlock {
  public:
-  /// True when every group-by expression has a concrete column type the
-  /// cell hash/equality helpers cover (group keys may be NULL, unlike
-  /// join keys, so nullability does not disqualify).
-  static bool Vectorizable(const std::vector<plan::BoundExprPtr>& group_by);
-
   [[nodiscard]] Status Compute(
       const std::vector<plan::BoundExprPtr>& group_by,
       const storage::Chunk& chunk);
@@ -168,16 +153,12 @@ class AggKeyBlock {
 /// first-seen order. The per-morsel partials and the merged result of
 /// the pipeline executor's aggregate sink.
 ///
-/// Two key layouts, fixed at construction. Vectorized tables store one
-/// typed ColumnVector cell per key column per group (hashed and
-/// compared column-wise, no boxing), index groups through an
-/// open-addressing slot array (group index + 1, 0 = empty) over the
-/// stored per-group hashes, and keep every group's aggregate states in
-/// one flat group-major array — no per-group heap allocation on the
-/// hot path. Boxed tables are the fallback for key types the cell
-/// helpers do not cover (a kNull-typed key such as `GROUP BY k, NULL`):
-/// Value key rows, a chained hash->group multimap index and a per-group
-/// state vector.
+/// Keys are stored as one typed ColumnVector cell per key column per
+/// group (hashed and compared column-wise, no boxing); groups are
+/// indexed through an open-addressing slot array (group index + 1, 0 =
+/// empty) over the stored per-group hashes, and every group's aggregate
+/// states live in one flat group-major array — no per-group heap
+/// allocation on the hot path.
 ///
 /// Group-by semantics: NULL == NULL (one NULL group), unlike join keys.
 ///
@@ -193,17 +174,7 @@ class GroupTable {
              const std::vector<plan::BoundExprPtr>* aggregates);
 
   size_t num_groups() const { return hashes_.size(); }
-  bool vectorized() const { return vectorized_; }
   uint64_t rank(size_t g) const { return ranks_[g]; }
-
-  /// Row-at-a-time accumulate of one row whose boxed key (and its
-  /// HashKey hash) the caller already evaluated — the boxed-key
-  /// fallback. The caller evaluates the hash first because it routes
-  /// the row to a partition by it.
-  [[nodiscard]] Status AccumulateValues(const std::vector<Value>& key,
-                                        uint64_t hash,
-                                        const storage::Chunk& chunk,
-                                        size_t row, uint64_t rank);
 
   /// Folds `src` into this table, visiting src groups in their
   /// first-seen order. Merging morsel partials in ascending morsel
@@ -221,61 +192,48 @@ class GroupTable {
   [[nodiscard]] Result<std::vector<Value>> EmitRow(size_t g) const;
 
  private:
-  /// Boxed-layout lookup of `key`, creating the group with `rank` if
-  /// absent.
-  size_t FindOrCreateBoxed(const std::vector<Value>& key, uint64_t hash,
-                           uint64_t rank);
-  /// Vectorized-layout lookup of `keys` row `row`.
-  size_t FindOrCreateVec(const AggKeyBlock& keys, size_t row, uint64_t hash,
-                         uint64_t rank);
-  /// Lookup/copy of group g of a same-layout peer table (merge path).
-  size_t FindOrCreatePeer(const GroupTable& src, size_t g);
+  /// The group whose key is row `row` of the key columns `keys` (a
+  /// chunk's AggKeyBlock, or a peer table's key storage when merging),
+  /// created with `hash` and `rank` if absent.
+  size_t FindOrCreate(const std::vector<storage::ColumnVectorPtr>& keys,
+                      size_t row, uint64_t hash, uint64_t rank);
   /// Registers group index `group` under `hash` after its storage rows
   /// are appended, growing (and re-probing) the slot array at 50% load.
-  /// Vectorized layout only.
   void InsertSlot(uint64_t hash, size_t group);
   void ReserveOnFirstGrowth();
-  /// Vectorized layout only: grows the flat state array to cover every
-  /// created group (geometric reserve). Group creation defers state
-  /// growth to this batched call — one resize per (chunk, partition) or
-  /// per merged partial instead of one per group, which profiling shows
-  /// otherwise dominates high-cardinality aggregation.
+  /// Grows the flat state array to cover every created group
+  /// (geometric reserve). Group creation defers state growth to this
+  /// batched call — one resize per (chunk, partition) or per merged
+  /// partial instead of one per group, which profiling shows otherwise
+  /// dominates high-cardinality aggregation.
   void EnsureStates();
 
-  /// The vectorized chunk accumulate drives FindOrCreateVec/StatesOf
-  /// directly so it can split group resolution and per-aggregate state
-  /// updates into separate column-at-a-time passes.
+  /// The chunk accumulate drives FindOrCreate/StatesOf directly so it
+  /// can split group resolution and per-aggregate state updates into
+  /// separate column-at-a-time passes.
   friend class PartitionedGroupTable;
 
   /// First aggregate state of group g (stride = aggregates_->size()).
   AggState* StatesOf(size_t g) {
-    return vectorized_ ? vstates_.data() + g * aggregates_->size()
-                       : bstates_[g].data();
+    return states_.data() + g * aggregates_->size();
   }
   const AggState* StatesOf(size_t g) const {
-    return vectorized_ ? vstates_.data() + g * aggregates_->size()
-                       : bstates_[g].data();
+    return states_.data() + g * aggregates_->size();
   }
 
   const std::vector<plan::BoundExprPtr>* group_by_;
   const std::vector<plan::BoundExprPtr>* aggregates_;
-  bool vectorized_;
-  /// Vectorized layout: one vector per key column, row g = group g.
+  /// One vector per key column, row g = group g.
   std::vector<storage::ColumnVectorPtr> key_cols_;
-  std::vector<std::vector<Value>> keys_;  // Boxed layout.
-  std::vector<uint64_t> hashes_;          // Per group.
-  std::vector<uint64_t> ranks_;           // Per group.
-  /// Vectorized layout: flat group-major states, group g's aggregate a
-  /// at [g * aggregates_->size() + a] — one growable allocation instead
-  /// of one heap vector per group.
-  std::vector<AggState> vstates_;
-  /// Boxed layout: per-group state vectors.
-  std::vector<std::vector<AggState>> bstates_;
-  /// Vectorized layout: open-addressing slot array (power of two,
-  /// linear probe): group index + 1, 0 = empty.
+  std::vector<uint64_t> hashes_;  // Per group.
+  std::vector<uint64_t> ranks_;   // Per group.
+  /// Flat group-major states, group g's aggregate a at
+  /// [g * aggregates_->size() + a] — one growable allocation instead of
+  /// one heap vector per group.
+  std::vector<AggState> states_;
+  /// Open-addressing slot array (power of two, linear probe): group
+  /// index + 1, 0 = empty.
   std::vector<uint32_t> slots_;
-  /// Boxed layout: chained hash -> group index multimap.
-  std::unordered_multimap<uint64_t, size_t> groups_;
   std::vector<uint32_t> merge_scratch_;  // MergeFrom's group map, reused.
 };
 
@@ -310,21 +268,19 @@ class PartitionedGroupTable {
   size_t num_partitions() const { return parts_.size(); }
   GroupTable& partition(size_t p) { return *parts_[p]; }
   const GroupTable& partition(size_t p) const { return *parts_[p]; }
-  bool vectorized() const { return vectorized_; }
   size_t num_groups() const;
 
   /// Sets the morsel index stamped into the ranks of subsequently
   /// accumulated rows (resets the in-morsel row counter).
   void BeginMorsel(uint32_t morsel);
 
-  /// Accumulates every row of `chunk`. Vectorized tables evaluate key
-  /// columns + hashes and aggregate input columns once per chunk, then
-  /// run column-at-a-time passes: one pass resolving each row's group
-  /// in its hash partition (groups are created in row order, keeping
+  /// Accumulates every row of `chunk`: evaluates key columns + hashes
+  /// and aggregate input columns once per chunk, then runs
+  /// column-at-a-time passes: one pass resolving each row's group in
+  /// its hash partition (groups are created in row order, keeping
   /// serial first-seen ranks), then one pass per aggregate over its
   /// input column with the aggregate-kind and column-type dispatch
-  /// hoisted out of the row loop. Boxed tables take the row-at-a-time
-  /// path with the same partition routing.
+  /// hoisted out of the row loop.
   [[nodiscard]] Status AccumulateChunk(const storage::Chunk& chunk);
 
   /// Phase 2: folds partition p of every source, in ascending source
@@ -352,12 +308,10 @@ class PartitionedGroupTable {
   const std::vector<plan::BoundExprPtr>* group_by_;
   const std::vector<plan::BoundExprPtr>* aggregates_;
   size_t bits_ = 0;  // log2(num_partitions()).
-  bool vectorized_;
   uint32_t morsel_ = 0;
   uint64_t row_in_morsel_ = 0;
   AggKeyBlock keys_;  // Scratch, reused across chunks.
   std::vector<storage::ColumnVectorPtr> agg_cols_;  // Scratch.
-  std::vector<Value> boxed_key_;                    // Scratch.
   /// Scratch, reused across chunks: each row's resolved (partition
   /// table, group index), and the group's aggregate-state base pointer
   /// (stable once the resolve pass created every group of the chunk).
@@ -398,8 +352,13 @@ struct JoinBuildState {
   };
   plan::BoundExprPtr residual;
   std::vector<ResidualColumn> residual_cols;
+  /// Equi keys, one type on both sides (see NewBuild in pipeline.cc).
   std::vector<const plan::BoundExpr*> build_key_exprs;
   std::vector<const plan::BoundExpr*> probe_key_exprs;
+  /// The first equi key's left (probe) side as the join condition
+  /// states it, before any cast: its values form a semijoin pushdown's
+  /// IN-list.
+  const plan::BoundExpr* pushdown_key = nullptr;
   /// Hash joins: created at build-pipeline prepare time, finalized when
   /// the build pipeline finishes, read-only to the probe pipeline
   /// afterwards.

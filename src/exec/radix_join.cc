@@ -6,7 +6,6 @@
 
 #include "common/cpu_dispatch.h"
 #include "common/util.h"
-#include "exec/evaluator.h"
 #include "exec/vector_eval.h"
 
 namespace hana::exec {
@@ -16,14 +15,6 @@ namespace {
 using storage::Chunk;
 using storage::ColumnVector;
 using storage::ColumnVectorPtr;
-
-/// Boxed key-row hash; identical to the serial hash join's HashKey so
-/// cross-type numeric keys collide exactly as Value::Compare equates.
-size_t HashBoxedKey(const std::vector<Value>& key) {
-  size_t h = 0x12345;
-  for (const Value& v : key) h = HashCombine(h, v.Hash());
-  return h;
-}
 
 size_t NextPow2(size_t n) {
   size_t p = 1;
@@ -72,10 +63,10 @@ size_t HashCell(const ColumnVector& col, size_t i) {
   }
 }
 
-/// Typed equality of two non-null cells of the same concrete type
-/// (vectorized-mode precondition). Double equality matches
-/// Value::Compare on the same type (-0.0 == 0.0). Strings of one
-/// dictionary compare by code (its entries are unique).
+/// Typed equality of two non-null cells of the same concrete type.
+/// Double equality matches Value::Compare on the same type
+/// (-0.0 == 0.0). Strings of one dictionary compare by code (its
+/// entries are unique).
 bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
                 size_t j) {
   switch (a.type()) {
@@ -98,20 +89,16 @@ void ResetJoinExecStats() {
   JoinExecStats& s = GlobalJoinExecStats();
   s.radix_hash_joins.store(0);
   s.nested_loop_fallbacks.store(0);
-  s.boxed_key_builds.store(0);
   s.perfect_hash_joins.store(0);
   s.perfect_hash_fallbacks.store(0);
 }
 
 RadixJoinTable::RadixJoinTable(
     std::shared_ptr<Schema> build_schema,
-    std::vector<const plan::BoundExpr*> build_key_exprs, bool vectorized,
-    bool allow_perfect)
+    std::vector<const plan::BoundExpr*> build_key_exprs, bool allow_perfect)
     : build_schema_(std::move(build_schema)),
       build_key_exprs_(std::move(build_key_exprs)),
-      vectorized_(vectorized),
-      allow_perfect_(allow_perfect && vectorized &&
-                     SingleIntKey(build_key_exprs_)),
+      allow_perfect_(allow_perfect && SingleIntKey(build_key_exprs_)),
       parts_(kPartitions) {}
 
 void RadixJoinTable::SetNumMorsels(size_t n) {
@@ -126,21 +113,10 @@ Status RadixJoinTable::AddBuildChunk(size_t m, const Chunk& chunk) {
 
   // Evaluate the key expressions over the whole chunk first.
   std::vector<ColumnVectorPtr> key_cols;
-  std::vector<std::vector<Value>> boxed(vectorized_ ? 0 : n);
-  if (vectorized_) {
-    key_cols.reserve(build_key_exprs_.size());
-    for (const plan::BoundExpr* e : build_key_exprs_) {
-      HANA_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalExprColumn(*e, chunk));
-      key_cols.push_back(std::move(col));
-    }
-  } else {
-    for (size_t r = 0; r < n; ++r) {
-      boxed[r].reserve(build_key_exprs_.size());
-      for (const plan::BoundExpr* e : build_key_exprs_) {
-        HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, chunk, r));
-        boxed[r].push_back(std::move(v));
-      }
-    }
+  key_cols.reserve(build_key_exprs_.size());
+  for (const plan::BoundExpr* e : build_key_exprs_) {
+    HANA_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalExprColumn(*e, chunk));
+    key_cols.push_back(std::move(col));
   }
 
   // Single int64 key: hash the whole chunk through the CPU-dispatched
@@ -148,7 +124,7 @@ Status RadixJoinTable::AddBuildChunk(size_t m, const Chunk& chunk) {
   // cpu_dispatch verifies that at bind time). Null rows get garbage
   // hashes here; the row loop below drops them before use.
   std::vector<uint64_t> batch_hashes;
-  bool single_int = vectorized_ && SingleIntKey(build_key_exprs_);
+  bool single_int = SingleIntKey(build_key_exprs_);
   if (single_int) {
     batch_hashes.resize(n);
     Kernels().hash_i64(key_cols[0]->ints_data(), n, 0x12345,
@@ -163,7 +139,7 @@ Status RadixJoinTable::AddBuildChunk(size_t m, const Chunk& chunk) {
         continue;
       }
       h = batch_hashes[r];
-    } else if (vectorized_) {
+    } else {
       bool null_key = false;
       size_t acc = 0x12345;
       for (const ColumnVectorPtr& col : key_cols) {
@@ -178,34 +154,19 @@ Status RadixJoinTable::AddBuildChunk(size_t m, const Chunk& chunk) {
         continue;
       }
       h = acc;
-    } else {
-      bool null_key = false;
-      for (const Value& v : boxed[r]) null_key = null_key || v.is_null();
-      if (null_key) {
-        buffers.null_key = true;
-        continue;
-      }
-      h = HashBoxedKey(boxed[r]);
     }
     MorselBuffers::PartitionBuffer& buf =
         buffers.parts[h >> (64 - kRadixBits)];
     if (buf.payload.columns.empty()) {
       buf.payload = Chunk::Empty(build_schema_);
-      if (vectorized_) {
-        buf.key_cols.reserve(key_cols.size());
-        for (const ColumnVectorPtr& col : key_cols) {
-          buf.key_cols.push_back(
-              std::make_shared<ColumnVector>(col->type()));
-        }
+      buf.key_cols.reserve(key_cols.size());
+      for (const ColumnVectorPtr& col : key_cols) {
+        buf.key_cols.push_back(std::make_shared<ColumnVector>(col->type()));
       }
     }
     buf.payload.AppendRowFrom(chunk, r);
-    if (vectorized_) {
-      for (size_t k = 0; k < key_cols.size(); ++k) {
-        buf.key_cols[k]->AppendFrom(*key_cols[k], r);
-      }
-    } else {
-      buf.boxed_keys.push_back(std::move(boxed[r]));
+    for (size_t k = 0; k < key_cols.size(); ++k) {
+      buf.key_cols[k]->AppendFrom(*key_cols[k], r);
     }
     buf.hashes.push_back(h);
   }
@@ -223,14 +184,10 @@ Status RadixJoinTable::FinalizePartition(size_t p) {
   }
   part.payload = Chunk::Empty(build_schema_);
   part.hashes.reserve(rows);
-  if (vectorized_) {
-    for (const plan::BoundExpr* e : build_key_exprs_) {
-      auto col = std::make_shared<ColumnVector>(e->type);
-      col->Reserve(rows);
-      part.key_cols.push_back(std::move(col));
-    }
-  } else {
-    part.boxed_keys.reserve(rows);
+  for (const plan::BoundExpr* e : build_key_exprs_) {
+    auto col = std::make_shared<ColumnVector>(e->type);
+    col->Reserve(rows);
+    part.key_cols.push_back(std::move(col));
   }
   // Concatenate morsel buffers in ascending morsel order: the payload
   // row order (and so chain iteration order) is fixed by the morsel
@@ -241,15 +198,8 @@ Status RadixJoinTable::FinalizePartition(size_t p) {
     size_t buf_rows = buf.hashes.size();
     for (size_t r = 0; r < buf_rows; ++r) {
       part.payload.AppendRowFrom(buf.payload, r);
-      if (vectorized_) {
-        for (size_t k = 0; k < part.key_cols.size(); ++k) {
-          part.key_cols[k]->AppendFrom(*buf.key_cols[k], r);
-        }
-      }
-    }
-    if (!vectorized_) {
-      for (auto& key : buf.boxed_keys) {
-        part.boxed_keys.push_back(std::move(key));
+      for (size_t k = 0; k < part.key_cols.size(); ++k) {
+        part.key_cols[k]->AppendFrom(*buf.key_cols[k], r);
       }
     }
     part.hashes.insert(part.hashes.end(), buf.hashes.begin(),
@@ -384,66 +334,40 @@ Status RadixJoinTable::ComputeProbeKeys(
   size_t n = probe.num_rows();
   keys->hashes.assign(n, 0);
   keys->has_null.assign(n, 0);
-  if (vectorized_) {
-    keys->key_cols.clear();
-    keys->key_cols.reserve(probe_key_exprs.size());
-    for (const plan::BoundExpr* e : probe_key_exprs) {
-      HANA_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalExprColumn(*e, probe));
-      keys->key_cols.push_back(std::move(col));
-    }
-    if (SingleIntKey(probe_key_exprs)) {
-      const ColumnVector& col = *keys->key_cols[0];
-      const uint8_t* nulls = col.nulls_data();
-      for (size_t r = 0; r < n; ++r) keys->has_null[r] = nulls[r];
-      // Perfect-mode probes index by key directly — no hashing at all.
-      if (!perfect_ && n > 0) {
-        Kernels().hash_i64(col.ints_data(), n, 0x12345,
-                           keys->hashes.data());
-      }
-      return Status::OK();
-    }
-    for (size_t r = 0; r < n; ++r) {
-      size_t h = 0x12345;
-      for (const ColumnVectorPtr& col : keys->key_cols) {
-        if (col->IsNull(r)) {
-          keys->has_null[r] = 1;
-          break;
-        }
-        h = HashCombine(h, HashCell(*col, r));
-      }
-      keys->hashes[r] = h;
+  keys->key_cols.clear();
+  keys->key_cols.reserve(probe_key_exprs.size());
+  for (const plan::BoundExpr* e : probe_key_exprs) {
+    HANA_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalExprColumn(*e, probe));
+    keys->key_cols.push_back(std::move(col));
+  }
+  if (SingleIntKey(probe_key_exprs)) {
+    const ColumnVector& col = *keys->key_cols[0];
+    const uint8_t* nulls = col.nulls_data();
+    for (size_t r = 0; r < n; ++r) keys->has_null[r] = nulls[r];
+    // Perfect-mode probes index by key directly — no hashing at all.
+    if (!perfect_ && n > 0) {
+      Kernels().hash_i64(col.ints_data(), n, 0x12345, keys->hashes.data());
     }
     return Status::OK();
   }
-  keys->boxed.resize(n);
   for (size_t r = 0; r < n; ++r) {
-    std::vector<Value>& key = keys->boxed[r];
-    key.clear();
-    key.reserve(probe_key_exprs.size());
-    for (const plan::BoundExpr* e : probe_key_exprs) {
-      HANA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, probe, r));
-      if (v.is_null()) keys->has_null[r] = 1;
-      key.push_back(std::move(v));
+    size_t h = 0x12345;
+    for (const ColumnVectorPtr& col : keys->key_cols) {
+      if (col->IsNull(r)) {
+        keys->has_null[r] = 1;
+        break;
+      }
+      h = HashCombine(h, HashCell(*col, r));
     }
-    if (keys->has_null[r] == 0) keys->hashes[r] = HashBoxedKey(key);
+    keys->hashes[r] = h;
   }
   return Status::OK();
 }
 
 bool RadixJoinTable::KeysEqual(const Partition& p, uint32_t row,
-                               const ProbeKeys& keys, size_t r) const {
-  if (vectorized_) {
-    for (size_t k = 0; k < p.key_cols.size(); ++k) {
-      if (!CellsEqual(*p.key_cols[k], row, *keys.key_cols[k], r)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  const std::vector<Value>& build_key = p.boxed_keys[row];
-  const std::vector<Value>& probe_key = keys.boxed[r];
-  for (size_t k = 0; k < build_key.size(); ++k) {
-    if (probe_key[k].Compare(build_key[k]) != 0) return false;
+                               const ProbeKeys& keys, size_t r) {
+  for (size_t k = 0; k < p.key_cols.size(); ++k) {
+    if (!CellsEqual(*p.key_cols[k], row, *keys.key_cols[k], r)) return false;
   }
   return true;
 }

@@ -24,10 +24,6 @@ struct JoinExecStats {
   /// though they carried a join condition (no usable equi key).
   // atomic: relaxed counter; observers only need eventual totals.
   std::atomic<uint64_t> nested_loop_fallbacks{0};
-  /// Radix joins that used boxed Value keys because the equi-key types
-  /// differ across sides (no vectorized column-wise path).
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> boxed_key_builds{0};
   /// Builds that took the perfect-hash fast path (dense single-int64
   /// key domain): probes index a direct array — no hashing, no chain
   /// hash/key comparisons.
@@ -43,9 +39,9 @@ JoinExecStats& GlobalJoinExecStats();
 void ResetJoinExecStats();
 
 /// Hash of one non-null cell, reproducing Value::Hash's shape (integers
-/// and integral doubles collide, as their comparisons do) so vectorized
-/// column-wise key paths hash identically to boxed Value keys. Shared
-/// by the radix join and the partitioned aggregation sink.
+/// and integral doubles collide, as their comparisons do), so a
+/// column-wise key hashes as HashKey hashes its boxed Values. Shared by
+/// the radix join and the partitioned aggregation sink.
 size_t HashCell(const storage::ColumnVector& col, size_t i);
 
 /// Typed equality of two non-null cells of the same concrete type.
@@ -73,12 +69,10 @@ bool CellsEqual(const storage::ColumnVector& a, size_t i,
 /// order, so the set AND order of matches per probe row is identical
 /// at every degree of parallelism (including 1).
 ///
-/// Keys: in vectorized mode (every equi key has the same concrete type
-/// on both sides) keys live in typed ColumnVectors and are hashed and
-/// compared column-wise on the raw arrays. Otherwise keys are boxed
-/// Values using Value::Hash/Compare, which coerce across numeric types.
-/// The vectorized cell hash reproduces Value::Hash's shape so both
-/// modes agree whenever both are applicable.
+/// Keys live in typed ColumnVectors and are hashed and compared
+/// column-wise on the raw arrays. Each equi key has one type on both
+/// sides: the pipeline decomposition casts mixed numeric keys to DOUBLE
+/// and a NULL-typed side to the other side's type (NewBuild).
 ///
 /// Build rows with a NULL in any key are dropped at partition time:
 /// NULL never equals in a join key, and none of the supported kinds
@@ -89,20 +83,19 @@ class RadixJoinTable {
   static constexpr size_t kRadixBits = 6;
   static constexpr size_t kPartitions = size_t{1} << kRadixBits;
 
-  /// `build_key_exprs` index the build child's schema; `vectorized`
-  /// must come from plan::EquiKeysVectorizable on the join's parts.
-  /// `allow_perfect` (set by the optimizer from build-side stats) lets
-  /// Finalize attempt the perfect-hash layout: when the single int64
-  /// key's observed domain [min, max] is dense relative to the row
-  /// count, all build rows go into one partition whose heads array is
-  /// indexed directly by key - min — probing needs no hash and no key
-  /// comparison. Falls back to the radix layout at build time when the
-  /// runtime domain is too sparse.
+  /// `build_key_exprs` index the build child's schema and have the
+  /// types of the probe keys they pair with. `allow_perfect` (set by
+  /// the optimizer from build-side stats) lets Finalize attempt the
+  /// perfect-hash layout: when the single int64 key's observed domain
+  /// [min, max] is dense relative to the row count, all build rows go
+  /// into one partition whose heads array is indexed directly by
+  /// key - min — probing needs no hash and no key comparison. Falls
+  /// back to the radix layout at build time when the runtime domain is
+  /// too sparse.
   RadixJoinTable(std::shared_ptr<Schema> build_schema,
                  std::vector<const plan::BoundExpr*> build_key_exprs,
-                 bool vectorized, bool allow_perfect = false);
+                 bool allow_perfect = false);
 
-  bool vectorized() const { return vectorized_; }
   /// Whether Finalize built the direct-address (perfect-hash) layout.
   bool perfect() const { return perfect_; }
   size_t num_build_rows() const { return build_rows_; }
@@ -122,8 +115,7 @@ class RadixJoinTable {
   /// One finalized radix partition.
   struct Partition {
     storage::Chunk payload;  // Build rows, build schema, morsel order.
-    std::vector<storage::ColumnVectorPtr> key_cols;  // Vectorized mode.
-    std::vector<std::vector<Value>> boxed_keys;      // Boxed mode.
+    std::vector<storage::ColumnVectorPtr> key_cols;
     std::vector<uint64_t> hashes;
     /// Bucket heads / chain links store local row + 1 (0 = end).
     std::vector<uint32_t> heads;
@@ -135,8 +127,7 @@ class RadixJoinTable {
   /// re-allocating key and hash arrays per chunk (one per worker slot;
   /// never shared between concurrent workers).
   struct ProbeKeys {
-    std::vector<storage::ColumnVectorPtr> key_cols;  // Vectorized mode.
-    std::vector<std::vector<Value>> boxed;           // Boxed, row-major.
+    std::vector<storage::ColumnVectorPtr> key_cols;
     std::vector<uint64_t> hashes;
     std::vector<uint8_t> has_null;  // Any NULL key component in the row.
   };
@@ -188,15 +179,14 @@ class RadixJoinTable {
     struct PartitionBuffer {
       storage::Chunk payload;
       std::vector<storage::ColumnVectorPtr> key_cols;
-      std::vector<std::vector<Value>> boxed_keys;
       std::vector<uint64_t> hashes;
     };
     std::vector<PartitionBuffer> parts;  // Lazily sized to kPartitions.
     bool null_key = false;  // A row of this morsel had a NULL key.
   };
 
-  bool KeysEqual(const Partition& p, uint32_t row, const ProbeKeys& keys,
-                 size_t r) const;
+  static bool KeysEqual(const Partition& p, uint32_t row,
+                        const ProbeKeys& keys, size_t r);
   Status FinalizePartition(size_t p);
   /// Attempts the direct-address build from the staged morsel buffers;
   /// returns false (leaving them untouched) when the key shape or the
@@ -205,7 +195,6 @@ class RadixJoinTable {
 
   std::shared_ptr<Schema> build_schema_;
   std::vector<const plan::BoundExpr*> build_key_exprs_;
-  bool vectorized_;
   bool allow_perfect_ = false;
   bool perfect_ = false;
   int64_t perfect_min_ = 0;

@@ -679,12 +679,13 @@ class VectorEvaluator {
   /// Values of `e` on the rows of `sel` coerced into `to` the way
   /// ColumnVector::Append coerces (CASE and COALESCE push the coercion
   /// into their branches, so branches of mixed numeric types stay on
-  /// the kernels).
+  /// the kernels). A NULL-typed `e` (a NULL group key) evaluates on the
+  /// kernels to all NULLs.
   Result<Vec> EvalAs(const BoundExpr& e, const Sel& sel, DataType to) {
     const bool concrete = to != DataType::kNull;
     if (concrete && e.kind == BoundKind::kCase) return Case(e, sel, to, true);
     if (concrete && IsCoalesce(e)) return Coalesce(e, sel, to, true);
-    if (concrete && TypeOf(e)) {
+    if (TypeOf(e)) {
       HANA_ASSIGN_OR_RETURN(Vec v, Eval(e, sel));
       return Coerce(v, sel, to);
     }

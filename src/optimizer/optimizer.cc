@@ -463,7 +463,10 @@ void MaybeNominatePerfectHash(LogicalOp* op,
                               const plan::JoinConditionParts& parts,
                               const catalog::Catalog* catalog) {
   if (catalog == nullptr) return;
-  if (parts.equi_keys.size() != 1 || !plan::EquiKeysVectorizable(parts)) {
+  // One int type on both sides: the executor then hashes the key
+  // uncast (NewBuild casts mixed numeric keys to DOUBLE).
+  if (parts.equi_keys.size() != 1 ||
+      parts.equi_keys[0].left->type != parts.equi_keys[0].right->type) {
     return;
   }
   const plan::BoundExpr* key = op->build_left ? parts.equi_keys[0].left.get()

@@ -97,14 +97,4 @@ JoinConditionParts AnalyzeJoinCondition(const BoundExpr& condition,
   return parts;
 }
 
-bool EquiKeysVectorizable(const JoinConditionParts& parts) {
-  for (const EquiKey& key : parts.equi_keys) {
-    if (key.left->type == DataType::kNull ||
-        key.left->type != key.right->type) {
-      return false;
-    }
-  }
-  return !parts.equi_keys.empty();
-}
-
 }  // namespace hana::plan

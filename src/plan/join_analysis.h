@@ -31,13 +31,6 @@ JoinConditionParts AnalyzeJoinCondition(const BoundExpr& condition,
 /// True if every column referenced lies in [begin, end).
 bool ColumnsWithin(const BoundExpr& expr, size_t begin, size_t end);
 
-/// True when every equi key carries the same concrete type on both
-/// sides — the prerequisite for the vectorized (column-wise) key path
-/// of the radix hash join. Mixed-type keys (e.g. BIGINT = DOUBLE) fall
-/// back to boxed Value hashing, whose numeric coercion rules the
-/// column-wise hashes do not reproduce.
-bool EquiKeysVectorizable(const JoinConditionParts& parts);
-
 }  // namespace hana::plan
 
 #endif  // HANA_PLAN_JOIN_ANALYSIS_H_

@@ -3,16 +3,17 @@
 // partition in ascending morsel order and the final emit is a
 // rank-ordered merge reproducing the serial first-seen group order — so
 // every GROUP BY below must produce bit-identical results across thread
-// counts (1/2/4/8) and CPU kernel bindings (scalar/native), and the
-// vectorized key path must agree with the boxed-key fallback, with
-// NULL group keys, DISTINCT aggregates, mixed-type keys, empty inputs
-// and the TPC-H Q1 shape.
+// counts (1/2/4/8) and CPU kernel bindings (scalar/native), and an
+// extra NULL-typed key (a column of NULLs) must leave the groups as
+// they are, with NULL group keys, DISTINCT aggregates, mixed-type keys,
+// empty inputs and the TPC-H Q1 shape.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "exec/executor.h"
 #include "exec/pipeline.h"
 #include "platform/platform.h"
 #include "tpch/dbgen.h"
@@ -32,7 +33,7 @@ class AggParallelTest : public ::testing::Test {
     // One fact table covering both cardinality regimes: g_lo has ~64
     // distinct groups, g_hi ~20000 (one group per other row). Every
     // 19th g_lo and every 23rd g_hi key is NULL; d is a double group
-    // key for the boxed multi-type path; tag is a string group key.
+    // key for the multi-type key path; tag is a string group key.
     sql::CreateTableStmt fact;
     fact.table = "fact";
     fact.columns = {{"id", DataType::kInt64, false},
@@ -122,23 +123,22 @@ class AggParallelTest : public ::testing::Test {
     ASSERT_TRUE(db_->SetParameter("cpu", "native").ok());
   }
 
-  /// The vectorized key path versus the boxed-key fallback: adding a
-  /// NULL literal (a kNull-typed key no typed cell storage covers) to
-  /// `group_by` forces every group key into boxed Values without
-  /// changing the groups, so both queries must agree bit for bit.
-  void ExpectBoxedFallbackIdentical(const std::string& select,
-                                    const std::string& group_by) {
+  /// Adding a NULL literal (a kNull-typed key, stored as a column of
+  /// NULLs) to `group_by` folds one more hash component into every key
+  /// without changing the groups, so both queries must agree bit for
+  /// bit — group order and floating-point sums included.
+  void ExpectNullKeyIdentical(const std::string& select,
+                              const std::string& group_by) {
     ASSERT_TRUE(db_->SetParameter("threads", "4").ok());
     const std::string query = select + " GROUP BY " + group_by;
-    auto vectorized = db_->Query(query);
-    ASSERT_TRUE(vectorized.ok())
-        << query << ": " << vectorized.status().ToString();
+    auto plain = db_->Query(query);
+    ASSERT_TRUE(plain.ok()) << query << ": " << plain.status().ToString();
 
-    const std::string boxed_query = query + ", NULL";
-    auto boxed = db_->Query(boxed_query);
-    ASSERT_TRUE(boxed.ok())
-        << boxed_query << ": " << boxed.status().ToString();
-    ExpectTablesIdentical(*vectorized, *boxed, boxed_query);
+    const std::string null_query = query + ", NULL";
+    auto with_null = db_->Query(null_query);
+    ASSERT_TRUE(with_null.ok())
+        << null_query << ": " << with_null.status().ToString();
+    ExpectTablesIdentical(*plain, *with_null, null_query);
   }
 
   static platform::Platform* db_;
@@ -169,27 +169,43 @@ TEST_F(AggParallelTest, MixedTypeKeysStayColumnWise) {
   // Double + string group keys: only the first int-lane column can use
   // the hash_i64 kernel, so these hash cell-at-a-time — but still
   // column-wise (no per-row Value boxing) and still partitioned.
-  ResetAggExecStats();
-  ExpectIdenticalAcrossMatrix(
+  const std::string query =
       "SELECT d, tag, COUNT(*) AS n, SUM(v) AS sv FROM fact "
-      "GROUP BY d, tag");
-  EXPECT_GT(GlobalAggExecStats().vectorized_chunks.load(), 0u);
-  EXPECT_EQ(GlobalAggExecStats().boxed_rows.load(), 0u);
+      "GROUP BY d, tag";
+  ExpectIdenticalAcrossMatrix(query);
+  auto r = db_->Query(query);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  for (const PipelineStats& p : db_->last_pipeline_stats()) {
+    EXPECT_EQ(p.scalar_rows, 0u) << p.label;
+  }
 }
 
-TEST_F(AggParallelTest, NullTypedKeyUsesBoxedKeys) {
-  // A kNull-typed group key has no typed cell storage, so the whole key
-  // takes the boxed fallback: per-row boxed Value key vectors —
-  // observable through the boxed-row and allocation counters.
-  ResetAggExecStats();
-  ASSERT_TRUE(db_->SetParameter("threads", "4").ok());
-  auto r = db_->Query(
+TEST_F(AggParallelTest, NullTypedKeyIsAColumnOfNulls) {
+  // A kNull-typed group key is a typed column holding only NULLs: the
+  // key evaluates on the kernels (no row reaches the per-row fallback)
+  // and every thread count and CPU binding agrees. A projected NULL
+  // evaluates the same way.
+  const std::string query =
       "SELECT g_lo, COUNT(*) AS n, SUM(v) AS sv FROM fact GROUP BY g_lo, "
-      "NULL");
+      "NULL";
+  ExpectIdenticalAcrossMatrix(query);
+  ASSERT_TRUE(db_->SetParameter("threads", "4").ok());
+  auto r = db_->Query(query);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GT(GlobalAggExecStats().boxed_rows.load(), 0u);
-  EXPECT_GT(GlobalAggExecStats().key_allocs.load(), 0u);
-  EXPECT_EQ(GlobalAggExecStats().vectorized_chunks.load(), 0u);
+  const std::vector<PipelineStats>& stats = db_->last_pipeline_stats();
+  ASSERT_FALSE(stats.empty());
+  bool saw_aggregate = false;
+  for (const PipelineStats& p : stats) {
+    if (p.label.find("aggregate") == std::string::npos) continue;
+    saw_aggregate = true;
+    EXPECT_EQ(p.scalar_rows, 0u) << p.label;
+  }
+  EXPECT_TRUE(saw_aggregate);
+  auto projected = db_->Query("SELECT g_lo, NULL AS z FROM fact");
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  for (const PipelineStats& p : db_->last_pipeline_stats()) {
+    EXPECT_EQ(p.scalar_rows, 0u) << p.label;
+  }
 }
 
 TEST_F(AggParallelTest, DistinctAggregates) {
@@ -219,13 +235,13 @@ TEST_F(AggParallelTest, AggregateOnTopOfJoin) {
       WHERE b.id < 2000 GROUP BY a.g_lo)");
 }
 
-TEST_F(AggParallelTest, BoxedFallbackIdentical) {
-  ExpectBoxedFallbackIdentical(
+TEST_F(AggParallelTest, NullKeyLeavesGroupsIdentical) {
+  ExpectNullKeyIdentical(
       "SELECT g_hi, COUNT(*) AS n, SUM(v) AS sv FROM fact", "g_hi");
-  ExpectBoxedFallbackIdentical(
+  ExpectNullKeyIdentical(
       "SELECT g_lo, COUNT(DISTINCT tag) AS dt FROM fact", "g_lo");
-  ExpectBoxedFallbackIdentical("SELECT d, tag, COUNT(*) AS n FROM fact",
-                               "d, tag");
+  ExpectNullKeyIdentical("SELECT d, tag, COUNT(*) AS n FROM fact",
+                         "d, tag");
 }
 
 TEST_F(AggParallelTest, ForcedPartitionCountsIdentical) {
@@ -252,10 +268,7 @@ TEST_F(AggParallelTest, PartitionedAggCounters) {
       "SELECT g_hi, COUNT(*) AS n FROM fact GROUP BY g_hi");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(GlobalAggExecStats().partitioned_aggs.load(), 0u);
-  EXPECT_GT(GlobalAggExecStats().vectorized_chunks.load(), 0u);
   EXPECT_GT(GlobalAggExecStats().partition_merges.load(), 0u);
-  // Vectorized int64 keys never box per-row Value vectors.
-  EXPECT_EQ(GlobalAggExecStats().boxed_rows.load(), 0u);
 }
 
 TEST_F(AggParallelTest, ExplainShowsPartitionedAgg) {

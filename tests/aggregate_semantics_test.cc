@@ -351,7 +351,7 @@ TEST_F(SumOverflowTest, LocalStatementFailsAtEveryThreadCount) {
     const std::string where = std::string("@") + threads + " threads";
     ExpectOverflow("SELECT SUM(x) AS s FROM o", where);
     ExpectOverflow("SELECT k, SUM(x) AS s FROM o GROUP BY k", where);
-    // Boxed-key fallback (a NULL-typed key) and the morsel merge.
+    // A NULL-typed key (a column of NULLs) and the morsel merge.
     ExpectOverflow("SELECT k, SUM(x) AS s FROM o GROUP BY k, NULL", where);
     ExpectOverflow("SELECT SUM(x) AS s FROM spread", where + " merge");
     auto r = db_.Query(

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "platform/platform.h"
@@ -368,6 +370,43 @@ TEST_F(ExecutorTpchTest, CpuTimeSumsMorselTimeAcrossWorkers) {
               static_cast<double>(threads) * stats[0].wall_ms * 1.1 + 0.5);
   }
   ASSERT_TRUE(db_->SetParameter("threads", "0").ok());
+}
+
+TEST(PipelineCpuTime, BlockedMorselIsNotCpuTime) {
+  // A map-reduce table function whose job sleeps 50 ms inside the
+  // pipeline's one morsel: the wall time covers the sleep, the CPU time
+  // (the worker thread's CPU clock) does not.
+  platform::Platform db;
+  ASSERT_TRUE(db.Run(R"(
+      CREATE REMOTE SOURCE MRSERVER ADAPTER hadoop CONFIGURATION
+        'webhdfs=http://mrserver1:50070;webhcatalog=http://mrserver1:50111'
+        WITH CREDENTIAL TYPE 'password' USING 'user=hadoop;password=pw')")
+                  .ok());
+  auto sleepy_job = [](hadoop::HiveEngine*) -> Result<storage::Table> {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    auto schema = std::make_shared<Schema>(
+        std::vector<ColumnDef>{{"n", DataType::kInt64, false}});
+    storage::Table result(schema);
+    for (int64_t i = 0; i < 10; ++i) result.AppendRow({Value::Int(i)});
+    return result;
+  };
+  ASSERT_TRUE(
+      db.RegisterMapReduceJob("com.example.SleepDriver", sleepy_job).ok());
+  ASSERT_TRUE(db.Run(R"(
+      CREATE VIRTUAL FUNCTION SLEEPY()
+        RETURNS TABLE (n BIGINT)
+        CONFIGURATION 'hana.mapred.driver.class = com.example.SleepDriver'
+        AT MRSERVER)")
+                  .ok());
+  auto r = db.Query("SELECT n FROM SLEEPY()");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_rows(), 10u);
+  const std::vector<PipelineStats>& stats = db.last_pipeline_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_NE(stats[0].label.find("table function"), std::string::npos)
+      << stats[0].label;
+  EXPECT_GE(stats[0].wall_ms, 50.0);
+  EXPECT_LT(stats[0].cpu_ms, 25.0);
 }
 
 }  // namespace

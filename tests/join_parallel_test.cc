@@ -31,6 +31,7 @@ class JoinParallelTest : public ::testing::Test {
   static constexpr size_t kDimRows = 500;
   static constexpr size_t kBigDimRows = 30000;  // Larger than the probe.
   static constexpr size_t kWideDuplicates = 2100;  // > kDefaultChunkRows.
+  static constexpr size_t kDatedRows = 3000;
 
   static void SetUpTestSuite() {
     db_ = new platform::Platform(platform::PlatformOptions{
@@ -147,6 +148,28 @@ class JoinParallelTest : public ::testing::Test {
     }
     ASSERT_TRUE(db_->catalog().Insert("cast_dim", rows).ok());
 
+    // Mixed-type keys: a DATE over fact's key range, and BIGINTs above
+    // 2^53 next to DOUBLEs that round onto them (NULLs in every column).
+    sql::CreateTableStmt dated;
+    dated.table = "dated";
+    dated.columns = {{"id", DataType::kInt64, false},
+                     {"day", DataType::kDate, true},
+                     {"big", DataType::kInt64, true},
+                     {"bigd", DataType::kDouble, true}};
+    ASSERT_TRUE(db_->catalog().CreateTable(dated).ok());
+    rows.clear();
+    constexpr int64_t kTwo53 = int64_t{1} << 53;
+    for (size_t i = 0; i < kDatedRows; ++i) {
+      const int64_t h = static_cast<int64_t>((i * 40503u) % 100000);
+      rows.push_back(
+          {Value::Int(static_cast<int64_t>(i)),
+           i % 7 == 0 ? Value::Null() : Value::Date(h % 700),
+           i % 11 == 0 ? Value::Null() : Value::Int(kTwo53 + h % 64),
+           i % 13 == 0 ? Value::Null()
+                       : Value::Double(static_cast<double>(kTwo53 + h % 61))});
+    }
+    ASSERT_TRUE(db_->catalog().Insert("dated", rows).ok());
+
     sql::CreateTableStmt empty;
     empty.table = "empty_dim";
     empty.columns = {{"k", DataType::kInt64, true},
@@ -164,6 +187,7 @@ class JoinParallelTest : public ::testing::Test {
 
   void TearDown() override {
     ASSERT_TRUE(db_->SetParameter("threads", "0").ok());
+    ASSERT_TRUE(db_->SetParameter("cpu", "native").ok());
   }
 
   static void ExpectTablesIdentical(const storage::Table& a,
@@ -197,6 +221,33 @@ class JoinParallelTest : public ::testing::Test {
     ASSERT_TRUE(parallel.ok())
         << query << ": " << parallel.status().ToString();
     ExpectTablesIdentical(*serial, *parallel, query);
+  }
+
+  /// Runs `query` at threads 1/2/4/8 under both CPU bindings (scalar
+  /// and native) and asserts every result is identical to the first,
+  /// then that it equals `reference` when one is given.
+  void ExpectIdenticalAcrossMatrix(const std::string& query,
+                                   const std::string& reference = "") {
+    ASSERT_TRUE(db_->SetParameter("threads", "1").ok());
+    auto baseline = db_->Query(query);
+    ASSERT_TRUE(baseline.ok())
+        << query << ": " << baseline.status().ToString();
+    for (const char* cpu : {"scalar", "native"}) {
+      ASSERT_TRUE(db_->SetParameter("cpu", cpu).ok());
+      for (const char* threads : {"1", "2", "4", "8"}) {
+        ASSERT_TRUE(db_->SetParameter("threads", threads).ok());
+        auto run = db_->Query(query);
+        ASSERT_TRUE(run.ok()) << query << ": " << run.status().ToString();
+        ExpectTablesIdentical(*baseline, *run,
+                              query + " [cpu=" + cpu + " threads=" +
+                                  threads + "]");
+      }
+    }
+    if (reference.empty()) return;
+    auto expected = db_->Query(reference);
+    ASSERT_TRUE(expected.ok())
+        << reference << ": " << expected.status().ToString();
+    ExpectTablesIdentical(*expected, *baseline, query);
   }
 
   /// Runs `query` on the radix hash join and on an independent
@@ -397,14 +448,106 @@ TEST_F(JoinParallelTest, JoinFusedWithAggregate) {
       GROUP BY d.name ORDER BY d.name)");
 }
 
-TEST_F(JoinParallelTest, MixedTypeKeysUseBoxedFallback) {
-  // BIGINT = DOUBLE keys: not vectorizable, so the radix join runs in
-  // boxed mode with Value::Hash/Compare numeric coercion.
+TEST_F(JoinParallelTest, MixedTypeKeysCastToDouble) {
+  // Keys of two numeric types both hash and compare as DOUBLE, which is
+  // Value::Compare's rule; the nested-loop join, which evaluates
+  // `a <= b AND a >= b` through Value::Compare, must agree row for row.
+  struct Case {
+    std::string query, equi, nested_loop;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT f.id, d.name FROM fact f JOIN dim d ON f.k = d.w "
+       "WHERE f.id < 4000 ORDER BY f.id, d.name",
+       "f.k = d.w", "f.k <= d.w AND f.k >= d.w"},  // BIGINT = DOUBLE.
+      {"SELECT f.id, t.id FROM fact f JOIN dated t ON t.day = f.k "
+       "WHERE f.id < 2000 ORDER BY f.id, t.id",
+       "t.day = f.k", "t.day <= f.k AND t.day >= f.k"},  // DATE = BIGINT.
+      // BIGINT above 2^53 = DOUBLE: 2^53 + 1 equals the DOUBLE 2^53.
+      {"SELECT a.id, b.id, a.big FROM dated a JOIN dated b "
+       "ON a.big = b.bigd WHERE a.id < 200 ORDER BY a.id, b.id",
+       "a.big = b.bigd", "a.big <= b.bigd AND a.big >= b.bigd"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query);
+    ExpectRadixMatchesNestedLoop(c.query, c.equi, c.nested_loop);
+    ExpectIdenticalAcrossMatrix(c.query);
+  }
+  // The casts run on the kernels: no key row takes the per-row path.
+  for (const Case& c : cases) {
+    ASSERT_TRUE(db_->Query(c.query).ok()) << c.query;
+    for (const PipelineStats& p : db_->last_pipeline_stats()) {
+      EXPECT_EQ(p.scalar_rows, 0u) << c.query << ": " << p.label;
+    }
+  }
+  auto big = db_->Query(cases[2].query);
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  bool odd_matched = false;  // An odd key can only match after rounding.
+  for (size_t r = 0; r < big->num_rows(); ++r) {
+    odd_matched = odd_matched || big->row(r)[2].int_value() % 2 != 0;
+  }
+  EXPECT_TRUE(odd_matched);
+  // LEFT and semi joins over a mixed-type key.
+  ExpectIdenticalAcrossMatrix(
+      "SELECT f.id, d.name FROM fact f LEFT JOIN dim d ON f.k = d.w "
+      "WHERE f.id < 1000");
+  ExpectIdenticalAcrossMatrix(
+      "SELECT id, k FROM fact WHERE k IN (SELECT w FROM dim)");
+}
+
+TEST_F(JoinParallelTest, NullTypedKeysNeverMatch) {
+  // A NULL-typed key side takes the other side's type and holds only
+  // NULLs: no row matches, and NOT IN over a NULL subquery keeps none.
+  ExpectIdenticalAcrossMatrix(
+      "SELECT id, k FROM fact WHERE k IN (SELECT NULL FROM dim)",
+      "SELECT id, k FROM fact WHERE id < 0");
+  ExpectIdenticalAcrossMatrix(
+      "SELECT id, k FROM fact WHERE k NOT IN (SELECT NULL FROM dim)",
+      "SELECT id, k FROM fact WHERE id < 0");
+  ExpectIdenticalAcrossMatrix(
+      "SELECT id, k FROM fact WHERE k NOT IN "
+      "(SELECT NULL FROM dim WHERE k < 0)",
+      "SELECT id, k FROM fact");
+}
+
+TEST_F(JoinParallelTest, IncomparableKeysNeverMatch) {
+  // Value::Compare never equates VARCHAR with BIGINT. Such a pair joins
+  // as a residual (on the other keys' hash join) or as a nested-loop
+  // join; either way no pair matches.
+  const std::string none = "SELECT f.id, f.k FROM fact f WHERE f.id < 0";
+  const std::string probe = "SELECT f.id, f.k FROM fact f WHERE f.id < 500";
+  ExpectIdenticalAcrossMatrix(
+      "SELECT f.id, f.k FROM fact f JOIN dim d ON f.tag = d.k "
+      "WHERE f.id < 500",
+      none);
   ResetJoinExecStats();
-  ExpectSerialParallelIdentical(R"(
-      SELECT f.id, d.name FROM fact f JOIN dim d ON f.k = d.w
-      WHERE f.id < 4000)");
-  EXPECT_GT(GlobalJoinExecStats().boxed_key_builds.load(), 0u);
+  ExpectIdenticalAcrossMatrix(
+      "SELECT f.id, f.k FROM fact f JOIN dim d "
+      "ON f.k = d.k AND f.tag = d.k WHERE f.id < 500",
+      none);
+  EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
+  ExpectIdenticalAcrossMatrix(
+      "SELECT f.id, f.k, d.name FROM fact f LEFT JOIN dim d "
+      "ON f.k = d.k AND f.tag = d.k WHERE f.id < 500",
+      "SELECT f.id, f.k, CAST(NULL AS VARCHAR) AS name FROM fact f "
+      "WHERE f.id < 500");
+  ExpectIdenticalAcrossMatrix(
+      "SELECT f.id, f.k FROM fact f WHERE f.id < 500 AND "
+      "f.tag IN (SELECT k FROM dim)",
+      none);
+  // NOT IN: a NULL in the subquery rejects every row; without one, each
+  // row whose own key is not NULL stays.
+  ExpectIdenticalAcrossMatrix(
+      "SELECT f.id, f.k FROM fact f WHERE f.id < 500 AND "
+      "f.tag NOT IN (SELECT k FROM dim)",
+      none);
+  ExpectIdenticalAcrossMatrix(
+      "SELECT f.id, f.k FROM fact f WHERE f.id < 500 AND "
+      "f.tag NOT IN (SELECT k FROM dim WHERE k IS NOT NULL)",
+      probe);
+  ExpectIdenticalAcrossMatrix(
+      "SELECT f.id, f.k FROM fact f WHERE f.id < 500 AND "
+      "f.k NOT IN (SELECT name FROM dim)",
+      probe + " AND f.k IS NOT NULL");
 }
 
 TEST_F(JoinParallelTest, RadixMatchesNestedLoopJoin) {

@@ -9,9 +9,9 @@ namespace hana::lintfix {
    find_violations once stripped only // comments, so this std::mutex
    mention (and this std::lock_guard one, and this throw keyword, and
    this IgnoreStatus( call, this std::atomic<int> declaration, and this
-   _mm256_loadu_si256( intrinsic with its __m256i register type, and
-   this plan::AggKind::kSum case label) used to require an exclusion
-   instead of a fix. */
+   _mm256_loadu_si256( intrinsic with its __m256i register type, this
+   plan::AggKind::kSum case label, and this EvalExpr(e, chunk, r) call)
+   used to require an exclusion instead of a fix. */
 
 // Multi-line block comments on one line are stripped too:
 /* std::condition_variable */ struct Harmless {};
@@ -40,6 +40,12 @@ inline int throwaway_counter = 0;
 // rule, and neither must dispatch-table call sites.
 inline int comm_mm_link(int x) { return x; }
 inline void UseDispatched() { Kernels().bit_unpack; }
+
+// The column and boxed-row evaluators are not the per-row EvalExpr.
+inline void UseEvaluators() {
+  EvalExprColumn(expr, chunk);
+  EvalExprRow(expr, row);
+}
 
 }  // namespace hana::lintfix
 

@@ -54,6 +54,8 @@ check_fires "raw SIMD intrinsics outside src/common/cpu_dispatch" \
 check_fires "bench result line that is not JSON" "text_header.json"
 check_fires "aggregate-kind switch outside src/plan and src/exec" \
   "agg_switch_copy.cc"
+check_fires "per-row EvalExpr outside the vectorized evaluator" \
+  "per_row_eval.cc"
 
 # The good fixture's block comment mentions every rule's trigger; if any
 # of them leaked into the good run, stripping regressed.

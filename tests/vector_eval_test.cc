@@ -787,6 +787,25 @@ TEST(VectorEvalTest, ScalarRowsCountFallbacksPerThread) {
   }
 }
 
+TEST(VectorEvalTest, NullTypedExpressionIsAColumnOfNulls) {
+  // A NULL-typed expression (a NULL group key or projected NULL)
+  // evaluates on the kernels to an all-NULL kNull vector: no row takes
+  // the per-row fallback.
+  Chunk chunk = MakeChunk(100, 0.1, false, 7);
+  auto null_literal = BoundExpr::Literal(Value::Null(), DataType::kNull);
+  uint64_t scalar_rows = 0;
+  Result<ColumnVectorPtr> col = Status::OK();
+  {
+    ScalarRowScope scope(&scalar_rows);
+    col = EvalExprColumnAs(*null_literal, chunk, DataType::kNull);
+  }
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  EXPECT_EQ(scalar_rows, 0u);
+  EXPECT_EQ((*col)->type(), DataType::kNull);
+  ASSERT_EQ((*col)->size(), 100u);
+  for (size_t r = 0; r < 100; ++r) EXPECT_TRUE((*col)->IsNull(r)) << r;
+}
+
 // Integer arithmetic is checked in both evaluators: + - *, negation and
 // ABS fail with OutOfRange, x % -1 is 0, FLOOR/CEIL outside int64 fail.
 class OverflowTest : public ::testing::Test {
