@@ -4,7 +4,10 @@
 // partitioned build, vectorized column-wise keys, partitioned probe
 // fused into the morsel pipeline), swept over thread counts and
 // reported as JSON lines with the speedup relative to one thread. A
-// second section runs join-heavy TPC-H queries end to end on merged
+// band join (a non-equi BETWEEN condition over probe_rows / 100 probe
+// rows and the 1:1000 build) times the nested-loop join, the keyless
+// radix table whose condition runs as the residual, over the same
+// sweep. A second section runs join-heavy TPC-H queries end to end on merged
 // tables at threads 1, 2 and 4 (median of 5 after a warm-up), among
 // them Q13 (LEFT JOIN with an ON-clause filter on orders) and Q18 (IN
 // semi join placed on orders), each line with the host's core count.
@@ -119,14 +122,12 @@ int Main(int argc, char** argv) {
   std::printf("morsel_rows=%zu; pool=%zu workers\n\n", morsel_rows,
               TaskPool::Global().num_threads());
 
-  // An aggregating join so result materialization (boxed Table rows)
+  // Aggregating joins so result materialization (boxed Table rows)
   // does not dominate the timing of either engine.
+  const unsigned host_cores = std::thread::hardware_concurrency();
   const size_t kThreadCounts[] = {1, 2, 4, 8};
-  for (const std::string& build : build_tables) {
-    std::string sql = "SELECT COUNT(*) AS matches, SUM(p.v + b.w) AS sv "
-                      "FROM probe p JOIN " +
-                      build + " b ON p.k = b.k";
-
+  auto sweep = [&](const std::string& build, const char* engine,
+                   const std::string& sql) {
     storage::Table serial;
     double serial_ms = 0;
     for (size_t threads : kThreadCounts) {
@@ -146,18 +147,37 @@ int Main(int argc, char** argv) {
       }
       std::printf(
           "{\"bench\": \"join\", \"build\": \"%s\", \"engine\": "
-          "\"radix\", \"threads\": %zu, \"ms\": %.3f, "
+          "\"%s\", \"host_cores\": %u, \"threads\": %zu, \"ms\": %.3f, "
           "\"speedup_vs_serial\": %.2f, \"matches\": %lld, "
           "\"identical_to_serial\": %s}\n",
-          build.c_str(), threads, ms, ms > 0 ? serial_ms / ms : 0.0,
+          build.c_str(), engine, host_cores, threads, ms,
+          ms > 0 ? serial_ms / ms : 0.0,
           static_cast<long long>(serial.row(0)[0].int_value()),
           identical ? "true" : "false");
       if (!identical) {
         std::fprintf(stderr, "result mismatch on %s\n", build.c_str());
-        return 1;
+        return false;
       }
     }
     std::printf("\n");
+    return true;
+  };
+  for (const std::string& build : build_tables) {
+    if (!sweep(build, "radix",
+               "SELECT COUNT(*) AS matches, SUM(p.v + b.w) AS sv "
+               "FROM probe p JOIN " +
+                   build + " b ON p.k = b.k")) {
+      return 1;
+    }
+  }
+  // Band join: no equi key, so every (probe, build) pair is a candidate.
+  if (!sweep(build_tables[0], "nested_loop",
+             "SELECT COUNT(*) AS matches, SUM(p.v + b.w) AS sv "
+             "FROM probe p JOIN " +
+                 build_tables[0] +
+                 " b ON p.k BETWEEN b.k - 500 AND b.k + 500 "
+                 "WHERE p.k % 100 = 0")) {
+    return 1;
   }
 
   // Join-heavy TPC-H queries end to end, on merged tables as perfbench
@@ -176,7 +196,6 @@ int Main(int argc, char** argv) {
     }
   }
   (void)db.SetParameter("morsel_rows", "0");  // The engine default.
-  const unsigned host_cores = std::thread::hardware_concurrency();
   constexpr int kReps = 5;
   for (int q : {3, 10, 12, 13, 18}) {
     std::string sql = tpch::QueryText(q);

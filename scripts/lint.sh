@@ -47,6 +47,10 @@
 #      vectorized evaluator (EvalExprColumn, SelectRows); per-row
 #      evaluation lives only in its fallback, where scalar_rows counts
 #      it. Boxed rows that are not chunk rows use EvalExprRow.
+#  13. No `.Row(` and no `AppendRow(` under src/exec/. The executor
+#      keeps rows in chunks between its breakers (joins, sorts and
+#      aggregates gather cells with AppendFrom / AppendRowFrom); it never
+#      boxes a chunk row into a std::vector<Value> or back.
 #
 # When clang-tidy is on PATH and a compile database exists, it also
 # runs the .clang-tidy profile over the checked sources. Missing tools
@@ -178,6 +182,11 @@ check "per-row EvalExpr outside the vectorized evaluator \
 (evaluate chunk columns with EvalExprColumn / SelectRows)" \
   "$(find_violations '(^|[^_[:alnum:]])EvalExpr[[:space:]]*\(' \
      '^src/exec/(vector_eval\.cc|evaluator\.(h|cc))$')"
+
+check "boxed chunk rows in the executor \
+(gather cells with AppendFrom / AppendRowFrom instead of Row / AppendRow)" \
+  "$(find_violations '(\.|->)Row[[:space:]]*\(|(^|[^_[:alnum:]])AppendRow[[:space:]]*\(' \
+     | grep "^$SRC_DIR/exec/")"
 
 # Rule 10: every non-empty line of a result file parses as JSON.
 RESULTS_DIR="${HANA_LINT_SRC:-bench/results}"

@@ -71,8 +71,7 @@ struct PipelineRun {
   // every per-morsel slot write.
   std::atomic<size_t> workers_remaining{0};
   std::vector<Status> statuses;               // Per morsel.
-  /// kCollect / kSort / nested-loop kJoinBuild, with the row count per
-  /// morsel.
+  /// kCollect / kSort, with the row count per morsel.
   std::vector<std::vector<Chunk>> collected;
   std::vector<uint64_t> collected_rows;
   /// LIMIT sinks: rows morsel m collected once it finished (-1 while it
@@ -89,6 +88,7 @@ struct PipelineRun {
   std::vector<std::unique_ptr<PartitionedGroupTable>> partials;
   size_t agg_partitions = 0;  // kGroups: phase-2 partition count.
   uint64_t agg_groups = 0;    // kGroups: groups emitted.
+  JoinLayout join_layout = JoinLayout::kNone;  // kJoinBuild.
 
   /// Merged result chunks (consumed by dependents or the caller).
   std::vector<Chunk> output;
@@ -170,6 +170,7 @@ class PipelineExecutor {
             1000.0;
         st.agg_partitions = run.agg_partitions;
         st.agg_groups = run.agg_groups;
+        st.join_layout = run.join_layout;
         st.scalar_rows = run.scalar_rows.load(std::memory_order_relaxed);
         st.dict_flattened_rows =
             run.dict_flattened_rows.load(std::memory_order_relaxed);
@@ -367,23 +368,17 @@ class PipelineExecutor {
       // as a single morsel streaming through OpenScan.
     }
     JoinBuildState* b = p.build_target;
-    if (b != nullptr && b->nested_loop) {
-      b->rows.clear();
-      if (b->join->condition != nullptr &&
+    if (b != nullptr) {
+      if (b->nested_loop && b->join->condition != nullptr &&
           b->join->join_kind != plan::JoinKind::kCross) {
-        // A conditioned join with no usable equi key silently leaves
-        // the hash path — worth noticing: count it and log.
-        GlobalJoinExecStats().nested_loop_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
+        // A conditioned join with no usable equi key tests every pair —
+        // worth noticing (join_layout reports it too).
         HANA_LOG(LogLevel::kDebug,
                  "join fell back to nested-loop: no equi key in " +
                      b->join->condition->ToString());
       }
-    } else if (b != nullptr) {
       b->table = std::make_unique<RadixJoinTable>(
           b->build->schema, b->build_key_exprs, b->join->perfect_hash);
-      GlobalJoinExecStats().radix_hash_joins.fetch_add(
-          1, std::memory_order_relaxed);
       b->table->SetNumMorsels(run.num_morsels);
     }
     run.statuses.assign(run.num_morsels, Status::OK());
@@ -606,10 +601,6 @@ class PipelineExecutor {
           ++probe_idx;
           break;
         }
-        case PipelineStage::Kind::kNestedLoopProbe: {
-          HANA_ASSIGN_OR_RETURN(owned, NestedLoopProbeChunk(*s.build, *stage));
-          break;
-        }
       }
       stage = &owned;
     }
@@ -618,10 +609,7 @@ class PipelineExecutor {
         return partial->AccumulateChunk(*stage);
       case Pipeline::SinkKind::kJoinBuild:
         run.rows.fetch_add(stage->num_rows(), std::memory_order_relaxed);
-        if (!p.build_target->nested_loop) {
-          return p.build_target->table->AddBuildChunk(m, *stage);
-        }
-        [[fallthrough]];  // Nested-loop builds collect their rows.
+        return p.build_target->table->AddBuildChunk(m, *stage);
       case Pipeline::SinkKind::kCollect:
       case Pipeline::SinkKind::kSort: {
         if (stage->num_rows() == 0) return Status::OK();
@@ -712,8 +700,6 @@ class PipelineExecutor {
             merged.MergePartition(part, run.partials);
           }
         }
-        GlobalAggExecStats().partitioned_aggs.fetch_add(
-            1, std::memory_order_relaxed);
         run.partials.clear();
         merged.EnsureGlobalGroup();
         // Rank-ordered emit across partitions reproduces the serial
@@ -722,12 +708,7 @@ class PipelineExecutor {
         Status emitted;
         merged.EmitInOrder([&](const GroupTable& t, size_t g) {
           if (!emitted.ok()) return;
-          Result<std::vector<Value>> row = t.EmitRow(g);
-          if (!row.ok()) {
-            emitted = row.status();
-            return;
-          }
-          out.AppendRow(*row);
+          emitted = t.AppendGroup(g, &out);
           if (out.num_rows() >= storage::kDefaultChunkRows) {
             run.output.push_back(std::move(out));
             out = Chunk::Empty(p.output_schema);
@@ -740,57 +721,27 @@ class PipelineExecutor {
         run.rows.store(merged.num_groups(), std::memory_order_relaxed);
         return Status::OK();
       }
-      case Pipeline::SinkKind::kJoinBuild:
-        if (p.build_target->nested_loop) {
-          for (const std::vector<Chunk>& morsel : run.collected) {
-            for (const Chunk& chunk : morsel) {
-              for (size_t r = 0; r < chunk.num_rows(); ++r) {
-                p.build_target->rows.push_back(chunk.Row(r));
-              }
-            }
-          }
-          run.collected.clear();
-          return Status::OK();
-        }
-        return p.build_target->table->Finalize(policy_.pool, policy_.dop);
+      case Pipeline::SinkKind::kJoinBuild: {
+        const JoinBuildState& b = *p.build_target;
+        HANA_RETURN_IF_ERROR(b.table->Finalize(policy_.pool, policy_.dop));
+        run.join_layout = b.nested_loop      ? JoinLayout::kNestedLoop
+                          : b.table->perfect() ? JoinLayout::kPerfectHash
+                                               : JoinLayout::kRadix;
+        return Status::OK();
+      }
       case Pipeline::SinkKind::kSort: {
-        std::vector<std::vector<Value>> rows;
+        std::vector<Chunk> in;
+        uint64_t rows = 0;
         for (std::vector<Chunk>& morsel : run.collected) {
-          for (const Chunk& chunk : morsel) {
-            for (size_t r = 0; r < chunk.num_rows(); ++r) {
-              rows.push_back(chunk.Row(r));
-            }
+          for (Chunk& chunk : morsel) {
+            rows += chunk.num_rows();
+            in.push_back(std::move(chunk));
           }
         }
         run.collected.clear();
-        const std::vector<plan::SortKey>& keys = p.sink_op->sort_keys;
-        std::vector<std::vector<Value>> sort_keys(rows.size());
-        for (size_t i = 0; i < rows.size(); ++i) {
-          for (const plan::SortKey& k : keys) {
-            HANA_ASSIGN_OR_RETURN(Value v, EvalExprRow(*k.expr, rows[i]));
-            sort_keys[i].push_back(std::move(v));
-          }
-        }
-        std::vector<size_t> order(rows.size());
-        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          for (size_t k = 0; k < keys.size(); ++k) {
-            int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
-            if (cmp != 0) return keys[k].ascending ? cmp < 0 : cmp > 0;
-          }
-          return false;
-        });
-        size_t emitted = 0;
-        while (emitted < order.size()) {
-          Chunk out = Chunk::Empty(p.output_schema);
-          size_t end =
-              std::min(order.size(), emitted + storage::kDefaultChunkRows);
-          for (; emitted < end; ++emitted) {
-            out.AppendRow(rows[order[emitted]]);
-          }
-          run.output.push_back(std::move(out));
-        }
-        run.rows.store(rows.size(), std::memory_order_relaxed);
+        HANA_ASSIGN_OR_RETURN(
+            run.output, SortChunks(p.sink_op->sort_keys, in, p.output_schema));
+        run.rows.store(rows, std::memory_order_relaxed);
         return Status::OK();
       }
     }

@@ -10,6 +10,14 @@
 
 namespace hana::exec {
 
+/// The table layout a join build pipeline finalized.
+enum class JoinLayout {
+  kNone,         // Not a join build.
+  kRadix,        // Radix partitions of hashed bucket chains.
+  kPerfectHash,  // One direct-address array over a dense int64 key.
+  kNestedLoop,   // No keys: one chain of every build row.
+};
+
 /// Per-pipeline execution counters collected by the pipeline executor
 /// (surfaced by the platform as `last_pipeline_stats()` for EXPLAIN and
 /// benchmarking). Counters never influence results.
@@ -27,6 +35,7 @@ struct PipelineStats {
   size_t agg_partitions = 0;  // kGroups: radix partitions merged in
                               // phase 2 (0 for non-aggregate sinks).
   uint64_t agg_groups = 0;    // kGroups: groups the sink emitted.
+  JoinLayout join_layout = JoinLayout::kNone;  // kJoinBuild sinks.
   /// Rows the vectorized evaluator handed to the boxed EvalExpr
   /// fallback (per-row nodes and error replays, join residuals
   /// included). 0 when every expression ran on kernels.

@@ -195,17 +195,6 @@ void MergeAggState(const BoundExpr& agg, AggState& dst, AggState& src) {
   }
 }
 
-AggExecStats& GlobalAggExecStats() {
-  static AggExecStats* stats = new AggExecStats();
-  return *stats;
-}
-
-void ResetAggExecStats() {
-  AggExecStats& s = GlobalAggExecStats();
-  s.partitioned_aggs.store(0);
-  s.partition_merges.store(0);
-}
-
 namespace {
 
 /// Value::Hash() of a NULL value: what a NULL group-key cell folds into
@@ -331,16 +320,17 @@ void GroupTable::EnsureGlobalGroup() {
   InsertSlot(0x12345, 0);
 }
 
-Result<std::vector<Value>> GroupTable::EmitRow(size_t g) const {
-  std::vector<Value> row;
-  row.reserve(key_cols_.size() + aggregates_->size());
-  for (const auto& col : key_cols_) row.push_back(col->GetValue(g));
+Status GroupTable::AppendGroup(size_t g, Chunk* out) const {
+  const size_t keys = key_cols_.size();
+  for (size_t k = 0; k < keys; ++k) {
+    out->columns[k]->AppendFrom(*key_cols_[k], g);
+  }
   const AggState* states = StatesOf(g);
   for (size_t a = 0; a < aggregates_->size(); ++a) {
     HANA_ASSIGN_OR_RETURN(Value v, FinalizeAgg(*(*aggregates_)[a], states[a]));
-    row.push_back(std::move(v));
+    out->columns[keys + a]->Append(v);
   }
-  return row;
+  return Status::OK();
 }
 
 size_t GroupTable::FindOrCreate(
@@ -547,8 +537,6 @@ void PartitionedGroupTable::MergePartition(
   for (const auto& src : sources) {
     if (src != nullptr) dst.MergeFrom(*src->parts_[p]);
   }
-  GlobalAggExecStats().partition_merges.fetch_add(1,
-                                                  std::memory_order_relaxed);
 }
 
 void PartitionedGroupTable::EnsureGlobalGroup() {
@@ -596,8 +584,10 @@ Result<Chunk> ProbeJoinChunk(const JoinBuildState& state, const Chunk& probe,
   const JoinKind kind = state.join->join_kind;
   const bool existence = kind == JoinKind::kSemi || kind == JoinKind::kAnti;
   Chunk out = Chunk::Empty(state.join->schema);
-  // NOT IN (never with a residual): a NULL in the subquery rejects
-  // every row; a NULL outer key is rejected by any non-empty subquery.
+  // NOT IN: a NULL in the subquery rejects every row; a NULL outer key
+  // is rejected by any non-empty subquery. Without keys (the
+  // nested-loop join) the comparison is the residual, and an unknown
+  // verdict rejects the row like a match.
   const bool null_aware = state.join->null_aware;
   if (null_aware && state.table->build_has_null_key()) return out;
   const bool null_key_matches =
@@ -701,7 +691,8 @@ Result<Chunk> ProbeJoinChunk(const JoinBuildState& state, const Chunk& probe,
         }
         compact.columns.push_back(std::move(col));
       }
-      if (!KernelSelectRows(*state.residual, compact, &mask).ok()) {
+      if (!KernelSelectRows(*state.residual, compact, &mask, null_aware)
+               .ok()) {
         // Replay the batch the way the row-at-a-time probe evaluated
         // it: an existence join never evaluates a probe row's
         // candidates past its first match.
@@ -710,8 +701,8 @@ Result<Chunk> ProbeJoinChunk(const JoinBuildState& state, const Chunk& probe,
         for (size_t i = 0; i < m; ++i) {
           const size_t r = pair_probe[i];
           if (existence && (matched[r] != 0 || r == decided)) continue;
-          HANA_ASSIGN_OR_RETURN(bool keep,
-                                SelectRow(*state.residual, compact, i));
+          HANA_ASSIGN_OR_RETURN(
+              bool keep, SelectRow(*state.residual, compact, i, null_aware));
           mask[i] = keep;
           if (existence && keep) decided = r;
         }
@@ -751,40 +742,86 @@ Result<Chunk> ProbeJoinChunk(const JoinBuildState& state, const Chunk& probe,
   return out;
 }
 
-Result<Chunk> NestedLoopProbeChunk(const JoinBuildState& state,
-                                   const Chunk& probe) {
-  const JoinKind kind = state.join->join_kind;
-  const BoundExpr* condition = state.join->condition.get();
-  Chunk out = Chunk::Empty(state.join->schema);
-  const bool existence = kind == JoinKind::kSemi || kind == JoinKind::kAnti;
-  const size_t build_width =
-      existence ? 0 : out.num_columns() - probe.num_columns();
-  std::vector<Value> combined;
-  for (size_t r = 0; r < probe.num_rows(); ++r) {
-    combined = probe.Row(r);
-    const size_t probe_width = combined.size();
-    bool matched = false;
-    for (const std::vector<Value>& build : state.rows) {
-      combined.resize(probe_width);
-      combined.insert(combined.end(), build.begin(), build.end());
-      if (condition != nullptr) {
-        HANA_ASSIGN_OR_RETURN(Value keep, EvalExprRow(*condition, combined));
-        // NOT IN: an unknown comparison rejects the row like a match.
-        if (keep.is_null() ? !state.join->null_aware : !IsTruthy(keep)) {
-          continue;
-        }
-      }
-      matched = true;
-      if (existence) break;
-      out.AppendRow(combined);
+namespace {
+
+/// Value::Compare of two cells, unboxed when both vectors have one type.
+int CompareCells(const storage::ColumnVector& a, size_t i,
+                 const storage::ColumnVector& b, size_t j) {
+  const bool an = a.IsNull(i), bn = b.IsNull(j);
+  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
+  if (a.type() != b.type()) return a.GetValue(i).Compare(b.GetValue(j));
+  auto three_way = [](auto x, auto y) { return x < y ? -1 : (x > y ? 1 : 0); };
+  switch (a.type()) {
+    case DataType::kInt64:
+      return three_way(a.GetInt(i), b.GetInt(j));
+    case DataType::kDate:  // Compare's numeric rule: through double.
+    case DataType::kTimestamp:
+      return three_way(static_cast<double>(a.GetInt(i)),
+                       static_cast<double>(b.GetInt(j)));
+    case DataType::kDouble:
+      return three_way(a.GetDouble(i), b.GetDouble(j));
+    case DataType::kBool:
+      return static_cast<int>(a.GetBool(i)) - static_cast<int>(b.GetBool(j));
+    case DataType::kString:
+      if (a.SharesDictionary(b)) return three_way(a.GetCode(i), b.GetCode(j));
+      return a.GetString(i).compare(b.GetString(j));
+    default:
+      return 0;
+  }
+}
+
+/// The error of the first row of `chunk` on which a key fails (its
+/// first failing key), evaluating one row at a time; `chunk_error` (a
+/// key's error over the whole chunk) if no single row fails.
+Status FirstKeyError(const std::vector<plan::SortKey>& keys,
+                     const Chunk& chunk, Status chunk_error) {
+  for (size_t r = 0; r < chunk.num_rows(); ++r) {
+    Chunk row;
+    for (const storage::ColumnVectorPtr& col : chunk.columns) {
+      auto cell = std::make_shared<storage::ColumnVector>(col->type());
+      cell->AppendFrom(*col, r);
+      row.columns.push_back(std::move(cell));
     }
-    if (matched ? kind == JoinKind::kSemi : kind == JoinKind::kAnti) {
-      out.AppendRowFrom(probe, r);
-    } else if (!matched && kind == JoinKind::kLeft) {
-      combined.resize(probe_width);
-      combined.resize(probe_width + build_width, Value::Null());
-      out.AppendRow(combined);
+    for (const plan::SortKey& k : keys) {
+      HANA_RETURN_IF_ERROR(EvalExprColumn(*k.expr, row).status());
     }
+  }
+  return chunk_error;
+}
+
+}  // namespace
+
+Result<std::vector<Chunk>> SortChunks(const std::vector<plan::SortKey>& keys,
+                                      const std::vector<Chunk>& in,
+                                      const std::shared_ptr<Schema>& schema) {
+  // Key columns per chunk, and one (chunk, row) reference per row.
+  std::vector<std::vector<storage::ColumnVectorPtr>> key_cols(in.size());
+  std::vector<std::pair<uint32_t, uint32_t>> order;
+  for (size_t c = 0; c < in.size(); ++c) {
+    for (const plan::SortKey& k : keys) {
+      Result<storage::ColumnVectorPtr> col = EvalExprColumn(*k.expr, in[c]);
+      if (!col.ok()) return FirstKeyError(keys, in[c], col.status());
+      key_cols[c].push_back(std::move(*col));
+    }
+    for (size_t r = 0; r < in[c].num_rows(); ++r) {
+      order.emplace_back(static_cast<uint32_t>(c), static_cast<uint32_t>(r));
+    }
+  }
+  using Ref = std::pair<uint32_t, uint32_t>;
+  std::stable_sort(order.begin(), order.end(), [&](Ref a, Ref b) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      int cmp = CompareCells(*key_cols[a.first][k], a.second,
+                             *key_cols[b.first][k], b.second);
+      if (cmp != 0) return keys[k].ascending ? cmp < 0 : cmp > 0;
+    }
+    return false;
+  });
+  std::vector<Chunk> out;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i % storage::kDefaultChunkRows == 0) {
+      out.push_back(Chunk::Empty(schema));
+    }
+    out.back().AppendRowFrom(in[order[i].first], order[i].second);
   }
   return out;
 }
@@ -815,8 +852,9 @@ struct Decomposer {
     }
   }
 
-  /// The breaker state of `join`: a radix hash join when the condition
-  /// has a usable equi key, else a nested-loop join over the right side.
+  /// The breaker state of `join`: a radix hash join on the condition's
+  /// usable equi keys; without one, the nested-loop join (a keyless
+  /// table over the right side) with the whole condition as residual.
   JoinBuildState* NewBuild(const LogicalOp& join) {
     auto state = std::make_unique<JoinBuildState>();
     JoinBuildState* b = state.get();
@@ -839,9 +877,11 @@ struct Decomposer {
       b->probe_key_exprs.push_back(b->build_is_left ? ek.right.get()
                                                     : ek.left.get());
     }
-    if (!b->nested_loop && b->parts.residual != nullptr) {
-      CompactResidual(b, left_arity);
+    if (b->nested_loop) {
+      b->parts.residual =
+          join.condition != nullptr ? join.condition->Clone() : nullptr;
     }
+    if (b->parts.residual != nullptr) CompactResidual(b, left_arity);
     plan.builds.push_back(std::move(state));
     return b;
   }
@@ -967,10 +1007,7 @@ struct Decomposer {
       }
       p.deps.push_back(
           Build(*b->build, Pipeline::SinkKind::kJoinBuild, nullptr, b));
-      p.stages.push_back({b->nested_loop
-                              ? PipelineStage::Kind::kNestedLoopProbe
-                              : PipelineStage::Kind::kJoinProbe,
-                          cur, b});
+      p.stages.push_back({PipelineStage::Kind::kJoinProbe, cur, b});
       cur = cur->children[b->build_is_left ? 1 : 0].get();
     }
     std::reverse(p.stages.begin(), p.stages.end());
@@ -1050,10 +1087,7 @@ struct Decomposer {
           label += " -> project";
           break;
         case PipelineStage::Kind::kJoinProbe:
-          label += " -> probe";
-          break;
-        case PipelineStage::Kind::kNestedLoopProbe:
-          label += " -> nested-loop probe";
+          label += s.build->nested_loop ? " -> nested-loop probe" : " -> probe";
           break;
       }
     }

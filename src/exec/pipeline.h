@@ -1,7 +1,6 @@
 #ifndef HANA_EXEC_PIPELINE_H_
 #define HANA_EXEC_PIPELINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -101,21 +100,6 @@ void UpdateAggState(const plan::BoundExpr& agg, AggState& st, Value v);
 /// double-counted.
 void MergeAggState(const plan::BoundExpr& agg, AggState& dst, AggState& src);
 
-/// Process-wide counters for which implementation aggregations actually
-/// run through, so the phase-2 fan-out is observable (tests assert on
-/// them).
-struct AggExecStats {
-  /// kGroups sinks merged through the radix-partitioned two-phase path.
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> partitioned_aggs{0};
-  /// Per-partition phase-2 merge tasks run by the executor.
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> partition_merges{0};
-};
-
-AggExecStats& GlobalAggExecStats();
-void ResetAggExecStats();
-
 /// Column-wise group keys of one chunk: the evaluated key columns plus
 /// one hash per row, reproducing HashKey (seed 0x12345 folded over
 /// Value::Hash) exactly — a NULL cell contributes Value::Hash's null
@@ -187,9 +171,9 @@ class GroupTable {
   /// A global aggregate over an empty input still emits one row.
   void EnsureGlobalGroup();
 
-  /// Boxes group g as an output row: key values then finalized
-  /// aggregates.
-  [[nodiscard]] Result<std::vector<Value>> EmitRow(size_t g) const;
+  /// Appends group g to `out` as one row: its key cells (dictionary
+  /// codes stay codes), then its finalized aggregates.
+  [[nodiscard]] Status AppendGroup(size_t g, storage::Chunk* out) const;
 
  private:
   /// The group whose key is row `row` of the key columns `keys` (a
@@ -338,11 +322,11 @@ struct JoinBuildState {
   /// True when the optimizer marked the LEFT child as the build side
   /// (inner hash joins only); the probe chain is then the right child.
   bool build_is_left = false;
-  /// No usable equi key (or a cross join): the build side is kept as
-  /// boxed rows and every probe row is tested against each of them.
+  /// No usable equi key (or a cross join): the nested-loop join, a
+  /// RadixJoinTable without keys whose residual is the whole condition.
   bool nested_loop = false;
   plan::JoinConditionParts parts;
-  /// Hash joins with a residual: the residual rebound to a compact chunk
+  /// Joins with a residual: the residual rebound to a compact chunk
   /// holding only the columns it reads, in `residual_cols` order, each
   /// taken from the probe chunk or the build payload. ProbeJoinChunk
   /// gathers those columns for batches of candidate pairs.
@@ -359,12 +343,9 @@ struct JoinBuildState {
   /// states it, before any cast: its values form a semijoin pushdown's
   /// IN-list.
   const plan::BoundExpr* pushdown_key = nullptr;
-  /// Hash joins: created at build-pipeline prepare time, finalized when
-  /// the build pipeline finishes, read-only to the probe pipeline
-  /// afterwards.
+  /// Created at build-pipeline prepare time, finalized when the build
+  /// pipeline finishes, read-only to the probe pipeline afterwards.
   std::unique_ptr<RadixJoinTable> table;
-  /// Nested-loop joins: the build rows in (morsel, chunk) order.
-  std::vector<std::vector<Value>> rows;
 };
 
 /// Probes one chunk against a finalized join table, emitting joined
@@ -376,25 +357,31 @@ struct JoinBuildState {
 /// candidates once a batch found its first match. `scratch` is
 /// per-worker-slot key scratch, never shared between concurrent
 /// workers. A null-aware anti join (NOT IN) emits nothing once the build
-/// saw a NULL key, and counts a NULL probe key as a match against any
-/// non-empty build.
+/// saw a NULL key, counts a NULL probe key as a match against any
+/// non-empty build, and counts an unknown residual verdict as a match.
 [[nodiscard]] Result<storage::Chunk> ProbeJoinChunk(
     const JoinBuildState& state, const storage::Chunk& probe,
     RadixJoinTable::ProbeKeys* scratch);
 
-/// Nested-loop probe of one (left-side) chunk against the materialized
-/// build rows: probe rows in order, and for each the build rows in
-/// order, evaluating the whole join condition on the combined row. A
-/// null-aware anti join counts an unknown (NULL) condition as a match.
-[[nodiscard]] Result<storage::Chunk> NestedLoopProbeChunk(
-    const JoinBuildState& state, const storage::Chunk& probe);
+/// Stable sort of the rows of `in`, taken in order, by `keys`: each key
+/// is evaluated per chunk on the kernels, and cells order as
+/// Value::Compare orders them (NULLs first; strings by their text, so
+/// codes of one sorted dictionary compare as codes). Ties keep input
+/// order. The result is gathered into chunks of at most
+/// kDefaultChunkRows rows of `schema`. A failing key names the first
+/// row, in input order, on which any key fails (and of that row's keys,
+/// the first). The pipeline's sort sink and Hive's ORDER BY reducer.
+[[nodiscard]] Result<std::vector<storage::Chunk>> SortChunks(
+    const std::vector<plan::SortKey>& keys,
+    const std::vector<storage::Chunk>& in,
+    const std::shared_ptr<Schema>& schema);
 
 /// One streaming stage of a pipeline (runs inside every morsel task).
 struct PipelineStage {
-  enum class Kind { kFilter, kProject, kJoinProbe, kNestedLoopProbe };
+  enum class Kind { kFilter, kProject, kJoinProbe };
   Kind kind;
   const plan::LogicalOp* op = nullptr;  // The filter / project / join node.
-  JoinBuildState* build = nullptr;      // Probe kinds: the build to probe.
+  JoinBuildState* build = nullptr;      // kJoinProbe: the build to probe.
 };
 
 /// One pipeline: a source feeding a stage chain into a breaker sink.
@@ -435,9 +422,8 @@ struct Pipeline {
   enum class SinkKind {
     kCollect,    // Chunks merged in (morsel, chunk) order.
     kGroups,     // Per-morsel partial GroupTables merged in morsel order.
-    kJoinBuild,  // Radix staging per morsel, finalize on finish (or the
-                 // boxed build rows of a nested-loop join).
-    kSort,       // Rows concatenated in morsel order, stable-sorted.
+    kJoinBuild,  // Radix staging per morsel, finalize on finish.
+    kSort,       // Chunks concatenated in morsel order, SortChunks.
   };
   SinkKind sink = SinkKind::kCollect;
   /// kGroups / kSort node, or the kLimit node a kCollect sink applies.

@@ -80,19 +80,6 @@ bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
   }
 }
 
-JoinExecStats& GlobalJoinExecStats() {
-  static JoinExecStats* stats = new JoinExecStats();
-  return *stats;
-}
-
-void ResetJoinExecStats() {
-  JoinExecStats& s = GlobalJoinExecStats();
-  s.radix_hash_joins.store(0);
-  s.nested_loop_fallbacks.store(0);
-  s.perfect_hash_joins.store(0);
-  s.perfect_hash_fallbacks.store(0);
-}
-
 RadixJoinTable::RadixJoinTable(
     std::shared_ptr<Schema> build_schema,
     std::vector<const plan::BoundExpr*> build_key_exprs, bool allow_perfect)
@@ -208,8 +195,10 @@ Status RadixJoinTable::FinalizePartition(size_t p) {
   }
   if (rows == 0) return Status::OK();
   // Bucket chains over the low hash bits, inserted in reverse so each
-  // chain walks build rows in ascending order.
-  size_t nbuckets = NextPow2(std::max<size_t>(rows, 16));
+  // chain walks build rows in ascending order. Without keys every row
+  // shares the seed hash: one chain holds them all.
+  size_t nbuckets =
+      build_key_exprs_.empty() ? 1 : NextPow2(std::max<size_t>(rows, 16));
   part.bucket_mask = nbuckets - 1;
   part.heads.assign(nbuckets, 0);
   part.next.assign(rows, 0);
@@ -296,16 +285,10 @@ Status RadixJoinTable::Finalize(TaskPool* pool, size_t dop) {
   for (const MorselBuffers& m : morsels_) {
     build_has_null_key_ = build_has_null_key_ || m.null_key;
   }
-  if (allow_perfect_) {
-    if (TryFinalizePerfect()) {
-      GlobalJoinExecStats().perfect_hash_joins.fetch_add(
-          1, std::memory_order_relaxed);
-      build_rows_ = parts_[0].hashes.size();
-      morsels_.clear();
-      return Status::OK();
-    }
-    GlobalJoinExecStats().perfect_hash_fallbacks.fetch_add(
-        1, std::memory_order_relaxed);
+  if (allow_perfect_ && TryFinalizePerfect()) {
+    build_rows_ = parts_[0].hashes.size();
+    morsels_.clear();
+    return Status::OK();
   }
   std::vector<Status> statuses(kPartitions);
   // Rows flattened by a partition's worker land in the caller's scope.

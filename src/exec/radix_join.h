@@ -1,7 +1,6 @@
 #ifndef HANA_EXEC_RADIX_JOIN_H_
 #define HANA_EXEC_RADIX_JOIN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -12,31 +11,6 @@
 #include "storage/column_vector.h"
 
 namespace hana::exec {
-
-/// Process-wide counters for which implementation joins actually run
-/// through, so silent fallbacks off the fast path are observable
-/// (tests assert on them; EXPLAIN users can diff before/after).
-struct JoinExecStats {
-  /// Joins executed by the morsel-parallel radix hash join pipeline.
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> radix_hash_joins{0};
-  /// Joins that fell off the hash path to a nested-loop join even
-  /// though they carried a join condition (no usable equi key).
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> nested_loop_fallbacks{0};
-  /// Builds that took the perfect-hash fast path (dense single-int64
-  /// key domain): probes index a direct array — no hashing, no chain
-  /// hash/key comparisons.
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> perfect_hash_joins{0};
-  /// Builds the optimizer nominated for the perfect-hash path that fell
-  /// back to radix at build time (runtime key domain too sparse).
-  // atomic: relaxed counter; observers only need eventual totals.
-  std::atomic<uint64_t> perfect_hash_fallbacks{0};
-};
-
-JoinExecStats& GlobalJoinExecStats();
-void ResetJoinExecStats();
 
 /// Hash of one non-null cell, reproducing Value::Hash's shape (integers
 /// and integral doubles collide, as their comparisons do), so a
@@ -78,6 +52,12 @@ bool CellsEqual(const storage::ColumnVector& a, size_t i,
 /// NULL never equals in a join key, and none of the supported kinds
 /// (inner/left/semi/anti) ever emits an unmatched build row. The table
 /// remembers whether it dropped any, which decides a NOT IN.
+///
+/// Zero keys (a join with no usable equi key, or a cross join) is the
+/// nested-loop join: every build row hashes to the seed, lands in one
+/// partition and one bucket chain in (morsel, row) order, and every
+/// probe row walks the whole chain; the join condition runs as the
+/// residual.
 class RadixJoinTable {
  public:
   static constexpr size_t kRadixBits = 6;

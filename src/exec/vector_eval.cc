@@ -814,12 +814,24 @@ class VectorEvaluator {
     if (!ta || !tb) return ScalarTruth(e, sel);
     const bool null_side = *ta == DataType::kNull || *tb == DataType::kNull;
     const CmpLane lane = CompareLane(*ta, *tb);
-    if (!null_side && lane == CmpLane::kNone) return ScalarTruth(e, sel);
     HANA_ASSIGN_OR_RETURN(Vec a, Eval(*e.child0, sel));
     HANA_ASSIGN_OR_RETURN(Vec b, Eval(*e.child1, sel));
     Mask out(n_);
     if (a.AllNull() || b.AllNull()) {
       ForEach(sel, [&](size_t r) { out[r] = kUnknown; });
+      return out;
+    }
+    if (!null_side && lane == CmpLane::kNone) {
+      // Mixed kinds (VARCHAR or BOOL against another type) order by type
+      // id: one verdict for every pair without a NULL.
+      bool verdict = false;
+      WithCmp(op, [&](auto cmp) {
+        verdict = cmp(static_cast<int>(*ta), static_cast<int>(*tb));
+      });
+      const uint8_t t = verdict ? kTrue : kFalse;
+      ForEach(sel, [&](size_t r) {
+        out[r] = (a.IsNull(r) || b.IsNull(r)) ? kUnknown : t;
+      });
       return out;
     }
     auto loop = [&](auto x, auto y) {
@@ -1368,24 +1380,25 @@ ScalarRowScope::ScalarRowScope(uint64_t* sink) : previous_(t_scalar_rows) {
 ScalarRowScope::~ScalarRowScope() { t_scalar_rows = previous_; }
 
 Status KernelSelectRows(const BoundExpr& predicate, const Chunk& in,
-                        std::vector<uint8_t>* mask) {
+                        std::vector<uint8_t>* mask, bool keep_unknown) {
   const size_t n = in.num_rows();
   mask->resize(n);
   VectorEvaluator ev(in);
   HANA_ASSIGN_OR_RETURN(Mask t, ev.Truth(predicate, ev.All()));
   const uint8_t* v = t.data();
   uint8_t* m = mask->data();
-  for (size_t r = 0; r < n; ++r) m[r] = v[r] == kTrue;
+  const uint8_t least = keep_unknown ? kUnknown : kTrue;
+  for (size_t r = 0; r < n; ++r) m[r] = v[r] >= least;
   return Status::OK();
 }
 
 Result<bool> SelectRow(const BoundExpr& predicate, const Chunk& in,
-                       size_t row) {
+                       size_t row, bool keep_unknown) {
   const uint32_t one = static_cast<uint32_t>(row);
   bool keep = false;
   HANA_RETURN_IF_ERROR(
       EvalRows(predicate, in, Sel{&one, 1}, [&](size_t, Value v) {
-        keep = TruthOf(v) == kTrue;
+        keep = TruthOf(v) >= (keep_unknown ? kUnknown : kTrue);
         return Status::OK();
       }));
   return keep;

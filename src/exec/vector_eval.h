@@ -38,15 +38,20 @@ namespace hana::exec {
 /// SelectRows without the replay, for callers that replay failures
 /// themselves (join residual batches): on error `mask` is undefined and
 /// the error may come from a row the scalar evaluator never reaches.
+/// With `keep_unknown`, a NULL verdict selects the row too (the
+/// residual of a null-aware anti join, where unknown rejects like a
+/// match).
 [[nodiscard]] Status KernelSelectRows(const plan::BoundExpr& predicate,
                                       const storage::Chunk& in,
-                                      std::vector<uint8_t>* mask);
+                                      std::vector<uint8_t>* mask,
+                                      bool keep_unknown = false);
 
-/// Whether `predicate` is TRUE on row `row` of `in`, through the boxed
-/// EvalExpr (counted in scalar_rows): the replay step of the callers of
-/// KernelSelectRows.
+/// Whether `predicate` is TRUE (or, with `keep_unknown`, NULL) on row
+/// `row` of `in`, through the boxed EvalExpr (counted in scalar_rows):
+/// the replay step of the callers of KernelSelectRows.
 [[nodiscard]] Result<bool> SelectRow(const plan::BoundExpr& predicate,
-                                     const storage::Chunk& in, size_t row);
+                                     const storage::Chunk& in, size_t row,
+                                     bool keep_unknown = false);
 
 /// Evaluates `expr` for every row of `chunk` into one vector typed by
 /// expr.type. A bare column reference returns the chunk's vector

@@ -487,38 +487,26 @@ Result<HiveEngine::Dataset> HiveEngine::CompileNode(const LogicalOp& op,
                          const std::vector<std::string>& values,
                          std::vector<std::string>* out) {
         if (!error->ok()) return;
-        std::vector<std::vector<Value>> rows;
+        storage::Chunk rows = storage::Chunk::Empty(in_schema);
         for (const std::string& line : values) {
           Result<std::vector<Value>> parsed = ParseRow(line, *in_schema);
           if (!parsed.ok()) {
             *error = parsed.status();
             return;
           }
-          rows.push_back(std::move(*parsed));
+          rows.AppendRow(*parsed);
         }
-        std::vector<std::vector<Value>> keys(rows.size());
-        for (size_t i = 0; i < rows.size(); ++i) {
-          for (const auto& k : sort_op->sort_keys) {
-            Result<Value> v = exec::EvalExprRow(*k.expr, rows[i]);
-            if (!v.ok()) {
-              *error = v.status();
-              return;
-            }
-            keys[i].push_back(std::move(*v));
+        Result<std::vector<storage::Chunk>> sorted =
+            exec::SortChunks(sort_op->sort_keys, {rows}, in_schema);
+        if (!sorted.ok()) {
+          *error = sorted.status();
+          return;
+        }
+        for (const storage::Chunk& chunk : *sorted) {
+          for (size_t r = 0; r < chunk.num_rows(); ++r) {
+            out->push_back(SerializeRow(chunk.Row(r)));
           }
         }
-        std::vector<size_t> order(rows.size());
-        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          for (size_t k = 0; k < sort_op->sort_keys.size(); ++k) {
-            int cmp = keys[a][k].Compare(keys[b][k]);
-            if (cmp != 0) {
-              return sort_op->sort_keys[k].ascending ? cmp < 0 : cmp > 0;
-            }
-          }
-          return false;
-        });
-        for (size_t i : order) out->push_back(SerializeRow(rows[i]));
       };
       HANA_RETURN_IF_ERROR(mapreduce_->RunJob(spec).status());
       HANA_RETURN_IF_ERROR(*error);

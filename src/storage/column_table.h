@@ -157,7 +157,7 @@ struct MergeOptions {
 };
 
 /// Per-table observability counters for delta merges, in the spirit of
-/// JoinExecStats: merges (and rejected overlapping attempts), rows
+/// the executor's PipelineStats: merges (and rejected overlapping attempts), rows
 /// folded into mains, dictionary growth, merge wall time, and how many
 /// scans snapshotted the table while a merge was in flight — the
 /// online-merge analogue of "did the fast path actually run".

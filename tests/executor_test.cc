@@ -12,11 +12,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/evaluator.h"
+#include "exec/executor.h"
+#include "exec/pipeline.h"
 #include "platform/platform.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -175,19 +179,31 @@ TEST_F(ExecutorEdgeCases, TablelessSelectIsOneConstantRow) {
 }
 
 TEST_F(ExecutorEdgeCases, NestedLoopJoinKinds) {
-  // No equi key: the join runs as a nested-loop probe stage over the
-  // materialized right side.
+  // No equi key: the join builds a keyless radix table over the right
+  // side, and its build pipeline reports the nested-loop layout.
+  auto nested_loop = [&] {
+    size_t builds = 0;
+    for (const PipelineStats& p : db_->last_pipeline_stats()) {
+      if (p.join_layout == JoinLayout::kNone) continue;
+      EXPECT_EQ(p.join_layout, JoinLayout::kNestedLoop) << p.label;
+      ++builds;
+    }
+    return builds;
+  };
   storage::Table inner = RunAllThreadsIdentical(
       db_, "SELECT o.k, d.name FROM one_row o JOIN one_dim d ON o.k <= d.k");
   ASSERT_EQ(inner.num_rows(), 1u);
+  EXPECT_EQ(nested_loop(), 1u);
   storage::Table left = RunAllThreadsIdentical(
       db_,
       "SELECT o.k, d.name FROM one_row o LEFT JOIN one_dim d ON o.k < d.k");
   ASSERT_EQ(left.num_rows(), 1u);
   EXPECT_TRUE(left.row(0)[1].is_null());
+  EXPECT_EQ(nested_loop(), 1u);
   storage::Table cross = RunAllThreadsIdentical(
       db_, "SELECT o.k, d.k FROM one_row o, one_dim d");
   EXPECT_EQ(cross.num_rows(), 1u);
+  EXPECT_EQ(nested_loop(), 1u);
 }
 
 TEST_F(ExecutorEdgeCases, ExplainRendersPipelineAnnotations) {
@@ -207,6 +223,259 @@ TEST_F(ExecutorEdgeCases, PipelineStatsSurfaceAfterExecution) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // A join plan needs at least a build pipeline and a probe pipeline.
   EXPECT_GE(db_->last_pipeline_stats().size(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// Sort: SortChunks orders (chunk, row) references by key cells and
+// gathers the rows; ties keep input order at every thread count.
+// ---------------------------------------------------------------------
+
+/// The reference order: `rows` stable-sorted by Value::Compare on the
+/// values `key(row)` returns, one per (key, ascending) pair.
+std::vector<std::vector<Value>> StableSorted(
+    std::vector<std::vector<Value>> rows,
+    const std::function<std::vector<Value>(const std::vector<Value>&)>& key,
+    const std::vector<bool>& ascending) {
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](const std::vector<Value>& a,
+                       const std::vector<Value>& b) {
+                     std::vector<Value> ka = key(a), kb = key(b);
+                     for (size_t k = 0; k < ka.size(); ++k) {
+                       int cmp = ka[k].Compare(kb[k]);
+                       if (cmp != 0) return ascending[k] ? cmp < 0 : cmp > 0;
+                     }
+                     return false;
+                   });
+  return rows;
+}
+
+storage::Table TableOf(std::shared_ptr<Schema> schema,
+                       const std::vector<std::vector<Value>>& rows) {
+  storage::Table t(std::move(schema));
+  for (const auto& row : rows) t.AppendRow(row);
+  return t;
+}
+
+class ExecutorSortTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kMainRows = 200;
+  static constexpr int64_t kRows = 300;
+
+  /// srt: `k` BIGINT with NULLs, `s` VARCHAR with many repeats, `c`
+  /// VARCHAR with three values. The first kMainRows rows are merged
+  /// into the main (s and c scan as dictionary codes), the rest stay in
+  /// the delta (flat strings), so sorts see both forms.
+  static void SetUpTestSuite() {
+    db_ = new platform::Platform(platform::PlatformOptions{
+        .attach_extended = false, .start_hadoop = false});
+    ASSERT_TRUE(db_->Run(
+        "CREATE COLUMN TABLE srt (id BIGINT, k BIGINT, s VARCHAR(20), "
+        "c VARCHAR(8))").ok());
+    static const char* kColors[] = {"red", "green", "blue"};
+    auto rows = [](int64_t from, int64_t to) {
+      std::vector<std::vector<Value>> out;
+      for (int64_t i = from; i < to; ++i) {
+        const int64_t h = (i * 7919) % 101;
+        out.push_back({Value::Int(i),
+                       i % 9 == 0 ? Value::Null() : Value::Int(h - 50),
+                       Value::String("s" + std::to_string(h % 37)),
+                       Value::String(kColors[h % 3])});
+      }
+      return out;
+    };
+    ASSERT_TRUE(db_->catalog().Insert("srt", rows(0, kMainRows)).ok());
+    ASSERT_TRUE(db_->Execute("MERGE DELTA OF srt").ok());
+    ASSERT_TRUE(db_->catalog().Insert("srt", rows(kMainRows, kRows)).ok());
+    ASSERT_TRUE(db_->SetParameter("morsel_rows", "64").ok());
+  }
+
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+
+  /// The rows of `select` in scan order: the sort's input order.
+  static std::vector<std::vector<Value>> ScanRows(const std::string& select) {
+    EXPECT_TRUE(db_->SetParameter("threads", "1").ok());
+    auto scan = db_->Query(select);
+    EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+    return scan.ok() ? scan->rows() : std::vector<std::vector<Value>>{};
+  }
+
+  static platform::Platform* db_;
+};
+
+platform::Platform* ExecutorSortTest::db_ = nullptr;
+
+TEST_F(ExecutorSortTest, ComputedKeyDescendingWithNulls) {
+  // k % 7 repeats, so ties keep scan order; NULL keys sort last DESC.
+  storage::Table sorted = RunAllThreadsIdentical(
+      db_, "SELECT id, k FROM srt ORDER BY k % 7 DESC");
+  auto expected = StableSorted(
+      ScanRows("SELECT id, k FROM srt"),
+      [](const std::vector<Value>& r) {
+        return std::vector<Value>{
+            r[1].is_null() ? Value::Null() : Value::Int(r[1].int_value() % 7)};
+      },
+      {false});
+  ExpectTablesIdentical(TableOf(sorted.schema(), expected), sorted,
+                        "ORDER BY k % 7 DESC");
+  ASSERT_EQ(sorted.num_rows(), static_cast<size_t>(kRows));
+  EXPECT_TRUE(sorted.row(kRows - 1)[1].is_null());
+  EXPECT_FALSE(sorted.row(0)[1].is_null());
+}
+
+TEST_F(ExecutorSortTest, StringKeyMixesDictionaryCodesAndFlatStrings) {
+  // Main chunks carry s as codes of the main's sorted dictionary, delta
+  // chunks as flat strings: the order is the strings' order either way.
+  storage::Table sorted = RunAllThreadsIdentical(
+      db_, "SELECT id, s FROM srt ORDER BY s DESC, id");
+  auto expected = StableSorted(
+      ScanRows("SELECT id, s FROM srt"),
+      [](const std::vector<Value>& r) {
+        return std::vector<Value>{r[1], r[0]};
+      },
+      {false, true});
+  ExpectTablesIdentical(TableOf(sorted.schema(), expected), sorted,
+                        "ORDER BY s DESC, id");
+  // The gather met both forms: it flattened the codes it had adopted.
+  ASSERT_TRUE(db_->Query("SELECT id, s FROM srt ORDER BY s DESC, id").ok());
+  uint64_t flattened = 0;
+  for (const PipelineStats& p : db_->last_pipeline_stats()) {
+    if (p.label.ends_with("-> sort")) flattened += p.dict_flattened_rows;
+  }
+  EXPECT_GT(flattened, 0u);
+}
+
+TEST_F(ExecutorSortTest, TiesKeepInputOrderAtEveryThreadCount) {
+  storage::Table sorted =
+      RunAllThreadsIdentical(db_, "SELECT id, c FROM srt ORDER BY c");
+  auto expected = StableSorted(
+      ScanRows("SELECT id, c FROM srt"),
+      [](const std::vector<Value>& r) { return std::vector<Value>{r[1]}; },
+      {true});
+  ExpectTablesIdentical(TableOf(sorted.schema(), expected), sorted,
+                        "ORDER BY c");
+}
+
+TEST_F(ExecutorSortTest, FailingKeyErrorIsTheSameAtEveryThreadCount) {
+  // CAST('red' AS BIGINT) fails on the first row in scan order (id 0).
+  std::string first;
+  for (const char* threads : {"1", "2", "4", "8"}) {
+    ASSERT_TRUE(db_->SetParameter("threads", threads).ok());
+    auto r = db_->Query("SELECT id FROM srt ORDER BY CAST(c AS BIGINT) + id");
+    ASSERT_FALSE(r.ok()) << threads;
+    if (first.empty()) first = r.status().ToString();
+    EXPECT_EQ(r.status().ToString(), first) << threads;
+  }
+  EXPECT_NE(first.find("'red'"), std::string::npos) << first;
+}
+
+/// CAST(column `c` AS BIGINT) over a chunk of VARCHARs.
+plan::BoundExprPtr CastToBigint(size_t c) {
+  auto cast = std::make_unique<plan::BoundExpr>();
+  cast->kind = plan::BoundKind::kCast;
+  cast->type = DataType::kInt64;
+  cast->child0 = plan::BoundExpr::Column(c, DataType::kString, "c");
+  return cast;
+}
+
+TEST(SortChunks, FailingKeyNamesTheFirstFailingRow) {
+  // Two CAST keys over 64-row chunks: in the second chunk key 0 fails
+  // on row 120 and key 1 on row 70, and key 0 fails again in the third
+  // chunk. Row by row, row 70's second key is the first failure.
+  auto schema = std::make_shared<Schema>(std::vector<ColumnDef>{
+      {"a", DataType::kString, false}, {"b", DataType::kString, false}});
+  std::vector<storage::Chunk> chunks;
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 200; ++i) {
+    if (i % 64 == 0) chunks.push_back(storage::Chunk::Empty(schema));
+    std::string a = i == 120 || i == 150 ? "a" + std::to_string(i)
+                                         : std::to_string(i % 5);
+    std::string b = i == 70 ? "b70" : std::to_string(i % 3);
+    rows.push_back({Value::String(a), Value::String(b)});
+    chunks.back().AppendRow(rows.back());
+  }
+  std::vector<plan::SortKey> keys(2);
+  keys[0].expr = CastToBigint(0);
+  keys[1].expr = CastToBigint(1);
+  // Reference: the boxed evaluation, row-major over (row, key).
+  Status expected;
+  for (const auto& row : rows) {
+    for (const plan::SortKey& k : keys) {
+      if (expected.ok()) expected = EvalExprRow(*k.expr, row).status();
+    }
+  }
+  ASSERT_FALSE(expected.ok());
+  EXPECT_NE(expected.ToString().find("b70"), std::string::npos)
+      << expected.ToString();
+  auto sorted = SortChunks(keys, chunks, schema);
+  ASSERT_FALSE(sorted.ok());
+  EXPECT_EQ(sorted.status().ToString(), expected.ToString());
+}
+
+TEST(SortChunks, MatchesBoxedStableSortOnEveryType) {
+  // Random chunks of every key type with NULLs, sorted on mixed
+  // ASC/DESC keys, against a boxed stable sort by Value::Compare.
+  auto schema = std::make_shared<Schema>(std::vector<ColumnDef>{
+      {"i", DataType::kInt64, true},   {"d", DataType::kDouble, true},
+      {"t", DataType::kDate, true},    {"b", DataType::kBool, true},
+      {"s", DataType::kString, true},  {"id", DataType::kInt64, false}});
+  uint64_t seed = 42;
+  auto next = [&]() {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    return seed >> 33;
+  };
+  std::vector<storage::Chunk> chunks;
+  std::vector<std::vector<Value>> rows;
+  for (size_t chunk_rows : {0, 1, 7, 100, 2048, 300}) {
+    chunks.push_back(storage::Chunk::Empty(schema));
+    for (size_t r = 0; r < chunk_rows; ++r) {
+      auto maybe = [&](Value v) { return next() % 6 == 0 ? Value::Null() : v; };
+      std::vector<Value> row = {
+          maybe(Value::Int(static_cast<int64_t>(next() % 9) - 4)),
+          maybe(Value::Double(static_cast<double>(next() % 7) * 0.5 - 1.0)),
+          maybe(Value::Date(static_cast<int64_t>(next() % 5))),
+          maybe(Value::Bool(next() % 2 == 0)),
+          maybe(Value::String("v" + std::to_string(next() % 11))),
+          Value::Int(static_cast<int64_t>(rows.size()))};
+      rows.push_back(row);
+      chunks.back().AppendRow(row);
+    }
+  }
+  const std::vector<std::vector<std::pair<size_t, bool>>> orders = {
+      {{0, true}}, {{1, false}}, {{2, true}, {3, false}},
+      {{4, false}, {0, true}}, {{3, true}, {4, true}, {1, false}}};
+  for (const auto& order : orders) {
+    std::vector<plan::SortKey> keys;
+    std::vector<bool> ascending;
+    for (const auto& [c, asc] : order) {
+      plan::SortKey key;
+      key.expr = plan::BoundExpr::Column(c, schema->column(c).type, "k");
+      key.ascending = asc;
+      keys.push_back(std::move(key));
+      ascending.push_back(asc);
+    }
+    auto expected = StableSorted(
+        rows,
+        [&](const std::vector<Value>& r) {
+          std::vector<Value> k;
+          for (const auto& [c, asc] : order) k.push_back(r[c]);
+          return k;
+        },
+        ascending);
+    auto sorted = SortChunks(keys, chunks, schema);
+    ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+    storage::Table got(schema);
+    for (const storage::Chunk& chunk : *sorted) {
+      EXPECT_LE(chunk.num_rows(), storage::kDefaultChunkRows);
+      got.AppendChunk(chunk);
+    }
+    ExpectTablesIdentical(TableOf(schema, expected), got,
+                          "order of " + std::to_string(order.size()) +
+                              " keys, first column " +
+                              std::to_string(order[0].first));
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -36,6 +36,52 @@ class HiveAdapterTest : public ::testing::Test {
   double fake_seconds_ = 1000.0;
 };
 
+TEST_F(HiveAdapterTest, OrderByReducerMatchesLocalSort) {
+  // Hive's ORDER BY reducer and the local sort sink share SortChunks: a
+  // computed DESC key with NULLs and ties, then a string key, gives the
+  // local engine's rows in the local engine's order.
+  auto schema = std::make_shared<Schema>(std::vector<ColumnDef>{
+      {"id", DataType::kInt64, false},
+      {"x", DataType::kInt64, true},
+      {"name", DataType::kString, true}});
+  ASSERT_TRUE(hive_.CreateTable("srt", schema).ok());
+  platform::Platform local(platform::PlatformOptions{
+      .attach_extended = false, .start_hadoop = false});
+  ASSERT_TRUE(local
+                  .Run("CREATE COLUMN TABLE srt (id BIGINT, x BIGINT, "
+                       "name VARCHAR(8))")
+                  .ok());
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 300; ++i) {
+    const int64_t h = (i * 7919) % 97;
+    rows.push_back({Value::Int(i),
+                    i % 11 == 0 ? Value::Null() : Value::Int(h),
+                    i % 13 == 0 ? Value::Null()
+                                : Value::String("n" + std::to_string(h % 5))});
+  }
+  ASSERT_TRUE(hive_.LoadRows("srt", rows).ok());
+  ASSERT_TRUE(local.catalog().Insert("srt", rows).ok());
+  const std::string query =
+      "SELECT id, x, name FROM srt ORDER BY x % 6 DESC, name";
+  auto remote = hive_.ExecuteQuery(query);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  ASSERT_TRUE(local.SetParameter("morsel_rows", "64").ok());
+  for (const char* threads : {"1", "4"}) {
+    ASSERT_TRUE(local.SetParameter("threads", threads).ok());
+    auto expected = local.Query(query);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_EQ(remote->table.num_rows(), expected->num_rows());
+    for (size_t r = 0; r < expected->num_rows(); ++r) {
+      for (size_t c = 0; c < 3; ++c) {
+        EXPECT_TRUE(remote->table.row(r)[c] == expected->row(r)[c])
+            << "threads " << threads << " row " << r << " col " << c;
+      }
+    }
+  }
+  EXPECT_TRUE(remote->table.row(0)[1].is_null() == false);
+  EXPECT_TRUE(remote->table.row(299)[1].is_null());
+}
+
 TEST_F(HiveAdapterTest, CapabilitiesPropertyFile) {
   std::string props = adapter_.capabilities().ToPropertyFile();
   EXPECT_NE(props.find("CAP_JOINS : true"), std::string::npos);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "exec/executor.h"
-#include "exec/radix_join.h"
 #include "optimizer/optimizer.h"
 #include "plan/binder.h"
 #include "platform/platform.h"
@@ -250,6 +249,23 @@ class JoinParallelTest : public ::testing::Test {
     ExpectTablesIdentical(*expected, *baseline, query);
   }
 
+  /// Whether a join build of `stats` finalized the `layout` table;
+  /// HashJoined: a radix or perfect-hash one.
+  static bool HasLayout(const std::vector<PipelineStats>& stats,
+                        JoinLayout layout) {
+    for (const PipelineStats& p : stats) {
+      if (p.join_layout == layout) return true;
+    }
+    return false;
+  }
+  static bool HashJoined(const std::vector<PipelineStats>& stats) {
+    return HasLayout(stats, JoinLayout::kRadix) ||
+           HasLayout(stats, JoinLayout::kPerfectHash);
+  }
+  static bool NestedLooped(const std::vector<PipelineStats>& stats) {
+    return HasLayout(stats, JoinLayout::kNestedLoop);
+  }
+
   /// Runs `query` on the radix hash join and on an independent
   /// implementation — the nested-loop join, reached by spelling the
   /// equi condition `equi` as the non-equi `nested_loop` — and asserts
@@ -260,32 +276,31 @@ class JoinParallelTest : public ::testing::Test {
                                     const std::string& equi,
                                     const std::string& nested_loop) {
     ASSERT_TRUE(db_->SetParameter("threads", "8").ok());
-    ResetJoinExecStats();
     auto radix = db_->Query(query);
     ASSERT_TRUE(radix.ok()) << query << ": " << radix.status().ToString();
-    EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u) << query;
-    EXPECT_EQ(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u)
-        << query;
+    EXPECT_TRUE(HashJoined(db_->last_pipeline_stats())) << query;
+    EXPECT_FALSE(NestedLooped(db_->last_pipeline_stats())) << query;
 
     std::string nl_query = query;
     ASSERT_NE(nl_query.find(equi), std::string::npos) << query;
     nl_query.replace(nl_query.find(equi), equi.size(), nested_loop);
-    ResetJoinExecStats();
     auto nl = db_->Query(nl_query);
     ASSERT_TRUE(nl.ok()) << nl_query << ": " << nl.status().ToString();
-    EXPECT_EQ(GlobalJoinExecStats().radix_hash_joins.load(), 0u) << nl_query;
-    EXPECT_GT(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u)
-        << nl_query;
+    EXPECT_FALSE(HashJoined(db_->last_pipeline_stats())) << nl_query;
+    EXPECT_TRUE(NestedLooped(db_->last_pipeline_stats())) << nl_query;
     ExpectTablesIdentical(*nl, *radix, query);
   }
 
   /// Binds `query` — one join, a SELECT list and WHERE clause reading
   /// only the join's left side — turns the join into a `kind` join,
-  /// then optimizes and executes it at threads=8, so one inner-join
-  /// query with a residual also runs as a semi and as an anti join.
-  static Result<storage::Table> QueryAsJoinKind(const std::string& query,
-                                                plan::JoinKind kind) {
-    HANA_RETURN_IF_ERROR(db_->SetParameter("threads", "8"));
+  /// then optimizes and executes it at `threads` (default 8), so one
+  /// inner-join query with a residual also runs as a semi and as an
+  /// anti join. `stats` receives the pipeline stats.
+  static Result<storage::Table> QueryAsJoinKind(
+      const std::string& query, plan::JoinKind kind,
+      std::vector<PipelineStats>* stats = nullptr,
+      const char* threads = "8") {
+    HANA_RETURN_IF_ERROR(db_->SetParameter("threads", threads));
     HANA_ASSIGN_OR_RETURN(auto stmt, sql::ParseSelect(query));
     HANA_ASSIGN_OR_RETURN(plan::LogicalOpPtr logical,
                           plan::BindSelectStatement(db_->catalog(), *stmt));
@@ -299,8 +314,9 @@ class JoinParallelTest : public ::testing::Test {
     optimizer::OptimizeContext ctx;
     ctx.catalog = &db_->catalog();
     HANA_RETURN_IF_ERROR(optimizer::Optimize(&logical, ctx));
-    std::vector<PipelineStats> stats;
-    return ExecutePlanWithStats(*logical, db_, &stats);
+    std::vector<PipelineStats> own;
+    return ExecutePlanWithStats(*logical, db_,
+                                stats != nullptr ? stats : &own);
   }
 
   /// `query` with its equi condition `equi` spelled as `nested_loop`.
@@ -325,15 +341,13 @@ class JoinParallelTest : public ::testing::Test {
     for (plan::JoinKind kind : {plan::JoinKind::kSemi, plan::JoinKind::kAnti}) {
       const std::string context =
           (kind == plan::JoinKind::kSemi ? "semi: " : "anti: ") + query;
-      ResetJoinExecStats();
-      auto radix = QueryAsJoinKind(query, kind);
+      std::vector<PipelineStats> stats;
+      auto radix = QueryAsJoinKind(query, kind, &stats);
       ASSERT_TRUE(radix.ok()) << context << ": " << radix.status().ToString();
-      EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u) << context;
-      ResetJoinExecStats();
-      auto nl = QueryAsJoinKind(nl_query, kind);
+      EXPECT_TRUE(HashJoined(stats)) << context;
+      auto nl = QueryAsJoinKind(nl_query, kind, &stats);
       ASSERT_TRUE(nl.ok()) << context << ": " << nl.status().ToString();
-      EXPECT_GT(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u)
-          << context;
+      EXPECT_TRUE(NestedLooped(stats)) << context;
       ExpectTablesIdentical(*nl, *radix, context);
     }
   }
@@ -519,12 +533,10 @@ TEST_F(JoinParallelTest, IncomparableKeysNeverMatch) {
       "SELECT f.id, f.k FROM fact f JOIN dim d ON f.tag = d.k "
       "WHERE f.id < 500",
       none);
-  ResetJoinExecStats();
   ExpectIdenticalAcrossMatrix(
       "SELECT f.id, f.k FROM fact f JOIN dim d "
       "ON f.k = d.k AND f.tag = d.k WHERE f.id < 500",
       none);
-  EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
   ExpectIdenticalAcrossMatrix(
       "SELECT f.id, f.k, d.name FROM fact f LEFT JOIN dim d "
       "ON f.k = d.k AND f.tag = d.k WHERE f.id < 500",
@@ -548,6 +560,25 @@ TEST_F(JoinParallelTest, IncomparableKeysNeverMatch) {
       "SELECT f.id, f.k FROM fact f WHERE f.id < 500 AND "
       "f.k NOT IN (SELECT name FROM dim)",
       probe + " AND f.k IS NOT NULL");
+  // Alone, the pair leaves no key: the nested-loop join. Beside a
+  // usable key it is the hash join's residual.
+  for (const char* query :
+       {"SELECT f.id FROM fact f JOIN dim d ON f.tag = d.k "
+        "WHERE f.id < 500",
+        "SELECT f.id FROM fact f WHERE f.id < 500 AND "
+        "f.tag IN (SELECT k FROM dim)",
+        "SELECT f.id FROM fact f WHERE f.id < 500 AND "
+        "f.tag NOT IN (SELECT k FROM dim)"}) {
+    ASSERT_TRUE(db_->Query(query).ok()) << query;
+    EXPECT_TRUE(NestedLooped(db_->last_pipeline_stats())) << query;
+    EXPECT_FALSE(HashJoined(db_->last_pipeline_stats())) << query;
+  }
+  const std::string keyed =
+      "SELECT f.id FROM fact f JOIN dim d ON f.k = d.k AND f.tag = d.k "
+      "WHERE f.id < 500";
+  ASSERT_TRUE(db_->Query(keyed).ok());
+  EXPECT_TRUE(HashJoined(db_->last_pipeline_stats())) << keyed;
+  EXPECT_FALSE(NestedLooped(db_->last_pipeline_stats())) << keyed;
 }
 
 TEST_F(JoinParallelTest, RadixMatchesNestedLoopJoin) {
@@ -631,25 +662,110 @@ TEST_F(JoinParallelTest, ResidualErrorsFollowTheRowAtATimeProbe) {
                                  plan::JoinKind::kAnti);
 }
 
-TEST_F(JoinParallelTest, RadixJoinCounterIncrements) {
-  ResetJoinExecStats();
+TEST_F(JoinParallelTest, RadixJoinLayoutIsReported) {
   ASSERT_TRUE(db_->SetParameter("threads", "8").ok());
   auto r = db_->Query(
       "SELECT COUNT(*) AS n FROM fact f JOIN dim d ON f.k = d.k");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GT(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
-  EXPECT_EQ(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u);
+  EXPECT_TRUE(HashJoined(db_->last_pipeline_stats()));
+  EXPECT_FALSE(NestedLooped(db_->last_pipeline_stats()));
 }
 
-TEST_F(JoinParallelTest, NestedLoopFallbackIsCounted) {
-  // No usable equi key: the join silently leaves the hash path, which
-  // must be observable through the fallback counter.
-  ResetJoinExecStats();
+TEST_F(JoinParallelTest, NestedLoopLayoutIsReported) {
+  // No usable equi key: the join leaves the hash path, which must be
+  // observable on its build pipeline.
   auto r = db_->Query(R"(
       SELECT COUNT(*) AS n FROM dim a JOIN dim b ON a.k < b.k)");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GT(GlobalJoinExecStats().nested_loop_fallbacks.load(), 0u);
-  EXPECT_EQ(GlobalJoinExecStats().radix_hash_joins.load(), 0u);
+  EXPECT_TRUE(NestedLooped(db_->last_pipeline_stats()));
+  EXPECT_FALSE(HashJoined(db_->last_pipeline_stats()));
+}
+
+TEST_F(JoinParallelTest, NestedLoopJoinShapes) {
+  // The nested-loop join is the keyless radix table: every shape below
+  // is identical at threads 1/2/4/8 (x cpu scalar/native) and reports
+  // the nested-loop layout.
+  auto expect_nested_loop = [](const std::string& query) {
+    ASSERT_TRUE(db_->Query(query).ok()) << query;
+    EXPECT_TRUE(NestedLooped(db_->last_pipeline_stats())) << query;
+    EXPECT_FALSE(HashJoined(db_->last_pipeline_stats())) << query;
+  };
+  // 2,500 probe rows (more than one 2048-pair batch per chunk) against
+  // a 210-row build filtered out of five 1000-row morsels; keys 7 and 8
+  // match 105 build rows each. The equi spelling is the reference.
+  const std::string banded = R"(
+      SELECT p.id, d.id, d.w FROM wprobe p JOIN wide_dim d
+      ON p.k = d.k WHERE p.id < 2500 AND d.id % 20 = 0)";
+  ExpectRadixMatchesNestedLoop(banded, "p.k = d.k",
+                               "p.k <= d.k AND p.k >= d.k");
+  const std::string band = NestedLoopQuery(banded, "p.k = d.k",
+                                           "d.w BETWEEN p.v AND p.v + 15.0");
+  ExpectIdenticalAcrossMatrix(band);
+  expect_nested_loop(band);
+
+  // LEFT, semi and anti joins on a non-equi condition.
+  const std::string left =
+      "SELECT f.id, d.name FROM fact f LEFT JOIN dim d "
+      "ON f.k < d.k - 590 WHERE f.id < 300";
+  ExpectIdenticalAcrossMatrix(left);
+  expect_nested_loop(left);
+  const std::string inner =
+      "SELECT f.id, f.k FROM fact f JOIN dim d ON f.k > d.k + 560 "
+      "WHERE f.id < 3000";
+  for (plan::JoinKind kind : {plan::JoinKind::kSemi, plan::JoinKind::kAnti}) {
+    std::vector<PipelineStats> stats;
+    auto baseline = QueryAsJoinKind(inner, kind, &stats, "1");
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    EXPECT_GT(baseline->num_rows(), 0u);
+    for (const char* threads : {"1", "2", "4", "8"}) {
+      auto run = QueryAsJoinKind(inner, kind, &stats, threads);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ExpectTablesIdentical(*baseline, *run,
+                            inner + " [threads=" + threads + "]");
+      EXPECT_TRUE(NestedLooped(stats)) << inner;
+    }
+  }
+
+  // NOT IN over VARCHAR/BIGINT keys with NULLs on either side: a NULL
+  // subquery value rejects every row, a NULL outer key every row of a
+  // non-empty subquery.
+  const std::string probe = "SELECT f.id, f.k FROM fact f WHERE f.id < 2500";
+  const std::vector<std::pair<std::string, std::string>> not_in = {
+      {probe + " AND f.tag NOT IN (SELECT k FROM dim)", probe + " AND 1 = 0"},
+      {probe + " AND f.k NOT IN (SELECT name FROM dim)",
+       probe + " AND f.k IS NOT NULL"},
+      {probe + " AND f.k NOT IN (SELECT CASE WHEN k IS NULL THEN NULL "
+               "ELSE name END FROM dim)",
+       probe + " AND 1 = 0"},
+      {probe + " AND f.tag NOT IN (SELECT k FROM dim WHERE k IS NOT NULL)",
+       probe}};
+  for (const auto& [query, reference] : not_in) {
+    ExpectIdenticalAcrossMatrix(query, reference);
+    expect_nested_loop(query);
+  }
+
+  // A cross join: every pair, probe-major.
+  const std::string cross =
+      "SELECT f.id, d.k FROM fact f, dim d WHERE f.id % 1000 = 0";
+  ExpectIdenticalAcrossMatrix(cross);
+  expect_nested_loop(cross);
+  EXPECT_EQ(db_->Query(cross)->num_rows(), 20u * (kDimRows + kDimRows / 5));
+
+  // CAST('x' AS BIGINT) fails, but every probe row with an 'x'
+  // candidate matched an earlier one: existence joins never evaluate
+  // it, at any thread count.
+  const std::string guarded = R"(
+      SELECT p.id, p.k FROM wprobe p JOIN cast_dim d
+      ON p.k <= d.k AND p.k >= d.k AND CAST(d.s AS BIGINT) + p.k > 0
+      WHERE p.id < 50 AND p.k IS NOT NULL)";
+  for (plan::JoinKind kind : {plan::JoinKind::kSemi, plan::JoinKind::kAnti}) {
+    for (const char* threads : {"1", "2", "4", "8"}) {
+      std::vector<PipelineStats> stats;
+      auto run = QueryAsJoinKind(guarded, kind, &stats, threads);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_TRUE(NestedLooped(stats)) << guarded;
+    }
+  }
 }
 
 TEST_F(JoinParallelTest, OptimizerBuildsOnSmallerLeftSide) {

@@ -56,6 +56,7 @@ check_fires "aggregate-kind switch outside src/plan and src/exec" \
   "agg_switch_copy.cc"
 check_fires "per-row EvalExpr outside the vectorized evaluator" \
   "per_row_eval.cc"
+check_fires "boxed chunk rows in the executor" "exec/boxed_rows.cc"
 
 # The good fixture's block comment mentions every rule's trigger; if any
 # of them leaked into the good run, stripping regressed.
