@@ -4,7 +4,8 @@
 // the sequential protocol pays ~N * latency per commit while the async
 // vote fan-out pays ~1 * latency — the slowest voter, not the sum. A
 // second section repeats the sweep with zero injected latency to show
-// the fan-out's own overhead is bounded. JSON lines, like
+// the fan-out's own overhead is bounded. Every participant installs
+// MVCC versions at Prepare and stamps them at Commit. JSON lines, like
 // bench_parallel_scan.
 //
 // Usage: bench_2pc [prepare_latency_ms] [iterations]
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/task_pool.h"
@@ -79,9 +81,11 @@ int Main(int argc, char** argv) {
   double latency_ms = argc > 1 ? std::atof(argv[1]) : 10.0;
   int iterations = argc > 2 ? std::atoi(argv[2]) : 5;
   std::printf(
-      "{\"bench\": \"2pc_commit_config\", \"pool_workers\": %zu, "
-      "\"prepare_latency_ms\": %.1f, \"txns_per_point\": %d}\n\n",
-      TaskPool::Global().num_threads(), latency_ms, iterations);
+      "{\"bench\": \"2pc_commit_config\", \"host_cores\": %u, "
+      "\"pool_workers\": %zu, \"prepare_latency_ms\": %.1f, "
+      "\"txns_per_point\": %d}\n\n",
+      std::thread::hardware_concurrency(), TaskPool::Global().num_threads(),
+      latency_ms, iterations);
 
   const size_t kParticipantCounts[] = {1, 2, 4, 8};
   for (double lat : {latency_ms, 0.0}) {

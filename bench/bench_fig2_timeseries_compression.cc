@@ -64,7 +64,8 @@ int Main(int argc, char** argv) {
       {"value", DataType::kDouble, false}});
   storage::ColumnTable column_table(schema);
   for (const auto& [ts, v] : raw) {
-    (void)column_table.AppendRow({Value::Timestamp(ts), Value::Double(v)});
+    (void)column_table.AppendRows(
+        {{Value::Timestamp(ts), Value::Double(v)}});
   }
   IgnoreStatus(column_table.MergeDelta());
 

@@ -107,7 +107,6 @@ PointResult MeasurePoint(size_t num_writers, size_t preload_rows,
   for (size_t w = 0; w < num_writers; ++w) {
     parts.push_back(std::make_unique<txn::ColumnTableParticipant>(
         "W" + std::to_string(w), &table));
-    parts.back()->EnableMvcc();
   }
 
   // atomic: stop flag + throughput counters shared across the

@@ -3,7 +3,7 @@
 //  1. Merge latency: the seed merge (per-row Value boxing + per-row
 //     lower_bound over the full dictionary + serial bit-pack,
 //     faithfully re-implemented below) vs the remap-table rebuild,
-//     serial (the parallel_merge=off ablation baseline) and
+//     serial (MergeOptions::parallel = false) and
 //     morsel-parallel across a thread sweep — over dictionary
 //     cardinalities and on a 1M-row multi-column table. Every engine
 //     must produce the bit-identical new main (words, dictionary,
@@ -195,8 +195,8 @@ ColumnTable MakeTable(size_t rows) {
   ColumnTable table(TableSchema());
   for (size_t i = 0; i < rows; ++i) {
     if (!table
-             .AppendRow({MakeValue(i, 0, 16), MakeValue(i, 0, 100000),
-                         MakeValue(i, 1, 4096), MakeValue(i, 2, 1000)})
+             .AppendRows({{MakeValue(i, 0, 16), MakeValue(i, 0, 100000),
+                           MakeValue(i, 1, 4096), MakeValue(i, 2, 1000)}})
              .ok()) {
       std::exit(1);
     }
@@ -365,8 +365,8 @@ int Main(int argc, char** argv) {
     if (!table.MergeDelta(serial).ok()) return 1;
     for (size_t i = scan_rows / 2; i < scan_rows; ++i) {
       if (!table
-               .AppendRow({MakeValue(i, 0, 16), MakeValue(i, 0, 100000),
-                           MakeValue(i, 1, 4096), MakeValue(i, 2, 1000)})
+               .AppendRows({{MakeValue(i, 0, 16), MakeValue(i, 0, 100000),
+                             MakeValue(i, 1, 4096), MakeValue(i, 2, 1000)}})
                .ok()) {
         return 1;
       }
@@ -444,8 +444,8 @@ int Main(int argc, char** argv) {
     // the gate the scanners must acquire per scan.
     for (size_t i = 0; i < scan_rows / 2; ++i) {
       if (!table
-               .AppendRow({MakeValue(i, 0, 16), MakeValue(i, 0, 100000),
-                           MakeValue(i, 1, 4096), MakeValue(i, 2, 1000)})
+               .AppendRows({{MakeValue(i, 0, 16), MakeValue(i, 0, 100000),
+                             MakeValue(i, 1, 4096), MakeValue(i, 2, 1000)}})
                .ok()) {
         return 1;
       }

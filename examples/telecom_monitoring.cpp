@@ -74,9 +74,9 @@ int main() {
             row.insert(row.end(), event.values.begin(), event.values.end());
             // Column order: city, calls, drops, avg_signal ->
             // window_end, city, calls, drops, avg_signal.
-            (void)health_entry->column_table->AppendRow(
-                {Value::Int(event.timestamp_ms), event.values[0],
-                 event.values[1], event.values[2], event.values[3]});
+            (void)health_entry->column_table->AppendRows(
+                {{Value::Int(event.timestamp_ms), event.values[0],
+                  event.values[1], event.values[2], event.values[3]}});
           })
           .Finish("health_per_city");
   Check(forward.status(), "forward query");
@@ -98,9 +98,9 @@ int main() {
                          "dropped = 1 AND signal < 15"},
                         2000)
           .IntoCallback([&](const hana::esp::Event& event) {
-            (void)alerts_entry->column_table->AppendRow(
-                {Value::Int(event.timestamp_ms), event.values[0],
-                 Value::String("?"), event.values[1]});
+            (void)alerts_entry->column_table->AppendRows(
+                {{Value::Int(event.timestamp_ms), event.values[0],
+                  Value::String("?"), event.values[1]}});
           })
           .Finish("outage_pattern");
   Check(outage.status(), "pattern query");

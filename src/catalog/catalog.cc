@@ -297,9 +297,7 @@ Status Catalog::InsertHybrid(TableEntry* entry,
                              const std::vector<std::vector<Value>>& rows) {
   std::map<int, std::vector<std::vector<Value>>> routed;
   for (const auto& row : rows) {
-    if (row.size() != entry->schema->num_columns()) {
-      return Status::InvalidArgument("row arity mismatch");
-    }
+    HANA_RETURN_IF_ERROR(storage::CheckRow(*entry->schema, row));
     int part = PartitionIndexFor(
         *entry, row[static_cast<size_t>(entry->partition_column)]);
     if (part < 0) {
@@ -309,16 +307,23 @@ Status Catalog::InsertHybrid(TableEntry* entry,
     }
     routed[part].push_back(row);
   }
-  for (auto& [part, batch] : routed) {
+  // Hot batches first, staged; the unversioned cold loads only then (a
+  // failed load returns, and the WriteSet aborts the staged rows).
+  storage::WriteSet writes;
+  for (const auto& [part, batch] : routed) {
     Partition& partition = entry->partitions[static_cast<size_t>(part)];
     if (partition.hot != nullptr) {
-      HANA_RETURN_IF_ERROR(partition.hot->AppendRows(batch));
-    } else {
-      HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * cold,
-                            iq_->store()->GetTable(partition.cold_table));
-      HANA_RETURN_IF_ERROR(cold->BulkLoad(batch));
+      HANA_RETURN_IF_ERROR(writes.Append(partition.hot.get(), batch));
     }
   }
+  for (const auto& [part, batch] : routed) {
+    Partition& partition = entry->partitions[static_cast<size_t>(part)];
+    if (partition.hot != nullptr) continue;
+    HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * cold,
+                          iq_->store()->GetTable(partition.cold_table));
+    HANA_RETURN_IF_ERROR(cold->BulkLoad(batch));
+  }
+  writes.Commit();
   return Status::OK();
 }
 
@@ -328,12 +333,8 @@ Status Catalog::Insert(const std::string& name,
   switch (entry->kind) {
     case TableKind::kColumn:
       return entry->column_table->AppendRows(rows);
-    case TableKind::kRow: {
-      for (const auto& row : rows) {
-        HANA_RETURN_IF_ERROR(entry->row_table->AppendRow(row));
-      }
-      return Status::OK();
-    }
+    case TableKind::kRow:
+      return entry->row_table->AppendRows(rows);
     case TableKind::kExtended: {
       // Direct load: data moves straight into the external store without
       // a detour via the in-memory store (Section 3.1).
@@ -547,14 +548,16 @@ Result<size_t> Catalog::DeleteWhere(const std::string& name,
   }
   HANA_ASSIGN_OR_RETURN(DmlTargets targets,
                         CollectTargets(*entry, iq_, &predicate, nullptr));
+  storage::WriteSet writes;  // A claim conflict returns: all aborted.
   size_t deleted = 0;
   for (const DmlTargets::Hot& hot : targets.hot) {
-    for (size_t r : hot.rows) HANA_RETURN_IF_ERROR(hot.table->DeleteRow(r));
+    for (size_t r : hot.rows) HANA_RETURN_IF_ERROR(writes.Delete(hot.table, r));
     deleted += hot.rows.size();
   }
   for (const DmlTargets::Cold& cold : targets.cold) {
     deleted += cold.table->DeleteRows(cold.rows);
   }
+  writes.Commit();
   return deleted;
 }
 
@@ -581,6 +584,9 @@ Result<size_t> Catalog::UpdateWhere(
     storage::RowTable* table = entry->row_table.get();
     HANA_ASSIGN_OR_RETURN(std::vector<size_t> hits,
                           MatchRowTable(*table, predicate, add_image));
+    for (const auto& image : images) {
+      HANA_RETURN_IF_ERROR(storage::CheckRow(*table->schema(), image));
+    }
     for (size_t i = 0; i < hits.size(); ++i) {
       HANA_RETURN_IF_ERROR(table->UpdateRow(hits[i], std::move(images[i])));
     }
@@ -597,12 +603,21 @@ Result<size_t> Catalog::UpdateWhere(
           "UPDATE of rows in cold partitions is not supported");
     }
   }
+  // Each hot table stages deletes of its targets and appends their new
+  // images; a claim conflict or an image failing the row check returns,
+  // and the WriteSet aborts everything staged.
+  storage::WriteSet writes;
   size_t updated = 0;
   for (const DmlTargets::Hot& hot : targets.hot) {
-    for (size_t r : hot.rows) {
-      HANA_RETURN_IF_ERROR(hot.table->UpdateRow(r, images[updated++]));
-    }
+    for (size_t r : hot.rows) HANA_RETURN_IF_ERROR(writes.Delete(hot.table, r));
+    auto first = images.begin() + updated;
+    HANA_RETURN_IF_ERROR(writes.Append(
+        hot.table, std::vector<std::vector<Value>>(
+                       std::make_move_iterator(first),
+                       std::make_move_iterator(first + hot.rows.size()))));
+    updated += hot.rows.size();
   }
+  writes.Commit();
   return updated;
 }
 
@@ -642,11 +657,12 @@ Result<size_t> Catalog::RunAging(const std::string& name) {
   if (entry->kind != TableKind::kHybrid) {
     return Status::InvalidArgument("aging applies to hybrid tables");
   }
-  size_t moved = 0;
+  // Stage the delete of every hot row that ages out; a claim conflict
+  // returns before any cold load, and the WriteSet aborts the claims.
+  storage::WriteSet writes;
+  std::vector<std::vector<Value>> rows;
   for (Partition& p : entry->partitions) {
     if (p.hot == nullptr) continue;
-    std::vector<size_t> to_move;
-    std::vector<std::vector<Value>> rows;
     for (size_t r = 0; r < p.hot->num_rows(); ++r) {
       if (!p.hot->IsVisibleLatest(r)) continue;
       std::vector<Value> row = p.hot->GetRow(r);
@@ -660,45 +676,44 @@ Result<size_t> Catalog::RunAging(const std::string& name) {
         age = part >= 0 &&
               entry->partitions[static_cast<size_t>(part)].hot == nullptr;
       }
-      if (age) {
-        to_move.push_back(r);
-        rows.push_back(std::move(row));
-      }
+      if (!age) continue;
+      HANA_RETURN_IF_ERROR(writes.Delete(p.hot.get(), r));
+      rows.push_back(std::move(row));
     }
-    if (rows.empty()) continue;
-    // Destination: the cold partition matching each row's range; rows
-    // outside any cold range go to the first cold partition.
-    int first_cold = -1;
-    for (size_t i = 0; i < entry->partitions.size(); ++i) {
-      if (entry->partitions[i].hot == nullptr) {
-        first_cold = static_cast<int>(i);
-        break;
-      }
-    }
-    if (first_cold < 0) {
-      return Status::InvalidArgument("hybrid table has no cold partition");
-    }
-    std::map<int, std::vector<std::vector<Value>>> routed;
-    for (auto& row : rows) {
-      int part = PartitionIndexFor(
-          *entry, row[static_cast<size_t>(entry->partition_column)]);
-      bool cold_target =
-          part >= 0 && entry->partitions[static_cast<size_t>(part)].hot ==
-                           nullptr;
-      routed[cold_target ? part : first_cold].push_back(std::move(row));
-    }
-    for (auto& [part, batch] : routed) {
-      HANA_ASSIGN_OR_RETURN(
-          extended::ExtendedTable * cold,
-          iq_->store()->GetTable(
-              entry->partitions[static_cast<size_t>(part)].cold_table));
-      HANA_RETURN_IF_ERROR(cold->BulkLoad(batch));
-    }
-    for (size_t r : to_move) {
-      HANA_RETURN_IF_ERROR(p.hot->DeleteRow(r));
-    }
-    moved += to_move.size();
   }
+  if (rows.empty()) return 0;
+  // Destination: the cold partition matching each row's range; rows
+  // outside any cold range go to the first cold partition.
+  int first_cold = -1;
+  for (size_t i = 0; i < entry->partitions.size(); ++i) {
+    if (entry->partitions[i].hot == nullptr) {
+      first_cold = static_cast<int>(i);
+      break;
+    }
+  }
+  if (first_cold < 0) {
+    return Status::InvalidArgument("hybrid table has no cold partition");
+  }
+  std::map<int, std::vector<std::vector<Value>>> routed;
+  size_t moved = rows.size();
+  for (auto& row : rows) {
+    int part = PartitionIndexFor(
+        *entry, row[static_cast<size_t>(entry->partition_column)]);
+    bool cold_target =
+        part >= 0 && entry->partitions[static_cast<size_t>(part)].hot ==
+                         nullptr;
+    routed[cold_target ? part : first_cold].push_back(std::move(row));
+  }
+  // Load the moved rows into the unversioned cold partitions, then
+  // commit the hot deletes (a failed load returns: they abort instead).
+  for (auto& [part, batch] : routed) {
+    HANA_ASSIGN_OR_RETURN(
+        extended::ExtendedTable * cold,
+        iq_->store()->GetTable(
+            entry->partitions[static_cast<size_t>(part)].cold_table));
+    HANA_RETURN_IF_ERROR(cold->BulkLoad(batch));
+  }
+  writes.Commit();
   return moved;
 }
 

@@ -114,6 +114,12 @@ class Catalog : public plan::BinderCatalog {
       const std::string& name) const;
 
   // ---- DML ---------------------------------------------------------------
+  // A statement's column-table changes are staged in one
+  // storage::WriteSet and committed at one timestamp, or aborted as a
+  // whole on any error. Cold partitions are not versioned and are
+  // touched only after every hot change is staged. Row tables check
+  // every row or new image before their first write.
+
   /// Routes rows to the right storage (partition-aware for hybrid
   /// tables; direct load into the extended store for extended tables —
   /// the paper's "direct load mechanism").
@@ -133,7 +139,7 @@ class Catalog : public plan::BinderCatalog {
   /// mask kernel, cold rows from zone-map-pruned row groups. The
   /// predicate is evaluated over every candidate before any row is
   /// deleted, so an evaluation error (the first in row order) leaves
-  /// the table unchanged.
+  /// the table unchanged; so does a target another writer has claimed.
   [[nodiscard]] Result<size_t> DeleteWhere(const std::string& name,
                              const plan::BoundExpr& predicate);
 
@@ -159,6 +165,7 @@ class Catalog : public plan::BinderCatalog {
   /// cold (extended-store) partitions. Flag-based when the table has an
   /// aging column (rows with a truthy flag age out), otherwise rows are
   /// re-evaluated against the partition ranges. Returns rows moved.
+  /// The hot deletes commit only after every cold load succeeded.
   [[nodiscard]] Result<size_t> RunAging(const std::string& name);
 
   // ---- Binder interface ------------------------------------------------

@@ -28,11 +28,9 @@ Timestamp VersionManager::LastVisible() const {
   return last_visible_;
 }
 
-Timestamp VersionManager::StampNonTransactional() {
+uint64_t VersionManager::NewWriterId() {
   MutexLock lock(mu_);
-  Timestamp ts = next_++;
-  if (inflight_.empty()) last_visible_ = next_ - 1;
-  return ts;
+  return next_writer_++;
 }
 
 SnapshotHandle VersionManager::AcquireSnapshot() {

@@ -5,11 +5,9 @@
 // row with two 64-bit words in table-level stamp stores:
 //
 //   created — when the row came into existence:
-//     0                      committed "before time began": rows written
-//                            through the non-transactional append path.
-//                            Always visible. (Zero-initialized stores
-//                            make the pure-OLAP fast path free.)
-//     kUncommittedBit | txn  written by in-flight transaction `txn`;
+//     0                      never stored (every write is stamped);
+//                            reads as committed at time 0.
+//     kUncommittedBit | txn  written by in-flight writer `txn`;
 //                            visible only to that transaction.
 //     kNeverVisible          the writing transaction aborted; the row is
 //                            invisible to everyone, forever.
@@ -70,7 +68,6 @@ struct ReadView {
 
 /// Is the row-creation stamp visible under `view`?
 constexpr bool CreatedVisible(Timestamp created, const ReadView& view) {
-  if (created == 0) return true;
   if ((created & kNeverVisible) != 0) return false;
   if ((created & kUncommittedBit) != 0) {
     return view.txn != 0 && TxnOf(created) == view.txn;
@@ -100,7 +97,6 @@ constexpr bool RowVisible(Timestamp created, Timestamp deleted,
 /// else — uncommitted, or committed past the watermark — must stay in
 /// the delta where the visibility mask still applies.
 constexpr bool FoldableAt(Timestamp created, Timestamp watermark) {
-  if (created == 0) return true;
   if ((created & kNeverVisible) != 0) return true;
   if ((created & kUncommittedBit) != 0) return false;
   return created <= watermark;
@@ -173,11 +169,10 @@ class VersionManager {
   /// Largest timestamp with no unfinished allocation at or below it.
   Timestamp LastVisible() const;
 
-  /// Allocate-and-finish for single-row non-transactional mutations
-  /// (e.g. ColumnTable::DeleteRow outside any transaction). The caller
-  /// stores the returned stamp after this returns; readers that race
-  /// the store simply keep seeing the pre-mutation version.
-  Timestamp StampNonTransactional();
+  /// Hands out a fresh writer id (the `txn` of uncommitted stamps).
+  /// Statements, loads and coordinator transactions all draw here, so
+  /// no two writers on tables of one manager share an id.
+  uint64_t NewWriterId();
 
   /// Registers a read snapshot at LastVisible(). While the returned
   /// handle is alive, Watermark() will not advance past its read_ts.
@@ -200,6 +195,7 @@ class VersionManager {
 
   mutable Mutex mu_{"mvcc.version", lock_rank::kMvccVersion};
   Timestamp next_ GUARDED_BY(mu_) = 1;
+  uint64_t next_writer_ GUARDED_BY(mu_) = 1;
   Timestamp last_visible_ GUARDED_BY(mu_) = 0;
   std::set<Timestamp> inflight_ GUARDED_BY(mu_);
   std::multiset<Timestamp> snapshots_ GUARDED_BY(mu_);

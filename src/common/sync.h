@@ -6,6 +6,17 @@
 #include <mutex>
 #include <string>
 
+#if defined(__SANITIZE_THREAD__)
+#define HANA_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define HANA_TSAN 1
+#endif
+#endif
+#ifdef HANA_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 /// Thread-safety annotations for Clang's -Wthread-safety static
 /// analysis (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html).
 /// Under Clang with HANA_LINT=ON the build promotes violations to
@@ -179,6 +190,11 @@ class CAPABILITY("mutex") Mutex {
   Mutex(const char* name, int rank) : name_(name), rank_(rank) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
+#ifdef HANA_TSAN
+  // std::mutex's destructor is trivial, so TSan never sees a mutex die,
+  // and one later built at the same stack address inherits its edges.
+  ~Mutex() { __tsan_mutex_destroy(&mu_, 0); }
+#endif
 
   void Lock() ACQUIRE() {
 #ifdef HANA_LOCK_ORDER_CHECKS

@@ -318,7 +318,7 @@ CqBuilder& CqBuilder::IntoTable(storage::ColumnTable* table) {
     // lint: IgnoreStatus allowed — a sink runs fire-and-forget inside
     // event dispatch; a malformed row is dropped rather than failing
     // the publish that produced it.
-    IgnoreStatus(table->AppendRow(event.values));
+    IgnoreStatus(table->AppendRows({event.values}));
   });
   return *this;
 }

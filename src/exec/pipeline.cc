@@ -19,6 +19,27 @@ using plan::LogicalKind;
 using plan::LogicalOp;
 using storage::ValueHash;
 
+/// The error of the first row of `chunk` on which an expression fails
+/// (its first failing expression), evaluating one row at a time;
+/// `chunk_error` (an expression's error over the whole chunk) if no
+/// single row fails: the row-major order the column-at-a-time kernels
+/// lose when a stage has several expressions.
+Status FirstRowError(const std::vector<const BoundExpr*>& exprs,
+                     const Chunk& chunk, Status chunk_error) {
+  for (size_t r = 0; r < chunk.num_rows(); ++r) {
+    Chunk row;
+    for (const storage::ColumnVectorPtr& col : chunk.columns) {
+      auto cell = std::make_shared<storage::ColumnVector>(col->type());
+      cell->AppendFrom(*col, r);
+      row.columns.push_back(std::move(cell));
+    }
+    for (const BoundExpr* e : exprs) {
+      HANA_RETURN_IF_ERROR(EvalExprColumn(*e, row).status());
+    }
+  }
+  return chunk_error;
+}
+
 }  // namespace
 
 Result<Chunk> FilterChunk(const BoundExpr& predicate, const Chunk& in,
@@ -66,8 +87,14 @@ Result<Chunk> ProjectChunk(const LogicalOp& project, const Chunk& in) {
       out.columns[c] = in.columns[e.column_index];
       continue;
     }
-    HANA_ASSIGN_OR_RETURN(out.columns[c],
-                          EvalExprColumnAs(e, in, out.columns[c]->type()));
+    Result<storage::ColumnVectorPtr> col =
+        EvalExprColumnAs(e, in, out.columns[c]->type());
+    if (!col.ok()) {
+      std::vector<const BoundExpr*> exprs;
+      for (const auto& expr : project.exprs) exprs.push_back(expr.get());
+      return FirstRowError(exprs, in, col.status());
+    }
+    out.columns[c] = std::move(*col);
   }
   return out;
 }
@@ -770,25 +797,6 @@ int CompareCells(const storage::ColumnVector& a, size_t i,
   }
 }
 
-/// The error of the first row of `chunk` on which a key fails (its
-/// first failing key), evaluating one row at a time; `chunk_error` (a
-/// key's error over the whole chunk) if no single row fails.
-Status FirstKeyError(const std::vector<plan::SortKey>& keys,
-                     const Chunk& chunk, Status chunk_error) {
-  for (size_t r = 0; r < chunk.num_rows(); ++r) {
-    Chunk row;
-    for (const storage::ColumnVectorPtr& col : chunk.columns) {
-      auto cell = std::make_shared<storage::ColumnVector>(col->type());
-      cell->AppendFrom(*col, r);
-      row.columns.push_back(std::move(cell));
-    }
-    for (const plan::SortKey& k : keys) {
-      HANA_RETURN_IF_ERROR(EvalExprColumn(*k.expr, row).status());
-    }
-  }
-  return chunk_error;
-}
-
 }  // namespace
 
 Result<std::vector<Chunk>> SortChunks(const std::vector<plan::SortKey>& keys,
@@ -797,10 +805,12 @@ Result<std::vector<Chunk>> SortChunks(const std::vector<plan::SortKey>& keys,
   // Key columns per chunk, and one (chunk, row) reference per row.
   std::vector<std::vector<storage::ColumnVectorPtr>> key_cols(in.size());
   std::vector<std::pair<uint32_t, uint32_t>> order;
+  std::vector<const BoundExpr*> key_exprs;
+  for (const plan::SortKey& k : keys) key_exprs.push_back(k.expr.get());
   for (size_t c = 0; c < in.size(); ++c) {
     for (const plan::SortKey& k : keys) {
       Result<storage::ColumnVectorPtr> col = EvalExprColumn(*k.expr, in[c]);
-      if (!col.ok()) return FirstKeyError(keys, in[c], col.status());
+      if (!col.ok()) return FirstRowError(key_exprs, in[c], col.status());
       key_cols[c].push_back(std::move(*col));
     }
     for (size_t r = 0; r < in[c].num_rows(); ++r) {

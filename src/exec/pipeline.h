@@ -46,6 +46,8 @@ bool IsColumnOnlyProject(const plan::LogicalOp& project,
 
 /// Chunk-at-a-time projection into the project node's schema: bare
 /// columns pass through, computed ones run on the vectorized evaluator.
+/// An error names the chunk's first failing row in row-major order,
+/// whichever column it fails in.
 [[nodiscard]] Result<storage::Chunk> ProjectChunk(const plan::LogicalOp& project,
                                                   const storage::Chunk& in);
 

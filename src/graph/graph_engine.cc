@@ -30,7 +30,7 @@ Status GraphEngine::AddVertex(int64_t id, const std::string& label) {
   }
   vertex_index_[id] = vertices_->num_rows();
   csr_valid_ = false;
-  return vertices_->AppendRow({Value::Int(id), Value::String(label)});
+  return vertices_->AppendRows({{Value::Int(id), Value::String(label)}});
 }
 
 Status GraphEngine::AddEdge(int64_t src, int64_t dst,
@@ -40,8 +40,8 @@ Status GraphEngine::AddEdge(int64_t src, int64_t dst,
     return Status::NotFound("edge endpoints must exist");
   }
   csr_valid_ = false;
-  return edges_->AppendRow({Value::Int(src), Value::Int(dst),
-                            Value::String(label), Value::Double(weight)});
+  return edges_->AppendRows({{Value::Int(src), Value::Int(dst),
+                              Value::String(label), Value::Double(weight)}});
 }
 
 Result<size_t> GraphEngine::VertexIndex(int64_t id) const {

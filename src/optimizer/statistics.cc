@@ -127,7 +127,7 @@ TableStats CollectStats(const storage::ColumnTable& table,
     std::vector<Value> values;
     std::unordered_set<Value, storage::ValueHash> distinct;
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (table.IsDeleted(r)) continue;
+      if (!table.IsVisibleLatest(r)) continue;
       Value v = table.GetCell(r, c);
       if (v.is_null()) {
         ++col.num_nulls;

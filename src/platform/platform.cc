@@ -189,11 +189,9 @@ Result<ExecResult> Platform::ExecuteInsert(const sql::InsertStmt& stmt) {
   // overlapping merges: Unavailable just means another merge is already
   // folding the delta.
   if (merge_threshold_rows_ > 0) {
-    storage::MergeOptions options;
-    options.parallel = parallel_merge_;
     auto merge_if_due = [&](storage::ColumnTable* table) -> Status {
       if (table->delta_rows() < merge_threshold_rows_) return Status::OK();
-      Status status = table->MergeDelta(options);
+      Status status = table->MergeDelta();
       if (status.code() == StatusCode::kUnavailable) return Status::OK();
       return status;
     };
@@ -370,9 +368,7 @@ Result<ExecResult> Platform::Execute(const std::string& sql) {
     }
     case sql::StmtKind::kMergeDelta: {
       const auto& merge = static_cast<const sql::MergeDeltaStmt&>(*stmt);
-      storage::MergeOptions options;
-      options.parallel = parallel_merge_;
-      HANA_RETURN_IF_ERROR(catalog_->MergeDelta(merge.table, options));
+      HANA_RETURN_IF_ERROR(catalog_->MergeDelta(merge.table));
       ExecResult result;
       result.message = "delta merged";
       return result;
@@ -417,20 +413,6 @@ Status Platform::SetParameter(const std::string& name,
     for (auto* adapter : hive_adapters_) {
       adapter->cache_options().remote_cache_validity_seconds = seconds;
     }
-    return Status::OK();
-  }
-  if (key == "parallel_merge") {
-    std::string v;
-    for (char c : value) v += static_cast<char>(std::tolower(c));
-    bool enabled;
-    if (v == "on" || v == "true" || v == "1") {
-      enabled = true;
-    } else if (v == "off" || v == "false" || v == "0") {
-      enabled = false;
-    } else {
-      return Status::InvalidArgument("invalid " + key + ": " + value);
-    }
-    parallel_merge_ = enabled;
     return Status::OK();
   }
   if (key == "merge_threshold_rows") {

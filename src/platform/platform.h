@@ -95,8 +95,6 @@ class Platform : public exec::ExecContext {
   ///   cpu                      = scalar|native kernel binding
   ///   agg_partitions           = radix partitions for aggregate sinks
   ///                              (0 = optimizer/cardinality default)
-  ///   parallel_merge           = on|off online parallel delta merge
-  ///                              (off = serial remap-table baseline)
   ///   merge_threshold_rows     = auto-merge a column table (or hot
   ///                              hybrid partition) after an INSERT
   ///                              leaves >= this many delta rows
@@ -182,7 +180,6 @@ class Platform : public exec::ExecContext {
   size_t dop_ = 1;
   size_t morsel_rows_ = exec::kDefaultMorselRows;
   size_t agg_partitions_ = 0;  // 0 = optimizer/cardinality default.
-  bool parallel_merge_ = true;
   size_t merge_threshold_rows_ = 0;  // 0 = auto-merge disabled.
   QueryMetrics last_metrics_;
   std::vector<exec::PipelineStats> last_pipeline_stats_;

@@ -714,50 +714,34 @@ std::shared_ptr<const TableReadSnapshot> ColumnTable::OpenSnapshotAt(
   return snapshot;
 }
 
-Status ColumnTable::AppendRow(const std::vector<Value>& row) {
-  if (row.size() != columns_.size()) {
+Status CheckRow(const Schema& schema, const std::vector<Value>& row) {
+  if (row.size() != schema.num_columns()) {
     return Status::InvalidArgument(
         StrFormat("row has %zu values, table %s has %zu columns", row.size(),
-                  schema_->ToString().c_str(), columns_.size()));
+                  schema.ToString().c_str(), schema.num_columns()));
   }
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    if (row[c].is_null() && !schema_->column(c).nullable) {
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (row[c].is_null() && !schema.column(c).nullable) {
       return Status::InvalidArgument("NULL in NOT NULL column " +
-                                     schema_->column(c).name);
+                                     schema.column(c).name);
     }
   }
-  // Appends only touch the live deltas; the state lock orders them
-  // against a concurrent merge's freeze/switch, so rows appended while
-  // a merge is in flight land in the fresh live parts. The created
-  // stamp stays 0 ("committed before time began"): non-transactional
-  // appends are visible to every reader immediately.
-  MutexLock lock(sync_->state_mu);
-  for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Append(row[c]);
-  sync_->created.ExtendTo(sync_->created.size() + 1);
-  sync_->live_rows.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
 Status ColumnTable::AppendRows(const std::vector<std::vector<Value>>& rows) {
-  for (const auto& row : rows) HANA_RETURN_IF_ERROR(AppendRow(row));
+  WriteSet writes;
+  HANA_RETURN_IF_ERROR(writes.Append(this, rows));
+  writes.Commit();
   return Status::OK();
 }
 
 Result<ColumnTable::TxnAppendHandle> ColumnTable::AppendRowsUncommitted(
     const std::vector<std::vector<Value>>& rows, uint64_t txn) {
-  for (const auto& row : rows) {
-    if (row.size() != columns_.size()) {
-      return Status::InvalidArgument(
-          StrFormat("row has %zu values, table %s has %zu columns", row.size(),
-                    schema_->ToString().c_str(), columns_.size()));
-    }
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (row[c].is_null() && !schema_->column(c).nullable) {
-        return Status::InvalidArgument("NULL in NOT NULL column " +
-                                       schema_->column(c).name);
-      }
-    }
-  }
+  for (const auto& row : rows) HANA_RETURN_IF_ERROR(CheckRow(*schema_, row));
+  // Appends only touch the live deltas; the state lock orders them
+  // against a concurrent merge's freeze/switch, so rows appended while
+  // a merge is in flight land in the fresh live parts.
   MutexLock lock(sync_->state_mu);
   TxnAppendHandle handle{sync_->created.size(), rows.size()};
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -849,34 +833,6 @@ bool ColumnTable::IsVisibleLatest(size_t row) const {
                           mvcc::ReadView{});
 }
 
-Status ColumnTable::DeleteRow(size_t row) {
-  if (row >= num_rows()) return Status::OutOfRange("row out of range");
-  uint64_t expected = sync_->deleted.Load(row);
-  while (true) {
-    if (expected != 0) {
-      if (mvcc::IsUncommitted(expected)) {
-        return Status::Unavailable(
-            "row has a pending transactional delete");
-      }
-      return Status::OK();  // Already deleted: idempotent, as before.
-    }
-    // Non-transactional deletes commit immediately at their own
-    // timestamp: snapshots opened before keep the row, snapshots opened
-    // after do not.
-    mvcc::Timestamp ts = vm_->StampNonTransactional();
-    if (sync_->deleted.CompareExchange(row, expected, ts)) {
-      sync_->live_rows.fetch_sub(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    // Lost the race; expected now holds the winner's stamp — loop.
-  }
-}
-
-Status ColumnTable::UpdateRow(size_t row, const std::vector<Value>& new_row) {
-  HANA_RETURN_IF_ERROR(DeleteRow(row));
-  return AppendRow(new_row);
-}
-
 void ColumnTable::Scan(
     size_t chunk_rows,
     const std::function<bool(const Chunk&)>& callback) const {
@@ -936,7 +892,7 @@ Status ColumnTable::MergeDeltaHoldingMergeMu(const MergeOptions& options,
   // Phase 1 (freeze, under the state lock): find the settled prefix —
   // the longest run of rows from the current fold boundary whose
   // creation stamps every live or future reader agrees on (committed at
-  // or below the watermark, non-transactional, or aborted) — and
+  // or below the watermark, or aborted) — and
   // capture each column's immutable fold inputs. A column whose whole
   // live part settles takes the sealed-part path (freeze + direct
   // build); any column with a partial prefix, a pending frozen part
@@ -1167,16 +1123,68 @@ size_t ColumnTable::DeltaMemoryBytes() const {
 }
 
 // ---------------------------------------------------------------------
+// WriteSet
+// ---------------------------------------------------------------------
+
+Status WriteSet::Enlist(const ColumnTable& table) {
+  if (vm_ == nullptr) {
+    vm_ = table.version_manager();
+    if (writer_ == 0) writer_ = vm_->NewWriterId();
+  } else if (table.version_manager() != vm_) {
+    return Status::InvalidArgument(
+        "one write set spans tables of different version managers");
+  }
+  return Status::OK();
+}
+
+Status WriteSet::Append(ColumnTable* table,
+                        const std::vector<std::vector<Value>>& rows) {
+  if (rows.empty()) return Status::OK();
+  HANA_RETURN_IF_ERROR(Enlist(*table));
+  HANA_ASSIGN_OR_RETURN(ColumnTable::TxnAppendHandle handle,
+                        table->AppendRowsUncommitted(rows, writer_));
+  appends_.emplace_back(table, handle);
+  return Status::OK();
+}
+
+Status WriteSet::Delete(ColumnTable* table, size_t row) {
+  HANA_RETURN_IF_ERROR(Enlist(*table));
+  HANA_RETURN_IF_ERROR(table->StageDeleteUncommitted(row, writer_));
+  deletes_.emplace_back(table, row);
+  return Status::OK();
+}
+
+void WriteSet::CommitAt(mvcc::Timestamp ts) {
+  for (const auto& [table, row] : deletes_) table->CommitDelete(row, ts);
+  for (const auto& [table, handle] : appends_) table->CommitAppend(handle, ts);
+  deletes_.clear();
+  appends_.clear();
+}
+
+mvcc::Timestamp WriteSet::Commit() {
+  if (appends_.empty() && deletes_.empty()) return 0;
+  mvcc::Timestamp ts = vm_->AllocateCommit();
+  CommitAt(ts);
+  vm_->FinishCommit(ts);
+  return ts;
+}
+
+void WriteSet::Abort() {
+  for (const auto& [table, handle] : appends_) table->AbortAppend(handle);
+  for (const auto& [table, row] : deletes_) table->AbortDelete(row, writer_);
+  deletes_.clear();
+  appends_.clear();
+}
+
+// ---------------------------------------------------------------------
 // RowTable
 // ---------------------------------------------------------------------
 
-Status RowTable::AppendRow(std::vector<Value> row) {
-  if (row.size() != schema_->num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
-  }
-  rows_.push_back(std::move(row));
-  deleted_.push_back(0);
-  ++live_rows_;
+Status RowTable::AppendRows(const std::vector<std::vector<Value>>& rows) {
+  for (const auto& row : rows) HANA_RETURN_IF_ERROR(CheckRow(*schema_, row));
+  rows_.insert(rows_.end(), rows.begin(), rows.end());
+  deleted_.resize(rows_.size(), 0);
+  live_rows_ += rows.size();
   return Status::OK();
 }
 
@@ -1191,9 +1199,7 @@ Status RowTable::DeleteRow(size_t row) {
 
 Status RowTable::UpdateRow(size_t row, std::vector<Value> new_row) {
   if (row >= rows_.size()) return Status::OutOfRange("row out of range");
-  if (new_row.size() != schema_->num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
-  }
+  HANA_RETURN_IF_ERROR(CheckRow(*schema_, new_row));
   rows_[row] = std::move(new_row);
   return Status::OK();
 }

@@ -366,7 +366,7 @@ class TableReadSnapshot {
                  const std::function<bool(const Chunk&)>& callback) const;
 
   /// Projected scan with positions: `row_ids[i]` is the table row of
-  /// chunk row i, the address DeleteRow/UpdateRow take. Columns and
+  /// chunk row i, the address staged deletes take. Columns and
   /// schema as in the projected ScanRange; chunk framing matches Scan.
   void ScanWithRowIds(
       size_t chunk_rows, const std::vector<size_t>& columns,
@@ -398,11 +398,16 @@ class TableReadSnapshot {
   const StampStore* deleted_ = nullptr;
 };
 
+/// The row check every table write runs before touching storage: one
+/// value per column, and no NULL in a NOT NULL column.
+[[nodiscard]] Status CheckRow(const Schema& schema,
+                              const std::vector<Value>& row);
+
 /// In-memory column table: the HANA core storage option for OLAP
 /// workloads. Rows are append-only; deletes stamp a deletion timestamp
-/// (updates are delete + re-insert, delta-store semantics), and
-/// transactional writers stage uncommitted rows that become visible
-/// atomically at commit (see common/mvcc.h for the stamp encodings).
+/// (updates are delete + re-insert, delta-store semantics). Every write
+/// is an MVCC version staged and committed through a WriteSet (below;
+/// see common/mvcc.h for the stamp encodings).
 ///
 /// Concurrency contract:
 ///   - Any number of concurrent readers (OpenSnapshot/Scan/ScanRange/
@@ -410,9 +415,9 @@ class TableReadSnapshot {
 ///     writers *and* a concurrent MergeDelta: each reader pins an
 ///     MVCC snapshot (parts + row bound + read timestamp) and streams
 ///     from it; writers append past the bound and stamp atomically.
-///   - Concurrent writers (AppendRow/DeleteRow/UpdateRow and the
-///     transactional Append*/Stage*/Commit*/Abort* families) serialize
-///     on the state mutex (appends) or stamp-store CAS (deletes).
+///   - Concurrent writers (the Append*/Stage*/Commit*/Abort* families)
+///     serialize on the state mutex (appends) or stamp-store CAS
+///     (deletes).
 ///   - MergeDelta only folds rows committed at or below the MVCC
 ///     watermark, so every live or future snapshot still finds the
 ///     versions it needs in the delta.
@@ -428,8 +433,8 @@ class ColumnTable {
     return sync_->live_rows.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] Status AppendRow(const std::vector<Value>& row);
-  /// Bulk append used by the TPC-H generator and load paths.
+  /// The committed append of loaders and engines: a WriteSet staging
+  /// `rows` and committing them at one timestamp. All rows or none.
   [[nodiscard]] Status AppendRows(const std::vector<std::vector<Value>>& rows);
 
   std::vector<Value> GetRow(size_t row) const;
@@ -439,13 +444,9 @@ class ColumnTable {
   /// not count.
   bool IsDeleted(size_t row) const;
   /// Latest-view MVCC visibility: created-committed and not deleted.
-  /// What non-transactional row loops (catalog RunAging) use to skip
-  /// rows they must not touch — uncommitted and aborted rows are
-  /// invisible here.
+  /// What row loops (catalog RunAging) use to skip rows they must not
+  /// touch — uncommitted and aborted rows are invisible here.
   bool IsVisibleLatest(size_t row) const;
-
-  [[nodiscard]] Status DeleteRow(size_t row);
-  [[nodiscard]] Status UpdateRow(size_t row, const std::vector<Value>& new_row);
 
   // ---- MVCC snapshots -------------------------------------------------
   /// Pins an immutable read snapshot of the whole table. The default
@@ -457,9 +458,9 @@ class ColumnTable {
       mvcc::ReadView view = {}) const;
   /// Snapshot at the unresolved latest view: every committed stamp,
   /// including those of a commit still being stamped — IsVisibleLatest
-  /// as a scan. What non-transactional DML scans for its target rows,
-  /// so a statement sees every delete committed before it, even while
-  /// a transaction holds LastVisible() back.
+  /// as a scan. What SQL DML scans for its target rows, so a statement
+  /// sees every delete committed before it, even while a transaction
+  /// holds LastVisible() back.
   std::shared_ptr<const TableReadSnapshot> OpenLatestSnapshot() const;
 
   /// The commit-timestamp source this table stamps against; defaults to
@@ -467,8 +468,8 @@ class ColumnTable {
   void SetVersionManager(mvcc::VersionManager* vm) { vm_ = vm; }
   mvcc::VersionManager* version_manager() const { return vm_; }
 
-  // ---- Transactional write API (used by txn::ColumnTableParticipant) --
-  /// A contiguous run of rows appended by one transaction, the unit the
+  // ---- Versioned write API (driven through WriteSet) ------------------
+  /// A contiguous run of rows appended by one writer, the unit the
   /// commit/abort stamps operate on.
   struct TxnAppendHandle {
     size_t first_row = 0;
@@ -476,8 +477,8 @@ class ColumnTable {
   };
 
   /// Appends `rows` stamped uncommitted-by-`txn`: invisible to every
-  /// reader except `txn` itself until CommitAppend. Validates like
-  /// AppendRow (arity, types, NOT NULL) before touching storage.
+  /// reader except `txn` itself until CommitAppend. Runs CheckRow on
+  /// every row before touching storage, so a failure appends nothing.
   [[nodiscard]] Result<TxnAppendHandle> AppendRowsUncommitted(
       const std::vector<std::vector<Value>>& rows, uint64_t txn);
   /// Stamps the run committed at `ts`; lock-free, atomic per row. The
@@ -492,7 +493,8 @@ class ColumnTable {
   /// Claims row `row` for deletion by `txn` (uncommitted delete marker;
   /// readers other than `txn` still see the row). Fails with
   /// TransactionAborted on a write-write conflict: the row is already
-  /// deleted or claimed by another in-flight transaction.
+  /// deleted or claimed by another in-flight writer. Re-staging a claim
+  /// `txn` holds is a no-op, so writer ids must be unique per manager.
   [[nodiscard]] Status StageDeleteUncommitted(size_t row, uint64_t txn);
   void CommitDelete(size_t row, mvcc::Timestamp ts);
   void AbortDelete(size_t row, uint64_t txn);
@@ -616,6 +618,54 @@ class ColumnTable {
   std::unique_ptr<Sync> sync_;
 };
 
+/// One writer's staged versions (appended rows, delete claims) across
+/// column tables of one version manager, committed together at one
+/// timestamp — deletes before appends, so an update never shows both
+/// images — or aborted together; destruction aborts what is still
+/// staged. Not thread-safe: one writer drives it.
+class WriteSet {
+ public:
+  /// Draws its writer id from the version manager of the first table
+  /// it stages on (VersionManager::NewWriterId).
+  WriteSet() = default;
+  /// Stages under `writer`, an id the tables' version manager handed
+  /// out (a coordinator TxnId).
+  explicit WriteSet(uint64_t writer) : writer_(writer) {}
+  WriteSet(const WriteSet&) = delete;
+  WriteSet& operator=(const WriteSet&) = delete;
+  ~WriteSet() { Abort(); }
+
+  /// Appends `rows` to `table` as uncommitted versions. On error (a
+  /// row fails CheckRow) nothing is appended; earlier stages stand.
+  [[nodiscard]] Status Append(ColumnTable* table,
+                              const std::vector<std::vector<Value>>& rows);
+  /// Claims `row` of `table` for deletion; a write-write conflict
+  /// returns TransactionAborted and claims nothing.
+  [[nodiscard]] Status Delete(ColumnTable* table, size_t row);
+
+  /// Stamps every staged version committed at `ts` and empties the set.
+  /// The caller owns `ts`: it allocated it and finishes it afterwards.
+  void CommitAt(mvcc::Timestamp ts);
+  /// Allocates one timestamp from the tables' version manager, stamps
+  /// every staged version with it and finishes it; returns the
+  /// timestamp (0, allocating none, when nothing is staged).
+  mvcc::Timestamp Commit();
+  /// Marks staged appends never-visible and releases delete claims.
+  void Abort();
+
+ private:
+  /// Binds the set to `table`'s version manager on first use (drawing
+  /// the writer id if none was given); a table of another manager is
+  /// refused, since ids and timestamps are per manager.
+  [[nodiscard]] Status Enlist(const ColumnTable& table);
+
+  uint64_t writer_ = 0;
+  mvcc::VersionManager* vm_ = nullptr;
+  std::vector<std::pair<ColumnTable*, ColumnTable::TxnAppendHandle>>
+      appends_;
+  std::vector<std::pair<ColumnTable*, size_t>> deletes_;
+};
+
 /// Row-oriented storage option: best for high update frequencies on
 /// small data sets and point access (Section 3.1).
 class RowTable {
@@ -627,14 +677,13 @@ class RowTable {
   size_t num_rows() const { return rows_.size(); }
   size_t live_rows() const { return live_rows_; }
 
-  [[nodiscard]] Status AppendRow(std::vector<Value> row);
+  /// Runs CheckRow on every row before the first append, so a failing
+  /// batch appends nothing.
+  [[nodiscard]] Status AppendRows(const std::vector<std::vector<Value>>& rows);
   const std::vector<Value>& GetRow(size_t row) const { return rows_[row]; }
   bool IsDeleted(size_t row) const { return deleted_[row] != 0; }
-  /// Row tables are non-versioned: latest-view visibility is simply
-  /// "not deleted" (kept signature-compatible with ColumnTable for
-  /// shared DML loops).
-  bool IsVisibleLatest(size_t row) const { return deleted_[row] == 0; }
   [[nodiscard]] Status DeleteRow(size_t row);
+  /// Replaces a row's image after CheckRow.
   [[nodiscard]] Status UpdateRow(size_t row, std::vector<Value> new_row);
 
   void Scan(size_t chunk_rows,

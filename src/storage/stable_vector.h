@@ -17,10 +17,9 @@
 //                    (created / deleted words, see common/mvcc.h),
 //                    indexed by global row id. Chunks are allocated
 //                    lazily via pointer-CAS and zero-initialized, so
-//                    the encodings' zero defaults ("always visible",
-//                    "not deleted") cost nothing: a table that never
-//                    sees a transactional write or a delete never
-//                    allocates a chunk.
+//                    the deleted store's zero default ("not deleted")
+//                    costs nothing: a table that never sees a delete
+//                    never allocates a deleted chunk.
 //
 // Both use the same chunk geometry: chunk k holds 2^(k+10) elements
 // (1024 in chunk 0), so the top-level array of 54 pointers addresses

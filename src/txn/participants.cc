@@ -1,5 +1,7 @@
 #include "txn/participants.h"
 
+#include <algorithm>
+
 #include "txn/fault_injection.h"
 
 namespace hana::txn {
@@ -46,16 +48,7 @@ Status ColumnTableParticipant::Prepare(TxnId txn) {
   }
   auto it = staged_.find(txn);
   if (it != staged_.end()) {
-    for (const auto& row : it->second.inserts) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (row[c].is_null() && !table_->schema()->column(c).nullable) {
-          return Status::InvalidArgument(
-              name_ + ": NULL in NOT NULL column " +
-              table_->schema()->column(c).name);
-        }
-      }
-    }
-    if (mvcc_ && !it->second.applied) {
+    if (!it->second.writes) {
       HANA_RETURN_IF_ERROR(ApplyUncommitted(txn, it->second));
     }
     it->second.prepared = true;
@@ -65,31 +58,24 @@ Status ColumnTableParticipant::Prepare(TxnId txn) {
 
 Status ColumnTableParticipant::ApplyUncommitted(TxnId txn, Staged& s) {
   // Delete claims first: they are the only conflict-detecting step, so
-  // a losing transaction aborts before growing the delta. A conflict
-  // releases the claims taken so far — the insert handle does not exist
-  // yet — leaving no trace of this transaction.
+  // a losing transaction aborts before growing the delta. On a failure,
+  // dropping the WriteSet aborts what it staged, leaving no trace.
+  // A row staged twice is claimed once (the second claim would be an
+  // idempotent re-stage, and its commit would count the delete twice).
+  std::sort(s.deletes.begin(), s.deletes.end());
+  s.deletes.erase(std::unique(s.deletes.begin(), s.deletes.end()),
+                  s.deletes.end());
+  storage::WriteSet& writes = s.writes.emplace(txn);
+  Status status;
   for (size_t row : s.deletes) {
-    Status claim = table_->StageDeleteUncommitted(row, txn);
-    if (!claim.ok()) {
-      for (size_t claimed : s.claimed_deletes) {
-        table_->AbortDelete(claimed, txn);
-      }
-      s.claimed_deletes.clear();
-      return Status(claim.code(), name_ + ": " + claim.message());
-    }
-    s.claimed_deletes.push_back(row);
+    status = writes.Delete(table_, row);
+    if (!status.ok()) break;
   }
-  auto handle = table_->AppendRowsUncommitted(s.inserts, txn);
-  if (!handle.ok()) {
-    for (size_t claimed : s.claimed_deletes) {
-      table_->AbortDelete(claimed, txn);
-    }
-    s.claimed_deletes.clear();
-    return Status(handle.status().code(),
-                  name_ + ": " + handle.status().message());
+  if (status.ok()) status = writes.Append(table_, s.inserts);
+  if (!status.ok()) {
+    s.writes.reset();
+    return Status(status.code(), name_ + ": " + status.message());
   }
-  s.insert_handle = *handle;
-  s.applied = true;
   return Status::OK();
 }
 
@@ -100,31 +86,16 @@ Status ColumnTableParticipant::Commit(TxnId txn, uint64_t commit_id) {
   MutexLock lock(mu_);
   auto it = staged_.find(txn);
   if (it == staged_.end()) return Status::OK();  // Nothing staged here.
-  if (mvcc_ && !it->second.applied) {
+  if (!it->second.writes) {
     // Roll-forward of a committed transaction that never went through
     // Prepare here (recovery re-drive against fresh staging): install
     // the versions now, then stamp them below.
     HANA_RETURN_IF_ERROR(ApplyUncommitted(txn, it->second));
   }
-  if (it->second.applied) {
-    // MVCC: the write set is already installed as uncommitted versions;
-    // stamping the commit timestamp flips it visible. Deletes first so
-    // a same-transaction insert+delete of one row never shows the
-    // insert without the delete.
-    for (size_t row : it->second.claimed_deletes) {
-      table_->CommitDelete(row, commit_id);
-    }
-    table_->CommitAppend(it->second.insert_handle, commit_id);
-  } else {
-    for (size_t row : it->second.deletes) {
-      HANA_RETURN_IF_ERROR(table_->DeleteRow(row));
-    }
-    for (auto& row : it->second.inserts) {
-      HANA_RETURN_IF_ERROR(table_->AppendRow(row));
-    }
-  }
+  // The write set is installed as uncommitted versions; stamping the
+  // commit timestamp flips it visible.
+  it->second.writes->CommitAt(commit_id);
   staged_.erase(it);
-  last_commit_id_ = commit_id;
   return Status::OK();
 }
 
@@ -133,16 +104,10 @@ Status ColumnTableParticipant::Abort(TxnId txn) {
     HANA_RETURN_IF_ERROR(injector_->OnCall(FaultOp::kAbort, name_, txn));
   }
   MutexLock lock(mu_);
-  auto it = staged_.find(txn);
-  if (it != staged_.end() && it->second.applied) {
-    // MVCC: mark the installed versions dead. Aborted inserts become
-    // never-visible; claimed deletes revert to live.
-    table_->AbortAppend(it->second.insert_handle);
-    for (size_t row : it->second.claimed_deletes) {
-      table_->AbortDelete(row, txn);
-    }
-  }
-  staged_.erase(txn);  // Unknown transactions are a no-op by design.
+  // Dropping the staging aborts installed versions: inserts become
+  // never-visible, claimed deletes revert to live. Unknown transactions
+  // are a no-op by design.
+  staged_.erase(txn);
   return Status::OK();
 }
 

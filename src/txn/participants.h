@@ -2,6 +2,7 @@
 #define HANA_TXN_PARTICIPANTS_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,22 +16,18 @@ namespace hana::txn {
 class FaultInjector;
 
 /// Write staging for an in-memory column table. Inserts and deletes are
-/// buffered per transaction and applied atomically at Commit. Abort (and
-/// Abort of unknown transactions, as happens during presumed-abort
-/// recovery) simply drops the staging.
-///
-/// With EnableMvcc(), Prepare additionally installs the buffered writes
-/// as uncommitted versions (delta rows stamped with the writing
-/// transaction, delete claims CASed onto the target rows — a claim held
-/// by another live transaction votes abort: first-claimer-wins
-/// write-write conflict detection). Commit then only stamps the
+/// buffered per transaction; Prepare installs them as uncommitted
+/// versions (a storage::WriteSet under the transaction's id: delta rows
+/// stamped with the writer, delete claims CASed onto the target rows —
+/// a claim held by another live writer votes abort: first-claimer-wins
+/// write-write conflict detection). Commit only stamps the
 /// coordinator's commit timestamp, flipping the whole write set visible
 /// atomically with respect to snapshot readers; Abort marks the rows
-/// never-visible. The coordinator must allocate commit ids from the
-/// same mvcc::VersionManager the table is wired to
-/// (TwoPhaseCoordinator::SetVersionManager), and all transactions
-/// touching one table must come from one coordinator — uncommitted
-/// stamps carry the coordinator-scoped TxnId.
+/// never-visible and releases the claims (Abort of unknown
+/// transactions, as happens during presumed-abort recovery, is a
+/// no-op). The coordinator must share the table's mvcc::VersionManager:
+/// it allocates both the transaction ids (writer ids) and the commit
+/// timestamps there.
 ///
 /// Prepare is idempotent: once a transaction is prepared, a repeated
 /// Prepare (a Commit retry after a phase-2 infrastructure failure, or
@@ -65,54 +62,34 @@ class ColumnTableParticipant : public Participant {
   /// through it at entry. Set before enlisting in concurrent commits.
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
 
-  /// Switches to MVCC staging (see class comment). Set at wiring time,
-  /// before the first transaction; commit ids passed to Commit() are
-  /// then interpreted as version-manager commit timestamps.
-  void EnableMvcc() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    mvcc_ = true;
-  }
-
   /// True while `txn` is staged and prepared (vote cast, not resolved).
   bool IsPrepared(TxnId txn) const EXCLUDES(mu_);
-
-  /// Commit id of the last applied transaction (visibility watermark).
-  uint64_t last_commit_id() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return last_commit_id_;
-  }
 
  private:
   struct Staged {
     std::vector<std::vector<Value>> inserts;
     std::vector<size_t> deletes;
     bool prepared = false;
-    // MVCC mode: set once Prepare installed the write set as
-    // uncommitted versions (insert rows + delete claims below).
-    bool applied = false;
-    storage::ColumnTable::TxnAppendHandle insert_handle;
-    std::vector<size_t> claimed_deletes;
+    /// Set once the write set is installed as uncommitted versions.
+    std::optional<storage::WriteSet> writes;
   };
 
   /// Installs `s`'s write set as uncommitted versions; on a delete
-  /// conflict, undoes what was claimed so far and returns the abort
-  /// vote. MVCC mode only.
+  /// conflict or a row that fails the table's row check, undoes what
+  /// was staged so far and returns the abort vote.
   [[nodiscard]] Status ApplyUncommitted(TxnId txn, Staged& s) REQUIRES(mu_);
 
   std::string name_;
   storage::ColumnTable* table_;
   FaultInjector* injector_;
-  /// Guards staging and the watermark; held across the table apply in
-  /// Commit so concurrent transactions touching the same table
-  /// serialize their writes. Ordered before the table's storage locks
+  /// Guards staging; held across the version installs and stamps so
+  /// concurrent transactions through one participant serialize them. Ordered before the table's storage locks
   /// (kTxnParticipant 40 < storage.state 65) and before the version
   /// manager (45), which the table's commit paths may take. Never held
   /// while calling the injector (which may block on a hold latch).
   mutable Mutex mu_{"txn.participant.column", lock_rank::kTxnParticipant};
   std::map<TxnId, Staged> staged_ GUARDED_BY(mu_);
   bool fail_next_prepare_ GUARDED_BY(mu_) = false;
-  bool mvcc_ GUARDED_BY(mu_) = false;
-  uint64_t last_commit_id_ GUARDED_BY(mu_) = 0;
 };
 
 /// Write staging for an extended-storage table. Commit bulk-loads the

@@ -43,7 +43,7 @@ std::string LogToString(const std::vector<LogRecord>& log) {
 
 TxnId TwoPhaseCoordinator::Begin() {
   MutexLock lock(mu_);
-  TxnId txn = next_txn_++;
+  TxnId txn = vm_->NewWriterId();
   active_[txn] = ActiveTxn{};
   log_.push_back({LogKind::kBegin, txn, 0, {}});
   return txn;
@@ -129,6 +129,7 @@ bool TwoPhaseCoordinator::CrashDueAt(Failpoint fp) {
 
 Status TwoPhaseCoordinator::Commit(TxnId txn) {
   std::vector<Participant*> parts;
+  mvcc::VersionManager* vm;
   {
     MutexLock lock(mu_);
     auto it = active_.find(txn);
@@ -136,6 +137,7 @@ Status TwoPhaseCoordinator::Commit(TxnId txn) {
       return Status::NotFound("unknown transaction " + std::to_string(txn));
     }
     parts = it->second.participants;
+    vm = vm_;
     if (CrashDueAt(Failpoint::kBeforePrepare)) {
       CrashLocked();
       return Status::Unavailable("coordinator crashed before prepare");
@@ -194,7 +196,7 @@ Status TwoPhaseCoordinator::Commit(TxnId txn) {
     // of a commit record contradicted by a later abort record.
     {
       MutexLock lock(mu_);
-      commit_id = AllocateCommitIdLocked();
+      commit_id = last_commit_id_ = vm_->AllocateCommit();
     }
     if (!parts.empty()) {
       Participant* p = parts[0];
@@ -210,7 +212,7 @@ Status TwoPhaseCoordinator::Commit(TxnId txn) {
         // The allocated timestamp was never stamped onto any row (the
         // abort reverted the write set); retire it so the visibility
         // frontier moves past the gap.
-        FinishCommitTs(commit_id);
+        vm->FinishCommit(commit_id);
         return Status::TransactionAborted(std::move(detail));
       }
     }
@@ -226,13 +228,13 @@ Status TwoPhaseCoordinator::Commit(TxnId txn) {
     }
     log_.push_back({LogKind::kEnd, txn, commit_id, {}});
     active_.erase(txn);
-    FinishCommitLocked(commit_id);
+    vm_->FinishCommit(commit_id);
     return Status::OK();
   }
 
   {
     MutexLock lock(mu_);
-    commit_id = AllocateCommitIdLocked();
+    commit_id = last_commit_id_ = vm_->AllocateCommit();
     log_.push_back({LogKind::kCommit, txn, commit_id, {}});
     if (CrashDueAt(Failpoint::kAfterCommitRecord)) {
       // In-flight timestamp survives the crash: no participant has
@@ -268,13 +270,13 @@ Status TwoPhaseCoordinator::Commit(TxnId txn) {
     // stamped a complete per-table write set, so the timestamp can
     // retire; stragglers are re-driven by a Commit retry or recovery
     // (each attempt allocates its own timestamp).
-    FinishCommitTs(commit_id);
+    vm->FinishCommit(commit_id);
     return Status::Internal(std::move(failures));
   }
   MutexLock lock(mu_);
   log_.push_back({LogKind::kEnd, txn, commit_id, {}});
   active_.erase(txn);
-  FinishCommitLocked(commit_id);
+  vm_->FinishCommit(commit_id);
   return Status::OK();
 }
 
@@ -299,7 +301,6 @@ void TwoPhaseCoordinator::Crash() {
 void TwoPhaseCoordinator::CrashLocked() {
   active_.clear();
   recovery_participants_.clear();
-  crashed_ = true;
   failpoint_ = Failpoint::kNone;
 }
 
@@ -316,24 +317,6 @@ void TwoPhaseCoordinator::SetFaultInjector(FaultInjector* injector) {
 void TwoPhaseCoordinator::SetVersionManager(mvcc::VersionManager* vm) {
   MutexLock lock(mu_);
   vm_ = vm;
-}
-
-uint64_t TwoPhaseCoordinator::AllocateCommitIdLocked() {
-  if (vm_ != nullptr) {
-    uint64_t cid = vm_->AllocateCommit();
-    next_commit_id_ = cid + 1;
-    return cid;
-  }
-  return next_commit_id_++;
-}
-
-void TwoPhaseCoordinator::FinishCommitLocked(uint64_t commit_id) {
-  if (vm_ != nullptr) vm_->FinishCommit(commit_id);
-}
-
-void TwoPhaseCoordinator::FinishCommitTs(uint64_t commit_id) {
-  MutexLock lock(mu_);
-  FinishCommitLocked(commit_id);
 }
 
 void TwoPhaseCoordinator::RegisterRecoveryParticipant(
@@ -385,7 +368,7 @@ std::vector<LogRecord> TwoPhaseCoordinator::log() const {
 
 uint64_t TwoPhaseCoordinator::last_commit_id() const {
   MutexLock lock(mu_);
-  return next_commit_id_ - 1;
+  return last_commit_id_;
 }
 
 Status TwoPhaseCoordinator::AbortInDoubt(TxnId txn) {
@@ -471,7 +454,7 @@ Status TwoPhaseCoordinator::Recover() {
       // Resolve the in-doubt window: every participant has now stamped
       // (or re-stamped) the logged timestamp, so it becomes visible.
       // Idempotent for already-finished commits.
-      FinishCommitLocked(commit_it->second);
+      vm_->FinishCommit(commit_it->second);
     } else {
       for (Participant* p : parts) {
         HANA_RETURN_IF_ERROR(p->Abort(txn));
@@ -481,8 +464,6 @@ Status TwoPhaseCoordinator::Recover() {
       log_.push_back({LogKind::kEnd, txn, 0, {}});
     }
   }
-  MutexLock lock(mu_);
-  crashed_ = false;
   return Status::OK();
 }
 

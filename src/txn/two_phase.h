@@ -146,14 +146,14 @@ class TwoPhaseCoordinator {
   /// first Commit and keep alive for the coordinator's lifetime.
   void SetFaultInjector(FaultInjector* injector) EXCLUDES(mu_);
 
-  /// Wires MVCC snapshot isolation: commit ids become commit timestamps
-  /// allocated from `vm` (AllocateCommit at the commit record,
-  /// FinishCommit once every participant has stamped its write set —
-  /// keeping readers from ever observing a half-stamped transaction).
-  /// Set at wiring time, before the first Begin; participants sharing
-  /// the timestamp domain must have EnableMvcc() set. Survives Crash():
-  /// the version manager models the recoverable timestamp authority,
-  /// not coordinator volatile state.
+  /// The version manager (default mvcc::VersionManager::Global(), as
+  /// for tables) that Begin() draws transaction ids from (NewWriterId)
+  /// and commit timestamps come from (AllocateCommit at the commit
+  /// record, FinishCommit once every participant has stamped its write
+  /// set — readers never observe a half-stamped transaction). It must
+  /// be the participants' tables' manager; tests wire their own before
+  /// the first Begin. Survives Crash(): the version manager models the
+  /// recoverable timestamp authority, not coordinator volatile state.
   void SetVersionManager(mvcc::VersionManager* vm) EXCLUDES(mu_);
 
   /// Snapshot of the write-ahead log (by value: commits on other
@@ -190,33 +190,22 @@ class TwoPhaseCoordinator {
       REQUIRES(mu_);
   std::vector<TxnId> InDoubtLocked() const REQUIRES(mu_);
 
-  /// Allocates the next commit id — from the version manager when one
-  /// is wired (registering the id as in-flight), else from the local
-  /// counter. The counter mirrors the allocation either way so
-  /// last_commit_id() stays meaningful.
-  uint64_t AllocateCommitIdLocked() REQUIRES(mu_);
-  /// Marks `commit_id` fully stamped (no-op without a version manager).
-  /// Safe under mu_: the version-manager lock ranks above the
-  /// coordinator's (30 -> 45).
-  void FinishCommitLocked(uint64_t commit_id) REQUIRES(mu_);
-  void FinishCommitTs(uint64_t commit_id) EXCLUDES(mu_);
-
   TwoPhaseOptions options_;
 
   /// Guards all coordinator state. Never held across participant calls
   /// or task-pool submission/waits (fan-out copies what it needs out
   /// first), so it cannot order against participant or pool mutexes;
-  /// the injector is called under it (rank 30 < 70).
+  /// the version manager and the injector are called under it (rank
+  /// 30 < 45 < 70).
   mutable Mutex mu_{"txn.coordinator", lock_rank::kTxnCoordinator};
-  TxnId next_txn_ GUARDED_BY(mu_) = 1;
-  uint64_t next_commit_id_ GUARDED_BY(mu_) = 1;
+  uint64_t last_commit_id_ GUARDED_BY(mu_) = 0;
   std::map<TxnId, ActiveTxn> active_ GUARDED_BY(mu_);
   std::vector<LogRecord> log_ GUARDED_BY(mu_);
   std::vector<Participant*> recovery_participants_ GUARDED_BY(mu_);
   Failpoint failpoint_ GUARDED_BY(mu_) = Failpoint::kNone;
   FaultInjector* injector_ GUARDED_BY(mu_) = nullptr;
-  mvcc::VersionManager* vm_ GUARDED_BY(mu_) = nullptr;
-  bool crashed_ GUARDED_BY(mu_) = false;
+  mvcc::VersionManager* vm_ GUARDED_BY(mu_) =
+      &mvcc::VersionManager::Global();
 };
 
 }  // namespace hana::txn

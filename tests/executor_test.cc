@@ -414,6 +414,32 @@ TEST(SortChunks, FailingKeyNamesTheFirstFailingRow) {
   EXPECT_EQ(sorted.status().ToString(), expected.ToString());
 }
 
+TEST(ProjectChunk, FailingColumnNamesTheFirstFailingRow) {
+  // 'b2' in row 2 of b, 'a5' in row 5 of a: a projection computes its
+  // columns one at a time, yet every spelling reports row 2's error,
+  // the first a row-at-a-time evaluation meets.
+  platform::Platform db;
+  ASSERT_TRUE(db.Run("CREATE COLUMN TABLE p (a VARCHAR, b VARCHAR)").ok());
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < 8; ++i) {
+    rows.push_back({Value::String(i == 5 ? "a5" : std::to_string(i)),
+                    Value::String(i == 2 ? "b2" : std::to_string(i))});
+  }
+  ASSERT_TRUE(db.catalog().Insert("p", rows).ok());
+  for (const char* threads : {"1", "4"}) {
+    ASSERT_TRUE(db.SetParameter("threads", threads).ok());
+    for (const char* sql :
+         {"SELECT CAST(a AS BIGINT), CAST(b AS BIGINT) FROM p",
+          "SELECT CAST(a AS BIGINT) + CAST(b AS BIGINT) FROM p",
+          "SELECT a FROM p ORDER BY CAST(a AS BIGINT), CAST(b AS BIGINT)"}) {
+      auto r = db.Query(sql);
+      ASSERT_FALSE(r.ok()) << sql;
+      EXPECT_NE(r.status().message().find("'b2'"), std::string::npos)
+          << sql << ": " << r.status().ToString();
+    }
+  }
+}
+
 TEST(SortChunks, MatchesBoxedStableSortOnEveryType) {
   // Random chunks of every key type with NULLs, sorted on mixed
   // ASC/DESC keys, against a boxed stable sort by Value::Compare.

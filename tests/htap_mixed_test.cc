@@ -212,8 +212,6 @@ RunOutput RunHtap(uint64_t seed) {
     line_part_names.push_back("lineitem.w" + std::to_string(w));
     line_parts.push_back(std::make_unique<ColumnTableParticipant>(
         line_part_names.back(), &lineitem, &injector));
-    order_parts.back()->EnableMvcc();
-    line_parts.back()->EnableMvcc();
   }
 
   // atomic: readers/merger poll the writers-done flag.

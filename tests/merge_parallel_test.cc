@@ -2,8 +2,8 @@
 // serial-vs-parallel shadow builds, merge correctness on edge-case
 // tables (all-null, delete-heavy, double merge), snapshot consistency
 // of scans running concurrently with a merge, appends landing in a
-// fresh delta mid-merge, MergeStats observability, and the platform
-// knobs (parallel_merge, merge_threshold_rows). The concurrency cases
+// fresh delta mid-merge, MergeStats observability, and the platform's
+// MERGE DELTA statement and merge_threshold_rows. The concurrency cases
 // run under HANA_SANITIZE=thread via the `concurrency` ctest label.
 
 #include <gtest/gtest.h>
@@ -48,10 +48,13 @@ std::shared_ptr<Schema> TestSchema() {
 /// main and a populated delta.
 void Fill(ColumnTable* table, size_t rows, uint64_t seed, size_t merge_at) {
   Rng rng(seed);
+  std::vector<std::vector<Value>> batch;
   for (size_t i = 0; i < rows; ++i) {
-    std::vector<Value> row = {RandomValue(&rng, 0), RandomValue(&rng, 1),
-                              RandomValue(&rng, 2)};
-    ASSERT_TRUE(table->AppendRow(row).ok());
+    batch.push_back(
+        {RandomValue(&rng, 0), RandomValue(&rng, 1), RandomValue(&rng, 2)});
+    if (i + 1 != rows && i + 1 != merge_at) continue;
+    ASSERT_TRUE(table->AppendRows(batch).ok());
+    batch.clear();
     if (merge_at > 0 && i + 1 == merge_at) {
       MergeOptions serial;
       serial.parallel = false;
@@ -140,7 +143,7 @@ TEST(BuildMergedMain, DictionaryIsSortedUniqueUnionOfParts) {
 }
 
 // ---------------------------------------------------------------------
-// StoredColumn serial merge (the parallel_merge=off ablation baseline)
+// StoredColumn serial merge
 // ---------------------------------------------------------------------
 
 TEST(StoredColumnMerge, PreservesContentsAndIsIdempotent) {
@@ -232,9 +235,11 @@ TEST(TableMerge, IdempotentAndStatsTracked) {
 TEST(TableMerge, DeleteHeavyTable) {
   ColumnTable table(TestSchema());
   Fill(&table, 10000, 9, 4000);
+  WriteSet deletes;
   for (size_t r = 0; r < 10000; ++r) {
-    if (r % 10 != 3) ASSERT_TRUE(table.DeleteRow(r).ok());
+    if (r % 10 != 3) ASSERT_TRUE(deletes.Delete(&table, r).ok());
   }
+  deletes.Commit();
   uint64_t digest = ScanDigest(table);
   size_t live = table.live_rows();
   ASSERT_TRUE(table.MergeDelta().ok());
@@ -281,7 +286,7 @@ TEST(OnlineMerge, AppendsDuringMergeSurviveTheSwitch) {
   while (!merge_done.load() || appended < 500) {
     std::vector<Value> row = {RandomValue(&rng, 0), RandomValue(&rng, 1),
                               RandomValue(&rng, 2)};
-    ASSERT_TRUE(table.AppendRow(row).ok());
+    ASSERT_TRUE(table.AppendRows({row}).ok());
     ++appended;
     if (appended >= 200000) break;  // Merge finished long ago.
   }
@@ -353,11 +358,12 @@ TEST(OnlineMerge, ConcurrentScansSeeConsistentSnapshots) {
     // Re-arm with fresh delta rows so the next attempt has real merge
     // work. (Every thread has joined, so appending is safe again.)
     Rng rng(1000 + attempt);
+    std::vector<std::vector<Value>> rows;
     for (size_t i = 0; i < 60000; ++i) {
-      std::vector<Value> row = {RandomValue(&rng, 0), RandomValue(&rng, 1),
-                                RandomValue(&rng, 2)};
-      ASSERT_TRUE(table.AppendRow(row).ok());
+      rows.push_back(
+          {RandomValue(&rng, 0), RandomValue(&rng, 1), RandomValue(&rng, 2)});
     }
+    ASSERT_TRUE(table.AppendRows(rows).ok());
     expect_digest = ScanDigest(table);
   }
   EXPECT_GT(stats.scans_overlapped.load(), 0u);
@@ -397,13 +403,13 @@ TEST(OnlineMerge, PartitionedScanDuringMergeIsDeterministic) {
 }  // namespace hana::storage
 
 // ---------------------------------------------------------------------
-// Platform knobs: parallel_merge ablation + merge_threshold_rows
+// Platform: MERGE DELTA statement + merge_threshold_rows
 // ---------------------------------------------------------------------
 
 namespace hana::platform {
 namespace {
 
-TEST(MergeKnobs, ParallelMergeOnOffAndStatement) {
+TEST(MergeKnobs, MergeDeltaStatement) {
   Platform db;
   ASSERT_TRUE(db.Run("CREATE COLUMN TABLE t (a BIGINT, s VARCHAR)").ok());
   for (int i = 0; i < 50; ++i) {
@@ -412,7 +418,6 @@ TEST(MergeKnobs, ParallelMergeOnOffAndStatement) {
                    ", 'v" + std::to_string(i % 3) + "')")
             .ok());
   }
-  ASSERT_TRUE(db.SetParameter("parallel_merge", "off").ok());
   ASSERT_TRUE(db.Execute("MERGE DELTA OF t").ok());
   catalog::TableEntry* entry = *db.catalog().GetTable("t");
   EXPECT_EQ(entry->column_table->delta_rows(), 0u);
@@ -421,11 +426,9 @@ TEST(MergeKnobs, ParallelMergeOnOffAndStatement) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 'x')").ok());
   }
-  ASSERT_TRUE(db.SetParameter("parallel_merge", "on").ok());
   ASSERT_TRUE(db.Execute("MERGE DELTA OF t").ok());
   EXPECT_EQ(entry->column_table->delta_rows(), 0u);
   EXPECT_EQ(entry->column_table->merge_stats().merges_completed.load(), 2u);
-  EXPECT_FALSE(db.SetParameter("parallel_merge", "sideways").ok());
 }
 
 TEST(MergeKnobs, AutoMergeThreshold) {

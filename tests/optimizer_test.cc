@@ -68,9 +68,9 @@ TEST(CollectStatsTest, MinMaxDistinctNulls) {
       {"a", DataType::kInt64, true}, {"s", DataType::kString, true}});
   storage::ColumnTable table(schema);
   for (int i = 0; i < 100; ++i) {
-    (void)table.AppendRow(
-        {i % 10 == 0 ? Value::Null() : Value::Int(i),
-         Value::String("s" + std::to_string(i % 5))});
+    (void)table.AppendRows(
+        {{i % 10 == 0 ? Value::Null() : Value::Int(i),
+          Value::String("s" + std::to_string(i % 5))}});
   }
   TableStats stats = CollectStats(table);
   EXPECT_EQ(stats.row_count, 100u);

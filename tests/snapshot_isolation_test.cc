@@ -420,10 +420,9 @@ TEST(AutoMergeWatermark, AutoMergeRetainsVersionsForActiveLease) {
   mvcc::SnapshotHandle lease =
       mvcc::VersionManager::Global().AcquireSnapshot();
 
-  // Commit 6 rows transactionally (commit-timestamped versions; plain
-  // INSERT rows are non-transactional and always foldable).
+  // Commit 6 rows through the coordinator (commit-timestamped
+  // versions above the lease, like every SQL INSERT after it).
   txn::ColumnTableParticipant part("t.part", table);
-  part.EnableMvcc();
   txn::TwoPhaseCoordinator& coord = db.coordinator();
   txn::TxnId txn = coord.Begin();
   ASSERT_TRUE(coord.Enlist(txn, &part).ok());

@@ -227,15 +227,28 @@ TEST(StoredColumnTest, MergeShrinksFootprint) {
   EXPECT_EQ(col.dictionary_size(), 16u);
 }
 
+/// Deletes `rows` of `table` as one committed write.
+Status DeleteRows(ColumnTable* table, const std::vector<size_t>& rows) {
+  WriteSet writes;
+  for (size_t r : rows) HANA_RETURN_IF_ERROR(writes.Delete(table, r));
+  writes.Commit();
+  return Status::OK();
+}
+
 TEST(ColumnTableTest, CrudAndScan) {
   auto schema = std::make_shared<Schema>(std::vector<ColumnDef>{
       {"id", DataType::kInt64, false}, {"v", DataType::kDouble, true}});
   ColumnTable table(schema);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(table.AppendRow({Value::Int(i), Value::Double(i * 1.5)}).ok());
+    ASSERT_TRUE(
+        table.AppendRows({{Value::Int(i), Value::Double(i * 1.5)}}).ok());
   }
-  EXPECT_TRUE(table.DeleteRow(3).ok());
-  EXPECT_TRUE(table.UpdateRow(4, {Value::Int(400), Value::Double(0)}).ok());
+  EXPECT_TRUE(DeleteRows(&table, {3}).ok());
+  // An update is a delete plus an append, committed together.
+  WriteSet update;
+  EXPECT_TRUE(update.Delete(&table, 4).ok());
+  EXPECT_TRUE(update.Append(&table, {{Value::Int(400), Value::Double(0)}}).ok());
+  update.Commit();
   EXPECT_EQ(table.live_rows(), 9u);
 
   size_t seen = 0;
@@ -258,20 +271,20 @@ TEST(ColumnTableTest, RejectsBadRows) {
   auto schema = std::make_shared<Schema>(
       std::vector<ColumnDef>{{"id", DataType::kInt64, false}});
   ColumnTable table(schema);
-  EXPECT_FALSE(table.AppendRow({Value::Int(1), Value::Int(2)}).ok());
-  EXPECT_FALSE(table.AppendRow({Value::Null()}).ok());  // NOT NULL.
-  EXPECT_FALSE(table.DeleteRow(99).ok());
+  EXPECT_FALSE(table.AppendRows({{Value::Int(1), Value::Int(2)}}).ok());
+  EXPECT_FALSE(table.AppendRows({{Value::Null()}}).ok());  // NOT NULL.
+  EXPECT_FALSE(DeleteRows(&table, {99}).ok());
 }
 
 TEST(ColumnTableTest, AddColumnBackfillsNulls) {
   auto schema = std::make_shared<Schema>(
       std::vector<ColumnDef>{{"id", DataType::kInt64, false}});
   ColumnTable table(schema);
-  ASSERT_TRUE(table.AppendRow({Value::Int(1)}).ok());
+  ASSERT_TRUE(table.AppendRows({{Value::Int(1)}}).ok());
   ASSERT_TRUE(table.AddColumn({"extra", DataType::kString, true}).ok());
   EXPECT_EQ(table.schema()->num_columns(), 2u);
   EXPECT_TRUE(table.GetRow(0)[1].is_null());
-  ASSERT_TRUE(table.AppendRow({Value::Int(2), Value::String("x")}).ok());
+  ASSERT_TRUE(table.AppendRows({{Value::Int(2), Value::String("x")}}).ok());
   EXPECT_EQ(table.GetRow(1)[1].string_value(), "x");
   EXPECT_FALSE(table.AddColumn({"id", DataType::kInt64, true}).ok());
   EXPECT_FALSE(table.AddColumn({"nn", DataType::kInt64, false}).ok());
@@ -281,8 +294,9 @@ TEST(RowTableTest, CrudAndScan) {
   auto schema = std::make_shared<Schema>(std::vector<ColumnDef>{
       {"k", DataType::kInt64, false}, {"v", DataType::kString, true}});
   RowTable table(schema);
-  ASSERT_TRUE(table.AppendRow({Value::Int(1), Value::String("a")}).ok());
-  ASSERT_TRUE(table.AppendRow({Value::Int(2), Value::String("b")}).ok());
+  ASSERT_TRUE(table.AppendRows({{Value::Int(1), Value::String("a")},
+                                {Value::Int(2), Value::String("b")}})
+                  .ok());
   ASSERT_TRUE(table.UpdateRow(0, {Value::Int(1), Value::String("z")}).ok());
   ASSERT_TRUE(table.DeleteRow(1).ok());
   EXPECT_EQ(table.live_rows(), 1u);
@@ -307,14 +321,17 @@ ColumnTable MakeScanTable(size_t rows, size_t merge_at) {
       {"tag", DataType::kString, true}});
   ColumnTable table(schema);
   Rng rng(7);
+  std::vector<std::vector<Value>> batch;
   for (size_t i = 0; i < rows; ++i) {
-    std::vector<Value> row = {Value::Int(static_cast<int64_t>(i)),
-                              rng.Uniform(0, 9) == 0
-                                  ? Value::Null()
-                                  : Value::Double(rng.NextDouble() * 100),
-                              Value::String("tag_" + std::to_string(
-                                                rng.Uniform(0, 20)))};
-    EXPECT_TRUE(table.AppendRow(row).ok());
+    batch.push_back({Value::Int(static_cast<int64_t>(i)),
+                     rng.Uniform(0, 9) == 0
+                         ? Value::Null()
+                         : Value::Double(rng.NextDouble() * 100),
+                     Value::String("tag_" + std::to_string(
+                                       rng.Uniform(0, 20)))});
+    if (i + 1 != rows && i + 1 != merge_at) continue;
+    EXPECT_TRUE(table.AppendRows(batch).ok());
+    batch.clear();
     if (i + 1 == merge_at) EXPECT_TRUE(table.MergeDelta().ok());
   }
   return table;
@@ -347,7 +364,7 @@ TEST(StoredColumnTest, DecodeMatchesGetAcrossMainAndDelta) {
 TEST(ColumnTableTest, ScanRangeSkipsDeletedAndMatchesScan) {
   ColumnTable table = MakeScanTable(4000, 2500);
   for (size_t r = 0; r < table.num_rows(); r += 17) {
-    ASSERT_TRUE(table.DeleteRow(r).ok());
+    ASSERT_TRUE(DeleteRows(&table, {r}).ok());
   }
   std::vector<std::vector<Value>> from_scan;
   table.Scan(256, [&](const Chunk& chunk) {
@@ -377,7 +394,7 @@ TEST(ColumnTableTest, ScanRangeSkipsDeletedAndMatchesScan) {
 TEST(ColumnTableTest, ScanPartitionedCoversEveryRowExactlyOnce) {
   ColumnTable table = MakeScanTable(10000, 6000);
   for (size_t r = 5; r < table.num_rows(); r += 31) {
-    ASSERT_TRUE(table.DeleteRow(r).ok());
+    ASSERT_TRUE(DeleteRows(&table, {r}).ok());
   }
   for (size_t partitions : {1u, 3u, 8u, 64u}) {
     std::mutex mu;
@@ -407,7 +424,7 @@ TEST(RowTableTest, ScanRangeMatchesScan) {
       std::vector<ColumnDef>{{"k", DataType::kInt64, false}});
   RowTable table(schema);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(table.AppendRow({Value::Int(i)}).ok());
+    ASSERT_TRUE(table.AppendRows({{Value::Int(i)}}).ok());
   }
   ASSERT_TRUE(table.DeleteRow(50).ok());
   std::vector<int64_t> seen;
@@ -432,8 +449,8 @@ TEST(CompressionComparison, ColumnBeatsRowOnRepetitiveData) {
     std::vector<Value> r = {
         Value::String("category_" + std::to_string(rng.Uniform(0, 7))),
         Value::Bool(rng.Uniform(0, 1) == 1)};
-    ASSERT_TRUE(column.AppendRow(r).ok());
-    ASSERT_TRUE(row.AppendRow(r).ok());
+    ASSERT_TRUE(column.AppendRows({r}).ok());
+    ASSERT_TRUE(row.AppendRows({r}).ok());
   }
   EXPECT_TRUE(column.MergeDelta().ok());
   EXPECT_LT(column.MemoryBytes(), row.MemoryBytes() / 5);

@@ -69,13 +69,20 @@ struct Outcome {
 /// one transaction staging a row everywhere, armed faults, Commit, then
 /// joint recovery with re-registered participants.
 Outcome RunScenario(Failpoint fp, FaultCase fault) {
+  // A private version manager per run: transaction ids and commit
+  // timestamps restart at 1, so two runs log byte-identically.
+  mvcc::VersionManager vm;
   storage::ColumnTable table_a(TestSchema()), table_b(TestSchema()),
       table_c(TestSchema());
+  for (storage::ColumnTable* t : {&table_a, &table_b, &table_c}) {
+    t->SetVersionManager(&vm);
+  }
   FaultInjector injector;
   ColumnTableParticipant a("A", &table_a, &injector);
   ColumnTableParticipant b("B", &table_b, &injector);
   ColumnTableParticipant c("C", &table_c, &injector);
   TwoPhaseCoordinator coordinator;
+  coordinator.SetVersionManager(&vm);
   coordinator.SetFaultInjector(&injector);
 
   switch (fault) {
@@ -484,8 +491,6 @@ class MvccInDoubtTest : public ::testing::Test {
         b_("B", &table_b_, &injector_) {
     table_a_.SetVersionManager(&vm_);
     table_b_.SetVersionManager(&vm_);
-    a_.EnableMvcc();
-    b_.EnableMvcc();
     coordinator_.SetVersionManager(&vm_);
     coordinator_.SetFaultInjector(&injector_);
   }

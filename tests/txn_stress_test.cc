@@ -37,11 +37,13 @@ std::shared_ptr<Schema> TestSchema() {
       {"id", DataType::kInt64, false}, {"v", DataType::kString, true}});
 }
 
-/// Number of live rows in `table` whose id column equals `id`.
+/// Number of live rows in `table` whose id column equals `id`. Live =
+/// committed and not deleted: prepared-then-aborted versions stay in the
+/// delta as never-visible rows.
 size_t CountId(const storage::ColumnTable& table, int64_t id) {
   size_t count = 0;
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (table.IsDeleted(r)) continue;
+    if (!table.IsVisibleLatest(r)) continue;
     if (table.GetCell(r, 0) == Value::Int(id)) ++count;
   }
   return count;
@@ -58,6 +60,9 @@ struct RunResult {
 };
 
 RunResult RunSeededStress(uint64_t seed) {
+  // A private version manager per run: transaction ids and commit
+  // timestamps restart at 1, so same-seed runs log byte-identically.
+  mvcc::VersionManager vm;
   std::vector<std::unique_ptr<storage::ColumnTable>> tables;
   std::vector<std::unique_ptr<ColumnTableParticipant>> participants;
   std::vector<std::string> names;
@@ -65,10 +70,12 @@ RunResult RunSeededStress(uint64_t seed) {
   for (size_t i = 0; i < kParticipants; ++i) {
     names.push_back("P" + std::to_string(i));
     tables.push_back(std::make_unique<storage::ColumnTable>(TestSchema()));
+    tables.back()->SetVersionManager(&vm);
     participants.push_back(std::make_unique<ColumnTableParticipant>(
         names.back(), tables.back().get(), &injector));
   }
   TwoPhaseCoordinator coordinator;
+  coordinator.SetVersionManager(&vm);
   coordinator.SetFaultInjector(&injector);
 
   FaultSchedule schedule(seed);
