@@ -24,6 +24,11 @@
 #                 with HANA_CPU=native (best verified ISA level). Proves
 #                 the dispatch layer is bit-identical end to end under
 #                 both process-level bindings, lock-order fatal.
+#   perfbench     Release configure of perfbench/ (which builds the
+#                 engine from this checkout), building perfbench and
+#                 perfbench_test and running perfbench_test: an engine
+#                 API change that breaks the benchmark's build fails
+#                 here, not only when the benchmark runs.
 #
 # Each leg builds into its own build-matrix-<leg> directory so cached
 # configurations never leak options across legs. Pass leg names to run
@@ -86,9 +91,15 @@ leg_kernels() {
   echo "=== matrix leg: kernels (HANA_CPU=native) OK ==="
 }
 
+leg_perfbench() {
+  run_leg perfbench \
+    -S perfbench -DCMAKE_BUILD_TYPE=Release \
+    -- ./perfbench_test
+}
+
 legs=("$@")
 if [ "${#legs[@]}" -eq 0 ]; then
-  legs=(release-lint tsan asan-ubsan validator kernels)
+  legs=(release-lint tsan asan-ubsan validator kernels perfbench)
 fi
 
 for leg in "${legs[@]}"; do
@@ -98,6 +109,7 @@ for leg in "${legs[@]}"; do
     asan-ubsan) leg_asan_ubsan ;;
     validator) leg_validator ;;
     kernels) leg_kernels ;;
+    perfbench) leg_perfbench ;;
     *)
       echo "unknown matrix leg: ${leg}" >&2
       exit 2

@@ -15,8 +15,6 @@ size_t TableEntry::LiveRows(const extended::IqEngine* iq) const {
   switch (kind) {
     case TableKind::kColumn:
       return column_table->live_rows();
-    case TableKind::kRow:
-      return row_table->live_rows();
     case TableKind::kExtended: {
       if (iq == nullptr) return 0;
       Result<extended::ExtendedTable*> table =
@@ -107,14 +105,13 @@ Status Catalog::CreateTable(const sql::CreateTableStmt& stmt) {
   entry->schema = std::make_shared<Schema>(stmt.columns);
 
   switch (stmt.storage) {
+    // A ROW TABLE is an MVCC column table too: one local store, one
+    // write path and one scan source for every in-memory table.
     case sql::StorageKind::kColumn:
+    case sql::StorageKind::kRow:
       entry->kind = TableKind::kColumn;
       entry->column_table =
           std::make_unique<storage::ColumnTable>(entry->schema);
-      break;
-    case sql::StorageKind::kRow:
-      entry->kind = TableKind::kRow;
-      entry->row_table = std::make_unique<storage::RowTable>(entry->schema);
       break;
     case sql::StorageKind::kExtended: {
       if (iq_ == nullptr) {
@@ -333,8 +330,6 @@ Status Catalog::Insert(const std::string& name,
   switch (entry->kind) {
     case TableKind::kColumn:
       return entry->column_table->AppendRows(rows);
-    case TableKind::kRow:
-      return entry->row_table->AppendRows(rows);
     case TableKind::kExtended: {
       // Direct load: data moves straight into the external store without
       // a detour via the in-memory store (Section 3.1).
@@ -354,42 +349,53 @@ Status Catalog::InsertNamed(const std::string& name,
   HANA_ASSIGN_OR_RETURN(TableEntry * entry, GetTable(name));
   if (columns.empty()) return Insert(name, rows);
 
+  for (const auto& row : rows) {
+    if (row.size() != columns.size()) {
+      return Status::InvalidArgument("row arity mismatch");
+    }
+  }
   // Flexible tables extend their schema on the fly: unknown columns are
-  // added with a type inferred from the first non-null value.
+  // added with a type inferred from the first non-null value. Every row
+  // is checked against the widened schema before the first AddColumn,
+  // so a failing INSERT leaves the schema as it was.
+  Schema widened = *entry->schema;
+  std::vector<ColumnDef> added;
+  std::vector<size_t> position(columns.size());
   for (size_t c = 0; c < columns.size(); ++c) {
-    if (entry->schema->FindColumn(columns[c]) >= 0) continue;
-    if (!entry->flexible) {
-      return Status::BindError("unknown column " + columns[c] + " in " +
-                               name);
-    }
-    if (entry->kind != TableKind::kColumn) {
-      return Status::InvalidArgument(
-          "flexible tables must use column storage");
-    }
-    DataType type = DataType::kString;
-    for (const auto& row : rows) {
-      if (c < row.size() && !row[c].is_null()) {
-        type = row[c].type();
-        break;
+    int idx = widened.FindColumn(columns[c]);
+    if (idx < 0) {
+      if (!entry->flexible) {
+        return Status::BindError("unknown column " + columns[c] + " in " +
+                                 name);
       }
+      if (entry->kind != TableKind::kColumn) {
+        return Status::InvalidArgument(
+            "flexible tables must use column storage");
+      }
+      DataType type = DataType::kString;
+      for (const auto& row : rows) {
+        if (!row[c].is_null()) {
+          type = row[c].type();
+          break;
+        }
+      }
+      added.push_back(ColumnDef{columns[c], type, true});
+      widened.AddColumn(added.back());
+      idx = static_cast<int>(widened.num_columns()) - 1;
     }
-    ColumnDef def{columns[c], type, true};
-    HANA_RETURN_IF_ERROR(entry->column_table->AddColumn(def));
+    position[c] = static_cast<size_t>(idx);
   }
   // Build full-width rows in schema order.
   std::vector<std::vector<Value>> full;
   full.reserve(rows.size());
   for (const auto& row : rows) {
-    if (row.size() != columns.size()) {
-      return Status::InvalidArgument("row arity mismatch");
-    }
-    std::vector<Value> out(entry->schema->num_columns(), Value::Null());
-    for (size_t c = 0; c < columns.size(); ++c) {
-      HANA_ASSIGN_OR_RETURN(size_t idx,
-                            entry->schema->ColumnIndex(columns[c]));
-      out[idx] = row[c];
-    }
+    std::vector<Value> out(widened.num_columns(), Value::Null());
+    for (size_t c = 0; c < columns.size(); ++c) out[position[c]] = row[c];
+    HANA_RETURN_IF_ERROR(storage::CheckRow(widened, out));
     full.push_back(std::move(out));
+  }
+  for (const ColumnDef& def : added) {
+    HANA_RETURN_IF_ERROR(entry->column_table->AddColumn(def));
   }
   return Insert(name, full);
 }
@@ -508,30 +514,8 @@ Result<DmlTargets> CollectTargets(
                                               : add_cold(p.cold_table));
       }
       break;
-    case TableKind::kRow:
-      return Status::Internal("row tables take the row-at-a-time DML path");
   }
   return targets;
-}
-
-/// Row tables store boxed rows, so their DML stays row-at-a-time:
-/// indexes of the live rows `predicate` (every row when null) selects,
-/// with `on_match` (when set) run on each in row order.
-Result<std::vector<size_t>> MatchRowTable(
-    const storage::RowTable& table, const plan::BoundExpr* predicate,
-    const std::function<Status(const std::vector<Value>&)>& on_match) {
-  std::vector<size_t> hits;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (table.IsDeleted(r)) continue;
-    const std::vector<Value>& row = table.GetRow(r);
-    if (predicate != nullptr) {
-      HANA_ASSIGN_OR_RETURN(Value keep, exec::EvalExprRow(*predicate, row));
-      if (keep.is_null() || !exec::IsTruthy(keep)) continue;
-    }
-    hits.push_back(r);
-    if (on_match) HANA_RETURN_IF_ERROR(on_match(row));
-  }
-  return hits;
 }
 
 }  // namespace
@@ -539,13 +523,6 @@ Result<std::vector<size_t>> MatchRowTable(
 Result<size_t> Catalog::DeleteWhere(const std::string& name,
                                     const plan::BoundExpr& predicate) {
   HANA_ASSIGN_OR_RETURN(TableEntry * entry, GetTable(name));
-  if (entry->kind == TableKind::kRow) {
-    HANA_ASSIGN_OR_RETURN(
-        std::vector<size_t> hits,
-        MatchRowTable(*entry->row_table, &predicate, nullptr));
-    for (size_t r : hits) HANA_RETURN_IF_ERROR(entry->row_table->DeleteRow(r));
-    return hits.size();
-  }
   HANA_ASSIGN_OR_RETURN(DmlTargets targets,
                         CollectTargets(*entry, iq_, &predicate, nullptr));
   storage::WriteSet writes;  // A claim conflict returns: all aborted.
@@ -580,18 +557,6 @@ Result<size_t> Catalog::UpdateWhere(
     images.push_back(std::move(image));
     return Status::OK();
   };
-  if (entry->kind == TableKind::kRow) {
-    storage::RowTable* table = entry->row_table.get();
-    HANA_ASSIGN_OR_RETURN(std::vector<size_t> hits,
-                          MatchRowTable(*table, predicate, add_image));
-    for (const auto& image : images) {
-      HANA_RETURN_IF_ERROR(storage::CheckRow(*table->schema(), image));
-    }
-    for (size_t i = 0; i < hits.size(); ++i) {
-      HANA_RETURN_IF_ERROR(table->UpdateRow(hits[i], std::move(images[i])));
-    }
-    return hits.size();
-  }
   HANA_ASSIGN_OR_RETURN(
       DmlTargets targets,
       CollectTargets(*entry, iq_, predicate, add_image));
@@ -744,9 +709,6 @@ Result<plan::TableBinding> Catalog::ResolveTable(
   switch (entry.kind) {
     case TableKind::kColumn:
       binding.location = plan::TableLocation::kLocalColumn;
-      break;
-    case TableKind::kRow:
-      binding.location = plan::TableLocation::kLocalRow;
       break;
     case TableKind::kExtended:
       binding.location = plan::TableLocation::kExtended;

@@ -16,7 +16,7 @@
 
 namespace hana::catalog {
 
-enum class TableKind { kColumn, kRow, kExtended, kHybrid };
+enum class TableKind { kColumn, kExtended, kHybrid };
 
 /// One partition of a hybrid table (Section 3.1 "Extension on Table and
 /// Partition level"): hot partitions are in-memory column stores, cold
@@ -36,7 +36,6 @@ class TableEntry {
   std::shared_ptr<Schema> schema;
 
   std::unique_ptr<storage::ColumnTable> column_table;  // kColumn.
-  std::unique_ptr<storage::RowTable> row_table;        // kRow.
   std::string extended_table;                          // kExtended.
 
   // kHybrid:
@@ -117,8 +116,7 @@ class Catalog : public plan::BinderCatalog {
   // A statement's column-table changes are staged in one
   // storage::WriteSet and committed at one timestamp, or aborted as a
   // whole on any error. Cold partitions are not versioned and are
-  // touched only after every hot change is staged. Row tables check
-  // every row or new image before their first write.
+  // touched only after every hot change is staged.
 
   /// Routes rows to the right storage (partition-aware for hybrid
   /// tables; direct load into the extended store for extended tables —

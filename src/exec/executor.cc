@@ -6,7 +6,6 @@
 #include <atomic>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -61,7 +60,7 @@ size_t AggPartitionCount(const Pipeline& p, const ParallelPolicy& policy) {
 struct PipelineRun {
   const Pipeline* p = nullptr;
 
-  std::optional<PartitionSource> partition;  // kScan, when partitionable.
+  PartitionSource scan;  // kScan: the base-table scan's morsels.
   size_t num_morsels = 0;
   // atomic: relaxed morsel counter — fetch_add hands out disjoint
   // indices; morsel results are published by workers_remaining below.
@@ -356,16 +355,10 @@ class PipelineExecutor {
   [[nodiscard]] Status Prepare(PipelineRun& run) {
     const Pipeline& p = *run.p;
     run.num_morsels = 1;
-    run.partition.reset();
     if (p.source == Pipeline::SourceKind::kScan) {
       HANA_ASSIGN_OR_RETURN(
-          run.partition,
-          ctx_->OpenPartitionedScan(*p.source_op, policy_.morsel_rows, view_));
-      if (run.partition.has_value()) {
-        run.num_morsels = run.partition->num_morsels;
-      }
-      // Non-partitionable scan targets (extended, remote, hybrid) run
-      // as a single morsel streaming through OpenScan.
+          run.scan, ctx_->OpenScan(*p.source_op, policy_.morsel_rows, view_));
+      run.num_morsels = run.scan.num_morsels;
     }
     JoinBuildState* b = p.build_target;
     if (b != nullptr) {
@@ -475,16 +468,9 @@ class PipelineExecutor {
     };
     Status source = Status::OK();
     switch (p.source) {
-      case Pipeline::SourceKind::kScan: {
-        if (run.partition.has_value()) {
-          source = run.partition->scan_morsel(m, sink);
-          break;
-        }
-        HANA_ASSIGN_OR_RETURN(ChunkSource scan,
-                              ctx_->OpenScan(*p.source_op, view_));
-        source = scan(sink);
+      case Pipeline::SourceKind::kScan:
+        source = run.scan.scan_morsel(m, sink);
         break;
-      }
       case Pipeline::SourceKind::kRemoteQuery:
         source = RemoteQuery(p, sink);
         break;

@@ -2,7 +2,6 @@
 #define HANA_EXEC_OPERATORS_H_
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,8 +57,16 @@ struct PartitionSource {
   std::function<Status(size_t m, const ChunkSink& sink)> scan_morsel;
 };
 
+/// A source of one morsel that runs `stream` when it is scanned.
+inline PartitionSource OneMorsel(ChunkSource stream) {
+  return PartitionSource{
+      1, [stream = std::move(stream)](size_t, const ChunkSink& sink) {
+        return stream(sink);
+      }};
+}
+
 /// Runtime services the executor needs from the hosting platform:
-/// opening base-table scans (partition-aware), executing shipped remote
+/// opening base-table scans as morsel sources, executing shipped remote
 /// queries through the SDA federation layer, and invoking virtual
 /// (map-reduce) table functions.
 class ExecContext {
@@ -80,10 +87,17 @@ class ExecContext {
   /// once and releases it (via the handle) when the statement finishes.
   virtual ReadLease AcquireReadLease() { return {}; }
 
-  /// Single-stream scan: chunks reflect exactly the rows visible at
-  /// `view`. Contexts without versioned storage ignore the view.
-  [[nodiscard]] virtual Result<ChunkSource> OpenScan(
-      const plan::LogicalOp& scan, const mvcc::ReadView& view) = 0;
+  /// Opens a base-table scan as a morsel source whose chunks reflect
+  /// exactly the rows visible at `view`. A local column table or a
+  /// hybrid hot partition decomposes into fixed morsels of
+  /// `morsel_rows` over one storage snapshot, so concurrent commits (or
+  /// delta merges) cannot skew the morsel bounds and every morsel
+  /// applies the same visibility filter. Extended and remote scans are
+  /// one morsel whose I/O runs inside scan_morsel, never here. Contexts
+  /// without versioned storage ignore the view.
+  [[nodiscard]] virtual Result<PartitionSource> OpenScan(
+      const plan::LogicalOp& scan, size_t morsel_rows,
+      const mvcc::ReadView& view) = 0;
 
   /// Executes a shipped remote query. `in_list` (may be null) carries
   /// semijoin-pushdown keys spliced into the /*PUSHDOWN*/ marker;
@@ -99,23 +113,6 @@ class ExecContext {
   /// Parallelism granted to this context's queries. The default policy
   /// (no pool) runs every pipeline inline.
   virtual ParallelPolicy parallel_policy() { return {}; }
-
-  /// Morsel decomposition of a base-table scan at `view`, or nullopt
-  /// when the scan target does not support partitioned access (remote
-  /// and extended sources, hybrid tables); those scans run as one
-  /// OpenScan stream. All morsels of one source share one storage
-  /// snapshot, so the decomposition (and every morsel's row range) is
-  /// fixed against `view` — concurrent commits cannot skew num_rows
-  /// between morsel planning and morsel scans — and it must not depend
-  /// on the degree of parallelism.
-  [[nodiscard]] virtual Result<std::optional<PartitionSource>>
-  OpenPartitionedScan(const plan::LogicalOp& scan, size_t morsel_rows,
-                      const mvcc::ReadView& view) {
-    (void)scan;
-    (void)morsel_rows;
-    (void)view;
-    return std::optional<PartitionSource>();
-  }
 
   /// Brackets a region in which federation branches are dispatched
   /// concurrently; the SDA runtime then charges virtual remote time as

@@ -394,8 +394,7 @@ struct Pipeline {
   std::vector<size_t> deps;  // Pipeline ids that must finish first.
 
   enum class SourceKind {
-    kScan,           // Base-table scan; morsel-partitioned when the
-                     // context supports it, else one streamed morsel.
+    kScan,           // Base-table scan: ExecContext::OpenScan's morsels.
     kRemoteQuery,    // Shipped remote query, one morsel.
     kTableFunction,  // Virtual (map-reduce) table function, one morsel.
     kConstant,       // One row of constants (table-less SELECT).

@@ -53,15 +53,17 @@ std::vector<ColumnRange> ToColumnRanges(
   return out;
 }
 
-Result<exec::ChunkSource> IqEngine::OpenScan(const plan::LogicalOp& scan,
-                                             const mvcc::ReadView& view) {
-  (void)view;  // The extended store is not versioned.
+Result<exec::PartitionSource> IqEngine::OpenScan(const plan::LogicalOp& scan,
+                                                 size_t morsel_rows,
+                                                 const mvcc::ReadView& view) {
+  (void)morsel_rows;  // One morsel: row groups stream in order.
+  (void)view;         // The extended store is not versioned.
   HANA_ASSIGN_OR_RETURN(ExtendedTable * table,
                         store_->GetTable(scan.table.name));
   // Streams straight from the store (which charges virtual I/O per
   // block read), so a consumer that stops early leaves later row groups
   // unread.
-  return exec::ChunkSource([table, &scan](const exec::ChunkSink& sink) {
+  return exec::OneMorsel([table, &scan](const exec::ChunkSink& sink) {
     return table->Scan(ToColumnRanges(scan.scan_ranges),
                        storage::kDefaultChunkRows, scan.scan_columns,
                        scan.schema, sink);

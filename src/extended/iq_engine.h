@@ -43,8 +43,9 @@ class IqEngine : public plan::BinderCatalog, public exec::ExecContext {
       const std::string& name) const override;
 
   // ExecContext:
-  [[nodiscard]] Result<exec::ChunkSource> OpenScan(
-      const plan::LogicalOp& scan, const mvcc::ReadView& view) override;
+  [[nodiscard]] Result<exec::PartitionSource> OpenScan(
+      const plan::LogicalOp& scan, size_t morsel_rows,
+      const mvcc::ReadView& view) override;
   [[nodiscard]] Result<exec::ChunkSource> OpenRemoteQuery(
       const plan::LogicalOp& rq, const exec::PushdownInList* in_list,
       const storage::Table* relocated_rows) override;

@@ -30,9 +30,6 @@ std::string LogicalOp::ToString(int indent) const {
         case TableLocation::kLocalColumn:
           loc = "Column Scan";
           break;
-        case TableLocation::kLocalRow:
-          loc = "Row Scan";
-          break;
         case TableLocation::kExtended:
           loc = "Extended Storage Scan";
           break;

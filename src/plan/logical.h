@@ -17,7 +17,6 @@ namespace hana::plan {
 /// kHybrid tables expand into a union of hot + cold partition scans.
 enum class TableLocation {
   kLocalColumn,
-  kLocalRow,
   kExtended,
   kHybrid,
   kRemote,

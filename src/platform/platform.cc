@@ -501,79 +501,55 @@ std::shared_ptr<const storage::TableReadSnapshot> Platform::SnapshotFor(
   return it->second;  // First opener wins on a race.
 }
 
-Result<exec::ChunkSource> Platform::OpenScan(const plan::LogicalOp& scan,
-                                             const mvcc::ReadView& view) {
+Result<exec::PartitionSource> Platform::OpenScan(
+    const plan::LogicalOp& scan, size_t morsel_rows,
+    const mvcc::ReadView& view) {
   const plan::TableBinding& binding = scan.table;
   switch (binding.location) {
-    case plan::TableLocation::kLocalColumn:
-    case plan::TableLocation::kLocalRow:
-    case plan::TableLocation::kHybrid: {
-      // Hybrid scans arrive either expanded (partition_index >= 0, one
-      // partition) or unexpanded (scan everything).
-      std::string base = binding.name;
-      auto pos = base.find("__P");
-      if (pos != std::string::npos) base = base.substr(0, pos);
+    case plan::TableLocation::kLocalColumn: {
+      // A column table, or one hot partition of an expanded hybrid scan.
       HANA_ASSIGN_OR_RETURN(catalog::TableEntry * entry,
-                            catalog_->GetTable(base));
-      return exec::ChunkSource([this, entry, &scan,
-                                view](const exec::ChunkSink& out) -> Status {
+                            catalog_->GetTable(binding.name));
+      const storage::ColumnTable* table = entry->column_table.get();
+      if (entry->kind == catalog::TableKind::kHybrid &&
+          scan.partition_index >= 0 &&
+          static_cast<size_t>(scan.partition_index) <
+              entry->partitions.size()) {
+        table = entry->partitions[static_cast<size_t>(scan.partition_index)]
+                    .hot.get();
+      }
+      if (table == nullptr) {
+        return Status::Internal("no local storage for scan of " + entry->name);
+      }
+      // One storage snapshot shared by every morsel: the decomposition's
+      // num_rows and each morsel's bounds come from the same frozen view.
+      std::shared_ptr<const storage::TableReadSnapshot> snap =
+          SnapshotFor(table, view);
+      if (morsel_rows == 0) morsel_rows = morsel_rows_;
+      exec::PartitionSource source;
+      source.num_morsels = (snap->num_rows() + morsel_rows - 1) / morsel_rows;
+      source.scan_morsel = [snap, morsel_rows, &scan](
+                               size_t m, const exec::ChunkSink& sink) {
         // Storage decodes only the scan's columns, stamped with its
         // schema, so chunks go to the consumer as they are.
-        bool more = true;
-        exec::ChunkSink sink = [&](const storage::Chunk& chunk) {
-          return more = out(chunk);
-        };
-        auto scan_snapshot = [&](const storage::ColumnTable* table) {
-          std::shared_ptr<const storage::TableReadSnapshot> snap =
-              SnapshotFor(table, view);
-          snap->ScanRange(0, snap->num_rows(), storage::kDefaultChunkRows,
-                          scan.scan_columns, scan.schema, sink);
-        };
-        switch (entry->kind) {
-          case catalog::TableKind::kColumn:
-            scan_snapshot(entry->column_table.get());
-            return Status::OK();
-          case catalog::TableKind::kRow:
-            entry->row_table->ScanRange(0, entry->row_table->num_rows(),
-                                        storage::kDefaultChunkRows,
-                                        scan.scan_columns, scan.schema, sink);
-            return Status::OK();
-          case catalog::TableKind::kHybrid:
-            for (size_t i = 0; i < entry->partitions.size() && more; ++i) {
-              if (scan.partition_index >= 0 &&
-                  static_cast<size_t>(scan.partition_index) != i) {
-                continue;
-              }
-              catalog::Partition& partition = entry->partitions[i];
-              if (partition.hot != nullptr) {
-                scan_snapshot(partition.hot.get());
-              } else if (scan.partition_index < 0) {
-                // Unexpanded hybrid scan: read cold partitions directly.
-                // The extended engine mutates its buffer cache and clock
-                // on reads, so direct access shares the SDA dispatch
-                // mutex with concurrently opened federation branches.
-                federation::SdaRuntime::TrackedDispatch guard(&sda_);
-                HANA_ASSIGN_OR_RETURN(
-                    extended::ExtendedTable * cold,
-                    iq_->store()->GetTable(partition.cold_table));
-                HANA_RETURN_IF_ERROR(cold->Scan({}, storage::kDefaultChunkRows,
-                                                scan.scan_columns, scan.schema,
-                                                sink));
-              }
-            }
-            return Status::OK();
-          default:
-            return Status::Internal("unexpected storage for scan of " +
-                                    entry->name);
-        }
-      });
+        size_t begin = m * morsel_rows;
+        snap->ScanRange(begin, std::min(snap->num_rows(), begin + morsel_rows),
+                        morsel_rows, scan.scan_columns, scan.schema, sink);
+        return Status::OK();
+      };
+      return source;
     }
+    case plan::TableLocation::kHybrid:
+      // Optimize expands every hybrid scan into partition scans.
+      return Status::Internal("unexpanded hybrid scan of " + binding.name);
     case plan::TableLocation::kExtended: {
       if (iq_ == nullptr) {
         return Status::Unavailable("extended storage not attached");
       }
-      return exec::ChunkSource([this, &scan](const exec::ChunkSink& sink) {
-        // Direct engine access; see the hybrid cold-partition case above.
+      return exec::OneMorsel([this, &scan](const exec::ChunkSink& sink) {
+        // The extended engine mutates its buffer cache and clock on
+        // reads, so direct access shares the SDA dispatch mutex with
+        // concurrently opened federation branches.
         federation::SdaRuntime::TrackedDispatch guard(&sda_);
         HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * table,
                               iq_->store()->GetTable(scan.table.name));
@@ -585,21 +561,23 @@ Result<exec::ChunkSource> Platform::OpenScan(const plan::LogicalOp& scan,
     case plan::TableLocation::kRemote: {
       // Federation disabled (or not split): fetch the scan's columns of
       // the whole virtual table.
-      plan::LogicalOp rq;
-      rq.kind = plan::LogicalKind::kRemoteQuery;
-      rq.schema = scan.schema;
-      rq.remote_source = binding.source;
+      auto rq = std::make_shared<plan::LogicalOp>();
+      rq->kind = plan::LogicalKind::kRemoteQuery;
+      rq->schema = scan.schema;
+      rq->remote_source = binding.source;
       std::vector<std::string> cols;
       for (size_t i = 0; i < scan.scan_columns.size(); ++i) {
         cols.push_back("t0." +
                        binding.schema->column(scan.scan_columns[i]).name +
                        " AS c" + std::to_string(i));
       }
-      rq.remote_sql = "SELECT " + Join(cols, ", ") + " FROM " +
-                      binding.remote_object + " t0";
-      HANA_ASSIGN_OR_RETURN(storage::Table table,
-                            sda_.ExecuteRemoteQuery(rq, nullptr, nullptr));
-      return TableSource(std::move(table), scan.schema);
+      rq->remote_sql = "SELECT " + Join(cols, ", ") + " FROM " +
+                       binding.remote_object + " t0";
+      return exec::OneMorsel([this, rq](const exec::ChunkSink& sink) {
+        HANA_ASSIGN_OR_RETURN(storage::Table table,
+                              sda_.ExecuteRemoteQuery(*rq, nullptr, nullptr));
+        return TableSource(std::move(table), rq->schema)(sink);
+      });
     }
   }
   return Status::Internal("unknown table location");
@@ -612,59 +590,6 @@ exec::ParallelPolicy Platform::parallel_policy() {
   policy.morsel_rows = morsel_rows_;
   policy.agg_partitions = agg_partitions_;
   return policy;
-}
-
-Result<std::optional<exec::PartitionSource>> Platform::OpenPartitionedScan(
-    const plan::LogicalOp& scan, size_t morsel_rows,
-    const mvcc::ReadView& view) {
-  const plan::TableBinding& binding = scan.table;
-  // Only plain local tables decompose into morsels; hybrid umbrella
-  // scans, expanded hot partitions and remote/extended sources keep the
-  // streaming path.
-  if ((binding.location != plan::TableLocation::kLocalColumn &&
-       binding.location != plan::TableLocation::kLocalRow) ||
-      scan.partition_index >= 0) {
-    return std::optional<exec::PartitionSource>();
-  }
-  Result<catalog::TableEntry*> entry = catalog_->GetTable(binding.name);
-  if (!entry.ok()) return std::optional<exec::PartitionSource>();
-  if (morsel_rows == 0) morsel_rows = morsel_rows_;
-
-  exec::PartitionSource source;
-  if ((*entry)->kind == catalog::TableKind::kColumn) {
-    // One storage snapshot shared by every morsel: the decomposition's
-    // num_rows and each morsel's bounds come from the same frozen view,
-    // so concurrent commits (or delta merges) between morsel planning
-    // and morsel scans cannot skew the partitioning — and all morsels
-    // apply the same MVCC visibility filter.
-    std::shared_ptr<const storage::TableReadSnapshot> snap =
-        SnapshotFor((*entry)->column_table.get(), view);
-    size_t rows = snap->num_rows();
-    source.num_morsels = (rows + morsel_rows - 1) / morsel_rows;
-    source.scan_morsel = [snap, morsel_rows, &scan](
-                             size_t m, const exec::ChunkSink& sink) {
-      size_t begin = m * morsel_rows;
-      snap->ScanRange(begin, std::min(snap->num_rows(), begin + morsel_rows),
-                      morsel_rows, scan.scan_columns, scan.schema, sink);
-      return Status::OK();
-    };
-    return std::optional<exec::PartitionSource>(std::move(source));
-  }
-  if ((*entry)->kind == catalog::TableKind::kRow) {
-    storage::RowTable* table = (*entry)->row_table.get();
-    size_t rows = table->num_rows();
-    source.num_morsels = (rows + morsel_rows - 1) / morsel_rows;
-    source.scan_morsel = [table, morsel_rows, &scan](
-                             size_t m, const exec::ChunkSink& sink) {
-      size_t begin = m * morsel_rows;
-      table->ScanRange(begin,
-                       std::min(table->num_rows(), begin + morsel_rows),
-                       morsel_rows, scan.scan_columns, scan.schema, sink);
-      return Status::OK();
-    };
-    return std::optional<exec::PartitionSource>(std::move(source));
-  }
-  return std::optional<exec::PartitionSource>();
 }
 
 void Platform::BeginConcurrentRemoteDispatch() {

@@ -132,17 +132,15 @@ class Platform : public exec::ExecContext {
   /// timestamp and registers it in the active-snapshot set, holding the
   /// delta-merge watermark back while the statement runs.
   ReadLease AcquireReadLease() override;
-  [[nodiscard]] Result<exec::ChunkSource> OpenScan(
-      const plan::LogicalOp& scan, const mvcc::ReadView& view) override;
+  [[nodiscard]] Result<exec::PartitionSource> OpenScan(
+      const plan::LogicalOp& scan, size_t morsel_rows,
+      const mvcc::ReadView& view) override;
   [[nodiscard]] Result<exec::ChunkSource> OpenRemoteQuery(
       const plan::LogicalOp& rq, const exec::PushdownInList* in_list,
       const storage::Table* relocated_rows) override;
   [[nodiscard]] Result<exec::ChunkSource> OpenTableFunction(
       const plan::LogicalOp& fn) override;
   exec::ParallelPolicy parallel_policy() override;
-  [[nodiscard]] Result<std::optional<exec::PartitionSource>>
-  OpenPartitionedScan(const plan::LogicalOp& scan, size_t morsel_rows,
-                      const mvcc::ReadView& view) override;
   void BeginConcurrentRemoteDispatch() override;
   void EndConcurrentRemoteDispatch() override;
 

@@ -207,7 +207,7 @@ struct InsertStmt : Stmt {
 /// Storage option in CREATE TABLE (Section 3.1).
 enum class StorageKind {
   kColumn,    // Default: in-memory columnar.
-  kRow,       // In-memory row store.
+  kRow,       // Accepted for ROW TABLE; stored as a column table.
   kExtended,  // USING EXTENDED STORAGE: entire table on IQ-style disk store.
   kHybrid,    // USING HYBRID EXTENDED STORAGE with hot/cold partitions.
 };

@@ -1176,74 +1176,4 @@ void WriteSet::Abort() {
   appends_.clear();
 }
 
-// ---------------------------------------------------------------------
-// RowTable
-// ---------------------------------------------------------------------
-
-Status RowTable::AppendRows(const std::vector<std::vector<Value>>& rows) {
-  for (const auto& row : rows) HANA_RETURN_IF_ERROR(CheckRow(*schema_, row));
-  rows_.insert(rows_.end(), rows.begin(), rows.end());
-  deleted_.resize(rows_.size(), 0);
-  live_rows_ += rows.size();
-  return Status::OK();
-}
-
-Status RowTable::DeleteRow(size_t row) {
-  if (row >= rows_.size()) return Status::OutOfRange("row out of range");
-  if (!deleted_[row]) {
-    deleted_[row] = 1;
-    --live_rows_;
-  }
-  return Status::OK();
-}
-
-Status RowTable::UpdateRow(size_t row, std::vector<Value> new_row) {
-  if (row >= rows_.size()) return Status::OutOfRange("row out of range");
-  HANA_RETURN_IF_ERROR(CheckRow(*schema_, new_row));
-  rows_[row] = std::move(new_row);
-  return Status::OK();
-}
-
-void RowTable::Scan(size_t chunk_rows,
-                    const std::function<bool(const Chunk&)>& callback) const {
-  ScanRange(0, rows_.size(), chunk_rows, callback);
-}
-
-void RowTable::ScanRange(
-    size_t begin, size_t end, size_t chunk_rows,
-    const std::function<bool(const Chunk&)>& callback) const {
-  ScanRange(begin, end, chunk_rows, AllColumnIds(*schema_), schema_, callback);
-}
-
-void RowTable::ScanRange(
-    size_t begin, size_t end, size_t chunk_rows,
-    const std::vector<size_t>& columns, const std::shared_ptr<Schema>& schema,
-    const std::function<bool(const Chunk&)>& callback) const {
-  end = std::min(end, rows_.size());
-  if (chunk_rows == 0) chunk_rows = kDefaultChunkRows;
-  Chunk chunk = Chunk::Empty(schema);
-  for (size_t r = begin; r < end; ++r) {
-    if (deleted_[r]) continue;
-    for (size_t c = 0; c < columns.size(); ++c) {
-      chunk.columns[c]->Append(rows_[r][columns[c]]);
-    }
-    if (chunk.num_rows() >= chunk_rows) {
-      if (!callback(chunk)) return;
-      chunk = Chunk::Empty(schema);
-    }
-  }
-  if (chunk.num_rows() > 0) callback(chunk);
-}
-
-size_t RowTable::MemoryBytes() const {
-  size_t bytes = 0;
-  for (const auto& row : rows_) {
-    for (const Value& v : row) {
-      bytes += 16;  // Fixed slot per field (type tag + payload + padding).
-      if (v.type() == DataType::kString) bytes += v.string_value().size();
-    }
-  }
-  return bytes;
-}
-
 }  // namespace hana::storage

@@ -666,50 +666,6 @@ class WriteSet {
   std::vector<std::pair<ColumnTable*, size_t>> deletes_;
 };
 
-/// Row-oriented storage option: best for high update frequencies on
-/// small data sets and point access (Section 3.1).
-class RowTable {
- public:
-  explicit RowTable(std::shared_ptr<Schema> schema)
-      : schema_(std::move(schema)) {}
-
-  const std::shared_ptr<Schema>& schema() const { return schema_; }
-  size_t num_rows() const { return rows_.size(); }
-  size_t live_rows() const { return live_rows_; }
-
-  /// Runs CheckRow on every row before the first append, so a failing
-  /// batch appends nothing.
-  [[nodiscard]] Status AppendRows(const std::vector<std::vector<Value>>& rows);
-  const std::vector<Value>& GetRow(size_t row) const { return rows_[row]; }
-  bool IsDeleted(size_t row) const { return deleted_[row] != 0; }
-  [[nodiscard]] Status DeleteRow(size_t row);
-  /// Replaces a row's image after CheckRow.
-  [[nodiscard]] Status UpdateRow(size_t row, std::vector<Value> new_row);
-
-  void Scan(size_t chunk_rows,
-            const std::function<bool(const Chunk&)>& callback) const;
-
-  /// Streams live rows of the physical range [begin, end); see
-  /// ColumnTable::ScanRange.
-  void ScanRange(size_t begin, size_t end, size_t chunk_rows,
-                 const std::function<bool(const Chunk&)>& callback) const;
-  /// Projected form; see TableReadSnapshot::ScanRange.
-  void ScanRange(size_t begin, size_t end, size_t chunk_rows,
-                 const std::vector<size_t>& columns,
-                 const std::shared_ptr<Schema>& schema,
-                 const std::function<bool(const Chunk&)>& callback) const;
-
-  /// Uncompressed row-layout footprint (fixed 16 bytes per field plus
-  /// string payloads) — the Figure 2 row-storage baseline.
-  size_t MemoryBytes() const;
-
- private:
-  std::shared_ptr<Schema> schema_;
-  std::vector<std::vector<Value>> rows_;
-  std::vector<uint8_t> deleted_;
-  size_t live_rows_ = 0;
-};
-
 }  // namespace hana::storage
 
 #endif  // HANA_STORAGE_COLUMN_TABLE_H_

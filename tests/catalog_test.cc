@@ -29,7 +29,7 @@ TEST_F(CatalogTest, CreateDropAllStorageKinds) {
           (PARTITION VALUES < 10 COLD, PARTITION OTHERS HOT))")
                   .ok());
   EXPECT_EQ((*db_->catalog().GetTable("c"))->kind, TableKind::kColumn);
-  EXPECT_EQ((*db_->catalog().GetTable("r"))->kind, TableKind::kRow);
+  EXPECT_EQ((*db_->catalog().GetTable("r"))->kind, TableKind::kColumn);
   EXPECT_EQ((*db_->catalog().GetTable("e"))->kind, TableKind::kExtended);
   EXPECT_EQ((*db_->catalog().GetTable("h"))->kind, TableKind::kHybrid);
   EXPECT_TRUE(db_->iq()->store()->HasTable("E"));

@@ -52,8 +52,8 @@ class ZeroColumnScanTest : public ::testing::Test {
     for (const char* table : {"zc_col", "zc_row", "zc_ext", "zc_hyb"}) {
       ASSERT_TRUE(db_.catalog().Insert(table, rows).ok()) << table;
     }
-    // Deletes leave invisible rows in the column and row stores, so a
-    // row count must come from the visibility-filtered scan.
+    // Deletes leave invisible rows in column tables (a ROW TABLE is
+    // one), so a row count must come from the visibility-filtered scan.
     for (const char* table : {"zc_col", "zc_row"}) {
       ASSERT_TRUE(db_.Execute(std::string("DELETE FROM ") + table +
                               " WHERE k < " + std::to_string(kDeleted))
@@ -102,7 +102,7 @@ TEST_F(ZeroColumnScanTest, KeepsTheCheapestColumn) {
       << *plan;
   plan = db_.Explain("SELECT COUNT(*) FROM zc_row");
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("Row Scan zc_row [1/3 cols]"), std::string::npos)
+  EXPECT_NE(plan->find("Column Scan zc_row [1/3 cols]"), std::string::npos)
       << *plan;
   plan = db_.Explain("SELECT COUNT(*) FROM zc_ext WITH HINT (NO_FEDERATION)");
   ASSERT_TRUE(plan.ok());

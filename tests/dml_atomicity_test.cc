@@ -4,12 +4,16 @@
 // a failing INSERT, UPDATE or DELETE changes no row, snapshots see a
 // statement whole or not at all, and a row claimed by an in-flight
 // coordinator transaction fails the statement (or RunAging) instead of
-// being half-applied. Row tables check every row or new image before
-// their first write. Every case runs at threads 1 and 4.
+// being half-applied. A ROW TABLE is a column table and takes the same
+// path; concurrent statements on it see each other whole. A flexible
+// table widens its schema only for an INSERT that succeeds. Every case
+// runs at threads 1 and 4.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/mvcc.h"
@@ -244,6 +248,51 @@ TEST_P(DmlAtomicityTest, RowTableChecksEveryRowBeforeTheFirstWrite) {
   EXPECT_EQ(Dump("SELECT a, b FROM r ORDER BY b"), before);
   EXPECT_FALSE(db_.Execute("UPDATE r SET a = NULL WHERE b = 'z'").ok());
   EXPECT_EQ(Dump("SELECT a, b FROM r ORDER BY b"), before);
+}
+
+TEST_P(DmlAtomicityTest, ConcurrentInsertsIntoRowStorageAreSeenWhole) {
+  ASSERT_TRUE(db_.Run("CREATE ROW TABLE r (a BIGINT NOT NULL, b VARCHAR)").ok());
+  constexpr int kStatements = 20;
+  constexpr int kRowsPerStatement = 100;
+  std::string insert = "INSERT INTO r VALUES ";
+  for (int i = 0; i < kRowsPerStatement; ++i) {
+    insert += (i == 0 ? "(" : ", (") + std::to_string(i) + ", 'v')";
+  }
+  std::atomic<bool> done{false};
+  Status writer_status;
+  std::thread writer([&] {
+    for (int s = 0; s < kStatements && writer_status.ok(); ++s) {
+      writer_status = db_.Execute(insert).status();
+    }
+    done.store(true);
+  });
+  std::vector<int64_t> counts;
+  Status reader_status;
+  while (reader_status.ok()) {
+    const bool last = done.load();  // One more count after the writer.
+    auto count = db_.Query("SELECT COUNT(*) FROM r");
+    reader_status = count.status();
+    if (count.ok()) counts.push_back(count->row(0)[0].AsInt());
+    if (last) break;
+  }
+  writer.join();
+  ASSERT_TRUE(writer_status.ok()) << writer_status.ToString();
+  ASSERT_TRUE(reader_status.ok()) << reader_status.ToString();
+  for (int64_t n : counts) EXPECT_EQ(n % kRowsPerStatement, 0) << n;
+  EXPECT_EQ(counts.back(), kStatements * kRowsPerStatement);
+}
+
+TEST_P(DmlAtomicityTest, FailingFlexibleInsertAddsNoColumn) {
+  ASSERT_TRUE(db_.Run("CREATE FLEXIBLE TABLE f (a BIGINT NOT NULL)").ok());
+  EXPECT_FALSE(
+      db_.Execute("INSERT INTO f (a, extra) VALUES (NULL, 'x')").ok());
+  auto all = db_.Query("SELECT * FROM f");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->schema()->num_columns(), 1u);
+  EXPECT_EQ(all->num_rows(), 0u);
+
+  ASSERT_TRUE(db_.Execute("INSERT INTO f (a, extra) VALUES (1, 'x')").ok());
+  EXPECT_EQ(Dump("SELECT * FROM f"), "1|x|\n");
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, DmlAtomicityTest,

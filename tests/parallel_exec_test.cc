@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "platform/platform.h"
 
 namespace hana::exec {
@@ -174,6 +175,94 @@ TEST_F(ParallelExecTest, ScheduleIsNotAKnob) {
   // The schedule follows from the pool and the thread count alone.
   EXPECT_EQ(db_->SetParameter("executor", "serial").code(),
             StatusCode::kNotFound);
+}
+
+/// Every cell of `table`, row by row, as text (DOUBLEs at full
+/// precision, so equal text means bit-identical values).
+std::string Cells(const storage::Table& table) {
+  std::string out;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (const Value& v : table.row(r)) {
+      out += v.type() == DataType::kDouble && !v.is_null()
+                 ? StrFormat("%.17g", v.AsDouble())
+                 : v.ToString();
+      out += "|";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// A hybrid table's hot partition is a column table: its scan splits
+// into morsels like any other, the results are bit-identical at every
+// thread count, and they equal those over the same rows in a plain
+// column table.
+TEST(HybridHotPartition, ScansAsMorselsLikeAColumnTable) {
+  platform::Platform db(platform::PlatformOptions{.start_hadoop = false});
+  const std::string columns = "(k BIGINT, g BIGINT, d DOUBLE)";
+  ASSERT_TRUE(db.Run("CREATE TABLE hy " + columns +
+                     " USING HYBRID EXTENDED STORAGE PARTITION BY RANGE (k)"
+                     " (PARTITION VALUES < 100 COLD, PARTITION OTHERS HOT);"
+                     " CREATE COLUMN TABLE co " + columns)
+                  .ok());
+  // Every key is past the cold bound: the rows all live in the hot
+  // partition, 5 morsels of 1000.
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 4500; ++i) {
+    rows.push_back({Value::Int(100 + i), Value::Int((i * 7919) % 13),
+                    i % 11 == 0 ? Value::Null()
+                                : Value::Double((i * 37 % 1000) / 7.0)});
+  }
+  ASSERT_TRUE(db.catalog().Insert("hy", rows).ok());
+  ASSERT_TRUE(db.catalog().Insert("co", rows).ok());
+  ASSERT_TRUE(db.SetParameter("morsel_rows", "1000").ok());
+
+  struct Query {
+    std::string sql;  // `$` stands for the table name.
+    bool exact;       // Whether the column table gives the same bits.
+  };
+  const std::vector<Query> queries = {
+      {"SELECT k, g, d FROM $", true},
+      {"SELECT k, d FROM $ WHERE g = 3 AND k > 1000", true},
+      {"SELECT g, COUNT(*) AS n, COUNT(d) AS cd, MIN(k) AS mn, "
+       "MAX(d) AS mx FROM $ GROUP BY g ORDER BY g",
+       true},
+      {"SELECT k FROM $ ORDER BY d DESC, k LIMIT 20", true},
+      // The hybrid aggregate adds a per-partition partial per branch,
+      // so its DOUBLE sum is compared across thread counts only.
+      {"SELECT g, SUM(d) AS sd FROM $ GROUP BY g ORDER BY g", false},
+  };
+  for (const Query& query : queries) {
+    auto sql = [&](const std::string& table) {
+      std::string out = query.sql;
+      out.replace(out.find('$'), 1, table);
+      return out;
+    };
+    ASSERT_TRUE(db.SetParameter("threads", "1").ok());
+    auto serial = db.Query(sql("hy"));
+    ASSERT_TRUE(serial.ok()) << sql("hy") << ": " << serial.status().ToString();
+    ASSERT_GT(serial->num_rows(), 0u) << sql("hy");
+    // The hot scan's pipeline reads 5 morsels.
+    size_t hot_morsels = 0;
+    for (const PipelineStats& p : db.last_pipeline_stats()) {
+      if (p.label.rfind("scan hy", 0) == 0) {
+        hot_morsels = p.morsels;
+      }
+    }
+    EXPECT_EQ(hot_morsels, 5u) << sql("hy");
+    if (query.exact) {
+      auto copy = db.Query(sql("co"));
+      ASSERT_TRUE(copy.ok()) << sql("co");
+      EXPECT_EQ(Cells(*serial), Cells(*copy)) << sql("hy");
+    }
+    for (const char* threads : {"2", "4", "8"}) {
+      ASSERT_TRUE(db.SetParameter("threads", threads).ok());
+      auto parallel = db.Query(sql("hy"));
+      ASSERT_TRUE(parallel.ok()) << sql("hy");
+      EXPECT_EQ(Cells(*serial), Cells(*parallel))
+          << sql("hy") << " at threads " << threads;
+    }
+  }
 }
 
 }  // namespace
