@@ -495,7 +495,8 @@ Result<DmlTargets> CollectTargets(
                          [&](const storage::Chunk& chunk,
                              std::vector<uint8_t>* mask) {
                            return select(predicate, chunk, mask);
-                         }));
+                         },
+                         iq->dop()));
     targets.cold.push_back(DmlTargets::Cold{table, std::move(rows)});
     return Status::OK();
   };

@@ -82,7 +82,12 @@ inline constexpr int kTxnParticipant = 40;
 // reads the watermark before touching storage.merge / storage.state.
 inline constexpr int kMvccVersion = 45;
 // sda.dispatch — federation::SdaRuntime::dispatch_mu_: statement stats
-// + virtual-clock hooks.
+// + virtual-clock hooks. Held across a whole remote dispatch, including
+// the IQ engine's execution of shipped SQL. That executor stays inline
+// (no pool): a nested executor would take executor.schedule (40), and a
+// ParallelFor drain could steal a sibling branch that re-locks this
+// mutex. Its cold scans do submit row-group read-ahead tasks (taking
+// pool.queue, 90); the tasks only read and decode, taking no lock.
 inline constexpr int kSdaDispatch = 50;
 // sda.registry — federation::SdaRuntime::registry_mu_: adapter map;
 // ACQUIRED_AFTER(dispatch_mu_).

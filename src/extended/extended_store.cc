@@ -1,9 +1,16 @@
 #include "extended/extended_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 
 #include "common/strings.h"
+#include "common/task_pool.h"
 #include "storage/codec.h"
 
 namespace hana::extended {
@@ -68,73 +75,142 @@ std::vector<uint8_t> EncodeColumn(DataType type,
   return block;
 }
 
-Result<storage::ColumnVectorPtr> DecodeColumn(DataType type,
-                                              const std::vector<uint8_t>& block,
-                                              size_t rows) {
+/// Decodes one column block straight into `out`, a fresh vector of the
+/// column's type: the RLE null mask fills the null flags, and the
+/// payload's values are decoded into the front of the value array and,
+/// when the block has NULLs, spread backwards to their rows in place.
+/// Every count is checked against `rows`, so a corrupt block is an
+/// IoError, never an out-of-range read.
+Status DecodeColumn(std::span<const uint8_t> block, size_t rows,
+                    storage::ColumnVector* out) {
   size_t pos = 0;
   HANA_ASSIGN_OR_RETURN(uint64_t mask_size, storage::VarintRead(block, &pos));
-  std::vector<uint8_t> mask_bytes(block.begin() + pos,
-                                  block.begin() + pos + mask_size);
-  HANA_ASSIGN_OR_RETURN(std::vector<int64_t> mask,
-                        storage::RleDecode(mask_bytes));
-  std::vector<uint8_t> payload(block.begin() + pos + mask_size, block.end());
-  auto column = std::make_shared<storage::ColumnVector>(type);
-  column->Reserve(rows);
-  switch (type) {
-    case DataType::kDouble: {
-      HANA_ASSIGN_OR_RETURN(std::vector<double> values,
-                            storage::DecodeDoubles(payload));
-      size_t v = 0;
-      for (size_t r = 0; r < rows; ++r) {
-        if (mask[r]) {
-          column->AppendNull();
-        } else {
-          column->AppendDouble(values[v++]);
-        }
-      }
-      break;
+  if (mask_size > block.size() - pos) {
+    return Status::IoError("corrupt extended block: null mask past the end");
+  }
+  std::span<const uint8_t> mask = block.subspan(pos, mask_size);
+  std::span<const uint8_t> payload = block.subspan(pos + mask_size);
+  out->Resize(rows);
+  uint8_t* nulls = out->mutable_nulls();
+  size_t mask_pos = 0;
+  HANA_ASSIGN_OR_RETURN(uint64_t mask_rows,
+                        storage::VarintRead(mask, &mask_pos));
+  if (mask_rows != rows) {
+    return Status::IoError("corrupt extended block: null mask of " +
+                           std::to_string(mask_rows) + " rows, expected " +
+                           std::to_string(rows));
+  }
+  size_t filled = 0, null_count = 0;
+  while (filled < rows) {
+    HANA_ASSIGN_OR_RETURN(uint64_t enc, storage::VarintRead(mask, &mask_pos));
+    HANA_ASSIGN_OR_RETURN(uint64_t run, storage::VarintRead(mask, &mask_pos));
+    if (run > rows - filled) {
+      return Status::IoError("corrupt extended block: null mask run");
     }
-    case DataType::kString: {
-      HANA_ASSIGN_OR_RETURN(std::vector<std::string> values,
-                            storage::DecodeStrings(payload));
-      size_t v = 0;
-      for (size_t r = 0; r < rows; ++r) {
-        if (mask[r]) {
-          column->AppendNull();
-        } else {
-          column->AppendString(std::move(values[v++]));
-        }
-      }
-      break;
+    if (enc != 0) {
+      std::fill_n(nulls + filled, run, 1);
+      null_count += run;
     }
+    filled += run;
+  }
+  const size_t values = rows - null_count;
+  // Moves the `values` decoded values at the front of `data` to the
+  // non-null rows, back to front, and resets NULL rows to the zero
+  // value AppendNull stores.
+  auto spread = [&](auto* data) {
+    // While r > v, rows [0, r) hold a NULL, so data[v - 1] sits below
+    // row r; once r == v, rows [0, v) are non-null and in place.
+    size_t v = values;
+    for (size_t r = rows; r > v;) {
+      --r;
+      if (nulls[r] != 0) {
+        data[r] = {};
+      } else {
+        data[r] = std::move(data[--v]);
+      }
+    }
+  };
+  switch (out->type()) {
+    case DataType::kDouble:
+      HANA_RETURN_IF_ERROR(
+          storage::DecodeDoublesInto(payload, out->mutable_doubles(), values));
+      spread(out->mutable_doubles());
+      break;
+    case DataType::kString:
+      HANA_RETURN_IF_ERROR(
+          storage::DecodeStringsInto(payload, out->mutable_strings(), values));
+      spread(out->mutable_strings());
+      break;
     case DataType::kBool: {
-      HANA_ASSIGN_OR_RETURN(std::vector<int64_t> values,
-                            storage::DecodeInts(payload));
-      size_t v = 0;
-      for (size_t r = 0; r < rows; ++r) {
-        if (mask[r]) {
-          column->AppendNull();
-        } else {
-          column->AppendBool(values[v++] != 0);
-        }
-      }
+      int64_t* ints = out->mutable_ints();
+      HANA_RETURN_IF_ERROR(storage::DecodeIntsInto(payload, ints, values));
+      for (size_t i = 0; i < values; ++i) ints[i] = ints[i] != 0;
+      spread(ints);
       break;
     }
-    default: {
-      HANA_ASSIGN_OR_RETURN(std::vector<int64_t> values,
-                            storage::DecodeInts(payload));
-      size_t v = 0;
-      for (size_t r = 0; r < rows; ++r) {
-        if (mask[r]) {
-          column->AppendNull();
-        } else {
-          column->AppendInt(values[v++]);
-        }
-      }
+    default:
+      HANA_RETURN_IF_ERROR(
+          storage::DecodeIntsInto(payload, out->mutable_ints(), values));
+      spread(out->mutable_ints());
       break;
+  }
+  return Status::OK();
+}
+
+/// An open table file, shared by one scan and its read-ahead tasks.
+/// pread keeps concurrent reads independent of any file position.
+class BlockFile {
+ public:
+  static Result<std::shared_ptr<const BlockFile>> Open(
+      const std::string& path) {
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return Status::IoError("cannot open " + path);
+    return std::shared_ptr<const BlockFile>(new BlockFile(fd, path));
+  }
+  ~BlockFile() { ::close(fd_); }
+  BlockFile(const BlockFile&) = delete;
+  BlockFile& operator=(const BlockFile&) = delete;
+
+  Status Read(uint64_t offset, size_t size, std::vector<uint8_t>* out) const {
+    out->resize(size);
+    size_t done = 0;
+    while (done < size) {
+      ssize_t n = ::pread(fd_, out->data() + done, size - done,
+                          static_cast<off_t>(offset + done));
+      if (n <= 0) return Status::IoError("read failed on " + path_);
+      done += static_cast<size_t>(n);
+    }
+    return Status::OK();
+  }
+
+ private:
+  BlockFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+  int fd_;
+  std::string path_;
+};
+
+/// Reads and decodes one block into a fresh vector.
+Result<storage::ColumnVectorPtr> LoadBlock(const BlockFile& file,
+                                           uint64_t offset, size_t size,
+                                           DataType type, size_t rows,
+                                           std::vector<uint8_t>* buffer) {
+  HANA_RETURN_IF_ERROR(file.Read(offset, size, buffer));
+  auto column = std::make_shared<storage::ColumnVector>(type);
+  HANA_RETURN_IF_ERROR(DecodeColumn(*buffer, rows, column.get()));
+  return column;
+}
+
+/// Row indexes of a group's live rows: every row, or those without a
+/// tombstone.
+void LiveRowIndexes(size_t rows, const std::vector<uint8_t>& tombstones,
+                    std::vector<uint32_t>* out) {
+  out->clear();
+  out->reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    if (tombstones.empty() || tombstones[r] == 0) {
+      out->push_back(static_cast<uint32_t>(r));
     }
   }
-  return column;
 }
 
 }  // namespace
@@ -222,39 +298,223 @@ bool ExtendedTable::GroupMatches(const RowGroup& group,
   return true;
 }
 
-Result<storage::ColumnVectorPtr> ExtendedTable::ReadColumn(size_t group,
-                                                           size_t col) {
-  return store_->ReadBlock(this, group, col);
+/// Serves the surviving row groups of one scan or match in order and
+/// reads up to dop - 1 groups ahead on the task pool. Only the calling
+/// thread touches the buffer cache and the metrics, in group order, so
+/// the counters equal a serial scan's at any dop: a read-ahead task
+/// only reads the file and decodes, and the blocks it loads are charged
+/// and cached when the group is consumed, never otherwise.
+class ExtendedTable::GroupReader {
+ public:
+  GroupReader(ExtendedTable* table, std::vector<size_t> groups,
+              const std::vector<size_t>& columns, size_t dop)
+      : table_(table),
+        groups_(std::move(groups)),
+        columns_(columns),
+        depth_(dop > 1 ? dop - 1 : 0),
+        key_prefix_(ToUpper(table->name_) + "#"),
+        slots_(groups_.size()) {}
+
+  /// Claims every read-ahead that has not started and waits for those
+  /// that have, so no task outlives the scan's use of the table.
+  ~GroupReader() {
+    for (const std::shared_ptr<Slot>& slot : slots_) {
+      if (slot != nullptr) slot->Await();
+    }
+  }
+
+  GroupReader(const GroupReader&) = delete;
+  GroupReader& operator=(const GroupReader&) = delete;
+
+  const std::vector<size_t>& groups() const { return groups_; }
+
+  /// The blocks of groups()[i], one per column; i = 0, 1, ... in order.
+  Status Load(size_t i, std::vector<storage::ColumnVectorPtr>* blocks) {
+    size_t until = std::min(groups_.size(), i + 1 + depth_);
+    for (scheduled_ = std::max(scheduled_, i + 1); scheduled_ < until;
+         ++scheduled_) {
+      Schedule(scheduled_);
+    }
+    std::shared_ptr<Slot> slot = std::move(slots_[i]);
+    if (slot != nullptr) slot->Await();
+    const size_t g = groups_[i];
+    const RowGroup& group = table_->groups_[g];
+    ExtendedStore* store = table_->store_;
+    blocks->resize(columns_.size());
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      const ColumnBlockRef& ref = group.columns[columns_[c]];
+      std::string key = Key(g, columns_[c]);
+      storage::ColumnVectorPtr data = store->CacheLookup(key);
+      if (data == nullptr) {
+        if (slot != nullptr && slot->blocks[c] != nullptr) {
+          data = std::move(slot->blocks[c]);
+          store->ChargeRead(ref.size);
+        } else {
+          // Not read ahead, or the read-ahead failed: read here, so an
+          // error surfaces in group order with the serial charges.
+          HANA_ASSIGN_OR_RETURN(const BlockFile* file, File());
+          HANA_RETURN_IF_ERROR(file->Read(ref.offset, ref.size, &buffer_));
+          store->ChargeRead(ref.size);
+          auto column = std::make_shared<storage::ColumnVector>(
+              table_->schema_->column(columns_[c]).type);
+          HANA_RETURN_IF_ERROR(DecodeColumn(buffer_, group.rows, column.get()));
+          data = std::move(column);
+        }
+        store->CacheAdmit(key, data, ref.size);
+      }
+      (*blocks)[c] = std::move(data);
+    }
+    return Status::OK();
+  }
+
+ private:
+  /// One group's read-ahead: the blocks that missed the buffer cache
+  /// when it was scheduled. Self-contained, so a queued task never
+  /// touches the table, which may be gone by the time the task runs.
+  struct Slot {
+    enum : int { kQueued, kLoading, kDone, kClaimed };
+    struct Read {
+      size_t column = 0;  // Index into the scan's columns.
+      uint64_t offset = 0;
+      uint32_t size = 0;
+      DataType type = DataType::kInt64;
+    };
+
+    /// The pool task: loads the blocks unless the scan claimed the slot.
+    void RunIfQueued() {
+      int expected = kQueued;
+      if (!state.compare_exchange_strong(expected, kLoading)) {
+        return;
+      }
+      std::vector<uint8_t> buffer;
+      for (const Read& read : reads) {
+        // A failed load leaves the block null; the scan reads it again
+        // and reports the error in order.
+        Result<storage::ColumnVectorPtr> block =
+            LoadBlock(*file, read.offset, read.size, read.type, rows, &buffer);
+        if (block.ok()) blocks[read.column] = *std::move(block);
+      }
+      state.store(kDone);
+      state.notify_all();
+    }
+
+    /// Claims a slot whose task has not started; waits for one that has.
+    void Await() {
+      int expected = kQueued;
+      if (state.compare_exchange_strong(expected, kClaimed)) {
+        return;
+      }
+      while (expected == kLoading) {
+        state.wait(kLoading);
+        expected = state.load();
+      }
+    }
+
+    // atomic: seq_cst. kQueued -> kLoading (the task) or kQueued ->
+    // kClaimed (the scan) by CAS, so exactly one side loads; the task's
+    // store of kDone publishes `blocks` to the scan's load after wait.
+    std::atomic<int> state{kQueued};
+    std::shared_ptr<const BlockFile> file;
+    size_t rows = 0;
+    std::vector<Read> reads;
+    std::vector<storage::ColumnVectorPtr> blocks;  // One per scan column.
+  };
+
+  std::string Key(size_t group, size_t col) const {
+    return key_prefix_ + std::to_string(group) + "#" + std::to_string(col);
+  }
+
+  Result<const BlockFile*> File() {
+    if (file_ == nullptr) {
+      HANA_ASSIGN_OR_RETURN(file_, BlockFile::Open(table_->path_));
+    }
+    return file_.get();
+  }
+
+  /// Hands groups()[i]'s uncached blocks to a pool task.
+  void Schedule(size_t i) {
+    const size_t g = groups_[i];
+    const RowGroup& group = table_->groups_[g];
+    auto slot = std::make_shared<Slot>();
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (table_->store_->CacheContains(Key(g, columns_[c]))) continue;
+      const ColumnBlockRef& ref = group.columns[columns_[c]];
+      slot->reads.push_back(Slot::Read{
+          c, ref.offset, ref.size, table_->schema_->column(columns_[c]).type});
+    }
+    // Nothing to read, or no file: the scan loads the group itself (and
+    // reports the open error there).
+    if (slot->reads.empty() || !File().ok()) return;
+    slot->file = file_;
+    slot->rows = group.rows;
+    slot->blocks.resize(columns_.size());
+    slots_[i] = slot;
+    // The task captures only the slot. It takes no lock, so it may be
+    // queued under any engine lock, sda.dispatch included.
+    (void)TaskPool::Global().Submit([slot] { slot->RunIfQueued(); });
+  }
+
+  ExtendedTable* table_;
+  std::vector<size_t> groups_;
+  const std::vector<size_t>& columns_;
+  size_t depth_;
+  std::string key_prefix_;
+  std::shared_ptr<const BlockFile> file_;
+  std::vector<std::shared_ptr<Slot>> slots_;  // Null: loaded by the scan.
+  size_t scheduled_ = 1;  // Group 0 is never read ahead.
+  std::vector<uint8_t> buffer_;
+};
+
+std::vector<size_t> ExtendedTable::SurvivingGroups(
+    const std::vector<ColumnRange>& ranges) const {
+  std::vector<size_t> out;
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    const RowGroup& group = groups_[g];
+    if (group.deleted == group.rows) continue;
+    if (!GroupMatches(group, ranges)) continue;
+    out.push_back(g);
+  }
+  return out;
 }
 
 Status ExtendedTable::Scan(
     const std::vector<ColumnRange>& ranges, size_t chunk_rows,
-    const std::function<bool(const storage::Chunk&)>& callback) {
+    const std::function<bool(const storage::Chunk&)>& callback, size_t dop) {
   return Scan(ranges, chunk_rows, storage::AllColumnIds(*schema_), schema_,
-              callback);
+              callback, dop);
 }
 
 Status ExtendedTable::Scan(
     const std::vector<ColumnRange>& ranges, size_t chunk_rows,
     const std::vector<size_t>& columns, const std::shared_ptr<Schema>& schema,
-    const std::function<bool(const storage::Chunk&)>& callback) {
-  storage::Chunk chunk = storage::Chunk::Empty(schema);
-  std::vector<storage::ColumnVectorPtr> cols(columns.size());
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    RowGroup& group = groups_[g];
-    if (group.deleted == group.rows) continue;
-    if (!GroupMatches(group, ranges)) continue;
-    for (size_t c = 0; c < columns.size(); ++c) {
-      HANA_ASSIGN_OR_RETURN(cols[c], ReadColumn(g, columns[c]));
+    const std::function<bool(const storage::Chunk&)>& callback, size_t dop) {
+  chunk_rows = std::max<size_t>(chunk_rows, 1);
+  GroupReader reader(this, SurvivingGroups(ranges), columns, dop);
+  std::vector<storage::ColumnVectorPtr> blocks;
+  std::vector<uint32_t> live;
+  auto fresh_chunk = [&] {
+    storage::Chunk chunk = storage::Chunk::Empty(schema);
+    for (const storage::ColumnVectorPtr& column : chunk.columns) {
+      column->Reserve(chunk_rows);
     }
-    for (size_t r = 0; r < group.rows; ++r) {
-      if (!group.tombstones.empty() && group.tombstones[r]) continue;
-      for (size_t c = 0; c < cols.size(); ++c) {
-        chunk.columns[c]->Append(cols[c]->GetValue(r));
+    return chunk;
+  };
+  storage::Chunk chunk = fresh_chunk();
+  for (size_t i = 0; i < reader.groups().size(); ++i) {
+    HANA_RETURN_IF_ERROR(reader.Load(i, &blocks));
+    const RowGroup& group = groups_[reader.groups()[i]];
+    LiveRowIndexes(group.rows, group.tombstones, &live);
+    // Chunks fill to chunk_rows across group boundaries, one column at
+    // a time, so tombstoned rows drop out through the selection.
+    for (size_t begin = 0; begin < live.size();) {
+      size_t take = std::min(chunk_rows - chunk.num_rows(), live.size() - begin);
+      for (size_t c = 0; c < blocks.size(); ++c) {
+        chunk.columns[c]->AppendGather(*blocks[c], live.data() + begin, take);
       }
+      begin += take;
       if (chunk.num_rows() >= chunk_rows) {
         if (!callback(chunk)) return Status::OK();
-        chunk = storage::Chunk::Empty(schema);
+        chunk = fresh_chunk();
       }
     }
   }
@@ -263,22 +523,19 @@ Status ExtendedTable::Scan(
 }
 
 Result<std::vector<ExtendedTable::RowRef>> ExtendedTable::MatchRows(
-    const std::vector<ColumnRange>& ranges, const ChunkMatch& match) {
+    const std::vector<ColumnRange>& ranges, const ChunkMatch& match,
+    size_t dop) {
   std::vector<RowRef> rows;
+  const std::vector<size_t> columns = storage::AllColumnIds(*schema_);
+  GroupReader reader(this, SurvivingGroups(ranges), columns, dop);
   storage::Chunk blocks;
   blocks.schema = schema_;
   std::vector<uint8_t> mask;
-  std::vector<size_t> live_rows;
-  for (size_t g = 0; g < groups_.size(); ++g) {
+  std::vector<uint32_t> live;
+  for (size_t i = 0; i < reader.groups().size(); ++i) {
+    HANA_RETURN_IF_ERROR(reader.Load(i, &blocks.columns));
+    const size_t g = reader.groups()[i];
     const RowGroup& group = groups_[g];
-    if (group.deleted == group.rows) continue;
-    if (!GroupMatches(group, ranges)) continue;
-    blocks.columns.clear();
-    for (size_t c = 0; c < schema_->num_columns(); ++c) {
-      HANA_ASSIGN_OR_RETURN(storage::ColumnVectorPtr column,
-                            ReadColumn(g, c));
-      blocks.columns.push_back(std::move(column));
-    }
     if (group.deleted == 0) {
       HANA_RETURN_IF_ERROR(match(blocks, &mask));
       for (size_t r = 0; r < group.rows; ++r) {
@@ -288,17 +545,16 @@ Result<std::vector<ExtendedTable::RowRef>> ExtendedTable::MatchRows(
     }
     // Deleted rows must not reach the predicate — an evaluation error on
     // one would fail the statement — so a group with tombstones is
-    // matched over a column-wise copy of its live rows.
-    storage::Chunk live = storage::Chunk::Empty(schema_);
-    live_rows.clear();
-    for (size_t r = 0; r < group.rows; ++r) {
-      if (group.tombstones[r]) continue;
-      live.AppendRowFrom(blocks, r);
-      live_rows.push_back(r);
+    // matched over a gather of its live rows.
+    LiveRowIndexes(group.rows, group.tombstones, &live);
+    storage::Chunk live_rows = storage::Chunk::Empty(schema_);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      live_rows.columns[c]->AppendGather(*blocks.columns[c], live.data(),
+                                         live.size());
     }
-    HANA_RETURN_IF_ERROR(match(live, &mask));
-    for (size_t i = 0; i < live_rows.size(); ++i) {
-      if (mask[i] != 0) rows.push_back(RowRef{g, live_rows[i]});
+    HANA_RETURN_IF_ERROR(match(live_rows, &mask));
+    for (size_t k = 0; k < live.size(); ++k) {
+      if (mask[k] != 0) rows.push_back(RowRef{g, live[k]});
     }
   }
   return rows;
@@ -412,38 +668,24 @@ void ExtendedStore::ChargeWrite(size_t bytes) {
   clock_.Advance(ms);
 }
 
-Result<storage::ColumnVectorPtr> ExtendedStore::ReadBlock(
-    ExtendedTable* table, size_t group, size_t col) {
-  std::string key = ToUpper(table->name_) + "#" + std::to_string(group) +
-                    "#" + std::to_string(col);
+storage::ColumnVectorPtr ExtendedStore::CacheLookup(const std::string& key) {
   auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++metrics_.cache_hits;
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(key);
-    it->second.lru_it = lru_.begin();
-    return it->second.data;
-  }
-  const ExtendedTable::ColumnBlockRef& ref =
-      table->groups_[group].columns[col];
-  std::FILE* file = std::fopen(table->path_.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open " + table->path_);
-  }
-  std::vector<uint8_t> block(ref.size);
-  if (std::fseek(file, static_cast<long>(ref.offset), SEEK_SET) != 0 ||
-      std::fread(block.data(), 1, block.size(), file) != block.size()) {
-    std::fclose(file);
-    return Status::IoError("read failed on " + table->path_);
-  }
-  std::fclose(file);
-  ChargeRead(block.size());
-  HANA_ASSIGN_OR_RETURN(
-      storage::ColumnVectorPtr data,
-      DecodeColumn(table->schema_->column(col).type, block,
-                   table->groups_[group].rows));
-  // Insert into the LRU cache.
-  size_t bytes = ref.size * 4 + 64;  // Rough decoded footprint.
+  if (it == cache_.end()) return nullptr;
+  ++metrics_.cache_hits;
+  lru_.erase(it->second.lru_it);
+  lru_.push_front(key);
+  it->second.lru_it = lru_.begin();
+  return it->second.data;
+}
+
+bool ExtendedStore::CacheContains(const std::string& key) const {
+  return cache_.count(key) > 0;
+}
+
+void ExtendedStore::CacheAdmit(const std::string& key,
+                               storage::ColumnVectorPtr data,
+                               size_t block_bytes) {
+  size_t bytes = block_bytes * 4 + 64;  // Rough decoded footprint.
   while (cache_used_ + bytes > options_.cache_bytes && !lru_.empty()) {
     const std::string& victim = lru_.back();
     auto victim_it = cache_.find(victim);
@@ -452,9 +694,8 @@ Result<storage::ColumnVectorPtr> ExtendedStore::ReadBlock(
     lru_.pop_back();
   }
   lru_.push_front(key);
-  cache_[key] = CacheEntry{data, bytes, lru_.begin()};
+  cache_[key] = CacheEntry{std::move(data), bytes, lru_.begin()};
   cache_used_ += bytes;
-  return data;
 }
 
 }  // namespace hana::extended

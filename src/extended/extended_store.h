@@ -66,9 +66,15 @@ class ExtendedTable {
 
   /// Streams live rows as chunks. `ranges` prunes row groups whose zone
   /// maps cannot satisfy the constraints (pruning is conservative; the
-  /// caller still applies its full filter).
+  /// caller still applies its full filter). Each surviving row group is
+  /// gathered into the chunks column by column over its live rows. With
+  /// `dop` > 1, up to dop - 1 later groups are read and decoded ahead on
+  /// TaskPool::Global(); results and metrics do not depend on `dop`, and
+  /// blocks read ahead but never consumed are neither charged nor
+  /// cached. Read-ahead tasks take no lock.
   [[nodiscard]] Status Scan(const std::vector<ColumnRange>& ranges, size_t chunk_rows,
-              const std::function<bool(const storage::Chunk&)>& callback);
+              const std::function<bool(const storage::Chunk&)>& callback,
+              size_t dop = 1);
   /// Projected scan: reads only the blocks of table columns `columns`
   /// (ids, at least one) and stamps chunks with `schema`, one column per
   /// id. `ranges` still name table columns; zone maps need no block read.
@@ -76,7 +82,8 @@ class ExtendedTable {
       const std::vector<ColumnRange>& ranges, size_t chunk_rows,
       const std::vector<size_t>& columns,
       const std::shared_ptr<Schema>& schema,
-      const std::function<bool(const storage::Chunk&)>& callback);
+      const std::function<bool(const storage::Chunk&)>& callback,
+      size_t dop = 1);
 
   /// Position of one row: (row group, row within the group).
   struct RowRef {
@@ -92,10 +99,12 @@ class ExtendedTable {
   /// groups that are fully deleted or whose zone maps cannot satisfy
   /// `ranges` are not read. A group without deletes is matched as one
   /// chunk over its decoded blocks (no copy); a group with some is
-  /// matched over a copy of its live rows, so deleted rows never reach
-  /// the predicate. A match error is returned as is.
+  /// matched over a gather of its live rows, so deleted rows never reach
+  /// the predicate. A match error is returned as is. `dop` reads ahead
+  /// as in Scan.
   [[nodiscard]] Result<std::vector<RowRef>> MatchRows(
-      const std::vector<ColumnRange>& ranges, const ChunkMatch& match);
+      const std::vector<ColumnRange>& ranges, const ChunkMatch& match,
+      size_t dop = 1);
 
   /// Tombstones rows found by MatchRows. Returns the number of rows
   /// deleted (rows already deleted are not counted again).
@@ -126,9 +135,13 @@ class ExtendedTable {
 
   [[nodiscard]] Status WriteGroup(const std::vector<std::vector<Value>>& rows, size_t begin,
                     size_t end);
-  [[nodiscard]] Result<storage::ColumnVectorPtr> ReadColumn(size_t group, size_t col);
   bool GroupMatches(const RowGroup& group,
                     const std::vector<ColumnRange>& ranges) const;
+  /// Groups with a live row whose zone maps satisfy `ranges`, in order.
+  std::vector<size_t> SurvivingGroups(
+      const std::vector<ColumnRange>& ranges) const;
+
+  class GroupReader;
 
   ExtendedStore* store_;
   std::string name_;
@@ -162,9 +175,14 @@ class ExtendedStore {
  private:
   friend class ExtendedTable;
 
-  /// Reads (and caches) a decoded column block; charges virtual I/O.
-  [[nodiscard]] Result<storage::ColumnVectorPtr> ReadBlock(ExtendedTable* table,
-                                             size_t group, size_t col);
+  /// The buffer cache, keyed "TABLE#group#column". Only the scanning
+  /// thread calls these: a lookup counts a hit and refreshes the LRU
+  /// order (null on a miss); Contains does neither; Admit evicts least
+  /// recently used blocks to fit a block of `block_bytes` on disk.
+  storage::ColumnVectorPtr CacheLookup(const std::string& key);
+  bool CacheContains(const std::string& key) const;
+  void CacheAdmit(const std::string& key, storage::ColumnVectorPtr data,
+                  size_t block_bytes);
   void ChargeRead(size_t bytes);
   void ChargeWrite(size_t bytes);
 

@@ -60,13 +60,14 @@ Result<exec::PartitionSource> IqEngine::OpenScan(const plan::LogicalOp& scan,
   (void)view;         // The extended store is not versioned.
   HANA_ASSIGN_OR_RETURN(ExtendedTable * table,
                         store_->GetTable(scan.table.name));
-  // Streams straight from the store (which charges virtual I/O per
-  // block read), so a consumer that stops early leaves later row groups
-  // unread.
-  return exec::OneMorsel([table, &scan](const exec::ChunkSink& sink) {
+  // Streams straight from the store, which charges virtual I/O per
+  // block as the consumer reaches it. Up to dop_ - 1 later row groups
+  // are read ahead but not charged, so a consumer that stops early
+  // leaves the later groups uncharged and uncached.
+  return exec::OneMorsel([this, table, &scan](const exec::ChunkSink& sink) {
     return table->Scan(ToColumnRanges(scan.scan_ranges),
                        storage::kDefaultChunkRows, scan.scan_columns,
-                       scan.schema, sink);
+                       scan.schema, sink, dop_);
   });
 }
 

@@ -74,6 +74,7 @@ Platform::Platform(PlatformOptions options) : options_(std::move(options)) {
   }
   dop_ = options_.num_threads > 0 ? options_.num_threads
                                   : TaskPool::DefaultDop();
+  if (iq_ != nullptr) iq_->set_dop(dop_);
   if (options_.morsel_rows > 0) morsel_rows_ = options_.morsel_rows;
   sda_.SetVirtualTime([this] { return VirtualNow(); },
                       [this](double ms) { clock_.Advance(ms); });
@@ -433,6 +434,7 @@ Status Platform::SetParameter(const std::string& name,
     size_t v = static_cast<size_t>(parsed);
     if (key == "threads") {
       dop_ = v > 0 ? v : TaskPool::DefaultDop();
+      if (iq_ != nullptr) iq_->set_dop(dop_);
     } else if (key == "morsel_rows") {
       morsel_rows_ = v > 0 ? v : exec::kDefaultMorselRows;
     } else {
@@ -555,7 +557,7 @@ Result<exec::PartitionSource> Platform::OpenScan(
                               iq_->store()->GetTable(scan.table.name));
         return table->Scan(extended::ToColumnRanges(scan.scan_ranges),
                            storage::kDefaultChunkRows, scan.scan_columns,
-                           scan.schema, sink);
+                           scan.schema, sink, dop_);
       });
     }
     case plan::TableLocation::kRemote: {

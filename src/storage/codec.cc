@@ -1,5 +1,6 @@
 #include "storage/codec.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/cpu_dispatch.h"
@@ -64,17 +65,146 @@ void VarintAppend(std::vector<uint8_t>* out, uint64_t v) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
-Result<uint64_t> VarintRead(const std::vector<uint8_t>& data, size_t* pos) {
+namespace {
+
+/// VarintRead without the Result wrapper, for the per-value decode loops.
+inline bool ReadVarint(std::span<const uint8_t> data, size_t* pos,
+                       uint64_t* out) {
   uint64_t v = 0;
   int shift = 0;
   while (*pos < data.size()) {
     uint8_t byte = data[(*pos)++];
     v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if (!(byte & 0x80)) return v;
+    if (!(byte & 0x80)) {
+      *out = v;
+      return true;
+    }
     shift += 7;
     if (shift >= 64) break;
   }
-  return Status::IoError("corrupt varint");
+  return false;
+}
+
+/// Expands the (value, run) pairs of an RLE body that claims `count`
+/// values, starting at *pos, through emit(value, run).
+template <typename Emit>
+Status ForEachRun(std::span<const uint8_t> data, size_t* pos, uint64_t count,
+                  Emit emit) {
+  uint64_t filled = 0;
+  while (filled < count) {
+    uint64_t enc = 0, run = 0;
+    if (!ReadVarint(data, pos, &enc) || !ReadVarint(data, pos, &run)) {
+      return Status::IoError("corrupt varint");
+    }
+    // Subtract-form check: filled + run must not overflow past count.
+    if (run > count - filled) return Status::IoError("corrupt RLE run");
+    emit(ZigZagDecode(enc), run);
+    filled += run;
+  }
+  return Status::OK();
+}
+
+/// Decodes the `count` values of a FOR body (after its count header, at
+/// `pos`) into out[0..count).
+Status ForBodyInto(std::span<const uint8_t> data, size_t pos, uint64_t count,
+                   int64_t* out) {
+  if (count == 0) return Status::OK();
+  uint64_t min_enc = 0, width_u = 0;
+  if (!ReadVarint(data, &pos, &min_enc) || !ReadVarint(data, &pos, &width_u)) {
+    return Status::IoError("corrupt varint");
+  }
+  int64_t min = ZigZagDecode(min_enc);
+  if (width_u < 1 || width_u > 64) return Status::IoError("corrupt FOR width");
+  int width = static_cast<int>(width_u);
+  if (width == 64) {
+    if ((data.size() - pos) / 8 < count) return Status::IoError("corrupt FOR");
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t u = 0;
+      for (int b = 0; b < 8; ++b) {
+        u |= static_cast<uint64_t>(data[pos++]) << (b * 8);
+      }
+      out[i] = static_cast<int64_t>(u);
+    }
+    return Status::OK();
+  }
+  // Divide-form bound check: a huge corrupt `count` must not overflow
+  // the byte-count multiplication into a passing comparison.
+  if (count > (data.size() - pos) * 8 / static_cast<uint64_t>(width)) {
+    return Status::IoError("corrupt FOR");
+  }
+  size_t num_words = (count * width + 63) / 64;
+  if (data.size() - pos < num_words * 8) return Status::IoError("corrupt FOR");
+  std::vector<uint64_t> words(num_words);
+  for (size_t w = 0; w < num_words; ++w) {
+    uint64_t u = 0;
+    for (int b = 0; b < 8; ++b) u |= static_cast<uint64_t>(data[pos++]) << (b * 8);
+    words[w] = u;
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    out[i] = min + BitGet(words, width, i);
+  }
+  return Status::OK();
+}
+
+/// Decodes the `count` values of a delta body (at `pos`) into out.
+Status DeltaBodyInto(std::span<const uint8_t> data, size_t pos,
+                     uint64_t count, int64_t* out) {
+  int64_t prev = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t enc = 0;
+    if (!ReadVarint(data, &pos, &enc)) return Status::IoError("corrupt varint");
+    prev += ZigZagDecode(enc);
+    out[i] = prev;
+  }
+  return Status::OK();
+}
+
+/// Decodes the `count` values of a doubles body (at `pos`) into out.
+Status DoublesBodyInto(std::span<const uint8_t> data, size_t pos,
+                       uint64_t count, double* out) {
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t x = 0;
+    if (!ReadVarint(data, &pos, &x)) return Status::IoError("corrupt varint");
+    prev ^= x;
+    std::memcpy(&out[i], &prev, sizeof(double));
+  }
+  return Status::OK();
+}
+
+/// Decodes the `count` strings of a string body (at `pos`) into out.
+Status StringsBodyInto(std::span<const uint8_t> data, size_t pos,
+                       uint64_t count, std::string* out) {
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t len = 0;
+    if (!ReadVarint(data, &pos, &len)) return Status::IoError("corrupt varint");
+    if (data.size() - pos < len) return Status::IoError("corrupt string block");
+    // lint: reinterpret_cast allowed — uint8_t -> char aliasing of the
+    // same byte buffer, which the standard permits.
+    out[i].assign(reinterpret_cast<const char*>(data.data()) + pos, len);
+    pos += len;
+  }
+  return Status::OK();
+}
+
+/// Reads a block's count header and checks it against `expected`.
+Status ExpectCount(std::span<const uint8_t> data, size_t* pos,
+                   uint64_t expected) {
+  uint64_t count = 0;
+  if (!ReadVarint(data, pos, &count)) return Status::IoError("corrupt varint");
+  if (count != expected) {
+    return Status::IoError("block holds " + std::to_string(count) +
+                           " values, expected " + std::to_string(expected));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<uint64_t> VarintRead(std::span<const uint8_t> data, size_t* pos) {
+  uint64_t v = 0;
+  if (!ReadVarint(data, pos, &v)) return Status::IoError("corrupt varint");
+  return v;
 }
 
 std::vector<uint8_t> DeltaEncode(const std::vector<int64_t>& values) {
@@ -88,23 +218,17 @@ std::vector<uint8_t> DeltaEncode(const std::vector<int64_t>& values) {
   return out;
 }
 
-Result<std::vector<int64_t>> DeltaDecode(const std::vector<uint8_t>& data,
+Result<std::vector<int64_t>> DeltaDecode(std::span<const uint8_t> data,
                                          uint64_t max_values) {
   size_t pos = 0;
   HANA_ASSIGN_OR_RETURN(uint64_t count, VarintRead(data, &pos));
   if (count > max_values) return Status::IoError("delta count beyond limit");
   // Every element is at least one varint byte, so a count beyond the
   // remaining bytes is corrupt; rejecting here keeps a hostile count
-  // from driving a huge reserve().
+  // from driving a huge allocation.
   if (count > data.size() - pos) return Status::IoError("corrupt delta count");
-  std::vector<int64_t> out;
-  out.reserve(count);
-  int64_t prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    HANA_ASSIGN_OR_RETURN(uint64_t enc, VarintRead(data, &pos));
-    prev += ZigZagDecode(enc);
-    out.push_back(prev);
-  }
+  std::vector<int64_t> out(count);
+  HANA_RETURN_IF_ERROR(DeltaBodyInto(data, pos, count, out.data()));
   return out;
 }
 
@@ -122,7 +246,7 @@ std::vector<uint8_t> RleEncode(const std::vector<int64_t>& values) {
   return out;
 }
 
-Result<std::vector<int64_t>> RleDecode(const std::vector<uint8_t>& data,
+Result<std::vector<int64_t>> RleDecode(std::span<const uint8_t> data,
                                        uint64_t max_values) {
   size_t pos = 0;
   HANA_ASSIGN_OR_RETURN(uint64_t count, VarintRead(data, &pos));
@@ -132,14 +256,10 @@ Result<std::vector<int64_t>> RleDecode(const std::vector<uint8_t>& data,
   if (count > max_values) return Status::IoError("RLE count beyond limit");
   std::vector<int64_t> out;
   out.reserve(std::min<uint64_t>(count, 1u << 16));
-  while (out.size() < count) {
-    HANA_ASSIGN_OR_RETURN(uint64_t enc, VarintRead(data, &pos));
-    HANA_ASSIGN_OR_RETURN(uint64_t run, VarintRead(data, &pos));
-    int64_t v = ZigZagDecode(enc);
-    // Subtract-form check: out.size() + run must not overflow past it.
-    if (run > count - out.size()) return Status::IoError("corrupt RLE run");
-    out.insert(out.end(), run, v);
-  }
+  HANA_RETURN_IF_ERROR(ForEachRun(data, &pos, count,
+                                  [&out](int64_t v, uint64_t run) {
+                                    out.insert(out.end(), run, v);
+                                  }));
   return out;
 }
 
@@ -175,47 +295,16 @@ std::vector<uint8_t> ForEncode(const std::vector<int64_t>& values) {
   return out;
 }
 
-Result<std::vector<int64_t>> ForDecode(const std::vector<uint8_t>& data,
+Result<std::vector<int64_t>> ForDecode(std::span<const uint8_t> data,
                                        uint64_t max_values) {
   size_t pos = 0;
   HANA_ASSIGN_OR_RETURN(uint64_t count, VarintRead(data, &pos));
   if (count > max_values) return Status::IoError("FOR count beyond limit");
-  std::vector<int64_t> out;
-  if (count == 0) return out;
-  HANA_ASSIGN_OR_RETURN(uint64_t min_enc, VarintRead(data, &pos));
-  HANA_ASSIGN_OR_RETURN(uint64_t width_u, VarintRead(data, &pos));
-  int64_t min = ZigZagDecode(min_enc);
-  int width = static_cast<int>(width_u);
-  if (width_u < 1 || width_u > 64) return Status::IoError("corrupt FOR width");
-  if (width == 64) {
-    if ((data.size() - pos) / 8 < count) return Status::IoError("corrupt FOR");
-    out.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t u = 0;
-      for (int b = 0; b < 8; ++b) {
-        u |= static_cast<uint64_t>(data[pos++]) << (b * 8);
-      }
-      out.push_back(static_cast<int64_t>(u));
-    }
-    return out;
-  }
-  // Divide-form bound check: a huge corrupt `count` must not overflow
-  // the byte-count multiplication into a passing comparison.
-  if (count > (data.size() - pos) * 8 / static_cast<uint64_t>(width)) {
-    return Status::IoError("corrupt FOR");
-  }
-  size_t num_words = (count * width + 63) / 64;
-  if (data.size() - pos < num_words * 8) return Status::IoError("corrupt FOR");
-  out.reserve(count);
-  std::vector<uint64_t> words(num_words);
-  for (size_t w = 0; w < num_words; ++w) {
-    uint64_t u = 0;
-    for (int b = 0; b < 8; ++b) u |= static_cast<uint64_t>(data[pos++]) << (b * 8);
-    words[w] = u;
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    out.push_back(min + BitGet(words, width, i));
-  }
+  // Every value takes at least one bit, so this bounds the allocation
+  // before the body's exact width check.
+  if (count > (data.size() - pos) * 8) return Status::IoError("corrupt FOR");
+  std::vector<int64_t> out(count);
+  HANA_RETURN_IF_ERROR(ForBodyInto(data, pos, count, out.data()));
   return out;
 }
 
@@ -237,10 +326,10 @@ std::vector<uint8_t> EncodeIntsBest(const std::vector<int64_t>& values) {
   return out;
 }
 
-Result<std::vector<int64_t>> DecodeInts(const std::vector<uint8_t>& data,
+Result<std::vector<int64_t>> DecodeInts(std::span<const uint8_t> data,
                                         uint64_t max_values) {
   if (data.empty()) return Status::IoError("empty int block");
-  std::vector<uint8_t> body(data.begin() + 1, data.end());
+  std::span<const uint8_t> body = data.subspan(1);
   switch (static_cast<IntCodec>(data[0])) {
     case IntCodec::kRle:
       return RleDecode(body, max_values);
@@ -248,6 +337,29 @@ Result<std::vector<int64_t>> DecodeInts(const std::vector<uint8_t>& data,
       return ForDecode(body, max_values);
     case IntCodec::kDelta:
       return DeltaDecode(body, max_values);
+  }
+  return Status::IoError("unknown int codec tag");
+}
+
+Status DecodeIntsInto(std::span<const uint8_t> data, int64_t* out,
+                      size_t count) {
+  if (data.empty()) return Status::IoError("empty int block");
+  std::span<const uint8_t> body = data.subspan(1);
+  size_t pos = 0;
+  switch (static_cast<IntCodec>(data[0])) {
+    case IntCodec::kRle: {
+      HANA_RETURN_IF_ERROR(ExpectCount(body, &pos, count));
+      int64_t* next = out;
+      return ForEachRun(body, &pos, count, [&next](int64_t v, uint64_t run) {
+        next = std::fill_n(next, run, v);
+      });
+    }
+    case IntCodec::kFor:
+      HANA_RETURN_IF_ERROR(ExpectCount(body, &pos, count));
+      return ForBodyInto(body, pos, count, out);
+    case IntCodec::kDelta:
+      HANA_RETURN_IF_ERROR(ExpectCount(body, &pos, count));
+      return DeltaBodyInto(body, pos, count, out);
   }
   return Status::IoError("unknown int codec tag");
 }
@@ -263,20 +375,21 @@ std::vector<uint8_t> EncodeStrings(const std::vector<std::string>& values) {
 }
 
 Result<std::vector<std::string>> DecodeStrings(
-    const std::vector<uint8_t>& data) {
+    std::span<const uint8_t> data) {
   size_t pos = 0;
   HANA_ASSIGN_OR_RETURN(uint64_t count, VarintRead(data, &pos));
-  std::vector<std::string> out;
-  out.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    HANA_ASSIGN_OR_RETURN(uint64_t len, VarintRead(data, &pos));
-    if (data.size() - pos < len) return Status::IoError("corrupt string block");
-    // lint: reinterpret_cast allowed — uint8_t -> char aliasing of the
-    // same byte buffer, which the standard permits.
-    out.emplace_back(reinterpret_cast<const char*>(data.data()) + pos, len);
-    pos += len;
-  }
+  // Every string is at least its one-byte length.
+  if (count > data.size() - pos) return Status::IoError("corrupt string block");
+  std::vector<std::string> out(count);
+  HANA_RETURN_IF_ERROR(StringsBodyInto(data, pos, count, out.data()));
   return out;
+}
+
+Status DecodeStringsInto(std::span<const uint8_t> data, std::string* out,
+                         size_t count) {
+  size_t pos = 0;
+  HANA_RETURN_IF_ERROR(ExpectCount(data, &pos, count));
+  return StringsBodyInto(data, pos, count, out);
 }
 
 std::vector<uint8_t> EncodeDoubles(const std::vector<double>& values) {
@@ -292,20 +405,21 @@ std::vector<uint8_t> EncodeDoubles(const std::vector<double>& values) {
   return out;
 }
 
-Result<std::vector<double>> DecodeDoubles(const std::vector<uint8_t>& data) {
+Result<std::vector<double>> DecodeDoubles(std::span<const uint8_t> data) {
   size_t pos = 0;
   HANA_ASSIGN_OR_RETURN(uint64_t count, VarintRead(data, &pos));
-  std::vector<double> out;
-  out.reserve(count);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    HANA_ASSIGN_OR_RETURN(uint64_t x, VarintRead(data, &pos));
-    prev ^= x;
-    double d;
-    std::memcpy(&d, &prev, sizeof(d));
-    out.push_back(d);
-  }
+  // Every value is at least one varint byte.
+  if (count > data.size() - pos) return Status::IoError("corrupt double block");
+  std::vector<double> out(count);
+  HANA_RETURN_IF_ERROR(DoublesBodyInto(data, pos, count, out.data()));
   return out;
+}
+
+Status DecodeDoublesInto(std::span<const uint8_t> data, double* out,
+                         size_t count) {
+  size_t pos = 0;
+  HANA_RETURN_IF_ERROR(ExpectCount(data, &pos, count));
+  return DoublesBodyInto(data, pos, count, out);
 }
 
 }  // namespace hana::storage

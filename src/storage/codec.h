@@ -2,6 +2,7 @@
 #define HANA_STORAGE_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,8 @@ int64_t ZigZagDecode(uint64_t v);
 /// LEB128 variable-length encoding appended to `out`.
 void VarintAppend(std::vector<uint8_t>* out, uint64_t v);
 /// Decodes one varint at *pos (advancing it).
-[[nodiscard]] Result<uint64_t> VarintRead(const std::vector<uint8_t>& data, size_t* pos);
+[[nodiscard]] Result<uint64_t> VarintRead(std::span<const uint8_t> data,
+                                          size_t* pos);
 
 /// Hard ceiling on the element count any int decoder will materialize.
 /// RLE expansion is unbounded by construction (a 20-byte block can
@@ -62,36 +64,48 @@ inline constexpr uint64_t kMaxDecodeValues = 1ull << 28;
 /// (timestamps, surrogate keys, dictionary codes).
 std::vector<uint8_t> DeltaEncode(const std::vector<int64_t>& values);
 [[nodiscard]] Result<std::vector<int64_t>> DeltaDecode(
-    const std::vector<uint8_t>& data, uint64_t max_values = kMaxDecodeValues);
+    std::span<const uint8_t> data, uint64_t max_values = kMaxDecodeValues);
 
 /// Run-length encoding: (value, run) varint pairs. Shines on the aging
 /// flag column and low-cardinality dimension attributes.
 std::vector<uint8_t> RleEncode(const std::vector<int64_t>& values);
 [[nodiscard]] Result<std::vector<int64_t>> RleDecode(
-    const std::vector<uint8_t>& data, uint64_t max_values = kMaxDecodeValues);
+    std::span<const uint8_t> data, uint64_t max_values = kMaxDecodeValues);
 
 /// Frame-of-reference + bit-packing: min + packed (v - min). Returns an
 /// opaque byte buffer with a small header.
 std::vector<uint8_t> ForEncode(const std::vector<int64_t>& values);
 [[nodiscard]] Result<std::vector<int64_t>> ForDecode(
-    const std::vector<uint8_t>& data, uint64_t max_values = kMaxDecodeValues);
+    std::span<const uint8_t> data, uint64_t max_values = kMaxDecodeValues);
 
 /// Picks the smallest of RLE / FOR / delta for the sequence and prefixes
 /// a codec tag byte. Used by extended-store pages.
 enum class IntCodec : uint8_t { kRle = 1, kFor = 2, kDelta = 3 };
 std::vector<uint8_t> EncodeIntsBest(const std::vector<int64_t>& values);
 [[nodiscard]] Result<std::vector<int64_t>> DecodeInts(
-    const std::vector<uint8_t>& data, uint64_t max_values = kMaxDecodeValues);
+    std::span<const uint8_t> data, uint64_t max_values = kMaxDecodeValues);
+/// Decodes an EncodeIntsBest block straight into out[0..count), with no
+/// intermediate vector; IoError unless the block holds exactly `count`
+/// values. The count is the caller's, so no allocation trusts the block.
+[[nodiscard]] Status DecodeIntsInto(std::span<const uint8_t> data,
+                                    int64_t* out, size_t count);
 
 /// Length-prefixed string block.
 std::vector<uint8_t> EncodeStrings(const std::vector<std::string>& values);
 [[nodiscard]] Result<std::vector<std::string>> DecodeStrings(
-    const std::vector<uint8_t>& data);
+    std::span<const uint8_t> data);
+/// DecodeIntsInto for a string block: assigns out[0..count).
+[[nodiscard]] Status DecodeStringsInto(std::span<const uint8_t> data,
+                                       std::string* out, size_t count);
 
 /// Doubles stored raw (IEEE bits), varint-compressed via XOR with the
 /// previous value (Gorilla-style byte-aligned variant).
 std::vector<uint8_t> EncodeDoubles(const std::vector<double>& values);
-[[nodiscard]] Result<std::vector<double>> DecodeDoubles(const std::vector<uint8_t>& data);
+[[nodiscard]] Result<std::vector<double>> DecodeDoubles(
+    std::span<const uint8_t> data);
+/// DecodeIntsInto for a double block: writes out[0..count).
+[[nodiscard]] Status DecodeDoublesInto(std::span<const uint8_t> data,
+                                       double* out, size_t count);
 
 }  // namespace hana::storage
 

@@ -174,6 +174,60 @@ TEST(CodecFuzzTest, DecodeValueCapIsEnforcedExactly) {
   EXPECT_FALSE(delta_refused.ok());
 }
 
+// The Into decoders write a caller-counted array: a block must round
+// trip when the count matches, be an IoError when it does not (one more
+// or one fewer value), and every strict prefix must be a Status — the
+// caller's array bounds every write.
+TEST(CodecFuzzTest, IntoDecodersCheckTheCallersCount) {
+  for (const auto& [name, input] : Corpus()) {
+    const std::vector<uint8_t> ints = EncodeIntsBest(input);
+    std::vector<double> doubles;
+    std::vector<std::string> strings;
+    for (int64_t v : input) {
+      doubles.push_back(static_cast<double>(v) / 3.0);
+      strings.push_back(std::to_string(v));
+    }
+    const std::vector<uint8_t> dbl = EncodeDoubles(doubles);
+    const std::vector<uint8_t> str = EncodeStrings(strings);
+    const size_t n = input.size();
+    Ints int_out(n + 1);
+    std::vector<double> dbl_out(n + 1);
+    std::vector<std::string> str_out(n + 1);
+    ASSERT_TRUE(DecodeIntsInto(ints, int_out.data(), n).ok()) << name;
+    EXPECT_EQ(Ints(int_out.begin(), int_out.begin() + n), input) << name;
+    ASSERT_TRUE(DecodeDoublesInto(dbl, dbl_out.data(), n).ok()) << name;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(dbl_out[i], doubles[i]) << name << " " << i;
+    }
+    ASSERT_TRUE(DecodeStringsInto(str, str_out.data(), n).ok()) << name;
+    EXPECT_EQ(std::vector<std::string>(str_out.begin(), str_out.begin() + n),
+              strings)
+        << name;
+    for (size_t count : {n + 1, n == 0 ? size_t{1} : n - 1}) {
+      EXPECT_EQ(DecodeIntsInto(ints, int_out.data(), count).code(),
+                StatusCode::kIoError)
+          << name << " count " << count;
+      EXPECT_EQ(DecodeDoublesInto(dbl, dbl_out.data(), count).code(),
+                StatusCode::kIoError)
+          << name << " count " << count;
+      EXPECT_EQ(DecodeStringsInto(str, str_out.data(), count).code(),
+                StatusCode::kIoError)
+          << name << " count " << count;
+    }
+    for (size_t cut = 0; cut < ints.size(); ++cut) {
+      (void)DecodeIntsInto(std::span(ints).first(cut), int_out.data(), n);
+    }
+    for (size_t cut = 0; cut < dbl.size(); ++cut) {
+      EXPECT_FALSE(
+          DecodeDoublesInto(std::span(dbl).first(cut), dbl_out.data(), n).ok())
+          << name << " cut " << cut;
+    }
+    for (size_t cut = 0; cut < str.size(); ++cut) {
+      (void)DecodeStringsInto(std::span(str).first(cut), str_out.data(), n);
+    }
+  }
+}
+
 TEST(CodecFuzzTest, BitPackRoundTripsEveryWidthAndOffset) {
   std::mt19937_64 rng(0x9127);  // Fixed seed: deterministic.
   for (int width = 1; width <= 32; ++width) {

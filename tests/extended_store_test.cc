@@ -232,6 +232,84 @@ TEST_F(ExtendedStoreTest, MatchRowsHidesDeletedRowsFromThePredicate) {
   EXPECT_EQ((*even)[1].row, 2u);
 }
 
+// A DOUBLE block without NULLs is laid out as varint(mask bytes), the
+// RLE null mask (row count, then (value, run) pairs) and the payload
+// (value count, then one XOR varint per value). Each case rewrites bytes
+// of the last of three identical row groups, so at dop 4 the corrupt
+// block is first met by a read-ahead task.
+TEST_F(ExtendedStoreTest, CorruptBlocksAreIoErrors) {
+  constexpr size_t kRows = 10;
+  ExtendedStoreOptions options = store_->options();
+  options.rows_per_group = kRows;
+  store_ = std::make_unique<ExtendedStore>(options);
+  auto schema = std::make_shared<Schema>(
+      std::vector<ColumnDef>{{"v", DataType::kDouble, true}});
+  std::vector<std::vector<Value>> rows;
+  for (size_t i = 0; i < 3 * kRows; ++i) {
+    rows.push_back({Value::Double(static_cast<double>(i % kRows) + 0.5)});
+  }
+  struct Case {
+    const char* what;
+    std::vector<std::pair<size_t, uint8_t>> bytes;  // (offset, new byte)
+  };
+  const std::vector<Case> cases = {
+      {"mask size past the block", {{0, 0x7f}}},
+      {"mask of fewer rows than the group", {{1, 9}, {3, 9}}},
+      {"mask of more rows than the group", {{1, 11}, {3, 11}}},
+      {"fewer values than non-null rows", {{4, 9}}},
+  };
+  auto all_rows = [](const storage::Chunk& chunk, std::vector<uint8_t>* mask) {
+    mask->assign(chunk.num_rows(), 1);
+    return Status::OK();
+  };
+  for (const Case& c : cases) {
+    for (size_t dop : {1, 4}) {
+      SCOPED_TRACE(std::string(c.what) + " at dop " + std::to_string(dop));
+      std::string name = "c" + std::to_string(dop);
+      if (store_->HasTable(name)) {
+        ASSERT_TRUE(store_->DropTable(name).ok());
+      }
+      auto table = store_->CreateTable(name, schema);
+      ASSERT_TRUE(table.ok());
+      ASSERT_TRUE((*table)->BulkLoad(rows).ok());
+      ASSERT_EQ((*table)->num_groups(), 3u);
+      std::string path = dir_ + "/C" + std::to_string(dop) + ".iqt";
+      std::vector<uint8_t> file(fs::file_size(path));
+      std::FILE* in = std::fopen(path.c_str(), "rb");
+      ASSERT_NE(in, nullptr);
+      ASSERT_EQ(std::fread(file.data(), 1, file.size(), in), file.size());
+      std::fclose(in);
+      const size_t block = file.size() / 3;
+      const size_t last = 2 * block;
+      // The layout the offsets assume: 3 mask bytes [10, 0, 10], then
+      // the payload's count.
+      ASSERT_EQ(file[last], 3);
+      ASSERT_EQ(file[last + 1], kRows);
+      ASSERT_EQ(file[last + 3], kRows);
+      ASSERT_EQ(file[last + 4], kRows);
+      for (const auto& [offset, byte] : c.bytes) file[last + offset] = byte;
+      std::FILE* out = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(out, nullptr);
+      ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), out), file.size());
+      std::fclose(out);
+
+      size_t scanned = 0;
+      Status scan = (*table)->Scan(
+          {}, 4,
+          [&](const storage::Chunk& chunk) {
+            scanned += chunk.num_rows();
+            return true;
+          },
+          dop);
+      EXPECT_EQ(scan.code(), StatusCode::kIoError) << scan.ToString();
+      EXPECT_LE(scanned, 2 * kRows);
+      auto matched = (*table)->MatchRows({}, all_rows, dop);
+      EXPECT_EQ(matched.status().code(), StatusCode::kIoError)
+          << matched.status().ToString();
+    }
+  }
+}
+
 TEST_F(ExtendedStoreTest, ColumnMinMax) {
   auto table = store_->CreateTable("t", TestSchema());
   ASSERT_TRUE((*table)->BulkLoad(MakeRows(300)).ok());
