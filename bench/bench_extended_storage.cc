@@ -49,16 +49,18 @@ struct QueryRun {
 };
 
 QueryRun Measure(platform::Platform* db, const std::string& sql, int reps) {
-  extended::ExtendedStoreMetrics& m = db->iq()->store()->metrics();
+  extended::ExtendedStore* store = db->iq()->store();
   QueryRun run;
   std::vector<double> times;
   for (int rep = 0; rep < reps; ++rep) {
-    uint64_t blocks = m.blocks_read, hits = m.cache_hits;
-    double io = m.simulated_io_ms;
+    const extended::ExtendedStoreMetrics before = store->metrics();
+    uint64_t blocks = before.blocks_read, hits = before.cache_hits;
+    double io = before.simulated_io_ms;
     Stopwatch watch;
     auto result = db->Execute(sql);
     times.push_back(watch.ElapsedMillis());
     Check(result.status(), sql.c_str());
+    const extended::ExtendedStoreMetrics m = store->metrics();
     if (rep > 0 && (m.blocks_read - blocks != run.blocks_read ||
                     m.cache_hits - hits != run.cache_hits)) {
       run.stable = false;

@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "extended/extended_store.h"
+#include "txn/fault_injection.h"
 #include "txn/participants.h"
 #include "txn/two_phase.h"
 
@@ -63,14 +64,15 @@ void BM_AbortOnPrepareFailure(benchmark::State& state) {
   storage::ColumnTable table(TestSchema());
   txn::ColumnTableParticipant a("a", &table);
   storage::ColumnTable table_b(TestSchema());
-  txn::ColumnTableParticipant b("b", &table_b);
+  txn::FaultInjector injector;
+  txn::ColumnTableParticipant b("b", &table_b, &injector);
   txn::TwoPhaseCoordinator coordinator;
   for (auto _ : state) {
     txn::TxnId txn = coordinator.Begin();
     (void)coordinator.Enlist(txn, &a);
     (void)coordinator.Enlist(txn, &b);
     (void)a.StageInsert(txn, {Value::Int(1), Value::Double(1.0)});
-    b.FailNextPrepare();
+    injector.FailNext("b", txn::FaultOp::kPrepare);
     benchmark::DoNotOptimize(coordinator.Commit(txn));
   }
   state.SetItemsProcessed(state.iterations());

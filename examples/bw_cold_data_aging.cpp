@@ -10,6 +10,7 @@
 
 #include "common/util.h"
 #include "platform/platform.h"
+#include "txn/fault_injection.h"
 #include "txn/participants.h"
 
 using hana::Status;
@@ -109,8 +110,9 @@ int main() {
   // atomically: HANA coordinates the two-phase commit (Section 3.1).
   auto& coordinator = db.coordinator();
   auto* hot_partition = entry->partitions.back().hot.get();
+  hana::txn::FaultInjector faults;
   hana::txn::ColumnTableParticipant memory("hana-imdb", hot_partition);
-  hana::txn::ExtendedTableParticipant archive("hana-iq", *psa);
+  hana::txn::ExtendedTableParticipant archive("hana-iq", *psa, &faults);
 
   hana::txn::TxnId txn = coordinator.Begin();
   Check(coordinator.Enlist(txn, &memory), "enlist memory");
@@ -141,7 +143,7 @@ int main() {
   Check(archive.StageInsert(txn, {Value::Int(1000), Value::Int(999999),
                                   Value::String("x")}),
         "stage");
-  archive.FailNextPrepare();
+  faults.FailNext("hana-iq", hana::txn::FaultOp::kPrepare);
   Status failed = coordinator.Commit(txn);
   std::printf(
       "2PC with failing extended store: %s (rows unchanged: hot=%zu)\n",

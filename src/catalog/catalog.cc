@@ -1,12 +1,10 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/strings.h"
 #include "common/task_pool.h"
-#include "exec/evaluator.h"
-#include "exec/pipeline.h"
+#include "exec/vector_eval.h"
 #include "plan/rewrites.h"
 
 namespace hana::catalog {
@@ -402,138 +400,168 @@ Status Catalog::InsertNamed(const std::string& name,
 
 namespace {
 
-/// Where one DML statement's target rows are, collected before any row
-/// changes.
-struct DmlTargets {
-  struct Hot {
-    storage::ColumnTable* table;
-    std::vector<size_t> rows;
-  };
-  struct Cold {
-    extended::ExtendedTable* table;
-    std::vector<extended::ExtendedTable::RowRef> rows;
-  };
-  std::vector<Hot> hot;
-  std::vector<Cold> cold;
+/// One place a DML statement searches — a column table or hybrid hot
+/// partition (`hot`), or an extended table or cold partition (`cold`) —
+/// and the ids of the rows the statement selects there.
+struct Target {
+  storage::ColumnTable* hot = nullptr;
+  extended::ExtendedTable* cold = nullptr;
+  int partition = -1;  // Of a hybrid hot partition.
+  std::vector<int64_t> rows;
 };
 
-/// Finds the rows of a column, extended or hybrid table that
-/// `predicate` (every row when null) selects, skipping the partitions
-/// PartitionExcluded rules out. Hot rows come from one latest-view
-/// snapshot scan, chunk by chunk through exec::SelectRows, decoding
-/// only the columns the predicate reads (the first column when it
-/// reads none, so chunks still count rows); cold rows from
-/// zone-map-pruned row groups. `on_hot_match` (when set) runs on the
-/// full image of every hot hit in row order. The first predicate or
-/// `on_hot_match` error in row order is returned.
-Result<DmlTargets> CollectTargets(
+/// The targets of a statement on `entry` in partition order, skipping
+/// the hybrid partitions PartitionExcluded rules out for `ranges`.
+Result<std::vector<Target>> TargetsOf(
     const TableEntry& entry, extended::IqEngine* iq,
-    const plan::BoundExpr* predicate,
-    const std::function<Status(const std::vector<Value>&)>& on_hot_match) {
-  auto select = [](const plan::BoundExpr* pred, const storage::Chunk& chunk,
-                   std::vector<uint8_t>* mask) -> Status {
-    if (pred == nullptr) {
-      mask->assign(chunk.num_rows(), 1);
-      return Status::OK();
-    }
-    return exec::SelectRows(*pred, chunk, mask);
+    const std::vector<plan::ScanRange>& ranges) {
+  std::vector<Target> targets;
+  auto add_cold = [&](const std::string& name) -> Status {
+    HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * cold,
+                          iq->store()->GetTable(name));
+    targets.push_back(Target{nullptr, cold});
+    return Status::OK();
   };
+  if (entry.kind == TableKind::kColumn) {
+    targets.push_back(Target{entry.column_table.get()});
+  } else if (entry.kind == TableKind::kExtended) {
+    HANA_RETURN_IF_ERROR(add_cold(entry.extended_table));
+  }
+  for (size_t i = 0; i < entry.partitions.size(); ++i) {
+    const Partition& p = entry.partitions[i];
+    if (entry.PartitionExcluded(i, ranges)) continue;
+    if (p.hot == nullptr) {
+      HANA_RETURN_IF_ERROR(add_cold(p.cold_table));
+    } else {
+      targets.push_back(Target{p.hot.get(), nullptr, static_cast<int>(i)});
+    }
+  }
+  return targets;
+}
+
+/// Runs Scan -> Filter(`predicate`, when set) -> Project(row id, then
+/// table columns `also`) over `target` on the pipeline executor, at the
+/// statement's read lease, as a SELECT of those columns would run:
+/// morsels, zone maps (`ranges`), column pruning and the filter
+/// kernels. Rows come back in row order, as chunks; the first predicate
+/// error in row order is returned.
+Result<std::vector<storage::Chunk>> SearchTarget(const TableEntry& entry,
+                                    const Target& target,
+                                    const plan::BoundExpr* predicate,
+                                    const std::vector<plan::ScanRange>& ranges,
+                                    const std::vector<size_t>& also,
+                                    exec::ExecContext* ctx) {
+  // The scan lists every table column and the row id; PruneColumns
+  // narrows it to what the filter and the projection read.
+  const Schema& schema = *entry.schema;
+  const ColumnDef row_id{"$rowid", DataType::kInt64, false};
+  auto scan = std::make_unique<plan::LogicalOp>();
+  scan->kind = plan::LogicalKind::kScan;
+  scan->table.name = target.hot != nullptr ? entry.name : target.cold->name();
+  scan->table.location = target.hot != nullptr
+                             ? plan::TableLocation::kLocalColumn
+                             : plan::TableLocation::kExtended;
+  scan->partition_index = target.partition;
+  scan->scan_ranges = ranges;
+  scan->scan_columns = storage::AllColumnIds(schema);
+  scan->scan_columns.push_back(storage::kRowIdColumn);
+  scan->schema = std::make_shared<Schema>(schema);
+  scan->schema->AddColumn(row_id);
+  plan::LogicalOpPtr root = std::move(scan);
+  if (predicate != nullptr) {
+    root = plan::MakeFilter(std::move(root), predicate->Clone());
+  }
+  std::vector<plan::BoundExprPtr> exprs;
+  auto out = std::make_shared<Schema>();
+  exprs.push_back(plan::BoundExpr::Column(schema.num_columns(), row_id.type,
+                                          row_id.name));
+  out->AddColumn(row_id);
+  for (size_t c : also) {
+    const ColumnDef& def = schema.column(c);
+    exprs.push_back(plan::BoundExpr::Column(c, def.type, def.name));
+    out->AddColumn(def);
+  }
+  root = plan::MakeProject(std::move(root), std::move(exprs), std::move(out));
+  HANA_RETURN_IF_ERROR(plan::PruneColumns(root.get()));
+  return exec::ExecutePlanChunks(*root, ctx);
+}
+
+/// Every target with the ids of its rows that `predicate` (every row
+/// when null) selects, found before any row changes. The first
+/// predicate error in row order is returned.
+Result<std::vector<Target>> FindTargets(const TableEntry& entry,
+                                        extended::IqEngine* iq,
+                                        exec::ExecContext* ctx,
+                                        const plan::BoundExpr* predicate) {
   const std::vector<plan::ScanRange> ranges =
       predicate != nullptr ? plan::ExtractRanges(*predicate)
                            : std::vector<plan::ScanRange>{};
-  // The hot-side projection: the predicate's columns, and the predicate
-  // rebound to their positions.
-  std::vector<size_t> columns;
-  if (predicate != nullptr) predicate->CollectColumns(&columns);
-  std::sort(columns.begin(), columns.end());
-  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
-  if (columns.empty()) columns.push_back(0);
-  auto projected_schema = std::make_shared<Schema>();
-  std::vector<int> mapping(entry.schema->num_columns(), -1);
-  for (size_t i = 0; i < columns.size(); ++i) {
-    mapping[columns[i]] = static_cast<int>(i);
-    projected_schema->AddColumn(entry.schema->column(columns[i]));
-  }
-  plan::BoundExprPtr projected;
-  if (predicate != nullptr) {
-    projected = predicate->Clone();
-    HANA_RETURN_IF_ERROR(plan::RemapColumns(projected.get(), mapping));
-  }
-  DmlTargets targets;
-  auto add_hot = [&](storage::ColumnTable* table) -> Status {
-    DmlTargets::Hot hot{table, {}};
-    Status status;
-    std::vector<uint8_t> mask;
-    std::shared_ptr<const storage::TableReadSnapshot> snapshot =
-        table->OpenLatestSnapshot();
-    snapshot->ScanWithRowIds(
-        storage::kDefaultChunkRows, columns, projected_schema,
-        [&](const storage::Chunk& chunk, const std::vector<size_t>& row_ids) {
-          // On a predicate error the mask holds the rows before the
-          // failing one; an on_hot_match error among them comes first.
-          Status selected = select(projected.get(), chunk, &mask);
-          for (size_t r = 0; r < mask.size() && status.ok(); ++r) {
-            if (mask[r] == 0) continue;
-            hot.rows.push_back(row_ids[r]);
-            if (on_hot_match) {
-              status = on_hot_match(snapshot->GetRow(row_ids[r]));
-            }
-          }
-          if (status.ok()) status = std::move(selected);
-          return status.ok();
-        });
-    HANA_RETURN_IF_ERROR(status);
-    targets.hot.push_back(std::move(hot));
-    return Status::OK();
-  };
-  auto add_cold = [&](const std::string& name) -> Status {
-    HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * table,
-                          iq->store()->GetTable(name));
+  HANA_ASSIGN_OR_RETURN(std::vector<Target> targets,
+                        TargetsOf(entry, iq, ranges));
+  for (Target& target : targets) {
     HANA_ASSIGN_OR_RETURN(
-        std::vector<extended::ExtendedTable::RowRef> rows,
-        table->MatchRows(extended::ToColumnRanges(ranges),
-                         [&](const storage::Chunk& chunk,
-                             std::vector<uint8_t>* mask) {
-                           return select(predicate, chunk, mask);
-                         },
-                         iq->dop()));
-    targets.cold.push_back(DmlTargets::Cold{table, std::move(rows)});
-    return Status::OK();
-  };
-  switch (entry.kind) {
-    case TableKind::kColumn:
-      HANA_RETURN_IF_ERROR(add_hot(entry.column_table.get()));
-      break;
-    case TableKind::kExtended:
-      HANA_RETURN_IF_ERROR(add_cold(entry.extended_table));
-      break;
-    case TableKind::kHybrid:
-      for (size_t i = 0; i < entry.partitions.size(); ++i) {
-        if (entry.PartitionExcluded(i, ranges)) continue;
-        const Partition& p = entry.partitions[i];
-        HANA_RETURN_IF_ERROR(p.hot != nullptr ? add_hot(p.hot.get())
-                                              : add_cold(p.cold_table));
-      }
-      break;
+        std::vector<storage::Chunk> found,
+        SearchTarget(entry, target, predicate, ranges, {}, ctx));
+    for (const storage::Chunk& chunk : found) {
+      const int64_t* ids = chunk.columns[0]->ints_data();
+      target.rows.insert(target.rows.end(), ids, ids + chunk.num_rows());
+    }
   }
   return targets;
+}
+
+/// The new images of rows `rows` of `table`: each row as stored (rows
+/// never move, so the ids a search found read the same image), with
+/// every assignment evaluated over the old images a chunk at a time.
+/// The first error is returned: chunks in row order, within a chunk
+/// the assignments in SET order, each naming its first failing row.
+Result<std::vector<std::vector<Value>>> NewImages(
+    const storage::ColumnTable& table, const std::vector<int64_t>& rows,
+    const std::vector<std::pair<size_t, const plan::BoundExpr*>>&
+        assignments) {
+  std::shared_ptr<const storage::TableReadSnapshot> stored =
+      table.OpenSnapshot();
+  std::vector<std::vector<Value>> images;
+  images.reserve(rows.size());
+  for (size_t begin = 0; begin < rows.size();
+       begin += storage::kDefaultChunkRows) {
+    const size_t end = std::min(rows.size(), begin + storage::kDefaultChunkRows);
+    storage::Chunk old = storage::Chunk::Empty(table.schema());
+    for (size_t i = begin; i < end; ++i) {
+      images.push_back(stored->GetRow(static_cast<size_t>(rows[i])));
+      old.AppendRow(images.back());
+    }
+    for (const auto& [col, expr] : assignments) {
+      HANA_ASSIGN_OR_RETURN(storage::ColumnVectorPtr values,
+                            exec::EvalExprColumnAs(*expr, old, expr->type));
+      for (size_t i = begin; i < end; ++i) {
+        images[i][col] = values->GetValue(i - begin);
+      }
+    }
+  }
+  return images;
 }
 
 }  // namespace
 
 Result<size_t> Catalog::DeleteWhere(const std::string& name,
-                                    const plan::BoundExpr& predicate) {
+                                    const plan::BoundExpr* predicate) {
   HANA_ASSIGN_OR_RETURN(TableEntry * entry, GetTable(name));
-  HANA_ASSIGN_OR_RETURN(DmlTargets targets,
-                        CollectTargets(*entry, iq_, &predicate, nullptr));
-  storage::WriteSet writes;  // A claim conflict returns: all aborted.
+  HANA_ASSIGN_OR_RETURN(std::vector<Target> targets,
+                        FindTargets(*entry, iq_, exec_, predicate));
+  // Hot deletes first, staged (a claim conflict returns: all aborted);
+  // the unversioned cold tombstones only then.
+  storage::WriteSet writes;
   size_t deleted = 0;
-  for (const DmlTargets::Hot& hot : targets.hot) {
-    for (size_t r : hot.rows) HANA_RETURN_IF_ERROR(writes.Delete(hot.table, r));
-    deleted += hot.rows.size();
+  for (const Target& target : targets) {
+    if (target.hot == nullptr) continue;
+    for (int64_t r : target.rows) {
+      HANA_RETURN_IF_ERROR(writes.Delete(target.hot, static_cast<size_t>(r)));
+    }
+    deleted += target.rows.size();
   }
-  for (const DmlTargets::Cold& cold : targets.cold) {
-    deleted += cold.table->DeleteRows(cold.rows);
+  for (const Target& target : targets) {
+    if (target.cold != nullptr) deleted += target.cold->DeleteRows(target.rows);
   }
   writes.Commit();
   return deleted;
@@ -548,23 +576,19 @@ Result<size_t> Catalog::UpdateWhere(
     return Status::Unimplemented(
         "UPDATE supports in-memory tables; use delete+insert for extended");
   }
-  // New images of every target, built before the first row changes.
-  std::vector<std::vector<Value>> images;
-  auto add_image = [&](const std::vector<Value>& row) -> Status {
-    std::vector<Value> image = row;
-    for (const auto& [col, expr] : assignments) {
-      HANA_ASSIGN_OR_RETURN(image[col], exec::EvalExprRow(*expr, row));
-    }
-    images.push_back(std::move(image));
-    return Status::OK();
-  };
-  HANA_ASSIGN_OR_RETURN(
-      DmlTargets targets,
-      CollectTargets(*entry, iq_, predicate, add_image));
+  HANA_ASSIGN_OR_RETURN(std::vector<Target> targets,
+                        FindTargets(*entry, iq_, exec_, predicate));
+  // New images of every hot target, built before the first row changes.
+  std::vector<std::vector<std::vector<Value>>> images(targets.size());
+  for (size_t t = 0; t < targets.size(); ++t) {
+    if (targets[t].hot == nullptr) continue;
+    HANA_ASSIGN_OR_RETURN(
+        images[t], NewImages(*targets[t].hot, targets[t].rows, assignments));
+  }
   // Cold data is read-mostly by design: a statement that selects a cold
   // row fails before any hot row changes.
-  for (const DmlTargets::Cold& cold : targets.cold) {
-    if (!cold.rows.empty()) {
+  for (const Target& target : targets) {
+    if (target.cold != nullptr && !target.rows.empty()) {
       return Status::Unimplemented(
           "UPDATE of rows in cold partitions is not supported");
     }
@@ -574,14 +598,14 @@ Result<size_t> Catalog::UpdateWhere(
   // and the WriteSet aborts everything staged.
   storage::WriteSet writes;
   size_t updated = 0;
-  for (const DmlTargets::Hot& hot : targets.hot) {
-    for (size_t r : hot.rows) HANA_RETURN_IF_ERROR(writes.Delete(hot.table, r));
-    auto first = images.begin() + updated;
-    HANA_RETURN_IF_ERROR(writes.Append(
-        hot.table, std::vector<std::vector<Value>>(
-                       std::make_move_iterator(first),
-                       std::make_move_iterator(first + hot.rows.size()))));
-    updated += hot.rows.size();
+  for (size_t t = 0; t < targets.size(); ++t) {
+    storage::ColumnTable* table = targets[t].hot;
+    if (table == nullptr) continue;
+    for (int64_t r : targets[t].rows) {
+      HANA_RETURN_IF_ERROR(writes.Delete(table, static_cast<size_t>(r)));
+    }
+    HANA_RETURN_IF_ERROR(writes.Append(table, images[t]));
+    updated += targets[t].rows.size();
   }
   writes.Commit();
   return updated;
@@ -623,52 +647,52 @@ Result<size_t> Catalog::RunAging(const std::string& name) {
   if (entry->kind != TableKind::kHybrid) {
     return Status::InvalidArgument("aging applies to hybrid tables");
   }
-  // Stage the delete of every hot row that ages out; a claim conflict
-  // returns before any cold load, and the WriteSet aborts the claims.
-  storage::WriteSet writes;
-  std::vector<std::vector<Value>> rows;
-  for (Partition& p : entry->partitions) {
-    if (p.hot == nullptr) continue;
-    for (size_t r = 0; r < p.hot->num_rows(); ++r) {
-      if (!p.hot->IsVisibleLatest(r)) continue;
-      std::vector<Value> row = p.hot->GetRow(r);
-      bool age;
-      if (entry->aging_column >= 0) {
-        const Value& flag = row[static_cast<size_t>(entry->aging_column)];
-        age = !flag.is_null() && exec::IsTruthy(flag);
-      } else {
-        int part = PartitionIndexFor(
-            *entry, row[static_cast<size_t>(entry->partition_column)]);
-        age = part >= 0 &&
-              entry->partitions[static_cast<size_t>(part)].hot == nullptr;
-      }
-      if (!age) continue;
-      HANA_RETURN_IF_ERROR(writes.Delete(p.hot.get(), r));
-      rows.push_back(std::move(row));
-    }
-  }
-  if (rows.empty()) return 0;
   // Destination: the cold partition matching each row's range; rows
   // outside any cold range go to the first cold partition.
   int first_cold = -1;
-  for (size_t i = 0; i < entry->partitions.size(); ++i) {
-    if (entry->partitions[i].hot == nullptr) {
-      first_cold = static_cast<int>(i);
-      break;
-    }
+  for (size_t i = 0; i < entry->partitions.size() && first_cold < 0; ++i) {
+    if (entry->partitions[i].hot == nullptr) first_cold = static_cast<int>(i);
   }
-  if (first_cold < 0) {
-    return Status::InvalidArgument("hybrid table has no cold partition");
+  // Each hot partition is searched like a SELECT: for its flagged rows
+  // (aging column) or for every row with its partition key, routed
+  // here. The delete of every row that ages out is staged; a claim
+  // conflict returns before any cold load, and the WriteSet aborts the
+  // claims.
+  const size_t key = static_cast<size_t>(entry->partition_column);
+  plan::BoundExprPtr flagged;
+  if (entry->aging_column >= 0) {
+    const size_t flag = static_cast<size_t>(entry->aging_column);
+    const ColumnDef& def = entry->schema->column(flag);
+    flagged = plan::BoundExpr::Column(flag, def.type, def.name);
   }
+  HANA_ASSIGN_OR_RETURN(std::vector<Target> targets,
+                        TargetsOf(*entry, iq_, {}));
+  storage::WriteSet writes;
   std::map<int, std::vector<std::vector<Value>>> routed;
-  size_t moved = rows.size();
-  for (auto& row : rows) {
-    int part = PartitionIndexFor(
-        *entry, row[static_cast<size_t>(entry->partition_column)]);
-    bool cold_target =
-        part >= 0 && entry->partitions[static_cast<size_t>(part)].hot ==
-                         nullptr;
-    routed[cold_target ? part : first_cold].push_back(std::move(row));
+  size_t moved = 0;
+  for (const Target& target : targets) {
+    if (target.hot == nullptr) continue;
+    HANA_ASSIGN_OR_RETURN(
+        std::vector<storage::Chunk> found,
+        SearchTarget(*entry, target, flagged.get(), {}, {key}, exec_));
+    std::shared_ptr<const storage::TableReadSnapshot> stored =
+        target.hot->OpenSnapshot();
+    for (const storage::Chunk& chunk : found) {
+      for (size_t i = 0; i < chunk.num_rows(); ++i) {
+        int part = PartitionIndexFor(*entry, chunk.columns[1]->GetValue(i));
+        bool cold_target =
+            part >= 0 &&
+            entry->partitions[static_cast<size_t>(part)].hot == nullptr;
+        if (flagged == nullptr && !cold_target) continue;
+        if (first_cold < 0) {
+          return Status::InvalidArgument("hybrid table has no cold partition");
+        }
+        const size_t r = static_cast<size_t>(chunk.columns[0]->GetInt(i));
+        HANA_RETURN_IF_ERROR(writes.Delete(target.hot, r));
+        routed[cold_target ? part : first_cold].push_back(stored->GetRow(r));
+        ++moved;
+      }
+    }
   }
   // Load the moved rows into the unversioned cold partitions, then
   // commit the hot deletes (a failed load returns: they abort instead).

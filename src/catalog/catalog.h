@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "common/sync.h"
+#include "exec/operators.h"
 #include "extended/iq_engine.h"
 #include "plan/bound_expr.h"
 #include "plan/logical.h"
@@ -90,8 +91,10 @@ struct VirtualFunctionEntry {
 /// Implements the binder's name-resolution interface.
 class Catalog : public plan::BinderCatalog {
  public:
-  /// `iq` may be null when no extended storage is attached.
-  explicit Catalog(extended::IqEngine* iq) : iq_(iq) {}
+  /// `iq` may be null when no extended storage is attached. DML runs
+  /// its target searches on `exec`, the platform hosting the catalog.
+  Catalog(extended::IqEngine* iq, exec::ExecContext* exec)
+      : iq_(iq), exec_(exec) {}
 
   extended::IqEngine* iq() const { return iq_; }
 
@@ -116,7 +119,9 @@ class Catalog : public plan::BinderCatalog {
   // A statement's column-table changes are staged in one
   // storage::WriteSet and committed at one timestamp, or aborted as a
   // whole on any error. Cold partitions are not versioned and are
-  // touched only after every hot change is staged.
+  // touched only after every hot change is staged. UPDATE, DELETE and
+  // aging search each target partition pruning keeps with one Scan ->
+  // Filter -> Project(row id) plan on `exec`, at its read lease.
 
   /// Routes rows to the right storage (partition-aware for hybrid
   /// tables; direct load into the extended store for extended tables —
@@ -130,21 +135,20 @@ class Catalog : public plan::BinderCatalog {
                      const std::vector<std::string>& columns,
                      const std::vector<std::vector<Value>>& rows);
 
-  /// Deletes rows matching a predicate bound against the table schema.
-  /// Column and hybrid tables find their targets the way SELECT does:
-  /// partitions PartitionExcluded skips are not visited, hot rows come
-  /// from one latest-view snapshot scan through the exec::SelectRows
-  /// mask kernel, cold rows from zone-map-pruned row groups. The
-  /// predicate is evaluated over every candidate before any row is
-  /// deleted, so an evaluation error (the first in row order) leaves
-  /// the table unchanged; so does a target another writer has claimed.
+  /// Deletes rows matching `predicate` (bound against the table schema;
+  /// null = every row). Partitions PartitionExcluded skips are not
+  /// visited; cold row groups are pruned by zone map. Every target is
+  /// found before any row is deleted, so a predicate error (the first in
+  /// row order) leaves the table unchanged; so does a target another
+  /// writer has claimed.
   [[nodiscard]] Result<size_t> DeleteWhere(const std::string& name,
-                             const plan::BoundExpr& predicate);
+                                           const plan::BoundExpr* predicate);
 
   /// Updates rows matching `predicate`: assignment exprs are bound
   /// against the table schema. Returns rows updated. Finds targets like
-  /// DeleteWhere and evaluates every assignment of every target before
-  /// the first row changes; rows of cold partitions cannot be updated.
+  /// DeleteWhere, then evaluates every assignment over the targets'
+  /// images before the first row changes: predicate errors come first,
+  /// then assignment errors. Rows of cold partitions cannot be updated.
   [[nodiscard]] Result<size_t> UpdateWhere(
       const std::string& name, const plan::BoundExpr* predicate,
       const std::vector<std::pair<size_t, const plan::BoundExpr*>>&
@@ -179,6 +183,7 @@ class Catalog : public plan::BinderCatalog {
   std::string ColdTableName(const TableEntry& entry, size_t partition) const;
 
   extended::IqEngine* iq_;
+  exec::ExecContext* exec_;
 
   /// Guards the *structure* of the four metadata maps (insert, erase,
   /// lookup). Entry contents — table data behind the returned

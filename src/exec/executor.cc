@@ -764,9 +764,9 @@ void AnnotateNode(LogicalOp* op, const PipelinePlan& plan, int inherited) {
 
 }  // namespace
 
-Result<storage::Table> ExecutePlanWithStats(const plan::LogicalOp& logical,
-                                            ExecContext* ctx,
-                                            std::vector<PipelineStats>* stats) {
+Result<std::vector<Chunk>> ExecutePlanChunks(const plan::LogicalOp& logical,
+                                             ExecContext* ctx,
+                                             std::vector<PipelineStats>* stats) {
   if (stats != nullptr) stats->clear();
   // One read lease per statement: every scan the plan opens — across
   // pipelines and morsels — resolves against the same MVCC view, and
@@ -775,7 +775,14 @@ Result<storage::Table> ExecutePlanWithStats(const plan::LogicalOp& logical,
   ExecContext::ReadLease lease = ctx->AcquireReadLease();
   PipelinePlan plan = DecomposePlan(logical);
   PipelineExecutor executor(&plan, ctx, ctx->parallel_policy(), lease.view);
-  HANA_ASSIGN_OR_RETURN(std::vector<Chunk> chunks, executor.Run(stats));
+  return executor.Run(stats);
+}
+
+Result<storage::Table> ExecutePlanWithStats(const plan::LogicalOp& logical,
+                                            ExecContext* ctx,
+                                            std::vector<PipelineStats>* stats) {
+  HANA_ASSIGN_OR_RETURN(std::vector<Chunk> chunks,
+                        ExecutePlanChunks(logical, ctx, stats));
   storage::Table table(logical.schema);
   for (Chunk& chunk : chunks) table.AppendChunk(std::move(chunk));
   return table;

@@ -15,6 +15,8 @@ namespace hana::exec {
 
 using storage::Chunk;
 
+struct PipelineStats;  // exec/executor.h
+
 /// Receives a source's chunks in order; returns false to stop the
 /// source early (a satisfied LIMIT).
 using ChunkSink = std::function<bool(const Chunk&)>;
@@ -125,6 +127,11 @@ class ExecContext {
 /// materialized table. The logical plan must outlive the call.
 [[nodiscard]] Result<storage::Table> ExecutePlan(const plan::LogicalOp& logical,
                                                  ExecContext* ctx);
+/// ExecutePlan's result as the executor's output chunks, in result
+/// order, with no boxed rows; fills `stats` (one per pipeline) when set.
+[[nodiscard]] Result<std::vector<Chunk>> ExecutePlanChunks(
+    const plan::LogicalOp& logical, ExecContext* ctx,
+    std::vector<PipelineStats>* stats = nullptr);
 
 }  // namespace hana::exec
 

@@ -30,7 +30,7 @@ namespace hana::exec {
 /// Selection mask: sets `(*mask)[r]` to 1 where `predicate` is TRUE on
 /// row r of `in` and to 0 where it is FALSE or NULL. On error, `mask`
 /// holds the verdicts of the rows before the first failing one. Used by
-/// filter stages, join residuals and catalog DML.
+/// filter stages and join residuals.
 [[nodiscard]] Status SelectRows(const plan::BoundExpr& predicate,
                                 const storage::Chunk& in,
                                 std::vector<uint8_t>* mask);

@@ -223,15 +223,27 @@ ExtendedTable::ExtendedTable(ExtendedStore* store, std::string name,
       path_(std::move(path)) {}
 
 size_t ExtendedTable::num_rows() const {
+  MutexLock lock(store_->mu_);
   size_t n = 0;
   for (const auto& g : groups_) n += g.rows;
   return n;
 }
 
 size_t ExtendedTable::live_rows() const {
+  MutexLock lock(store_->mu_);
   size_t n = 0;
   for (const auto& g : groups_) n += g.rows - g.deleted;
   return n;
+}
+
+size_t ExtendedTable::disk_bytes() const {
+  MutexLock lock(store_->mu_);
+  return disk_bytes_;
+}
+
+size_t ExtendedTable::num_groups() const {
+  MutexLock lock(store_->mu_);
+  return groups_.size();
 }
 
 Status ExtendedTable::WriteGroup(const std::vector<std::vector<Value>>& rows,
@@ -273,6 +285,7 @@ Status ExtendedTable::BulkLoad(const std::vector<std::vector<Value>>& rows) {
     }
   }
   size_t per_group = store_->options().rows_per_group;
+  MutexLock lock(store_->mu_);  // One appender: offsets stay as recorded.
   for (size_t begin = 0; begin < rows.size(); begin += per_group) {
     size_t end = std::min(rows.size(), begin + per_group);
     HANA_RETURN_IF_ERROR(WriteGroup(rows, begin, end));
@@ -298,12 +311,12 @@ bool ExtendedTable::GroupMatches(const RowGroup& group,
   return true;
 }
 
-/// Serves the surviving row groups of one scan or match in order and
-/// reads up to dop - 1 groups ahead on the task pool. Only the calling
-/// thread touches the buffer cache and the metrics, in group order, so
-/// the counters equal a serial scan's at any dop: a read-ahead task
-/// only reads the file and decodes, and the blocks it loads are charged
-/// and cached when the group is consumed, never otherwise.
+/// Serves the surviving row groups of one scan in order and reads up to
+/// dop - 1 groups ahead on the task pool. Only the calling thread
+/// touches the buffer cache and the metrics, in group order, so the
+/// counters equal a serial scan's at any dop: a read-ahead task only
+/// reads the file and decodes, and the blocks it loads are charged and
+/// cached when the group is consumed, never otherwise.
 class ExtendedTable::GroupReader {
  public:
   GroupReader(ExtendedTable* table, std::vector<size_t> groups,
@@ -328,18 +341,26 @@ class ExtendedTable::GroupReader {
 
   const std::vector<size_t>& groups() const { return groups_; }
 
-  /// The blocks of groups()[i], one per column; i = 0, 1, ... in order.
-  Status Load(size_t i, std::vector<storage::ColumnVectorPtr>* blocks) {
+  /// The blocks of groups()[i], one per column, and the indexes of its
+  /// live rows; i = 0, 1, ... in order. Never waits under the store's
+  /// mutex.
+  Status Load(size_t i, std::vector<storage::ColumnVectorPtr>* blocks,
+              std::vector<uint32_t>* live) {
+    ExtendedStore* store = table_->store_;
     size_t until = std::min(groups_.size(), i + 1 + depth_);
-    for (scheduled_ = std::max(scheduled_, i + 1); scheduled_ < until;
-         ++scheduled_) {
-      Schedule(scheduled_);
+    {
+      MutexLock lock(store->mu_);
+      for (scheduled_ = std::max(scheduled_, i + 1); scheduled_ < until;
+           ++scheduled_) {
+        Schedule(scheduled_);
+      }
     }
     std::shared_ptr<Slot> slot = std::move(slots_[i]);
     if (slot != nullptr) slot->Await();
+    MutexLock lock(store->mu_);
     const size_t g = groups_[i];
     const RowGroup& group = table_->groups_[g];
-    ExtendedStore* store = table_->store_;
+    LiveRowIndexes(group.rows, group.tombstones, live);
     blocks->resize(columns_.size());
     for (size_t c = 0; c < columns_.size(); ++c) {
       const ColumnBlockRef& ref = group.columns[columns_[c]];
@@ -431,7 +452,8 @@ class ExtendedTable::GroupReader {
     return file_.get();
   }
 
-  /// Hands groups()[i]'s uncached blocks to a pool task.
+  /// Hands groups()[i]'s uncached blocks to a pool task; the caller
+  /// holds the store's mutex.
   void Schedule(size_t i) {
     const size_t g = groups_[i];
     const RowGroup& group = table_->groups_[g];
@@ -450,7 +472,7 @@ class ExtendedTable::GroupReader {
     slot->blocks.resize(columns_.size());
     slots_[i] = slot;
     // The task captures only the slot. It takes no lock, so it may be
-    // queued under any engine lock, sda.dispatch included.
+    // queued under any engine lock, extended.store included.
     (void)TaskPool::Global().Submit([slot] { slot->RunIfQueued(); });
   }
 
@@ -467,6 +489,7 @@ class ExtendedTable::GroupReader {
 
 std::vector<size_t> ExtendedTable::SurvivingGroups(
     const std::vector<ColumnRange>& ranges) const {
+  MutexLock lock(store_->mu_);
   std::vector<size_t> out;
   for (size_t g = 0; g < groups_.size(); ++g) {
     const RowGroup& group = groups_[g];
@@ -489,7 +512,12 @@ Status ExtendedTable::Scan(
     const std::vector<size_t>& columns, const std::shared_ptr<Schema>& schema,
     const std::function<bool(const storage::Chunk&)>& callback, size_t dop) {
   chunk_rows = std::max<size_t>(chunk_rows, 1);
-  GroupReader reader(this, SurvivingGroups(ranges), columns, dop);
+  // The blocks to read: every listed column but the row id.
+  std::vector<size_t> stored;
+  for (size_t column : columns) {
+    if (column != storage::kRowIdColumn) stored.push_back(column);
+  }
+  GroupReader reader(this, SurvivingGroups(ranges), stored, dop);
   std::vector<storage::ColumnVectorPtr> blocks;
   std::vector<uint32_t> live;
   auto fresh_chunk = [&] {
@@ -501,15 +529,21 @@ Status ExtendedTable::Scan(
   };
   storage::Chunk chunk = fresh_chunk();
   for (size_t i = 0; i < reader.groups().size(); ++i) {
-    HANA_RETURN_IF_ERROR(reader.Load(i, &blocks));
-    const RowGroup& group = groups_[reader.groups()[i]];
-    LiveRowIndexes(group.rows, group.tombstones, &live);
+    HANA_RETURN_IF_ERROR(reader.Load(i, &blocks, &live));
+    const int64_t group_id = static_cast<int64_t>(reader.groups()[i]) << 32;
     // Chunks fill to chunk_rows across group boundaries, one column at
     // a time, so tombstoned rows drop out through the selection.
     for (size_t begin = 0; begin < live.size();) {
       size_t take = std::min(chunk_rows - chunk.num_rows(), live.size() - begin);
-      for (size_t c = 0; c < blocks.size(); ++c) {
-        chunk.columns[c]->AppendGather(*blocks[c], live.data() + begin, take);
+      for (size_t c = 0, b = 0; c < columns.size(); ++c) {
+        storage::ColumnVector* out = chunk.columns[c].get();
+        if (columns[c] == storage::kRowIdColumn) {
+          for (size_t k = begin; k < begin + take; ++k) {
+            out->AppendInt(group_id | live[k]);
+          }
+        } else {
+          out->AppendGather(*blocks[b++], live.data() + begin, take);
+        }
       }
       begin += take;
       if (chunk.num_rows() >= chunk_rows) {
@@ -522,51 +556,17 @@ Status ExtendedTable::Scan(
   return Status::OK();
 }
 
-Result<std::vector<ExtendedTable::RowRef>> ExtendedTable::MatchRows(
-    const std::vector<ColumnRange>& ranges, const ChunkMatch& match,
-    size_t dop) {
-  std::vector<RowRef> rows;
-  const std::vector<size_t> columns = storage::AllColumnIds(*schema_);
-  GroupReader reader(this, SurvivingGroups(ranges), columns, dop);
-  storage::Chunk blocks;
-  blocks.schema = schema_;
-  std::vector<uint8_t> mask;
-  std::vector<uint32_t> live;
-  for (size_t i = 0; i < reader.groups().size(); ++i) {
-    HANA_RETURN_IF_ERROR(reader.Load(i, &blocks.columns));
-    const size_t g = reader.groups()[i];
-    const RowGroup& group = groups_[g];
-    if (group.deleted == 0) {
-      HANA_RETURN_IF_ERROR(match(blocks, &mask));
-      for (size_t r = 0; r < group.rows; ++r) {
-        if (mask[r] != 0) rows.push_back(RowRef{g, r});
-      }
-      continue;
-    }
-    // Deleted rows must not reach the predicate — an evaluation error on
-    // one would fail the statement — so a group with tombstones is
-    // matched over a gather of its live rows.
-    LiveRowIndexes(group.rows, group.tombstones, &live);
-    storage::Chunk live_rows = storage::Chunk::Empty(schema_);
-    for (size_t c = 0; c < columns.size(); ++c) {
-      live_rows.columns[c]->AppendGather(*blocks.columns[c], live.data(),
-                                         live.size());
-    }
-    HANA_RETURN_IF_ERROR(match(live_rows, &mask));
-    for (size_t k = 0; k < live.size(); ++k) {
-      if (mask[k] != 0) rows.push_back(RowRef{g, live[k]});
-    }
-  }
-  return rows;
-}
-
-size_t ExtendedTable::DeleteRows(const std::vector<RowRef>& rows) {
+size_t ExtendedTable::DeleteRows(const std::vector<int64_t>& row_ids) {
+  MutexLock lock(store_->mu_);
   size_t deleted = 0;
-  for (const RowRef& ref : rows) {
-    RowGroup& group = groups_[ref.group];
+  for (int64_t id : row_ids) {
+    const size_t g = static_cast<size_t>(id >> 32);
+    const size_t row = static_cast<size_t>(id & 0xffffffff);
+    if (g >= groups_.size() || row >= groups_[g].rows) continue;
+    RowGroup& group = groups_[g];
     if (group.tombstones.empty()) group.tombstones.assign(group.rows, 0);
-    if (group.tombstones[ref.row]) continue;
-    group.tombstones[ref.row] = 1;
+    if (group.tombstones[row]) continue;
+    group.tombstones[row] = 1;
     ++group.deleted;
     ++deleted;
   }
@@ -574,6 +574,7 @@ size_t ExtendedTable::DeleteRows(const std::vector<RowRef>& rows) {
 }
 
 Result<Value> ExtendedTable::ColumnMin(size_t col) const {
+  MutexLock lock(store_->mu_);
   Value min;
   for (const auto& g : groups_) {
     const Value& m = g.columns[col].min;
@@ -583,6 +584,7 @@ Result<Value> ExtendedTable::ColumnMin(size_t col) const {
 }
 
 Result<Value> ExtendedTable::ColumnMax(size_t col) const {
+  MutexLock lock(store_->mu_);
   Value max;
   for (const auto& g : groups_) {
     const Value& m = g.columns[col].max;
@@ -602,6 +604,7 @@ ExtendedStore::~ExtendedStore() = default;
 Result<ExtendedTable*> ExtendedStore::CreateTable(
     const std::string& name, std::shared_ptr<Schema> schema) {
   std::string key = ToUpper(name);
+  MutexLock lock(mu_);
   if (tables_.count(key) > 0) {
     return Status::AlreadyExists("extended table exists: " + name);
   }
@@ -615,6 +618,7 @@ Result<ExtendedTable*> ExtendedStore::CreateTable(
 }
 
 Result<ExtendedTable*> ExtendedStore::GetTable(const std::string& name) const {
+  MutexLock lock(mu_);
   auto it = tables_.find(ToUpper(name));
   if (it == tables_.end()) {
     return Status::NotFound("extended table not found: " + name);
@@ -623,10 +627,12 @@ Result<ExtendedTable*> ExtendedStore::GetTable(const std::string& name) const {
 }
 
 bool ExtendedStore::HasTable(const std::string& name) const {
+  MutexLock lock(mu_);
   return tables_.count(ToUpper(name)) > 0;
 }
 
 Status ExtendedStore::DropTable(const std::string& name) {
+  MutexLock lock(mu_);
   auto it = tables_.find(ToUpper(name));
   if (it == tables_.end()) {
     return Status::NotFound("extended table not found: " + name);
@@ -647,9 +653,20 @@ Status ExtendedStore::DropTable(const std::string& name) {
 }
 
 std::vector<std::string> ExtendedStore::TableNames() const {
+  MutexLock lock(mu_);
   std::vector<std::string> names;
   for (const auto& [key, table] : tables_) names.push_back(table->name());
   return names;
+}
+
+ExtendedStoreMetrics ExtendedStore::metrics() const {
+  MutexLock lock(mu_);
+  return metrics_;
+}
+
+void ExtendedStore::ResetMetrics() {
+  MutexLock lock(mu_);
+  metrics_.Reset();
 }
 
 void ExtendedStore::ChargeRead(size_t bytes) {

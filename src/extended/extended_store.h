@@ -12,6 +12,7 @@
 
 #include "common/result.h"
 #include "common/schema.h"
+#include "common/sync.h"
 #include "common/util.h"
 #include "storage/column_vector.h"
 
@@ -50,15 +51,16 @@ struct ExtendedStoreMetrics {
 class ExtendedStore;
 
 /// A disk-resident columnar table: append-only row groups, per-column
-/// compressed blocks, per-group zone maps, tombstone deletes.
+/// compressed blocks, per-group zone maps, tombstone deletes. Loads,
+/// deletes and scans may run on different threads (ExtendedStore::mu_).
 class ExtendedTable {
  public:
   const std::string& name() const { return name_; }
   const std::shared_ptr<Schema>& schema() const { return schema_; }
   size_t num_rows() const;
   size_t live_rows() const;
-  size_t disk_bytes() const { return disk_bytes_; }
-  size_t num_groups() const { return groups_.size(); }
+  size_t disk_bytes() const;
+  size_t num_groups() const;
 
   /// Direct bulk load: appends rows as sealed row groups, bypassing any
   /// in-memory staging (Section 3.1 "direct load mechanism").
@@ -71,13 +73,16 @@ class ExtendedTable {
   /// `dop` > 1, up to dop - 1 later groups are read and decoded ahead on
   /// TaskPool::Global(); results and metrics do not depend on `dop`, and
   /// blocks read ahead but never consumed are neither charged nor
-  /// cached. Read-ahead tasks take no lock.
+  /// cached. Read-ahead tasks take no lock; the scan never waits for
+  /// one or calls `callback` under the store's mutex.
   [[nodiscard]] Status Scan(const std::vector<ColumnRange>& ranges, size_t chunk_rows,
               const std::function<bool(const storage::Chunk&)>& callback,
               size_t dop = 1);
   /// Projected scan: reads only the blocks of table columns `columns`
   /// (ids, at least one) and stamps chunks with `schema`, one column per
-  /// id. `ranges` still name table columns; zone maps need no block read.
+  /// id; storage::kRowIdColumn there holds each row's id, (row group
+  /// << 32) | row within the group. `ranges` still name table columns;
+  /// zone maps need no block read.
   [[nodiscard]] Status Scan(
       const std::vector<ColumnRange>& ranges, size_t chunk_rows,
       const std::vector<size_t>& columns,
@@ -85,30 +90,10 @@ class ExtendedTable {
       const std::function<bool(const storage::Chunk&)>& callback,
       size_t dop = 1);
 
-  /// Position of one row: (row group, row within the group).
-  struct RowRef {
-    size_t group = 0;
-    size_t row = 0;
-  };
-  /// Chunk-level predicate: sets (*mask)[r] to 1 for the chunk rows it
-  /// selects (see exec::SelectRows).
-  using ChunkMatch =
-      std::function<Status(const storage::Chunk&, std::vector<uint8_t>*)>;
-
-  /// Live rows `match` selects, in row order; changes nothing. Row
-  /// groups that are fully deleted or whose zone maps cannot satisfy
-  /// `ranges` are not read. A group without deletes is matched as one
-  /// chunk over its decoded blocks (no copy); a group with some is
-  /// matched over a gather of its live rows, so deleted rows never reach
-  /// the predicate. A match error is returned as is. `dop` reads ahead
-  /// as in Scan.
-  [[nodiscard]] Result<std::vector<RowRef>> MatchRows(
-      const std::vector<ColumnRange>& ranges, const ChunkMatch& match,
-      size_t dop = 1);
-
-  /// Tombstones rows found by MatchRows. Returns the number of rows
-  /// deleted (rows already deleted are not counted again).
-  size_t DeleteRows(const std::vector<RowRef>& rows);
+  /// Tombstones the rows of `row_ids` (ids a projected Scan emitted).
+  /// Returns the number of rows deleted (rows already deleted are not
+  /// counted again).
+  size_t DeleteRows(const std::vector<int64_t>& row_ids);
 
   /// Zone-map summary for statistics.
   [[nodiscard]] Result<Value> ColumnMin(size_t col) const;
@@ -147,7 +132,7 @@ class ExtendedTable {
   std::string name_;
   std::shared_ptr<Schema> schema_;
   std::string path_;
-  std::vector<RowGroup> groups_;
+  std::vector<RowGroup> groups_;  // Guarded by store_->mu_.
   size_t disk_bytes_ = 0;
 };
 
@@ -169,22 +154,24 @@ class ExtendedStore {
   std::vector<std::string> TableNames() const;
 
   const ExtendedStoreOptions& options() const { return options_; }
-  ExtendedStoreMetrics& metrics() { return metrics_; }
+  /// A copy: scans on other threads may be charging reads.
+  ExtendedStoreMetrics metrics() const EXCLUDES(mu_);
+  void ResetMetrics() EXCLUDES(mu_);
   SimClock& clock() { return clock_; }
 
  private:
   friend class ExtendedTable;
 
-  /// The buffer cache, keyed "TABLE#group#column". Only the scanning
-  /// thread calls these: a lookup counts a hit and refreshes the LRU
-  /// order (null on a miss); Contains does neither; Admit evicts least
-  /// recently used blocks to fit a block of `block_bytes` on disk.
-  storage::ColumnVectorPtr CacheLookup(const std::string& key);
-  bool CacheContains(const std::string& key) const;
+  /// The buffer cache, keyed "TABLE#group#column": a lookup counts a
+  /// hit and refreshes the LRU order (null on a miss); Contains does
+  /// neither; Admit evicts least recently used blocks to fit a block of
+  /// `block_bytes` on disk.
+  storage::ColumnVectorPtr CacheLookup(const std::string& key) REQUIRES(mu_);
+  bool CacheContains(const std::string& key) const REQUIRES(mu_);
   void CacheAdmit(const std::string& key, storage::ColumnVectorPtr data,
-                  size_t block_bytes);
-  void ChargeRead(size_t bytes);
-  void ChargeWrite(size_t bytes);
+                  size_t block_bytes) REQUIRES(mu_);
+  void ChargeRead(size_t bytes) REQUIRES(mu_);
+  void ChargeWrite(size_t bytes) REQUIRES(mu_);
 
   struct CacheEntry {
     storage::ColumnVectorPtr data;
@@ -193,12 +180,17 @@ class ExtendedStore {
   };
 
   ExtendedStoreOptions options_;
-  ExtendedStoreMetrics metrics_;
   SimClock clock_;
-  std::map<std::string, std::unique_ptr<ExtendedTable>> tables_;
-  std::unordered_map<std::string, CacheEntry> cache_;
-  std::list<std::string> lru_;
-  size_t cache_used_ = 0;
+  /// One lock for the table map, every table's row groups and
+  /// tombstones, the buffer cache and the metrics, whoever touches them
+  /// (lock_rank::kExtendedStore).
+  mutable Mutex mu_{"extended.store", lock_rank::kExtendedStore};
+  ExtendedStoreMetrics metrics_ GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<ExtendedTable>> tables_
+      GUARDED_BY(mu_);
+  std::unordered_map<std::string, CacheEntry> cache_ GUARDED_BY(mu_);
+  std::list<std::string> lru_ GUARDED_BY(mu_);
+  size_t cache_used_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace hana::extended

@@ -37,12 +37,11 @@ class IqEngine : public plan::BinderCatalog, public exec::ExecContext {
   ExtendedStore* store() const { return store_; }
 
   /// Degree of parallelism of its store reads (the platform's
-  /// `threads`): scans and DML matches read up to dop - 1 row groups
-  /// ahead on the task pool. The executor stays inline
+  /// `threads`): scans read up to dop - 1 row groups ahead on the task
+  /// pool. The executor stays inline
   /// (parallel_policy() has no pool), because the engine runs under the
   /// SDA dispatch mutex.
   void set_dop(size_t dop) { dop_ = dop; }
-  size_t dop() const { return dop_; }
 
   // BinderCatalog:
   [[nodiscard]] Result<plan::TableBinding> ResolveTable(

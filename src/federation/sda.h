@@ -127,10 +127,11 @@ class SdaRuntime {
   /// Lock order: dispatch_mu_ may be held when registry_mu_ is
   /// acquired (dispatch paths resolve adapters), never the reverse.
   /// A cold scan under dispatch_mu_ submits its row-group read-ahead to
-  /// the task pool, taking TaskPool::mu_ (rank 50 -> 90, allowed); those
-  /// tasks take no lock, and the scan only ever waits for one that is
-  /// already running, never runs queued tasks itself (no TryRunOneTask),
-  /// so it cannot steal a branch that re-locks dispatch_mu_.
+  /// the task pool under extended.store, taking TaskPool::mu_ (rank
+  /// 50 -> 52 -> 90, allowed); those tasks take no lock, and the scan
+  /// only ever waits for one that is already running, never runs queued
+  /// tasks itself (no TryRunOneTask), so it cannot steal a branch that
+  /// re-locks dispatch_mu_.
   mutable Mutex registry_mu_ ACQUIRED_AFTER(dispatch_mu_){
       "sda.registry", lock_rank::kSdaRegistry};
   std::map<std::string, std::unique_ptr<Adapter>> adapters_

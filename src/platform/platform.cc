@@ -61,7 +61,7 @@ Platform::Platform(PlatformOptions options) : options_(std::move(options)) {
     hive_ = std::make_unique<hadoop::HiveEngine>(hdfs_.get(),
                                                  mapreduce_.get());
   }
-  catalog_ = std::make_unique<catalog::Catalog>(iq_.get());
+  catalog_ = std::make_unique<catalog::Catalog>(iq_.get(), this);
   if (iq_ != nullptr) {
     // The extended storage is natively integrated: its adapter is bound
     // automatically under the reserved source name EXTENDED.
@@ -214,17 +214,13 @@ Result<ExecResult> Platform::ExecuteInsert(const sql::InsertStmt& stmt) {
 Result<ExecResult> Platform::ExecuteDelete(const sql::DeleteStmt& stmt) {
   HANA_ASSIGN_OR_RETURN(catalog::TableEntry * entry,
                         catalog_->GetTable(stmt.table));
-  size_t deleted = 0;
-  if (stmt.where == nullptr) {
-    plan::BoundExprPtr always =
-        plan::BoundExpr::Literal(Value::Bool(true), DataType::kBool);
-    HANA_ASSIGN_OR_RETURN(deleted, catalog_->DeleteWhere(stmt.table, *always));
-  } else {
-    HANA_ASSIGN_OR_RETURN(plan::BoundExprPtr predicate,
+  plan::BoundExprPtr predicate;
+  if (stmt.where != nullptr) {
+    HANA_ASSIGN_OR_RETURN(predicate,
                           plan::BindScalarExpr(*stmt.where, *entry->schema));
-    HANA_ASSIGN_OR_RETURN(deleted,
-                          catalog_->DeleteWhere(stmt.table, *predicate));
   }
+  HANA_ASSIGN_OR_RETURN(size_t deleted,
+                        catalog_->DeleteWhere(stmt.table, predicate.get()));
   ExecResult result;
   result.metrics.rows = deleted;
   result.message = StrFormat("%zu rows deleted", deleted);
@@ -469,7 +465,7 @@ Status Platform::RegisterMapReduceJob(
 
 exec::ExecContext::ReadLease Platform::AcquireReadLease() {
   ReadLease lease;
-  lease.hold = mvcc::VersionManager::Global().AcquireSnapshot();
+  lease.hold = coordinator_.version_manager()->AcquireSnapshot();
   lease.view.read_ts = lease.hold.read_ts();
   {
     // New statement: drop the previous statement's snapshot reuse map.

@@ -128,9 +128,10 @@ class Platform : public exec::ExecContext {
       std::function<Result<storage::Table>(hadoop::HiveEngine*)> runner);
 
   // ---- exec::ExecContext ------------------------------------------------
-  /// Pins the statement to the global version manager's last-visible
-  /// timestamp and registers it in the active-snapshot set, holding the
-  /// delta-merge watermark back while the statement runs.
+  /// Pins the statement (a SELECT or a DML target search) to the
+  /// last-visible timestamp of its coordinator's version manager and
+  /// registers it in the active-snapshot set, holding the delta-merge
+  /// watermark back while the statement runs.
   ReadLease AcquireReadLease() override;
   [[nodiscard]] Result<exec::PartitionSource> OpenScan(
       const plan::LogicalOp& scan, size_t morsel_rows,

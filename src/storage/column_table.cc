@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <utility>
 
 #include "common/strings.h"
@@ -598,31 +599,12 @@ void TableReadSnapshot::Scan(
 void TableReadSnapshot::ScanRange(
     size_t begin, size_t end, size_t chunk_rows,
     const std::function<bool(const Chunk&)>& callback) const {
-  ScanRows(begin, end, chunk_rows, AllColumnIds(*schema_), schema_, nullptr,
-           callback);
+  ScanRange(begin, end, chunk_rows, AllColumnIds(*schema_), schema_, callback);
 }
 
 void TableReadSnapshot::ScanRange(
     size_t begin, size_t end, size_t chunk_rows,
     const std::vector<size_t>& columns, const std::shared_ptr<Schema>& schema,
-    const std::function<bool(const Chunk&)>& callback) const {
-  ScanRows(begin, end, chunk_rows, columns, schema, nullptr, callback);
-}
-
-void TableReadSnapshot::ScanWithRowIds(
-    size_t chunk_rows, const std::vector<size_t>& columns,
-    const std::shared_ptr<Schema>& schema,
-    const std::function<bool(const Chunk&, const std::vector<size_t>&)>&
-        callback) const {
-  std::vector<size_t> row_ids;
-  ScanRows(0, num_rows_, chunk_rows, columns, schema, &row_ids,
-           [&](const Chunk& chunk) { return callback(chunk, row_ids); });
-}
-
-void TableReadSnapshot::ScanRows(
-    size_t begin, size_t end, size_t chunk_rows,
-    const std::vector<size_t>& columns, const std::shared_ptr<Schema>& schema,
-    std::vector<size_t>* row_ids,
     const std::function<bool(const Chunk&)>& callback) const {
   end = std::min(end, num_rows_);
   if (chunk_rows == 0) chunk_rows = kDefaultChunkRows;
@@ -646,16 +628,20 @@ void TableReadSnapshot::ScanRows(
       size_t run = r;
       while (run < block_end && mask[run - block] && run - r < cap) ++run;
       for (size_t c = 0; c < columns.size(); ++c) {
-        columns_[columns[c]].Decode(r, run - r, chunk.columns[c].get());
-      }
-      if (row_ids != nullptr) {
-        for (size_t id = r; id < run; ++id) row_ids->push_back(id);
+        ColumnVector* out = chunk.columns[c].get();
+        if (columns[c] == kRowIdColumn) {
+          const size_t at = out->size();
+          out->Resize(at + run - r);
+          std::iota(out->mutable_ints() + at, out->mutable_ints() + at + (run - r),
+                    static_cast<int64_t>(r));
+        } else {
+          columns_[columns[c]].Decode(r, run - r, out);
+        }
       }
       r = run;
       if (chunk.num_rows() >= chunk_rows) {
         if (!callback(chunk)) return;
         chunk = Chunk::Empty(schema);
-        if (row_ids != nullptr) row_ids->clear();
       }
     }
     block = block_end;
@@ -684,16 +670,6 @@ std::shared_ptr<const TableReadSnapshot> ColumnTable::OpenSnapshot(
   if (view.read_ts == mvcc::kLatest && vm_ != nullptr) {
     view.read_ts = vm_->LastVisible();
   }
-  return OpenSnapshotAt(view);
-}
-
-std::shared_ptr<const TableReadSnapshot> ColumnTable::OpenLatestSnapshot()
-    const {
-  return OpenSnapshotAt(mvcc::ReadView{});
-}
-
-std::shared_ptr<const TableReadSnapshot> ColumnTable::OpenSnapshotAt(
-    const mvcc::ReadView& view) const {
   auto snapshot = std::make_shared<TableReadSnapshot>();
   snapshot->schema_ = schema_;
   snapshot->view_ = view;

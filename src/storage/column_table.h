@@ -359,30 +359,16 @@ class TableReadSnapshot {
   /// Projected range scan: decodes only table columns `columns` (ids, at
   /// least one) and stamps each chunk with `schema` — one column per id,
   /// same types, e.g. a plan's qualified names — so chunk column i holds
-  /// table column columns[i]. Chunk framing matches the full scan.
+  /// table column columns[i]; kRowIdColumn there holds each row's table
+  /// position, the address staged deletes take. Chunk framing matches
+  /// the full scan.
   void ScanRange(size_t begin, size_t end, size_t chunk_rows,
                  const std::vector<size_t>& columns,
                  const std::shared_ptr<Schema>& schema,
                  const std::function<bool(const Chunk&)>& callback) const;
 
-  /// Projected scan with positions: `row_ids[i]` is the table row of
-  /// chunk row i, the address staged deletes take. Columns and
-  /// schema as in the projected ScanRange; chunk framing matches Scan.
-  void ScanWithRowIds(
-      size_t chunk_rows, const std::vector<size_t>& columns,
-      const std::shared_ptr<Schema>& schema,
-      const std::function<bool(const Chunk&, const std::vector<size_t>&)>&
-          callback) const;
-
  private:
   friend class ColumnTable;
-
-  /// ScanRange body; fills `row_ids` (cleared per chunk) when non-null.
-  void ScanRows(size_t begin, size_t end, size_t chunk_rows,
-                const std::vector<size_t>& columns,
-                const std::shared_ptr<Schema>& schema,
-                std::vector<size_t>* row_ids,
-                const std::function<bool(const Chunk&)>& callback) const;
 
   /// Fills `mask` (resized to end - begin) with 0/1 visibility bytes
   /// for global rows [begin, end).
@@ -444,8 +430,8 @@ class ColumnTable {
   /// not count.
   bool IsDeleted(size_t row) const;
   /// Latest-view MVCC visibility: created-committed and not deleted.
-  /// What row loops (catalog RunAging) use to skip rows they must not
-  /// touch — uncommitted and aborted rows are invisible here.
+  /// What row loops (optimizer statistics) use to skip rows they must
+  /// not count — uncommitted and aborted rows are invisible here.
   bool IsVisibleLatest(size_t row) const;
 
   // ---- MVCC snapshots -------------------------------------------------
@@ -456,12 +442,6 @@ class ColumnTable {
   /// or to expose one transaction's own uncommitted writes.
   std::shared_ptr<const TableReadSnapshot> OpenSnapshot(
       mvcc::ReadView view = {}) const;
-  /// Snapshot at the unresolved latest view: every committed stamp,
-  /// including those of a commit still being stamped — IsVisibleLatest
-  /// as a scan. What SQL DML scans for its target rows, so a statement
-  /// sees every delete committed before it, even while a transaction
-  /// holds LastVisible() back.
-  std::shared_ptr<const TableReadSnapshot> OpenLatestSnapshot() const;
 
   /// The commit-timestamp source this table stamps against; defaults to
   /// mvcc::VersionManager::Global(). Tests inject their own.
@@ -608,9 +588,6 @@ class ColumnTable {
   Status MergeDeltaHoldingMergeMu(const MergeOptions& options,
                                   mvcc::Timestamp watermark)
       REQUIRES(sync_->merge_mu);
-  /// OpenSnapshot body: pins the parts under `view` as given.
-  std::shared_ptr<const TableReadSnapshot> OpenSnapshotAt(
-      const mvcc::ReadView& view) const;
 
   std::shared_ptr<Schema> schema_;
   std::vector<StoredColumn> columns_;

@@ -212,6 +212,11 @@ struct Chunk {
 /// Column ids 0..n-1 of `schema`: the column list of an unprojected scan.
 std::vector<size_t> AllColumnIds(const Schema& schema);
 
+/// A scan column id (last in a list) naming each row's address: the
+/// scan emits a BIGINT row id there, where DML stages its writes — a
+/// column table's row position, an extended table's (group << 32) | row.
+inline constexpr size_t kRowIdColumn = static_cast<size_t>(-1);
+
 /// Default number of rows per chunk produced by scans.
 inline constexpr size_t kDefaultChunkRows = 2048;
 

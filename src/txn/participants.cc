@@ -42,10 +42,6 @@ Status ColumnTableParticipant::Prepare(TxnId txn) {
     HANA_RETURN_IF_ERROR(injector_->OnCall(FaultOp::kPrepare, name_, txn));
   }
   MutexLock lock(mu_);
-  if (fail_next_prepare_) {
-    fail_next_prepare_ = false;
-    return Status::TransactionAborted(name_ + ": injected prepare failure");
-  }
   auto it = staged_.find(txn);
   if (it != staged_.end()) {
     if (!it->second.writes) {
@@ -136,10 +132,6 @@ Status ExtendedTableParticipant::Prepare(TxnId txn) {
   MutexLock lock(mu_);
   if (unavailable_) {
     return Status::Unavailable(name_ + ": extended storage unreachable");
-  }
-  if (fail_next_prepare_) {
-    fail_next_prepare_ = false;
-    return Status::TransactionAborted(name_ + ": injected prepare failure");
   }
   auto it = staged_.find(txn);
   if (it != staged_.end()) it->second.prepared = true;

@@ -51,13 +51,6 @@ class ColumnTableParticipant : public Participant {
       EXCLUDES(mu_);
   [[nodiscard]] Status Abort(TxnId txn) override EXCLUDES(mu_);
 
-  /// Failure injection: the next Prepare votes abort. (Predates the
-  /// FaultInjector layer; kept for single-fault tests.)
-  void FailNextPrepare() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    fail_next_prepare_ = true;
-  }
-
   /// Attaches the fault-injection layer; Prepare/Commit/Abort route
   /// through it at entry. Set before enlisting in concurrent commits.
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
@@ -89,7 +82,6 @@ class ColumnTableParticipant : public Participant {
   /// while calling the injector (which may block on a hold latch).
   mutable Mutex mu_{"txn.participant.column", lock_rank::kTxnParticipant};
   std::map<TxnId, Staged> staged_ GUARDED_BY(mu_);
-  bool fail_next_prepare_ GUARDED_BY(mu_) = false;
 };
 
 /// Write staging for an extended-storage table. Commit bulk-loads the
@@ -112,10 +104,6 @@ class ExtendedTableParticipant : public Participant {
       EXCLUDES(mu_);
   [[nodiscard]] Status Abort(TxnId txn) override EXCLUDES(mu_);
 
-  void FailNextPrepare() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    fail_next_prepare_ = true;
-  }
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
   /// Simulates an unavailable extended store: every access errors until
   /// cleared (paper: "every access to a SAP HANA table may throw a
@@ -142,7 +130,6 @@ class ExtendedTableParticipant : public Participant {
   /// participant at a time, so participant mutexes never nest.
   mutable Mutex mu_{"txn.participant.extended", lock_rank::kTxnParticipant};
   std::map<TxnId, Staged> staged_ GUARDED_BY(mu_);
-  bool fail_next_prepare_ GUARDED_BY(mu_) = false;
   bool unavailable_ GUARDED_BY(mu_) = false;
 };
 

@@ -1,7 +1,7 @@
 // Cold scans read row groups ahead on the task pool: at dop d, up to
 // d - 1 later groups of an extended table are read and decoded while
-// the scan consumes the current one (extended::ExtendedTable::Scan and
-// MatchRows). The read-ahead must be invisible. For an extended table
+// the scan consumes the current one (extended::ExtendedTable::Scan).
+// The read-ahead must be invisible. For an extended table
 // and a hybrid table's cold partition of eight row groups — one group
 // with tombstones, one query that prunes groups by zone map, a buffer
 // cache that holds about half the blocks — the same statement sequence
@@ -108,7 +108,7 @@ size_t HalfTheBlocks() {
 ScanRun RunAt(size_t dop, size_t cache_bytes) {
   auto db = MakePlatform(cache_bytes);
   EXPECT_TRUE(db->SetParameter("threads", std::to_string(dop)).ok());
-  db->iq()->store()->metrics().Reset();
+  db->iq()->store()->ResetMetrics();
   ScanRun run;
   for (const std::string& sql : Statements()) {
     auto result = db->Execute(sql);

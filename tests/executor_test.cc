@@ -579,18 +579,21 @@ TEST_F(ExecutorUnionTest, ExtendedLimitStopsReadingBlocks) {
   // ext_t holds ten row groups of two column blocks each. A LIMIT stops
   // the disk scan after the first row group — shipped whole to the
   // extended engine, and scanned directly with federation off.
-  extended::ExtendedStoreMetrics& io = db_->iq()->store()->metrics();
-  auto touched = [&] { return io.blocks_read + io.cache_hits; };
+  extended::ExtendedStore* store = db_->iq()->store();
+  auto touched = [&] {
+    extended::ExtendedStoreMetrics io = store->metrics();
+    return io.blocks_read + io.cache_hits;
+  };
   for (const char* hint : {"", " WITH HINT (NO_FEDERATION)"}) {
     SCOPED_TRACE(hint);
-    io.Reset();
+    store->ResetMetrics();
     auto full = db_->Query(std::string("SELECT * FROM ext_t") + hint);
     ASSERT_TRUE(full.ok()) << full.status().ToString();
     ASSERT_EQ(full->num_rows(), 10u * 4096);
     const uint64_t full_blocks = touched();
     EXPECT_EQ(full_blocks, 20u);
 
-    io.Reset();
+    store->ResetMetrics();
     auto limited =
         db_->Query(std::string("SELECT * FROM ext_t LIMIT 5") + hint);
     ASSERT_TRUE(limited.ok()) << limited.status().ToString();

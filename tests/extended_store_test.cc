@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 
 #include "common/util.h"
 #include "extended/extended_store.h"
@@ -94,7 +95,7 @@ TEST_F(ExtendedStoreTest, DataActuallyOnDisk) {
 TEST_F(ExtendedStoreTest, ZoneMapPruning) {
   auto table = store_->CreateTable("t", TestSchema());
   ASSERT_TRUE((*table)->BulkLoad(MakeRows(2048)).ok());
-  store_->metrics().Reset();
+  store_->ResetMetrics();
   // id in [100, 150] touches exactly one of eight row groups.
   std::vector<ColumnRange> ranges = {
       {0, Value::Int(100), Value::Int(150)}};
@@ -118,7 +119,7 @@ TEST_F(ExtendedStoreTest, BufferCacheHits) {
       return true;
     });
   };
-  store_->metrics().Reset();
+  store_->ResetMetrics();
   scan_all();
   uint64_t cold_reads = store_->metrics().blocks_read;
   EXPECT_GT(cold_reads, 0u);
@@ -131,11 +132,43 @@ TEST_F(ExtendedStoreTest, VirtualIoTimeAdvances) {
   auto table = store_->CreateTable("t", TestSchema());
   ASSERT_TRUE((*table)->BulkLoad(MakeRows(512)).ok());
   double before = store_->clock().now_ms();
-  store_->metrics().Reset();
+  store_->ResetMetrics();
   (void)(*table)->Scan({}, 4096,
                        [](const storage::Chunk&) { return true; });
   EXPECT_GT(store_->clock().now_ms(), before);
   EXPECT_GT(store_->metrics().simulated_io_ms, 0.0);
+}
+
+using ChunkMatch =
+    std::function<Status(const storage::Chunk&, std::vector<uint8_t>*)>;
+
+// The row ids of the live rows `match` selects, in row order, from a
+// projected scan of every column and the row id: the shape of a DML
+// target search. A match error is returned as is.
+Result<std::vector<int64_t>> MatchRows(ExtendedTable* table,
+                                       const std::vector<ColumnRange>& ranges,
+                                       const ChunkMatch& match,
+                                       size_t dop = 1) {
+  std::vector<size_t> columns = storage::AllColumnIds(*table->schema());
+  columns.push_back(storage::kRowIdColumn);
+  auto schema = std::make_shared<Schema>(*table->schema());
+  schema->AddColumn({"$rowid", DataType::kInt64, false});
+  std::vector<int64_t> ids;
+  std::vector<uint8_t> mask;
+  Status matched;
+  HANA_RETURN_IF_ERROR(table->Scan(
+      ranges, 4096, columns, schema,
+      [&](const storage::Chunk& chunk) {
+        matched = match(chunk, &mask);
+        if (!matched.ok()) return false;
+        for (size_t r = 0; r < chunk.num_rows(); ++r) {
+          if (mask[r] != 0) ids.push_back(chunk.columns.back()->GetInt(r));
+        }
+        return true;
+      },
+      dop));
+  HANA_RETURN_IF_ERROR(matched);
+  return ids;
 }
 
 // Chunk-level match on `id % 2 == 0`, the shape of exec::SelectRows.
@@ -150,7 +183,7 @@ Status EvenIds(const storage::Chunk& chunk, std::vector<uint8_t>* mask) {
 TEST_F(ExtendedStoreTest, DeleteWhere) {
   auto table = store_->CreateTable("t", TestSchema());
   ASSERT_TRUE((*table)->BulkLoad(MakeRows(600)).ok());
-  auto matched = (*table)->MatchRows({}, EvenIds);
+  auto matched = MatchRows(*table, {}, EvenIds);
   ASSERT_TRUE(matched.ok());
   EXPECT_EQ(matched->size(), 300u);
   EXPECT_EQ((*table)->live_rows(), 600u);  // Matching changes nothing.
@@ -170,7 +203,7 @@ TEST_F(ExtendedStoreTest, DeleteWhere) {
                          })
                   .ok());
   EXPECT_EQ(rows, 300u);
-  auto again = (*table)->MatchRows({}, EvenIds);
+  auto again = MatchRows(*table, {}, EvenIds);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->empty());  // Deleted rows never match again.
 }
@@ -178,7 +211,7 @@ TEST_F(ExtendedStoreTest, DeleteWhere) {
 TEST_F(ExtendedStoreTest, MatchRowsSkipsPrunedAndDeletedGroups) {
   auto table = store_->CreateTable("t", TestSchema());
   ASSERT_TRUE((*table)->BulkLoad(MakeRows(2048)).ok());
-  store_->metrics().Reset();
+  store_->ResetMetrics();
   // id in [100, 150] lies in one of eight row groups: only its four
   // column blocks are read.
   std::vector<ColumnRange> ranges = {{0, Value::Int(100), Value::Int(150)}};
@@ -186,15 +219,15 @@ TEST_F(ExtendedStoreTest, MatchRowsSkipsPrunedAndDeletedGroups) {
     mask->assign(chunk.num_rows(), 1);
     return Status::OK();
   };
-  auto group = (*table)->MatchRows(ranges, all_rows);
+  auto group = MatchRows(*table, ranges, all_rows);
   ASSERT_TRUE(group.ok());
   EXPECT_EQ(group->size(), 256u);  // The zone map keeps the whole group.
   EXPECT_EQ(store_->metrics().blocks_read, 4u);
   EXPECT_EQ((*table)->DeleteRows(*group), 256u);
 
   // A fully deleted group is not read again, even without ranges.
-  store_->metrics().Reset();
-  auto rest = (*table)->MatchRows({}, all_rows);
+  store_->ResetMetrics();
+  auto rest = MatchRows(*table, {}, all_rows);
   ASSERT_TRUE(rest.ok());
   EXPECT_EQ(rest->size(), 2048u - 256u);
   EXPECT_EQ(store_->metrics().blocks_read + store_->metrics().cache_hits,
@@ -204,8 +237,8 @@ TEST_F(ExtendedStoreTest, MatchRowsSkipsPrunedAndDeletedGroups) {
 TEST_F(ExtendedStoreTest, MatchRowsHidesDeletedRowsFromThePredicate) {
   auto table = store_->CreateTable("t", TestSchema());
   ASSERT_TRUE((*table)->BulkLoad(MakeRows(300)).ok());
-  auto odd = (*table)->MatchRows({}, [](const storage::Chunk& chunk,
-                                        std::vector<uint8_t>* mask) {
+  auto odd = MatchRows(*table, {}, [](const storage::Chunk& chunk,
+                                      std::vector<uint8_t>* mask) {
     mask->resize(chunk.num_rows());
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
       (*mask)[r] = chunk.columns[0]->GetInt(r) % 2 == 1;
@@ -215,8 +248,8 @@ TEST_F(ExtendedStoreTest, MatchRowsHidesDeletedRowsFromThePredicate) {
   ASSERT_TRUE(odd.ok());
   ASSERT_EQ((*table)->DeleteRows(*odd), 150u);
   // A predicate that fails on any odd id now sees only even ids.
-  auto even = (*table)->MatchRows({}, [](const storage::Chunk& chunk,
-                                         std::vector<uint8_t>* mask) {
+  auto even = MatchRows(*table, {}, [](const storage::Chunk& chunk,
+                                       std::vector<uint8_t>* mask) {
     mask->resize(chunk.num_rows());
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
       if (chunk.columns[0]->GetInt(r) % 2 == 1) {
@@ -228,8 +261,8 @@ TEST_F(ExtendedStoreTest, MatchRowsHidesDeletedRowsFromThePredicate) {
   });
   ASSERT_TRUE(even.ok()) << even.status().ToString();
   ASSERT_EQ(even->size(), 150u);
-  EXPECT_EQ((*even)[0].row, 0u);
-  EXPECT_EQ((*even)[1].row, 2u);
+  EXPECT_EQ((*even)[0], 0);  // Group 0: the id is the row.
+  EXPECT_EQ((*even)[1], 2);
 }
 
 // A DOUBLE block without NULLs is laid out as varint(mask bytes), the
@@ -303,7 +336,7 @@ TEST_F(ExtendedStoreTest, CorruptBlocksAreIoErrors) {
           dop);
       EXPECT_EQ(scan.code(), StatusCode::kIoError) << scan.ToString();
       EXPECT_LE(scanned, 2 * kRows);
-      auto matched = (*table)->MatchRows({}, all_rows, dop);
+      auto matched = MatchRows(*table, {}, all_rows, dop);
       EXPECT_EQ(matched.status().code(), StatusCode::kIoError)
           << matched.status().ToString();
     }

@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "extended/extended_store.h"
+#include "txn/fault_injection.h"
 #include "txn/participants.h"
 #include "txn/two_phase.h"
 
@@ -67,7 +68,9 @@ TEST_F(TwoPhaseTest, AbortDropsStaging) {
 
 TEST_F(TwoPhaseTest, PrepareFailureAbortsEverywhere) {
   TxnId txn = StagePair(1);
-  b_->FailNextPrepare();
+  FaultInjector injector;
+  b_->SetFaultInjector(&injector);
+  injector.FailNext("B", FaultOp::kPrepare);
   Status status = coordinator_.Commit(txn);
   EXPECT_EQ(status.code(), StatusCode::kTransactionAborted);
   EXPECT_EQ(table_a_->live_rows(), 0u);
