@@ -419,11 +419,11 @@ Result<std::vector<Target>> TargetsOf(
   auto add_cold = [&](const std::string& name) -> Status {
     HANA_ASSIGN_OR_RETURN(extended::ExtendedTable * cold,
                           iq->store()->GetTable(name));
-    targets.push_back(Target{nullptr, cold});
+    targets.push_back(Target{nullptr, cold, -1, {}});
     return Status::OK();
   };
   if (entry.kind == TableKind::kColumn) {
-    targets.push_back(Target{entry.column_table.get()});
+    targets.push_back(Target{entry.column_table.get(), nullptr, -1, {}});
   } else if (entry.kind == TableKind::kExtended) {
     HANA_RETURN_IF_ERROR(add_cold(entry.extended_table));
   }
@@ -433,7 +433,7 @@ Result<std::vector<Target>> TargetsOf(
     if (p.hot == nullptr) {
       HANA_RETURN_IF_ERROR(add_cold(p.cold_table));
     } else {
-      targets.push_back(Target{p.hot.get(), nullptr, static_cast<int>(i)});
+      targets.push_back(Target{p.hot.get(), nullptr, static_cast<int>(i), {}});
     }
   }
   return targets;

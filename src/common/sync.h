@@ -89,11 +89,16 @@ inline constexpr int kMvccVersion = 45;
 // mutex. Its cold scans do submit row-group read-ahead tasks (taking
 // pool.queue, 90); the tasks only read and decode, taking no lock.
 inline constexpr int kSdaDispatch = 50;
+// extended.append — extended::ExtendedTable::append_mu_: one bulk load
+// of a table at a time, held across its file writes and then over
+// extended.store while the written row groups are published.
+inline constexpr int kExtendedAppend = 51;
 // extended.store — extended::ExtendedStore::mu_: tables, row groups,
 // tombstones, buffer cache, metrics. Taken under sda.dispatch by cold
-// scans, alone by cold loads and deletes; it queues read-ahead (pool.
-// queue) but is never held across a scan's sink call, a wait on a
-// read-ahead slot or a WriteSet commit.
+// scans, under extended.append by cold loads, alone by cold deletes; it
+// queues read-ahead (pool.queue) but is never held across a scan's sink
+// call, a wait on a read-ahead slot, a file read or write, or a
+// WriteSet commit.
 inline constexpr int kExtendedStore = 52;
 // sda.registry — federation::SdaRuntime::registry_mu_: adapter map;
 // ACQUIRED_AFTER(dispatch_mu_).

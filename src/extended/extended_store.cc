@@ -246,15 +246,11 @@ size_t ExtendedTable::num_groups() const {
   return groups_.size();
 }
 
-Status ExtendedTable::WriteGroup(const std::vector<std::vector<Value>>& rows,
-                                 size_t begin, size_t end) {
-  std::FILE* file = std::fopen(path_.c_str(), "ab");
-  if (file == nullptr) {
-    return Status::IoError("cannot open extended table file " + path_);
-  }
-  RowGroup group;
-  group.rows = end - begin;
-  size_t group_bytes = 0;
+Status ExtendedTable::WriteGroup(std::FILE* file,
+                                 const std::vector<std::vector<Value>>& rows,
+                                 size_t begin, size_t end, RowGroup* group,
+                                 size_t* bytes) const {
+  group->rows = end - begin;
   for (size_t c = 0; c < schema_->num_columns(); ++c) {
     ColumnBlockRef ref;
     std::vector<uint8_t> block = EncodeColumn(schema_->column(c).type, rows,
@@ -263,18 +259,13 @@ Status ExtendedTable::WriteGroup(const std::vector<std::vector<Value>>& rows,
     long pos = std::ftell(file);
     if (pos < 0 ||
         std::fwrite(block.data(), 1, block.size(), file) != block.size()) {
-      std::fclose(file);
       return Status::IoError("write failed on " + path_);
     }
     ref.offset = static_cast<uint64_t>(pos);
     ref.size = static_cast<uint32_t>(block.size());
-    group_bytes += block.size();
-    group.columns.push_back(std::move(ref));
+    *bytes += block.size();
+    group->columns.push_back(std::move(ref));
   }
-  std::fclose(file);
-  disk_bytes_ += group_bytes;
-  store_->ChargeWrite(group_bytes);
-  groups_.push_back(std::move(group));
   return Status::OK();
 }
 
@@ -284,12 +275,34 @@ Status ExtendedTable::BulkLoad(const std::vector<std::vector<Value>>& rows) {
       return Status::InvalidArgument("row arity mismatch in bulk load");
     }
   }
+  if (rows.empty()) return Status::OK();
   size_t per_group = store_->options().rows_per_group;
-  MutexLock lock(store_->mu_);  // One appender: offsets stay as recorded.
-  for (size_t begin = 0; begin < rows.size(); begin += per_group) {
-    size_t end = std::min(rows.size(), begin + per_group);
-    HANA_RETURN_IF_ERROR(WriteGroup(rows, begin, end));
+  // One appender at a time, so offsets stay as recorded. The groups are
+  // written outside the store's mutex and published under it only once
+  // all are on disk: a failed load adds no group.
+  MutexLock append(append_mu_);
+  std::FILE* file = std::fopen(path_.c_str(), "ab");
+  if (file == nullptr) {
+    return Status::IoError("cannot open extended table file " + path_);
   }
+  std::vector<RowGroup> written;
+  size_t bytes = 0;
+  Status status;
+  for (size_t begin = 0; begin < rows.size() && status.ok();
+       begin += per_group) {
+    written.emplace_back();
+    status = WriteGroup(file, rows, begin,
+                        std::min(rows.size(), begin + per_group),
+                        &written.back(), &bytes);
+  }
+  if (std::fclose(file) != 0 && status.ok()) {
+    status = Status::IoError("write failed on " + path_);
+  }
+  HANA_RETURN_IF_ERROR(status);
+  MutexLock lock(store_->mu_);
+  disk_bytes_ += bytes;
+  store_->ChargeWrite(bytes);
+  for (RowGroup& group : written) groups_.push_back(std::move(group));
   return Status::OK();
 }
 
@@ -342,48 +355,53 @@ class ExtendedTable::GroupReader {
   const std::vector<size_t>& groups() const { return groups_; }
 
   /// The blocks of groups()[i], one per column, and the indexes of its
-  /// live rows; i = 0, 1, ... in order. Never waits under the store's
-  /// mutex.
+  /// live rows; i = 0, 1, ... in order. Never waits or reads the file
+  /// under the store's mutex.
   Status Load(size_t i, std::vector<storage::ColumnVectorPtr>* blocks,
               std::vector<uint32_t>* live) {
     ExtendedStore* store = table_->store_;
+    const size_t g = groups_[i];
     size_t until = std::min(groups_.size(), i + 1 + depth_);
+    if (scheduled_ < until) (void)File();  // Opened for the read-ahead.
+    size_t rows = 0;
+    std::vector<Slot::Read> misses;  // Blocks the buffer cache lacks.
+    blocks->assign(columns_.size(), nullptr);
     {
       MutexLock lock(store->mu_);
       for (scheduled_ = std::max(scheduled_, i + 1); scheduled_ < until;
            ++scheduled_) {
         Schedule(scheduled_);
       }
+      const RowGroup& group = table_->groups_[g];
+      rows = group.rows;
+      LiveRowIndexes(group.rows, group.tombstones, live);
+      for (size_t c = 0; c < columns_.size(); ++c) {
+        (*blocks)[c] = store->CacheLookup(Key(g, columns_[c]));
+        const ColumnBlockRef& ref = group.columns[columns_[c]];
+        if ((*blocks)[c] == nullptr) {
+          misses.push_back(Slot::Read{
+              c, ref.offset, ref.size,
+              table_->schema_->column(columns_[c]).type});
+        }
+      }
     }
     std::shared_ptr<Slot> slot = std::move(slots_[i]);
     if (slot != nullptr) slot->Await();
+    for (const Slot::Read& miss : misses) {
+      storage::ColumnVectorPtr& block = (*blocks)[miss.column];
+      if (slot != nullptr) block = std::move(slot->blocks[miss.column]);
+      if (block != nullptr) continue;
+      // Not read ahead, or the read-ahead failed: read here, so an error
+      // surfaces in group order.
+      HANA_ASSIGN_OR_RETURN(const BlockFile* file, File());
+      HANA_ASSIGN_OR_RETURN(block, LoadBlock(*file, miss.offset, miss.size,
+                                             miss.type, rows, &buffer_));
+    }
     MutexLock lock(store->mu_);
-    const size_t g = groups_[i];
-    const RowGroup& group = table_->groups_[g];
-    LiveRowIndexes(group.rows, group.tombstones, live);
-    blocks->resize(columns_.size());
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      const ColumnBlockRef& ref = group.columns[columns_[c]];
-      std::string key = Key(g, columns_[c]);
-      storage::ColumnVectorPtr data = store->CacheLookup(key);
-      if (data == nullptr) {
-        if (slot != nullptr && slot->blocks[c] != nullptr) {
-          data = std::move(slot->blocks[c]);
-          store->ChargeRead(ref.size);
-        } else {
-          // Not read ahead, or the read-ahead failed: read here, so an
-          // error surfaces in group order with the serial charges.
-          HANA_ASSIGN_OR_RETURN(const BlockFile* file, File());
-          HANA_RETURN_IF_ERROR(file->Read(ref.offset, ref.size, &buffer_));
-          store->ChargeRead(ref.size);
-          auto column = std::make_shared<storage::ColumnVector>(
-              table_->schema_->column(columns_[c]).type);
-          HANA_RETURN_IF_ERROR(DecodeColumn(buffer_, group.rows, column.get()));
-          data = std::move(column);
-        }
-        store->CacheAdmit(key, data, ref.size);
-      }
-      (*blocks)[c] = std::move(data);
+    for (const Slot::Read& miss : misses) {
+      store->ChargeRead(miss.size);
+      store->CacheAdmit(Key(g, columns_[miss.column]), (*blocks)[miss.column],
+                        miss.size);
     }
     return Status::OK();
   }
@@ -453,7 +471,7 @@ class ExtendedTable::GroupReader {
   }
 
   /// Hands groups()[i]'s uncached blocks to a pool task; the caller
-  /// holds the store's mutex.
+  /// holds the store's mutex and has opened the file.
   void Schedule(size_t i) {
     const size_t g = groups_[i];
     const RowGroup& group = table_->groups_[g];
@@ -466,7 +484,7 @@ class ExtendedTable::GroupReader {
     }
     // Nothing to read, or no file: the scan loads the group itself (and
     // reports the open error there).
-    if (slot->reads.empty() || !File().ok()) return;
+    if (slot->reads.empty() || file_ == nullptr) return;
     slot->file = file_;
     slot->rows = group.rows;
     slot->blocks.resize(columns_.size());
@@ -702,6 +720,15 @@ bool ExtendedStore::CacheContains(const std::string& key) const {
 void ExtendedStore::CacheAdmit(const std::string& key,
                                storage::ColumnVectorPtr data,
                                size_t block_bytes) {
+  auto found = cache_.find(key);
+  if (found != cache_.end()) {
+    // Another scan read the block too and admitted it first: keep that
+    // copy, refreshed.
+    lru_.erase(found->second.lru_it);
+    lru_.push_front(key);
+    found->second.lru_it = lru_.begin();
+    return;
+  }
   size_t bytes = block_bytes * 4 + 64;  // Rough decoded footprint.
   while (cache_used_ + bytes > options_.cache_bytes && !lru_.empty()) {
     const std::string& victim = lru_.back();

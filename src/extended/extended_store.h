@@ -2,6 +2,7 @@
 #define HANA_EXTENDED_EXTENDED_STORE_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <list>
 #include <map>
@@ -118,8 +119,12 @@ class ExtendedTable {
   ExtendedTable(ExtendedStore* store, std::string name,
                 std::shared_ptr<Schema> schema, std::string path);
 
-  [[nodiscard]] Status WriteGroup(const std::vector<std::vector<Value>>& rows, size_t begin,
-                    size_t end);
+  /// Encodes rows [begin, end) as one row group appended to `file`,
+  /// describing it in `group` and adding its size to `bytes`.
+  [[nodiscard]] Status WriteGroup(std::FILE* file,
+                                  const std::vector<std::vector<Value>>& rows,
+                                  size_t begin, size_t end, RowGroup* group,
+                                  size_t* bytes) const;
   bool GroupMatches(const RowGroup& group,
                     const std::vector<ColumnRange>& ranges) const;
   /// Groups with a live row whose zone maps satisfy `ranges`, in order.
@@ -132,8 +137,10 @@ class ExtendedTable {
   std::string name_;
   std::shared_ptr<Schema> schema_;
   std::string path_;
+  // Held across a BulkLoad's file writes (lock_rank::kExtendedAppend).
+  Mutex append_mu_{"extended.append", lock_rank::kExtendedAppend};
   std::vector<RowGroup> groups_;  // Guarded by store_->mu_.
-  size_t disk_bytes_ = 0;
+  size_t disk_bytes_ = 0;         // Guarded by store_->mu_.
 };
 
 /// The IQ-style storage manager: owns tables under one directory, a

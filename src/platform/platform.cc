@@ -82,7 +82,12 @@ Platform::Platform(PlatformOptions options) : options_(std::move(options)) {
   // timestamps from the global version manager — the same timestamp
   // domain statements read at (AcquireReadLease) and column tables
   // stamp with by default.
-  coordinator_.SetVersionManager(&mvcc::VersionManager::Global());
+  SetVersionManager(&mvcc::VersionManager::Global());
+}
+
+void Platform::SetVersionManager(mvcc::VersionManager* vm) {
+  vm_ = vm;
+  coordinator_.SetVersionManager(vm);
 }
 
 Platform::~Platform() = default;
@@ -465,7 +470,7 @@ Status Platform::RegisterMapReduceJob(
 
 exec::ExecContext::ReadLease Platform::AcquireReadLease() {
   ReadLease lease;
-  lease.hold = coordinator_.version_manager()->AcquireSnapshot();
+  lease.hold = vm_->AcquireSnapshot();
   lease.view.read_ts = lease.hold.read_ts();
   {
     // New statement: drop the previous statement's snapshot reuse map.

@@ -109,6 +109,12 @@ class Platform : public exec::ExecContext {
   federation::SdaRuntime& sda() { return sda_; }
   optimizer::OptimizerOptions& optimizer_options() { return opt_options_; }
   txn::TwoPhaseCoordinator& coordinator() { return coordinator_; }
+  /// The version manager statements lease their snapshots from and the
+  /// coordinator draws its timestamps from (default
+  /// mvcc::VersionManager::Global(), which column tables stamp with by
+  /// default). Set it before the first statement; tests substitute a
+  /// private one together with their tables'.
+  void SetVersionManager(mvcc::VersionManager* vm);
   extended::IqEngine* iq() { return iq_.get(); }
   hadoop::Hdfs* hdfs() { return hdfs_.get(); }
   hadoop::HiveEngine* hive() { return hive_.get(); }
@@ -129,7 +135,7 @@ class Platform : public exec::ExecContext {
 
   // ---- exec::ExecContext ------------------------------------------------
   /// Pins the statement (a SELECT or a DML target search) to the
-  /// last-visible timestamp of its coordinator's version manager and
+  /// last-visible timestamp of the platform's version manager and
   /// registers it in the active-snapshot set, holding the delta-merge
   /// watermark back while the statement runs.
   ReadLease AcquireReadLease() override;
@@ -175,6 +181,7 @@ class Platform : public exec::ExecContext {
   std::unique_ptr<catalog::Catalog> catalog_;
   federation::SdaRuntime sda_;
   txn::TwoPhaseCoordinator coordinator_;
+  mvcc::VersionManager* vm_ = nullptr;  // SetVersionManager.
   optimizer::OptimizerOptions opt_options_;
   size_t dop_ = 1;
   size_t morsel_rows_ = exec::kDefaultMorselRows;

@@ -319,11 +319,6 @@ void TwoPhaseCoordinator::SetVersionManager(mvcc::VersionManager* vm) {
   vm_ = vm;
 }
 
-mvcc::VersionManager* TwoPhaseCoordinator::version_manager() const {
-  MutexLock lock(mu_);
-  return vm_;
-}
-
 void TwoPhaseCoordinator::RegisterRecoveryParticipant(
     Participant* participant) {
   MutexLock lock(mu_);

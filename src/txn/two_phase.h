@@ -155,7 +155,6 @@ class TwoPhaseCoordinator {
   /// the first Begin. Survives Crash(): the version manager models the
   /// recoverable timestamp authority, not coordinator volatile state.
   void SetVersionManager(mvcc::VersionManager* vm) EXCLUDES(mu_);
-  mvcc::VersionManager* version_manager() const EXCLUDES(mu_);
 
   /// Snapshot of the write-ahead log (by value: commits on other
   /// threads may be appending concurrently).

@@ -8,7 +8,9 @@
 // error before an assignment error on an earlier row. And the target
 // search reads at the statement's snapshot: while a coordinator
 // transaction whose commit record is logged but never finished holds
-// LastVisible() back, a row committed after it is not targeted.
+// LastVisible() back, a row committed after it is not targeted, and a
+// row deleted after it is targeted again and aborts the statement with
+// a write-write conflict.
 
 #include <gtest/gtest.h>
 
@@ -188,7 +190,7 @@ TEST(DmlPipelineTest, TargetsAreReadAtTheStatementSnapshot) {
     // transaction left unfinished below must not hold Global() back.
     mvcc::VersionManager vm;
     auto db = MakePlatform(threads);
-    db->coordinator().SetVersionManager(&vm);
+    db->SetVersionManager(&vm);
     ASSERT_TRUE(
         db->Execute("CREATE COLUMN TABLE t (id BIGINT NOT NULL, b VARCHAR)")
             .ok());
@@ -224,6 +226,20 @@ TEST(DmlPipelineTest, TargetsAreReadAtTheStatementSnapshot) {
     // The delete committed after the freeze too: SELECTs do not see it.
     const std::string select = "SELECT * FROM t ORDER BY id";
     EXPECT_EQ(Dump(db.get(), select), "1|x|\n2|x|\n");
+    // So a later statement finds row 2 again, and changing it is a
+    // write-write conflict with the committed delete: the statement
+    // aborts and changes nothing, however often it is repeated.
+    for (const char* again : {"UPDATE t SET b = 'y' WHERE id = 2",
+                              "DELETE FROM t WHERE id = 2",
+                              "DELETE FROM t WHERE id <= 2"}) {
+      SCOPED_TRACE(again);
+      auto conflict = db->Execute(again);
+      ASSERT_FALSE(conflict.ok());
+      EXPECT_EQ(conflict.status().code(), StatusCode::kTransactionAborted)
+          << conflict.status().ToString();
+    }
+    EXPECT_EQ(Dump(db.get(), select), "1|x|\n2|x|\n");
+    EXPECT_EQ(table->live_rows(), 3u);  // 1, 100 and 200.
 
     // Recovery finishes the commit, and LastVisible() moves past every
     // later one: both late rows become targets.
